@@ -30,7 +30,9 @@ from typing import Callable, Dict, List, Optional
 from ..config import CounterCacheConfig, EncryptionConfig
 from ..crypto import aes as aes_module
 from ..crypto.counter_cache import CounterCache
+from ..crypto.integrity import IntegrityEngine
 from ..crypto.otp import OTPCipher, _xor, _xor_reference, make_block_cipher
+from ..crypto.prf import SplitMixPRF
 from ..errors import ConfigurationError
 from ..integrity.tree import IntegrityTreeEngine
 from ..mem.writequeue import WriteQueue
@@ -253,6 +255,45 @@ def bench_kernels(scale: str = "quick") -> Dict[str, Dict[str, float]]:
         fast_s, otp_batch_ops, ref_s, otp_batch_ops
     )
     results["otp_encrypt_lines_batch"]["numpy"] = HAVE_NUMPY
+
+    # -- Batched PRF: SplitMix64 over numpy uint64 lanes -----------------
+    # Crash-image decryption hands the PRF a whole image's pad blocks at
+    # once; from NP_BATCH_MIN blocks up they run as numpy lanes.  The
+    # reference is the scalar per-block loop.
+    prf = SplitMixPRF(b"repro-perf-key!!")
+    prf_blocks = [(i * 0x9E3779B97F4A7C15).to_bytes(16, "little") for i in range(1024)]
+    prf_rounds = 2 * mult
+    if prf.encrypt_blocks(prf_blocks) != [prf.encrypt_block(b) for b in prf_blocks]:
+        raise ConfigurationError("prf kernel setup: batched blocks != per-block")
+    fast_s = _best_of(
+        lambda: [prf.encrypt_blocks(prf_blocks) for _ in range(prf_rounds)]
+    )
+    ref_s = _best_of(
+        lambda: [[prf.encrypt_block(b) for b in prf_blocks] for _ in range(prf_rounds)]
+    )
+    prf_ops = prf_rounds * len(prf_blocks)
+    results["prf_blocks_batch"] = _kernel(fast_s, prf_ops, ref_s, prf_ops)
+    results["prf_blocks_batch"]["numpy"] = HAVE_NUMPY
+
+    # -- Batched ECC-lane tags: one image's lines vs per-line tag --------
+    # 450 lines is one crash image of the e2e ``recovery`` workload; its
+    # tag capture, collect_tags and verify passes are one tag_many each.
+    tag_engine = IntegrityEngine(EncryptionConfig(cipher="prf"))
+    tag_items = [((i + 1) * 64, i + 1, line if i % 2 else other) for i in range(450)]
+    tag_rounds = mult
+    if tag_engine.tag_many(tag_items) != [tag_engine.tag(*item) for item in tag_items]:
+        raise ConfigurationError("tag kernel setup: tag_many != per-line tag")
+    fast_s = _best_of(
+        lambda: [tag_engine.tag_many(tag_items) for _ in range(tag_rounds)]
+    )
+    ref_s = _best_of(
+        lambda: [
+            [tag_engine.tag(a, c, t) for a, c, t in tag_items] for _ in range(tag_rounds)
+        ]
+    )
+    tag_ops = tag_rounds * len(tag_items)
+    results["integrity_tag_many"] = _kernel(fast_s, tag_ops, ref_s, tag_ops)
+    results["integrity_tag_many"]["numpy"] = HAVE_NUMPY
 
     # -- Bulk counter-cache probe vs per-call lookups --------------------
     bulk_n = 5000 * mult

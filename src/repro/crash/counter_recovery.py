@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from ..config import CACHE_LINE_SIZE, EncryptionConfig
 from ..crypto.integrity import IntegrityEngine, TaggedLine
 from ..crypto.otp import OTPCipher, make_block_cipher
-from .injector import CrashImage
+from .injector import CrashImage, tag_data_lines
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (session imports us)
     from .session import RecoveryContext
@@ -61,10 +61,6 @@ class CounterRecoverer:
         self.integrity = IntegrityEngine(encryption)
         self.cipher = OTPCipher(make_block_cipher(encryption))
 
-    def make_tag(self, address: int, counter: int, ciphertext: bytes) -> bytes:
-        """Tag helper for producers of tagged lines."""
-        return self.integrity.tag(address, counter, ciphertext)
-
     def recover_line(
         self, line: TaggedLine, stored_counter: int
     ) -> Optional[int]:
@@ -72,13 +68,13 @@ class CounterRecoverer:
 
         Tries the architecturally stored counter first, then counters
         up to ``max_lag`` ahead of it (writes only ever advance the
-        counter, so the persisted value can only lag).
+        counter, so the persisted value can only lag).  The whole
+        window is tagged in one batch; the first candidate whose tag
+        matches wins.
         """
-        for lag in range(0, self.max_lag + 1):
-            candidate = stored_counter + lag
-            if line.verify_with(self.integrity, candidate):
-                return candidate
-        return None
+        return line.first_verifying(
+            self.integrity, range(stored_counter, stored_counter + self.max_lag + 1)
+        )
 
     def recover_image(
         self,
@@ -146,12 +142,4 @@ def collect_tags(image: CrashImage, recoverer: CounterRecoverer) -> Dict[int, by
     really encrypted with; recovery never reads that counter directly,
     it only observes which candidate makes the tag verify.
     """
-    tags: Dict[int, bytes] = {}
-    for address in image.device.touched_lines():
-        if not image.address_map.is_data_address(address):
-            continue
-        stored = image.device.read_line(address)
-        tags[address] = recoverer.make_tag(
-            address, stored.encrypted_with, stored.payload
-        )
-    return tags
+    return tag_data_lines(image.device, recoverer.integrity)

@@ -136,15 +136,7 @@ class CrashInjector:
         else:
             _, covered = self._journal.reconstruct(crash_ns, adr=True, adr_budget=None)
         image.secure_root = self._tree_engine.root_over(covered)
-        tags: Dict[int, bytes] = {}
-        for address in image.device.touched_lines():
-            if not self._address_map.is_data_address(address):
-                continue
-            stored = image.device.read_line(address)
-            tags[address] = self._tag_engine.tag(
-                address, stored.encrypted_with, stored.payload
-            )
-        image.line_tags = tags
+        image.line_tags = tag_data_lines(image.device, self._tag_engine)
 
     def crash_with_faults(
         self,
@@ -202,6 +194,23 @@ class CrashInjector:
             (a + b) / 2.0 for a, b in zip(boundaries, boundaries[1:]) if b > a
         ]
         return uniform_sample(midpoints, limit)
+
+
+def tag_data_lines(device: NVMDevice, engine: IntegrityEngine) -> Dict[int, bytes]:
+    """ECC-lane tags of every data line persisted in ``device``.
+
+    Each tag covers the ciphertext as persisted and the counter it was
+    really encrypted with: tags ride in the ECC lanes, atomic with each
+    data write.  All lines are tagged in one
+    :meth:`~repro.crypto.integrity.IntegrityEngine.tag_many` batch.
+    """
+    is_data = device.address_map.is_data_address
+    items: List[Tuple[int, int, bytes]] = []
+    for address in device.touched_lines():
+        if is_data(address):
+            stored = device.read_line(address)
+            items.append((address, stored.encrypted_with, stored.payload))
+    return dict(zip([address for address, _, _ in items], engine.tag_many(items)))
 
 
 def nested_crash_image(

@@ -38,7 +38,7 @@ from ..errors import SimulationError
 from ..nvm.device import NVMDevice
 from ..persist.journal import CommitRecord, PersistJournal
 from ..sim.machine import SimulationResult
-from .injector import CrashImage, CrashInjector, uniform_sample
+from .injector import CrashImage, CrashInjector, tag_data_lines, uniform_sample
 
 
 def _shard_journals(result: SimulationResult) -> List[PersistJournal]:
@@ -120,16 +120,9 @@ def shard_crash_image(
             arity=result.config.integrity.arity,
         )
         image.secure_root = tree.root_over(covered)
-        tag_engine = IntegrityEngine(result.config.encryption)
-        tags: Dict[int, bytes] = {}
-        for address in device.touched_lines():
-            if not address_map.is_data_address(address):
-                continue
-            stored = device.read_line(address)
-            tags[address] = tag_engine.tag(
-                address, stored.encrypted_with, stored.payload
-            )
-        image.line_tags = tags
+        image.line_tags = tag_data_lines(
+            device, IntegrityEngine(result.config.encryption)
+        )
     return image
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..config import CACHE_LINE_SIZE
 from ..errors import SimulationError
@@ -272,6 +272,7 @@ class PersistJournal:
         data_lines: Dict[int, Tuple[Optional[bytes], int]] = {}
         counters: Dict[int, int] = {}
         adr_drained = 0
+        values: Union[JournalRecord, _Amendment]
         for record in self.records:
             if not record.persists_at(crash_ns, adr=adr):
                 continue
@@ -282,7 +283,9 @@ class PersistJournal:
                 if adr_drained >= adr_budget:
                     continue
                 adr_drained += 1
-            values = record.effective_values(crash_ns)
+            # A record without amendments carries its own values, under
+            # the same field names as an amendment.
+            values = record.effective_values(crash_ns) if record.amendments else record
             if record.kind is JournalKind.DATA:
                 data_lines[record.address] = (values.payload, values.encrypted_with)
             else:

@@ -4,11 +4,17 @@ import pytest
 
 from repro.config import KB, EncryptionConfig, fast_config
 from repro.bench.harness import run_workload
-from repro.crash.counter_recovery import CounterRecoverer, collect_tags
+from repro.crash.counter_recovery import (
+    CounterRecoverer,
+    CounterRecoveryReport,
+    collect_tags,
+)
 from repro.crash.injector import CrashInjector
 from repro.crash.recovery import RecoveryManager
-from repro.crypto.integrity import TaggedLine
+from repro.crypto.integrity import IntegrityEngine, TaggedLine
 from repro.crypto.otp import OTPCipher, make_block_cipher
+from repro.errors import CryptoError
+from repro.faults.registry import make_fault_model
 from repro.sim.machine import Machine
 from repro.sim.trace import TraceBuilder
 from repro.workloads.base import WorkloadParams
@@ -20,7 +26,7 @@ class TestRecoverLine:
     def _tagged(self, recoverer, address, counter):
         cipher = OTPCipher(make_block_cipher(EncryptionConfig()))
         ciphertext = cipher.encrypt(address, counter, LINE)
-        tag = recoverer.make_tag(address, counter, ciphertext)
+        tag = recoverer.integrity.tag(address, counter, ciphertext)
         return TaggedLine(address=address, ciphertext=ciphertext, tag=tag)
 
     def test_exact_counter_found_first(self):
@@ -47,6 +53,79 @@ class TestRecoverLine:
     def test_bad_lag_rejected(self):
         with pytest.raises(ValueError):
             CounterRecoverer(EncryptionConfig(), max_lag=0)
+
+    def test_short_tag_rejected(self):
+        recoverer = CounterRecoverer(EncryptionConfig(), max_lag=8)
+        line = self._tagged(recoverer, 0x40, 100)
+        short = TaggedLine(address=line.address, ciphertext=line.ciphertext, tag=line.tag[:7])
+        with pytest.raises(CryptoError):
+            recoverer.recover_line(short, 100)
+
+
+def reference_tags(image, engine):
+    """Per-line ``tag`` over every persisted data line."""
+    tags = {}
+    for address in image.device.touched_lines():
+        if image.address_map.is_data_address(address):
+            stored = image.device.read_line(address)
+            tags[address] = engine.tag(address, stored.encrypted_with, stored.payload)
+    return tags
+
+
+def reference_recover_image(image, encryption, max_lag):
+    """Reference search: ``verify`` one candidate counter at a time."""
+    engine = IntegrityEngine(encryption)
+    report = CounterRecoveryReport()
+    for address, tag in sorted(reference_tags(image, engine).items()):
+        stored = image.device.read_line(address)
+        architectural = image.counter_store.read(address)
+        report.lines_checked += 1
+        if architectural == stored.encrypted_with:
+            report.already_consistent += 1
+            continue
+        found = None
+        for lag in range(max_lag + 1):
+            if engine.verify(address, architectural + lag, stored.payload, tag):
+                found = architectural + lag
+                break
+        report.candidates_tried += (
+            found - architectural + 1 if found is not None else max_lag + 1
+        )
+        if found is not None and found == stored.encrypted_with:
+            report.recovered += 1
+            report.recovered_counters[address] = found
+            image.counter_store.write(address, found)
+        else:
+            report.unrecoverable += 1
+    return report
+
+
+class TestBatchedSearch:
+    """``recover_image`` reports what a per-candidate search reports."""
+
+    @pytest.mark.parametrize(
+        "design,fault,max_lag",
+        [("unsafe", None, 64), ("sca", "bitflip-counter", 64), ("fca", "counter-corruption", 8)],
+    )
+    def test_report_matches_per_candidate_reference(self, design, fault, max_lag):
+        params = WorkloadParams(operations=24, seed=5, footprint_bytes=16 * KB)
+        result = run_workload(design, "hash", config=fast_config(), params=params).result
+        injector = CrashInjector(result)
+        models = [make_fault_model(fault)] if fault else []
+        searched = 0
+        for seed, crash_ns in enumerate(injector.interesting_times(limit=8)):
+            batched, _ = injector.crash_with_faults(crash_ns, models, seed=seed)
+            reference, _ = injector.crash_with_faults(crash_ns, models, seed=seed)
+            recoverer = CounterRecoverer(result.config.encryption, max_lag=max_lag)
+            assert collect_tags(batched, recoverer) == reference_tags(
+                batched, recoverer.integrity
+            )
+            report = recoverer.recover_image(batched)
+            expected = reference_recover_image(reference, result.config.encryption, max_lag)
+            assert report == expected
+            assert batched.counter_store.snapshot() == reference.counter_store.snapshot()
+            searched += report.recovered + report.unrecoverable
+        assert searched, "no image needed the counter search"
 
 
 class TestImageRecovery:

@@ -1,13 +1,19 @@
 """Tests for post-crash decryption and the recovered-memory view."""
 
+from functools import lru_cache
+
 import pytest
 
-from repro.config import fast_config
+from repro.bench.harness import run_workload
+from repro.config import KB, fast_config
 from repro.crash.injector import CrashInjector
 from repro.crash.recovery import RecoveryManager
+from repro.crypto.otp import OTPCipher, make_block_cipher
 from repro.errors import DecryptionFailure
+from repro.faults.registry import make_fault_model
 from repro.sim.machine import Machine
 from repro.sim.trace import TraceBuilder
+from repro.workloads.base import WorkloadParams
 
 
 def run_trace(design, build):
@@ -93,6 +99,74 @@ class TestDecryption:
         image = injector.crash_at(result.stats.runtime_ns + 1e6)
         violations = manager.violations(image)
         assert any(v.address == 0x1000 for v in violations)
+
+
+@lru_cache(maxsize=None)
+def hash_run(design):
+    """A hash run whose images hold ~70 data lines: past the numpy threshold."""
+    return run_workload(
+        design,
+        "hash",
+        config=fast_config(),
+        params=WorkloadParams(operations=24, seed=5, footprint_bytes=16 * KB),
+    ).result
+
+
+def reference_recover(image, encryption, encrypted=True):
+    """Reference decryption: ``decrypt`` one line at a time."""
+    cipher = OTPCipher(make_block_cipher(encryption))
+    plaintext, garbage = {}, set()
+    for line in image.device.touched_lines():
+        if not image.address_map.is_data_address(line):
+            continue
+        stored = image.device.read_line(line)
+        if not encrypted:
+            plaintext[line] = stored.payload
+            continue
+        architectural = image.counter_store.read(line)
+        plaintext[line] = cipher.decrypt(line, architectural, stored.payload)
+        if architectural != stored.encrypted_with:
+            garbage.add(line)
+    return plaintext, garbage, cipher.pad_cache_stats
+
+
+class TestBatchedRecovery:
+    """``recover`` decrypts a whole image in one batch, bit-identically."""
+
+    @pytest.mark.parametrize("design", ["sca", "fca", "co-located-cc", "sca+bmt"])
+    def test_matches_per_line_decrypt_under_counter_bitflips(self, design):
+        result = hash_run(design)
+        injector = CrashInjector(result)
+        times = injector.interesting_times(limit=6) + injector.midpoint_times(limit=6)
+        fault = make_fault_model("bitflip-counter")
+        garbage_seen = 0
+        for seed, crash_ns in enumerate(times):
+            image, _events = injector.crash_with_faults(crash_ns, [fault], seed=seed)
+            manager = RecoveryManager(result.config.encryption)
+            recovered = manager.recover(image)
+            plaintext, garbage, pad_stats = reference_recover(
+                image, result.config.encryption
+            )
+            assert recovered.plaintext_lines == plaintext
+            assert list(recovered.plaintext_lines) == list(plaintext)
+            assert recovered.garbage_lines == garbage
+            assert manager._cipher.pad_cache_stats == pad_stats
+            garbage_seen += len(garbage)
+        assert garbage_seen, "no flipped counter produced a garbage line"
+
+    def test_matches_reference_unencrypted(self):
+        result = hash_run("no-encryption")
+        injector = CrashInjector(result)
+        for crash_ns in injector.interesting_times(limit=4):
+            image = injector.crash_at(crash_ns)
+            recovered = RecoveryManager(result.config.encryption).recover(
+                image, encrypted=False
+            )
+            plaintext, garbage, _ = reference_recover(
+                image, result.config.encryption, encrypted=False
+            )
+            assert recovered.plaintext_lines == plaintext
+            assert recovered.garbage_lines == garbage == set()
 
 
 class TestCrashTiming:

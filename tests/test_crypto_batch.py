@@ -6,7 +6,14 @@ scalar implementations retained as oracles).  These properties pin the
 equivalence contract from docs/performance.md: same bytes, same stats,
 same LRU state — for every batch size including 0 and 1 — and the
 fast-forward simulation path reproduces the step-by-step fingerprint.
+The SplitMix64 PRF and the ECC-lane tags run as numpy uint64 lanes on
+the crash-image read side; they are pinned against the per-block PRF
+and a per-byte CBC-MAC reference on both sides of the dispatch
+threshold.
 """
+
+import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +23,11 @@ from repro.bench.harness import build_traces
 from repro.config import fast_config
 from repro.crypto.aes import _NP_BATCH_MIN, AES128
 from repro.crypto.counter_cache import COUNTERS_PER_LINE, CounterCache
+from repro.crypto.integrity import IntegrityEngine
 from repro.crypto.otp import OTPCipher, make_block_cipher
+from repro.crypto.prf import NP_BATCH_MIN, SplitMixPRF
 from repro.config import CounterCacheConfig, EncryptionConfig
+from repro.errors import CryptoError
 from repro.sim.machine import Machine
 from repro.sim.snapshot import (
     CheckpointPolicy,
@@ -37,6 +47,30 @@ ADDRESSES = st.integers(min_value=0, max_value=31).map(lambda i: i * 64)
 COUNTERS = st.integers(min_value=0, max_value=5)
 LINES = st.binary(min_size=64, max_size=64)
 ITEMS = st.lists(st.tuples(ADDRESSES, COUNTERS, LINES), min_size=0, max_size=24)
+
+MASK64 = (1 << 64) - 1
+#: Batch sizes around the numpy dispatch threshold, plus 0, 1 and a
+#: whole crash image's worth.
+BATCH_SIZES = (0, 1, NP_BATCH_MIN - 1, NP_BATCH_MIN, NP_BATCH_MIN + 1, 1000)
+#: uint64 lanes, biased towards the wrap-around extremes.
+LANES = st.one_of(st.sampled_from([0, MASK64]), st.integers(min_value=0, max_value=MASK64))
+
+
+def lane_values(count, drawn, seed):
+    """``count`` lanes: 0 and 2**64-1 first, then the drawn ones, then random."""
+    rng = random.Random(seed)
+    lanes = [0, MASK64] + list(drawn)
+    lanes += [rng.getrandbits(64) for _ in range(count - len(lanes))]
+    return lanes[:count]
+
+
+def reference_tag(engine, address, counter, ciphertext):
+    """The per-byte CBC-MAC the batched and scalar tags must reproduce."""
+    encrypt = engine._prf.encrypt_block
+    digest = encrypt(struct.pack("<QQ", address, counter))
+    for offset in range(0, 64, 16):
+        digest = encrypt(bytes(a ^ b for a, b in zip(digest, ciphertext[offset : offset + 16])))
+    return digest[:8]
 
 
 def make_otp(cipher_name, limit=None):
@@ -82,6 +116,60 @@ class TestBatchedAES:
         blocks = [bytes([i, 255 - i] * 8) for i in range(64)]
         slow = [aes._encrypt_block_slow(b) for b in blocks]
         assert aes.encrypt_blocks_numpy(blocks) == slow
+
+
+class TestBatchedPRF:
+    """SplitMix64 over numpy uint64 lanes == the scalar per-block PRF."""
+
+    @pytest.mark.parametrize("count", BATCH_SIZES)
+    @given(
+        key=KEY,
+        drawn=st.lists(LANES, max_size=8),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_encrypt_blocks_matches_encrypt_block(self, count, key, drawn, seed):
+        prf = SplitMixPRF(key)
+        lanes = lane_values(2 * count, drawn, seed)
+        blocks = [struct.pack("<QQ", lo, hi) for lo, hi in zip(lanes[::2], lanes[1::2])]
+        assert prf.encrypt_blocks(blocks) == [prf.encrypt_block(b) for b in blocks]
+
+    @pytest.mark.parametrize("count", (1, NP_BATCH_MIN + 1))
+    def test_short_block_rejected_on_both_paths(self, count):
+        blocks = [bytes(16)] * (count - 1) + [bytes(15)]
+        with pytest.raises(CryptoError):
+            SplitMixPRF(bytes(16)).encrypt_blocks(blocks)
+
+
+class TestBatchedTags:
+    """tag_many == per-line tag == the per-byte CBC-MAC reference."""
+
+    @pytest.mark.parametrize("count", BATCH_SIZES)
+    @given(
+        drawn=st.lists(LANES, max_size=8),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_tag_many_matches_tag(self, count, drawn, seed):
+        engine = IntegrityEngine(EncryptionConfig())
+        lanes = lane_values(2 * count, drawn, seed)
+        rng = random.Random(seed)
+        items = [
+            (address, counter, rng.randbytes(64))
+            for address, counter in zip(lanes[::2], lanes[1::2])
+        ]
+        expected = [engine.tag(a, c, t) for a, c, t in items]
+        assert engine.tag_many(items) == expected
+        assert expected == [reference_tag(engine, a, c, t) for a, c, t in items]
+
+    @pytest.mark.parametrize("count", (1, NP_BATCH_MIN + 1))
+    def test_63_byte_line_rejected_on_both_paths(self, count):
+        engine = IntegrityEngine(EncryptionConfig())
+        items = [(64 * i, i, bytes(64)) for i in range(count - 1)] + [(0, 1, bytes(63))]
+        with pytest.raises(CryptoError):
+            engine.tag(0, 1, bytes(63))
+        with pytest.raises(CryptoError):
+            engine.tag_many(items)
 
 
 class TestBatchedOTP:

@@ -18,6 +18,7 @@ from repro.bench.harness import run_workload
 from repro.config import KB, fast_config
 from repro.crash.injector import CrashInjector
 from repro.crash.recovery import RecoveryManager
+from repro.crypto.integrity import IntegrityEngine
 from repro.faults.registry import make_fault_model
 from repro.integrity import repair_image, verify_image
 from repro.workloads.base import WorkloadParams
@@ -91,6 +92,60 @@ def test_clean_crash_images_verify_clean(design):
             crash_ns,
             report.describe(),
         )
+
+
+def reference_verify(image, config, max_lag):
+    """Reference tag sweep: ``verify`` one candidate counter at a time."""
+    mac = IntegrityEngine(config.encryption)
+    checked, stale, failures = 0, 0, []
+    for address in sorted(image.line_tags):
+        if not image.address_map.is_data_address(address):
+            continue
+        stored = image.device.read_line(address)
+        architectural = image.counter_store.read(address)
+        tag = image.line_tags[address]
+        checked += 1
+        if mac.verify(address, architectural, stored.payload, tag):
+            continue
+        if any(
+            mac.verify(address, architectural + lag, stored.payload, tag)
+            for lag in range(1, max_lag + 1)
+        ):
+            stale += 1
+        else:
+            failures.append(address)
+    return checked, stale, failures
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+def test_tag_sweep_matches_per_candidate_reference(design):
+    outcome = outcome_for(design)
+    config = outcome.result.config
+    injector = CrashInjector(outcome.result)
+    mac = IntegrityEngine(config.encryption)
+    times = crash_times_for(design) + tuple(injector.midpoint_times(limit=8))
+    flagged = 0
+    for index, crash_ns in enumerate(times):
+        fault = make_fault_model(CORRUPTING_FAULTS[index % len(CORRUPTING_FAULTS)])
+        image, _events = injector.crash_with_faults(crash_ns, [fault], seed=index)
+        # The captured ECC-lane tags are the per-line tags of the image
+        # as persisted (faults mutate it only after capture).
+        clean = injector.crash_at(crash_ns)
+        captured = {}
+        for address in clean.device.touched_lines():
+            if clean.address_map.is_data_address(address):
+                stored = clean.device.read_line(address)
+                captured[address] = mac.tag(address, stored.encrypted_with, stored.payload)
+        assert image.line_tags == captured
+        for max_lag in (1, config.integrity.max_counter_lag):
+            report = verify_image(image, config, max_lag=max_lag)
+            assert (
+                report.lines_checked,
+                report.stale_lines,
+                report.tag_failures,
+            ) == reference_verify(image, config, max_lag)
+            flagged += report.stale_lines + len(report.tag_failures)
+    assert flagged, "no image exercised the forward-window search"
 
 
 def test_torn_counter_detected_and_repaired():

@@ -149,7 +149,95 @@ class TestFinalImage:
         assert len(journal) == 2
 
 
+def reference_reconstruct(journal, crash_ns, adr=True, adr_budget=None):
+    """Replay through ``persists_at``/``effective_values`` for every record."""
+    data, counters = {}, {}
+    adr_drained = 0
+    for record in journal.records:
+        if not record.persists_at(crash_ns, adr=adr):
+            continue
+        if adr_budget is not None and record.drain_ns > crash_ns:
+            if adr_drained >= adr_budget:
+                continue
+            adr_drained += 1
+        values = record.effective_values(crash_ns)
+        if record.kind is JournalKind.DATA:
+            data[record.address] = (values.payload, values.encrypted_with)
+        elif record.single_slot:
+            counters[values.group_base] = values.counters[0]
+        else:
+            for slot, value in enumerate(values.counters):
+                counters[values.group_base + slot * CACHE_LINE_SIZE] = value
+    return data, counters
+
+
+#: One journal write: (is_counter, line, accept, ready delta, drain
+#: delta, single_slot, amendment effective deltas).
+WRITES = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.integers(0, 7),
+        st.integers(0, 100),
+        st.integers(0, 50),
+        st.one_of(st.integers(0, 100), st.just(None)),
+        st.booleans(),
+        st.lists(st.integers(0, 120), max_size=3),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def build_journal(writes):
+    journal = PersistJournal()
+    for index, (is_counter, line, accept, ready_d, drain_d, single, amends) in enumerate(writes):
+        ready = float(accept + ready_d)
+        drain = float("inf") if drain_d is None else ready + drain_d
+        if is_counter:
+            width = 1 if single else 8
+            record = journal.record_counter(
+                address=0x100000 + line * CACHE_LINE_SIZE,
+                counters=tuple(index + slot for slot in range(width)),
+                group_base=line * 8 * CACHE_LINE_SIZE,
+                accept_ns=float(accept), ready_ns=ready, drain_ns=drain,
+                single_slot=single,
+            )
+            for step, delta in enumerate(amends):
+                journal.amend_counter(
+                    record.entry_id,
+                    line * 8 * CACHE_LINE_SIZE,
+                    tuple(100 * (step + 1) + index + slot for slot in range(width)),
+                    effective_ns=float(accept + delta),
+                )
+        else:
+            journal.record_data(
+                index, line * CACHE_LINE_SIZE, bytes([index % 256]) * 64, index + 1,
+                accept_ns=float(accept), ready_ns=ready, drain_ns=drain,
+            )
+            for step, delta in enumerate(amends):
+                journal.amend_data(
+                    index, bytes([(index + step + 1) % 256]) * 64, 100 * (step + 1) + index,
+                    effective_ns=float(accept + delta),
+                )
+    return journal
+
+
 class TestReconstructionProperties:
+    @given(
+        WRITES,
+        st.floats(min_value=0, max_value=400),
+        st.booleans(),
+        st.one_of(st.none(), st.integers(0, 5)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_persists_at_replay(self, writes, crash, adr, adr_budget):
+        """Records with and without amendments, with and without ADR and
+        an ADR budget: reconstruction equals the per-record replay."""
+        journal = build_journal(writes)
+        assert journal.reconstruct(crash, adr=adr, adr_budget=adr_budget) == (
+            reference_reconstruct(journal, crash, adr=adr, adr_budget=adr_budget)
+        )
+
     @given(
         st.lists(
             st.tuples(

@@ -7,8 +7,9 @@ operations, and raw machine throughput in ops/second.
 
 import pytest
 
-from repro.config import CounterCacheConfig, EncryptionConfig, fast_config
+from repro.config import MB, CounterCacheConfig, EncryptionConfig, fast_config
 from repro.crypto.counter_cache import GROUP_SPAN, CounterCache
+from repro.crypto.counters import CounterStore
 from repro.crypto.otp import OTPCipher, make_block_cipher
 from repro.sim.machine import Machine
 from repro.sim.trace import TraceBuilder
@@ -38,13 +39,14 @@ def test_aes_otp_encrypt_throughput(benchmark):
 
 def test_counter_cache_update_throughput(benchmark):
     cache = CounterCache(CounterCacheConfig(size_bytes=64 * 1024, ways=16))
+    store = CounterStore(counter_region_base=64 * MB, memory_size_bytes=64 * MB)
     for group in range(64):
         cache.fill(group * GROUP_SPAN, tuple(range(8)))
     state = {"i": 0}
 
     def update():
         state["i"] = (state["i"] + 1) % 64
-        cache.update(state["i"] * GROUP_SPAN, state["i"])
+        cache.write(state["i"] * GROUP_SPAN, state["i"], store)
 
     benchmark(update)
 

@@ -197,15 +197,19 @@ def bench_kernels(scale: str = "quick") -> Dict[str, Dict[str, float]]:
     ref_s = _best_of(lambda: [tree.root_over(tree_counters) for _ in range(bmt_ref_n)])
     results["bmt_root_update"] = _kernel(fast_s, bmt_fast_n, ref_s, bmt_ref_n)
 
-    # -- Write queue acceptance (every simulated writeback) --------------
+    # -- Write queue protocol (every simulated writeback) ----------------
+    # The probe -> accept -> schedule sequence every fresh write runs.
     accept_n = 5000 * mult
 
     def run_accepts() -> None:
         queue = WriteQueue("perf", capacity=64)
         for index in range(accept_n):
-            entry = queue.accept(index * 64, float(index), None, is_counter=False)
-            queue.mark_ready(entry, entry.accept_ns)
-            queue.set_drain_time(entry, entry.accept_ns + 300.0)
+            address = index * 64
+            now = float(index)
+            if queue.probe(address, now) is None:
+                entry = queue.accept(address, now, None, False)
+                drain = entry.accept_ns + 300.0
+                queue.schedule(entry, entry.accept_ns, drain, drain)
 
     fast_s = _best_of(run_accepts)
     results["writequeue_accept"] = {

@@ -189,18 +189,14 @@ class MemoryControllerConfig:
     #: commit barrier's critical path — this is the per-transaction
     #: cost that Figure 16 shows amortizing with transaction size.
     pair_ready_latency_ns: float = 30.0
-    #: When set, the controller appends every :class:`MemoryEvent` as a
-    #: JSON line to this path (see :mod:`repro.mem.events`) — the
-    #: observability hook for campaign debugging and perf analysis.
-    #: The trace is diagnostic output, not simulation state: it is not
-    #: checkpointed and replays from a restored snapshot re-append.
+    #: When set, the controller appends every event record as a JSON
+    #: line to this path (see :mod:`repro.mem.events`) — the
+    #: observability tap for campaign debugging and perf analysis.  The
+    #: file is flushed once per controller request, so a killed run
+    #: loses at most the request in flight.  The trace is diagnostic
+    #: output, not simulation state: it is not checkpointed and replays
+    #: from a restored snapshot re-append.
     event_trace_path: Optional[str] = None
-    #: How many trace lines to write between file flushes.  The default
-    #: of 1 flushes per event (crash-durable trace prefix); raising it
-    #: amortizes the flush so tracing doesn't serialize the batched
-    #: event bus, at the cost of up to that many lost trailing lines
-    #: after a crash.
-    event_trace_flush_every: int = 1
     #: Record crash-reconstruction state (persist journal, device line
     #: images, wear map).  Timing-only figure sweeps that never inject
     #: crashes turn this off to skip the per-write bookkeeping; crash
@@ -215,7 +211,6 @@ class MemoryControllerConfig:
             self.drain_policy in ("ready-first", "fifo"),
             "drain policy must be 'ready-first' or 'fifo'",
         )
-        _require(self.event_trace_flush_every >= 1, "trace flush cadence must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -303,7 +298,7 @@ class SystemConfig:
     #: across (:class:`repro.nvm.address.ShardMap`).  1 keeps the
     #: singleton-controller pipeline bit-identical to the pre-sharding
     #: simulator; N > 1 builds one controller per shard, each with its
-    #: own event bus, write queues, counter cache and BMT subtree, tied
+    #: own record log, write queues, counter cache and BMT subtree, tied
     #: together by the cross-shard persist barrier
     #: (:mod:`repro.mem.sharded`, ``docs/sharding.md``).
     shards: int = 1

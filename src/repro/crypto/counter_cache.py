@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..config import CACHE_LINE_SIZE, COUNTERS_PER_LINE, CounterCacheConfig
 from ..errors import AddressError
 from ..utils.bitops import align_down
+
+if TYPE_CHECKING:
+    from .counters import CounterStore
 
 #: A data-line group: the 8 data lines sharing one counter line.
 GROUP_SPAN = CACHE_LINE_SIZE * COUNTERS_PER_LINE
@@ -102,9 +105,6 @@ class CounterCache:
     def _set_index(self, group_base: int) -> int:
         return (group_base // GROUP_SPAN) % self.num_sets
 
-    def _slot(self, data_address: int) -> int:
-        return (data_address // CACHE_LINE_SIZE) % COUNTERS_PER_LINE
-
     # -- lookups ----------------------------------------------------------
 
     def _find(self, group_base: int) -> Optional[_Entry]:
@@ -139,24 +139,6 @@ class CounterCache:
         entry.lru_tick = self._tick
         return entry.counters[(data_address // CACHE_LINE_SIZE) % COUNTERS_PER_LINE]
 
-    def lookup_for_write(self, data_address: int) -> Optional[int]:
-        """Current counter for a write access; None on miss.
-
-        A write miss does *not* stall the pipeline (the new counter is
-        generated regardless) but the covering line is fetched in the
-        background so the other seven counters can be merged; the
-        memory controller charges that fill's traffic.
-        """
-        group = data_address & self._group_mask
-        entry = self._sets[(group // GROUP_SPAN) & self._set_mask].get(group)
-        if entry is None:
-            self.stats.write_misses += 1
-            return None
-        self.stats.write_hits += 1
-        self._tick += 1
-        entry.lru_tick = self._tick
-        return entry.counters[(data_address // CACHE_LINE_SIZE) % COUNTERS_PER_LINE]
-
     def fill(
         self, data_address: int, counters: Tuple[int, ...]
     ) -> Optional[Tuple[int, Tuple[int, ...]]]:
@@ -174,6 +156,12 @@ class CounterCache:
             # Merge: cached (possibly newer) values win over memory.
             self._touch(existing)
             return None
+        return self._install(cache_set, group, counters)
+
+    def _install(
+        self, cache_set: Dict[int, _Entry], group: int, counters: Tuple[int, ...]
+    ) -> Optional[Tuple[int, Tuple[int, ...]]]:
+        """Allocate ``group`` in ``cache_set``, evicting its LRU line if full."""
         victim_payload: Optional[Tuple[int, Tuple[int, ...]]] = None
         if len(cache_set) >= self.ways:
             # Manual first-minimal scan: same victim as
@@ -197,21 +185,36 @@ class CounterCache:
         self.stats.fills += 1
         return victim_payload
 
-    def update(self, data_address: int, new_counter: int) -> bool:
-        """Store a freshly generated counter; returns True if it hit.
+    def write(
+        self, data_address: int, counter: int, store: "CounterStore"
+    ) -> Tuple[bool, Optional[Tuple[int, Tuple[int, ...]]]]:
+        """Store a freshly generated counter for a write access.
 
-        On miss the caller is expected to fill the line first (write
-        misses allocate), after which the update is retried.
+        Returns ``(hit, victim)``.  A write miss does *not* stall the
+        pipeline (the new counter is generated regardless), but it
+        allocates: the covering line is filled from ``store`` so the
+        other seven counters merge correctly, and ``victim`` is the
+        dirty line that fill evicted, which the caller writes back.  A
+        hit touches the line once for the lookup and once for the
+        update, a miss once for the fill and once for the update.
         """
         group = data_address & self._group_mask
-        entry = self._sets[(group // GROUP_SPAN) & self._set_mask].get(group)
-        if entry is None:
-            return False
-        entry.counters[(data_address // CACHE_LINE_SIZE) % COUNTERS_PER_LINE] = new_counter
+        cache_set = self._sets[(group // GROUP_SPAN) & self._set_mask]
+        entry = cache_set.get(group)
+        victim: Optional[Tuple[int, Tuple[int, ...]]] = None
+        hit = entry is not None
+        if hit:
+            self.stats.write_hits += 1
+            self._tick += 1
+        else:
+            self.stats.write_misses += 1
+            victim = self._install(cache_set, group, store.read_counter_line(data_address))
+            entry = cache_set[group]
+        entry.counters[(data_address // CACHE_LINE_SIZE) % COUNTERS_PER_LINE] = counter
         entry.dirty = True
         self._tick += 1
         entry.lru_tick = self._tick
-        return True
+        return hit, victim
 
     # -- bulk paths --------------------------------------------------------
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..config import CACHE_LINE_SIZE, COUNTERS_PER_LINE, EncryptionConfig, CounterCacheConfig
+from ..config import CACHE_LINE_SIZE, EncryptionConfig, CounterCacheConfig
 from ..errors import CryptoError
-from .counter_cache import GROUP_SPAN, CounterCache
+from .counter_cache import CounterCache
 from .counters import CounterStore
 from .otp import OTPCipher, make_block_cipher
 
@@ -76,11 +76,6 @@ class EncryptionEngine:
 
     # -- counter management -------------------------------------------------
 
-    def next_counter(self) -> int:
-        """Increment and return the global write counter."""
-        self._global_counter += 1
-        return self._global_counter
-
     def fill_counter_line(
         self, data_address: int
     ) -> Optional[Tuple[int, Tuple[int, ...]]]:
@@ -106,43 +101,13 @@ class EncryptionEngine:
         """
         if plaintext is not None and len(plaintext) != CACHE_LINE_SIZE:
             raise CryptoError("write payload must be one %d B line" % CACHE_LINE_SIZE)
-        # Hot path: one cache-set probe serves both the lookup_for_write
-        # and the update (same stat bumps and LRU ticks as the composed
-        # calls — one touch for the lookup hit, one for the update).
-        cache = self.counter_cache
-        group = address & cache._group_mask
-        cache_set = cache._sets[(group // GROUP_SPAN) & cache._set_mask]
-        entry = cache_set.get(group)
-        evicted = None
-        hit = entry is not None
-        if hit:
-            cache.stats.write_hits += 1
-            cache._tick += 1
-            entry.lru_tick = cache._tick
-        else:
-            # Write miss: no stall, but fetch the line so sibling
-            # counters merge correctly, then retry the update.
-            cache.stats.write_misses += 1
-            evicted = self.fill_counter_line(address)
-            entry = cache_set.get(group)
-            if entry is None:
-                raise CryptoError("counter cache update failed after fill")
         new_counter = self._global_counter + 1
         self._global_counter = new_counter
-        entry.counters[(address // CACHE_LINE_SIZE) % COUNTERS_PER_LINE] = new_counter
-        entry.dirty = True
-        cache._tick += 1
-        entry.lru_tick = cache._tick
+        hit, evicted = self.counter_cache.write(address, new_counter, self.counter_store)
         ciphertext = None
         if self.functional and plaintext is not None:
             ciphertext = self.cipher.encrypt(address, new_counter, plaintext)
-        return WriteEncryption(
-            address=address,
-            counter=new_counter,
-            ciphertext=ciphertext,
-            counter_cache_hit=hit,
-            evicted_counter_line=evicted,
-        )
+        return WriteEncryption(address, new_counter, ciphertext, hit, evicted)
 
     # -- read path ------------------------------------------------------------
 
@@ -170,13 +135,7 @@ class EncryptionEngine:
         plaintext = None
         if self.functional and ciphertext is not None:
             plaintext = self.cipher.decrypt(address, counter, ciphertext)
-        return ReadDecryption(
-            address=address,
-            counter=counter,
-            plaintext=plaintext,
-            counter_cache_hit=hit,
-            evicted_counter_line=evicted,
-        )
+        return ReadDecryption(address, counter, plaintext, hit, evicted)
 
     # -- persistence helpers ----------------------------------------------------
 

@@ -5,15 +5,15 @@
 * :mod:`repro.mem.writequeue` — the data and counter write queues with
   the paper's ready-bit pairing protocol,
 * :mod:`repro.mem.controller` — the slim memory controller coordinating
-  the composed policy layers over the event bus,
+  the composed policy layers and owning the record log,
 * :mod:`repro.mem.layout` — the encryption layout paths (plain /
   co-located 72 B / split counter region),
 * :mod:`repro.mem.atomicity` — the counter-atomicity disciplines
   (unpaired / FCA / SCA ready-bit pairing),
 * :mod:`repro.mem.integrity_policy` — the integrity-tree persistence
   modes (none / eager / lazy),
-* :mod:`repro.mem.events` — typed memory events, the controller's event
-  bus, and the stats / JSONL-trace subscribers.
+* :mod:`repro.mem.events` — the controller's event records, their
+  stats fold, and the JSONL trace tap.
 """
 
 from .atomicity import (
@@ -25,7 +25,7 @@ from .atomicity import (
 from .cache import Cache, CacheStats, EvictedLine
 from .cacheline import CacheLine
 from .controller import ControllerStats, MemoryController
-from .events import EventBus, JsonlTraceSubscriber, MemoryEvent, StatsSubscriber
+from .events import TRACE_FIELDS, JsonlTrace, fold
 from .hierarchy import CacheHierarchy, HierarchyAccess
 from .integrity_policy import (
     EagerTreePersistence,
@@ -45,20 +45,19 @@ __all__ = [
     "ColocatedLayout",
     "ControllerStats",
     "EagerTreePersistence",
-    "EventBus",
     "FullCounterAtomicity",
-    "JsonlTraceSubscriber",
+    "JsonlTrace",
     "LazyTreePersistence",
     "MemoryController",
-    "MemoryEvent",
     "NoIntegrity",
     "PlainLayout",
     "ReadResult",
     "SelectiveCounterAtomicity",
     "SplitCounterLayout",
-    "StatsSubscriber",
+    "TRACE_FIELDS",
     "UnpairedAtomicity",
     "WriteQueue",
     "WriteQueueEntry",
     "WriteTicket",
+    "fold",
 ]

@@ -26,13 +26,12 @@ protocol requires.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..config import CACHE_LINE_SIZE, SystemConfig
 from ..core.designs import DesignPolicy
-from .events import _COUNTER_PERSIST, _DATA_PERSIST, _FLUSH_EVERY, _PAIR, EventBus
-from .writequeue import _INF, WriteQueue, WriteQueueEntry
+from .events import COUNTER_PERSIST, DATA_PERSIST, PAIR
+from .writequeue import WriteQueue
 
 if TYPE_CHECKING:
     from .controller import MemoryController
@@ -118,7 +117,7 @@ class UnpairedAtomicity:
             paired = True
         if paired:
             return self.write_paired(line, payload, request_ns, counter, lag_forced)
-        ticket = self.write_unpaired(line, payload, request_ns, encrypted_with=counter)
+        ticket = self.write_unpaired(line, payload, request_ns, counter, CACHE_LINE_SIZE)
         if self._magic:
             # Ideal fiction: the architectural counter becomes durable
             # instantly and for free, together with the data.
@@ -144,84 +143,36 @@ class UnpairedAtomicity:
         payload: Optional[bytes],
         request_ns: float,
         encrypted_with: int,
+        payload_bytes: int,
     ) -> WriteTicket:
         """Unpaired data write: coalesce or enqueue, drain when banks allow.
 
-        Hot path: the queue probe/accept/ready/drain-time mechanics and
-        the stats emit are inlined — bit-identical to the composed
-        calls (``docs/performance.md``) — because every plain clwb and
-        dirty data eviction funnels through here.
+        ``payload_bytes`` is what the drain moves over the bus: 64 B, or
+        72 B for a co-located data+counter line.
         """
         ctrl = self.ctrl
         queue = self.data_queue
-        events = ctrl.events
-        # Coalesce probe (== WriteQueue.try_coalesce without the
-        # counter-values/counter-atomic cases, which cannot arise here).
-        entry = queue._live_by_address.get(line) if queue.coalesce_enabled else None
-        if (
-            entry is not None
-            and entry.slot_release_ns > request_ns
-            and not entry.counter_atomic
-        ):
-            entry.payload = payload
-            entry.encrypted_with = encrypted_with
-            entry.coalesced += 1
-            queue.coalesced += 1
+        entry = queue.probe(line, request_ns)
+        if entry is not None:
+            queue.merge(entry, payload, encrypted_with)
             drain_ns = entry.drain_ns
             ctrl.device.persist_line(line, payload, encrypted_with)
             if ctrl.journal.enabled:
                 ctrl.journal.amend_data(
                     entry.entry_id, payload, encrypted_with, effective_ns=request_ns
                 )
-            if events._generic:
-                EventBus.emit_data_persist(
-                    events, line, CACHE_LINE_SIZE, True, request_ns, drain_ns
-                )
-            else:
-                buffer = events._buffer
-                buffer.append((_DATA_PERSIST, CACHE_LINE_SIZE, True, 0.0))
-                if len(buffer) >= _FLUSH_EVERY:
-                    events.flush()
-            return WriteTicket(
-                address=line,
-                accept_ns=request_ns,
-                drain_ns=drain_ns,
-                paired=False,
-                coalesced=True,
+            ctrl.records.append(
+                (DATA_PERSIST, line, payload_bytes, True, request_ns, drain_ns, 0.0)
             )
-        # Acceptance (== WriteQueue.accept, ready at accept).
-        slots = queue._slots
-        while slots and slots[0] <= request_ns:
-            heappop(slots)
-        if len(slots) < queue.capacity:
-            accept_ns = request_ns
-        else:
-            accept_ns = slots[0]
-            queue.total_accept_wait_ns += accept_ns - request_ns
-        ids = queue._entry_ids
-        entry_id = ids.next_id
-        ids.next_id = entry_id + 1
-        entry = WriteQueueEntry(
-            entry_id, line, payload, False, encrypted_with, None,
-            accept_ns, accept_ns, _INF,
-        )
-        queue._live_by_address[line] = entry
-        queue.history.append(entry)
-        queue.accepted += 1
-        issue, drain = ctrl.drain_write(queue, "data", line, accept_ns, CACHE_LINE_SIZE)
-        # Drain schedule (== WriteQueue.set_drain_time; its validations
-        # hold statically: drain >= issue >= accept == ready).
-        entry.drain_ns = drain
-        entry.slot_release_ns = issue
-        while slots and slots[0] <= accept_ns:
-            heappop(slots)
-        heappush(slots, issue)
-        if len(slots) > queue.peak_occupancy:
-            queue.peak_occupancy = len(slots)
+            return WriteTicket(line, request_ns, drain_ns, False, True)
+        entry = queue.accept(line, request_ns, payload, False, encrypted_with)
+        accept_ns = entry.accept_ns
+        issue, drain = ctrl.drain_write("data", line, accept_ns, payload_bytes)
+        queue.schedule(entry, accept_ns, issue, drain)
         ctrl.device.persist_line(line, payload, encrypted_with)
         if ctrl.journal.enabled:
             ctrl.journal.record_data(
-                entry_id=entry_id,
+                entry_id=entry.entry_id,
                 address=line,
                 payload=payload,
                 encrypted_with=encrypted_with,
@@ -229,24 +180,10 @@ class UnpairedAtomicity:
                 ready_ns=accept_ns,
                 drain_ns=drain,
             )
-        if events._generic:
-            EventBus.emit_data_persist(
-                events,
-                line,
-                CACHE_LINE_SIZE,
-                False,
-                accept_ns,
-                drain,
-                accept_wait_ns=accept_ns - request_ns,
-            )
-        else:
-            buffer = events._buffer
-            buffer.append((_DATA_PERSIST, CACHE_LINE_SIZE, False, accept_ns - request_ns))
-            if len(buffer) >= _FLUSH_EVERY:
-                events.flush()
-        return WriteTicket(
-            address=line, accept_ns=accept_ns, drain_ns=drain, paired=False, coalesced=False
+        ctrl.records.append(
+            (DATA_PERSIST, line, payload_bytes, False, accept_ns, drain, accept_ns - request_ns)
         )
+        return WriteTicket(line, accept_ns, drain, False, False)
 
     # -- counter-atomic pairs ------------------------------------------------
 
@@ -270,232 +207,128 @@ class UnpairedAtomicity:
         still undrained) merge into the queued entry — the merge and
         ready-bit update are a single ADR-protected operation, so the
         amendment takes effect exactly when the new pair becomes ready.
-
-        Hot path for FCA (and SCA annotated writes): the queue and emit
-        mechanics are inlined exactly like :meth:`write_unpaired`.
         """
         ctrl = self.ctrl
         data_queue = self.data_queue
         counter_queue = self.counter_queue
-        events = ctrl.events
+        records = ctrl.records
+        journal = ctrl.journal
         group_base = ctrl.address_map.data_group_base(line)
         counter_line = ctrl.address_map.counter_line_address_of(line)
-        # == _pair_counter_line_values, reusing the group base computed
-        # above; the persisted-sibling rationale is in the module
-        # docstring.
+        # The written slot carries the new counter; sibling slots carry
+        # their last *persisted* values (see the module docstring).
         values = list(ctrl.counter_store.read_counter_line(line))
         values[(line - group_base) // CACHE_LINE_SIZE] = counter
         counters = tuple(values)
+        counter_values = (group_base, counters)
 
         # A new pair to a line whose previous pair is still queued
         # merges into it: the merge plus the ready-bit update is one
         # ADR-protected operation, so both the data amendment and the
         # counter amendment take effect exactly when this pair becomes
         # ready, preserving all-or-nothing behaviour.
-        # (Inline peek_coalesce with allow_counter_atomic=True: any
-        # live entry qualifies.)
-        if data_queue.coalesce_enabled:
-            candidate_data = data_queue._live_by_address.get(line)
-            if candidate_data is not None and candidate_data.slot_release_ns <= request_ns:
-                candidate_data = None
-            candidate_ctr = counter_queue._live_by_address.get(counter_line)
-            if candidate_ctr is not None and candidate_ctr.slot_release_ns <= request_ns:
-                candidate_ctr = None
-        else:
-            candidate_data = None
-            candidate_ctr = None
-        if (
-            candidate_data is not None
-            and candidate_data.counter_atomic
-            and candidate_ctr is not None
-        ):
-            self.data_queue.commit_coalesce(candidate_data, payload, counter)
-            self.counter_queue.commit_coalesce(
-                candidate_ctr, None, 0, counter_values=(group_base, counters)
-            )
+        data_entry = data_queue.probe(line, request_ns, True)
+        counter_entry = (
+            counter_queue.probe(counter_line, request_ns, True)
+            if data_entry is not None and data_entry.counter_atomic
+            else None
+        )
+        if data_entry is not None and counter_entry is not None:
+            data_queue.merge(data_entry, payload, counter)
+            counter_queue.merge(counter_entry, None, 0, counter_values)
             ready_ns = request_ns + self.pair_ready_latency_ns
-            ctrl.events.emit_data_persist(
-                line, CACHE_LINE_SIZE, True, ready_ns, candidate_data.drain_ns
-            )
-            ctrl.events.emit_counter_persist(
-                counter_line, 0, True, True, ready_ns, candidate_ctr.drain_ns
-            )
-            if ctrl.journal.enabled:
-                ctrl.journal.amend_data(
-                    candidate_data.entry_id, payload, counter, effective_ns=ready_ns
-                )
-                ctrl.journal.amend_counter(
-                    candidate_ctr.entry_id, group_base, counters, effective_ns=ready_ns
+            data_drain = data_entry.drain_ns
+            counter_drain = counter_entry.drain_ns
+            records.append((DATA_PERSIST, line, CACHE_LINE_SIZE, True, ready_ns, data_drain, 0.0))
+            records.append((COUNTER_PERSIST, counter_line, 0, True, True, ready_ns, counter_drain))
+            if journal.enabled:
+                journal.amend_data(data_entry.entry_id, payload, counter, effective_ns=ready_ns)
+                journal.amend_counter(
+                    counter_entry.entry_id, group_base, counters, effective_ns=ready_ns
                 )
             ctrl.device.persist_line(line, payload, counter)
             ctrl.counter_store.write_counter_line(group_base, counters)
             settled_ns = ctrl.integrity.note_counter_persist(group_base, counters, ready_ns)
-            ctrl.events.emit_pair(line, settled_ns, 0.0, lag_forced, True)
+            records.append((PAIR, line, settled_ns, 0.0, lag_forced, True))
             return WriteTicket(
-                address=line,
-                accept_ns=settled_ns,
-                drain_ns=max(candidate_data.drain_ns, candidate_ctr.drain_ns),
-                paired=True,
-                coalesced=True,
+                line,
+                settled_ns,
+                data_drain if data_drain >= counter_drain else counter_drain,
+                True,
+                True,
             )
 
-        # Data acceptance (== WriteQueue.accept with counter_atomic=True).
-        data_slots = data_queue._slots
-        while data_slots and data_slots[0] <= request_ns:
-            heappop(data_slots)
-        if len(data_slots) < data_queue.capacity:
-            pair_time = request_ns
-        else:
-            pair_time = data_slots[0]
-            data_queue.total_accept_wait_ns += pair_time - request_ns
-        ids = data_queue._entry_ids
-        data_entry_id = ids.next_id
-        ids.next_id = data_entry_id + 1
-        data_entry = WriteQueueEntry(
-            data_entry_id, line, payload, False, counter, None,
-            pair_time, _INF, _INF, _INF, True,
-        )
-        data_queue._live_by_address[line] = data_entry
-        data_queue.history.append(data_entry)
-        data_queue.accepted += 1
-
+        data_entry = data_queue.accept(line, request_ns, payload, False, counter, None, True)
+        pair_time = data_entry.accept_ns
         # Counter side: merge into a live queued counter entry, else
-        # accept a fresh one (== try_coalesce / accept + mark_ready +
-        # set_drain_time, inlined).
-        merged = (
-            counter_queue._live_by_address.get(counter_line)
-            if counter_queue.coalesce_enabled
-            else None
-        )
-        if merged is not None and merged.slot_release_ns <= pair_time:
-            merged = None
-        if merged is not None:
-            merged.payload = None
-            merged.encrypted_with = 0
-            merged.counter_values = (group_base, counters)
-            merged.coalesced += 1
-            counter_queue.coalesced += 1
-            ready_ns = max(pair_time, merged.accept_ns) + self.pair_ready_latency_ns
-            counter_drain = merged.drain_ns
-            counter_entry_id = merged.entry_id
-            if events._generic:
-                EventBus.emit_counter_persist(
-                    events, counter_line, 0, True, True, ready_ns, counter_drain
-                )
-            else:
-                buffer = events._buffer
-                buffer.append((_COUNTER_PERSIST, 0, True))
-                if len(buffer) >= _FLUSH_EVERY:
-                    events.flush()
-            if ctrl.journal.enabled:
-                ctrl.journal.amend_counter(
-                    merged.entry_id, group_base, counters, effective_ns=ready_ns
+        # accept a fresh one.
+        counter_entry = counter_queue.probe(counter_line, pair_time, True)
+        merged = counter_entry is not None
+        if counter_entry is None:
+            counter_entry = counter_queue.accept(
+                counter_line, request_ns, None, True, 0, counter_values, True
+            )
+            counter_entry.partner_id = data_entry.entry_id
+        counter_accept = counter_entry.accept_ns
+        ready_ns = (
+            pair_time if pair_time >= counter_accept else counter_accept
+        ) + self.pair_ready_latency_ns
+        if merged:
+            counter_queue.merge(counter_entry, None, 0, counter_values)
+            counter_drain = counter_entry.drain_ns
+            records.append((COUNTER_PERSIST, counter_line, 0, True, True, ready_ns, counter_drain))
+            if journal.enabled:
+                journal.amend_counter(
+                    counter_entry.entry_id, group_base, counters, effective_ns=ready_ns
                 )
         else:
-            counter_slots = counter_queue._slots
-            while counter_slots and counter_slots[0] <= request_ns:
-                heappop(counter_slots)
-            if len(counter_slots) < counter_queue.capacity:
-                counter_accept = request_ns
-            else:
-                counter_accept = counter_slots[0]
-                counter_queue.total_accept_wait_ns += counter_accept - request_ns
-            ids = counter_queue._entry_ids
-            counter_entry_id = ids.next_id
-            ids.next_id = counter_entry_id + 1
-            ready_ns = max(pair_time, counter_accept) + self.pair_ready_latency_ns
-            counter_entry = WriteQueueEntry(
-                counter_entry_id, counter_line, None, True, 0,
-                (group_base, counters), counter_accept, ready_ns, _INF, _INF,
-                True, data_entry_id,
-            )
-            counter_queue._live_by_address[counter_line] = counter_entry
-            counter_queue.history.append(counter_entry)
-            counter_queue.accepted += 1
             counter_bytes = self.pair_counter_bytes
             counter_issue, counter_drain = ctrl.drain_write(
-                counter_queue, "counter", counter_line, ready_ns, counter_bytes
+                "counter", counter_line, ready_ns, counter_bytes
             )
-            counter_entry.drain_ns = counter_drain
-            counter_entry.slot_release_ns = counter_issue
-            while counter_slots and counter_slots[0] <= counter_accept:
-                heappop(counter_slots)
-            heappush(counter_slots, counter_issue)
-            if len(counter_slots) > counter_queue.peak_occupancy:
-                counter_queue.peak_occupancy = len(counter_slots)
-            if events._generic:
-                EventBus.emit_counter_persist(
-                    events, counter_line, counter_bytes, False, True,
+            counter_queue.schedule(counter_entry, ready_ns, counter_issue, counter_drain)
+            records.append(
+                (
+                    COUNTER_PERSIST, counter_line, counter_bytes, False, True,
                     counter_accept, counter_drain,
                 )
-            else:
-                buffer = events._buffer
-                buffer.append((_COUNTER_PERSIST, counter_bytes, False))
-                if len(buffer) >= _FLUSH_EVERY:
-                    events.flush()
-            if ctrl.journal.enabled:
-                ctrl.journal.record_counter(
+            )
+            if journal.enabled:
+                journal.record_counter(
                     address=counter_line,
                     counters=counters,
                     group_base=group_base,
                     accept_ns=counter_accept,
                     ready_ns=ready_ns,
                     drain_ns=counter_drain,
-                    entry_id=counter_entry_id,
+                    entry_id=counter_entry.entry_id,
                 )
 
-        data_entry.ready_ns = ready_ns
-        data_entry.partner_id = counter_entry_id
-        data_issue, data_drain = ctrl.drain_write(
-            data_queue, "data", line, ready_ns, CACHE_LINE_SIZE
-        )
-        data_entry.drain_ns = data_drain
-        data_entry.slot_release_ns = data_issue
-        while data_slots and data_slots[0] <= pair_time:
-            heappop(data_slots)
-        heappush(data_slots, data_issue)
-        if len(data_slots) > data_queue.peak_occupancy:
-            data_queue.peak_occupancy = len(data_slots)
-        if events._generic:
-            EventBus.emit_data_persist(
-                events, line, CACHE_LINE_SIZE, False, pair_time, data_drain
-            )
-        else:
-            buffer = events._buffer
-            buffer.append((_DATA_PERSIST, CACHE_LINE_SIZE, False, 0.0))
-            if len(buffer) >= _FLUSH_EVERY:
-                events.flush()
-
+        data_entry.partner_id = counter_entry.entry_id
+        data_issue, data_drain = ctrl.drain_write("data", line, ready_ns, CACHE_LINE_SIZE)
+        data_queue.schedule(data_entry, ready_ns, data_issue, data_drain)
+        records.append((DATA_PERSIST, line, CACHE_LINE_SIZE, False, pair_time, data_drain, 0.0))
         ctrl.device.persist_line(line, payload, counter)
         ctrl.counter_store.write_counter_line(group_base, counters)
         settled_ns = ctrl.integrity.note_counter_persist(group_base, counters, ready_ns)
-        if ctrl.journal.enabled:
-            ctrl.journal.record_data(
-                entry_id=data_entry_id,
+        if journal.enabled:
+            journal.record_data(
+                entry_id=data_entry.entry_id,
                 address=line,
                 payload=payload,
                 encrypted_with=counter,
                 accept_ns=pair_time,
                 ready_ns=ready_ns,
                 drain_ns=data_drain,
-                partner_id=counter_entry_id,
+                partner_id=counter_entry.entry_id,
             )
-        if events._generic:
-            EventBus.emit_pair(
-                events, line, settled_ns, settled_ns - request_ns, lag_forced,
-                merged is not None,
-            )
-        else:
-            buffer = events._buffer
-            buffer.append((_PAIR, settled_ns - request_ns, lag_forced))
-            if len(buffer) >= _FLUSH_EVERY:
-                events.flush()
+        records.append((PAIR, line, settled_ns, settled_ns - request_ns, lag_forced, merged))
         return WriteTicket(
-            address=line,
-            accept_ns=settled_ns,
-            drain_ns=max(data_drain, counter_drain),
-            paired=True,
-            coalesced=merged is not None,
+            line,
+            settled_ns,
+            data_drain if data_drain >= counter_drain else counter_drain,
+            True,
+            merged,
         )
 
     # -- counter-line writebacks (evictions / ccwb flushes) ------------------
@@ -507,63 +340,44 @@ class UnpairedAtomicity:
     ) -> WriteTicket:
         """Write one counter line (eviction or ccwb flush) to NVM."""
         ctrl = self.ctrl
+        queue = self.counter_queue
         group_base, counters = flushed
         counter_line = ctrl.address_map.counter_line_address_of(group_base)
-        coalesced = self.counter_queue.try_coalesce(
-            counter_line, request_ns, None, 0, counter_values=(group_base, counters)
-        )
-        if coalesced is not None:
-            ctrl.events.emit_counter_persist(
-                counter_line, 0, True, False, request_ns, coalesced.drain_ns
+        entry = queue.probe(counter_line, request_ns)
+        if entry is not None:
+            queue.merge(entry, None, 0, flushed)
+            drain_ns = entry.drain_ns
+            ctrl.records.append(
+                (COUNTER_PERSIST, counter_line, 0, True, False, request_ns, drain_ns)
             )
             ctrl.counter_store.write_counter_line(group_base, counters)
             settled_ns = ctrl.integrity.note_counter_persist(group_base, counters, request_ns)
             if ctrl.journal.enabled:
                 ctrl.journal.amend_counter(
-                    coalesced.entry_id, group_base, counters, effective_ns=request_ns
+                    entry.entry_id, group_base, counters, effective_ns=request_ns
                 )
-            return WriteTicket(
-                address=counter_line,
-                accept_ns=settled_ns,
-                drain_ns=coalesced.drain_ns,
-                paired=False,
-                coalesced=True,
-            )
-        entry = self.counter_queue.accept(
-            counter_line,
-            request_ns,
-            None,
-            is_counter=True,
-            counter_values=(group_base, counters),
-        )
-        self.counter_queue.mark_ready(entry, entry.accept_ns)
+            return WriteTicket(counter_line, settled_ns, drain_ns, False, True)
+        entry = queue.accept(counter_line, request_ns, None, True, 0, flushed)
+        accept_ns = entry.accept_ns
         counter_bytes = self.counter_payload_bytes(group_base, counters)
-        issue, drain = ctrl.drain_write(
-            self.counter_queue, "counter", counter_line, entry.accept_ns, counter_bytes
-        )
-        self.counter_queue.set_drain_time(entry, drain, slot_release_ns=issue)
+        issue, drain = ctrl.drain_write("counter", counter_line, accept_ns, counter_bytes)
+        queue.schedule(entry, accept_ns, issue, drain)
         ctrl.counter_store.write_counter_line(group_base, counters)
-        settled_ns = ctrl.integrity.note_counter_persist(group_base, counters, entry.accept_ns)
+        settled_ns = ctrl.integrity.note_counter_persist(group_base, counters, accept_ns)
         if ctrl.journal.enabled:
             ctrl.journal.record_counter(
                 address=counter_line,
                 counters=counters,
                 group_base=group_base,
-                accept_ns=entry.accept_ns,
-                ready_ns=entry.ready_ns,
+                accept_ns=accept_ns,
+                ready_ns=accept_ns,
                 drain_ns=drain,
                 entry_id=entry.entry_id,
             )
-        ctrl.events.emit_counter_persist(
-            counter_line, counter_bytes, False, False, entry.accept_ns, drain
+        ctrl.records.append(
+            (COUNTER_PERSIST, counter_line, counter_bytes, False, False, accept_ns, drain)
         )
-        return WriteTicket(
-            address=counter_line,
-            accept_ns=settled_ns,
-            drain_ns=drain,
-            paired=False,
-            coalesced=False,
-        )
+        return WriteTicket(counter_line, settled_ns, drain, False, False)
 
     # -- helpers -------------------------------------------------------------
 
@@ -577,20 +391,6 @@ class UnpairedAtomicity:
         stored = self.ctrl.counter_store.read_counter_line(group_base)
         changed = sum(1 for old, new in zip(stored, counters) if old != new)
         return 8 * max(1, changed)
-
-    def _pair_counter_line_values(self, line: int, new_counter: int) -> Tuple[int, ...]:
-        """Counter-line contents persisted by a pair.
-
-        The written slot carries the new counter; sibling slots carry
-        their last *persisted* values (see the module docstring for why
-        dirty cached siblings must not ride along).
-        """
-        ctrl = self.ctrl
-        group_base = ctrl.address_map.data_group_base(line)
-        own_slot = (line - group_base) // CACHE_LINE_SIZE
-        values = list(ctrl.counter_store.read_counter_line(line))
-        values[own_slot] = new_counter
-        return tuple(values)
 
     # -- checkpoint state ----------------------------------------------------
 

@@ -16,10 +16,10 @@ axes select three strategy objects:
 The controller itself keeps only what the layers share: the NVM device
 and its bank/bus timing models, the counter store and encryption
 engine, the read queue, the drain scheduler, the persist journal, and
-the event bus (:mod:`repro.mem.events`) that every observable action is
-emitted on.  Statistics are derived from the event stream by a bus
-subscriber rather than incremented inline; see ``docs/architecture.md``
-for the layer diagram and the bus contract.
+the record log (:mod:`repro.mem.events`) that every observable action
+appends to.  Statistics are folded from the log rather than incremented
+inline; see ``docs/architecture.md`` for the layer diagram and the
+record contract.
 
 Timing contract: every public operation takes the requester's current
 time and returns absolute completion/acceptance times.  Functionally,
@@ -31,7 +31,7 @@ crash images can be reconstructed exactly.
 from __future__ import annotations
 
 import dataclasses
-import heapq
+from heapq import heappop, heappush
 from typing import List, Optional, Tuple
 
 from ..config import CACHE_LINE_SIZE, SystemConfig
@@ -39,24 +39,14 @@ from ..core.designs import DesignPolicy
 from ..crypto.counter_cache import CounterCacheStats
 from ..crypto.counters import CounterStore
 from ..crypto.engine import EncryptionEngine
-from ..errors import AddressError
 from ..integrity.cache import TreeNodeCache
 from ..integrity.tree import IntegrityTreeEngine
 from ..nvm.address import AddressMap
-from ..nvm.device import NVMDevice, _ZERO_PERSISTED
+from ..nvm.device import NVMDevice
 from ..nvm.timing import BankTimingModel, BusModel
 from ..persist.journal import PersistJournal
 from .atomicity import UnpairedAtomicity, WriteTicket, build_atomicity
-from .events import (
-    _FLUSH_EVERY,
-    _READ,
-    _WRITE_REQUEST_RECORD,
-    BatchingEventBus,
-    ControllerStats,
-    EventBus,
-    JsonlTraceSubscriber,
-    StatsSubscriber,
-)
+from .events import CCWB, CCWB_FLUSH, DRAIN, READ, WRITE_REQUEST, ControllerStats, JsonlTrace, fold
 from .integrity_policy import NoIntegrity, build_integrity
 from .layout import COLOCATED_PAYLOAD, PlainLayout, ReadResult, build_layout
 from .writequeue import EntryIdAllocator, WriteQueue
@@ -71,6 +61,11 @@ __all__ = [
 
 _LINE_MASK = ~(CACHE_LINE_SIZE - 1)
 _LINE_SHIFT = 6
+_LINES_PER_ROW = BankTimingModel.LINES_PER_ROW
+
+#: Records folded per batch when no trace is configured (amortizes the
+#: fold's attribute loads and stores over the batch).
+_FOLD_EVERY = 512
 
 
 class MemoryController:
@@ -91,11 +86,10 @@ class MemoryController:
         self.device = NVMDevice(self.address_map)
         self.banks = BankTimingModel(nvm_timing)
         self.bus = BusModel(nvm_timing)
-        # Hoisted constants for the fused read/drain hot paths below
-        # (num_banks is validated power-of-two; see AddressMap).
+        # Hoisted constants for the read/drain paths below (num_banks is
+        # validated power-of-two; see AddressMap).
         self._num_banks = nvm_timing.num_banks
         self._bank_mask = nvm_timing.num_banks - 1
-        self._memory_size = config.memory_size_bytes
         self.counter_store = CounterStore(
             counter_region_base=self.address_map.counter_region_base,
             memory_size_bytes=config.memory_size_bytes,
@@ -112,20 +106,17 @@ class MemoryController:
         # unique; owning the allocator (instead of a module global)
         # makes entry ids reproducible across checkpoint/restore.
         self.entry_ids = EntryIdAllocator()
-        # The event bus: stats derive from the stream; an optional JSONL
-        # trace subscriber gives campaigns an observability hook.  The
-        # batching bus folds stats over compact record vectors when no
-        # generic subscriber is attached (``docs/performance.md``).
-        self.events = BatchingEventBus()
-        self._stats = StatsSubscriber()
-        self.events.subscribe(self._stats)
-        self._trace: Optional[JsonlTraceSubscriber] = None
+        # The record log: every observable action appends one
+        # ``(code, *fields)`` tuple; stats fold from it, and an optional
+        # JSONL trace writes it out.  Each request folds the log once it
+        # holds _FOLD_EVERY records, or every request when tracing.
+        self.records: List[tuple] = []
+        self._stats = ControllerStats()
+        self._trace: Optional[JsonlTrace] = None
+        self._fold_at = _FOLD_EVERY
         if config.controller.event_trace_path:
-            self._trace = JsonlTraceSubscriber(
-                config.controller.event_trace_path,
-                flush_every=config.controller.event_trace_flush_every,
-            )
-            self.events.subscribe(self._trace)
+            self._trace = JsonlTrace(config.controller.event_trace_path)
+            self._fold_at = 1
         self._fifo_drain = config.controller.drain_policy == "fifo"
         self._last_drain = {"data": 0.0, "counter": 0.0, "tree": 0.0}
         self._counter_hold_ns = config.controller.counter_drain_hold_ns
@@ -153,8 +144,17 @@ class MemoryController:
 
     @property
     def stats(self) -> ControllerStats:
-        self.events.flush()
-        return self._stats.stats
+        self.fold_records()
+        return self._stats
+
+    def fold_records(self) -> None:
+        """Write the pending records to the trace and fold them into stats."""
+        records = self.records
+        if records:
+            if self._trace is not None:
+                self._trace.write(records)
+            fold(self._stats, records)
+            records.clear()
 
     @property
     def data_queue(self) -> WriteQueue:
@@ -180,96 +180,40 @@ class MemoryController:
     # Read path (Figure 6)
     # ------------------------------------------------------------------
 
-    def _acquire_read_slot(self, request_ns: float) -> float:
-        """Wait for a read-queue entry; returns the adjusted start time."""
-        while self._read_slots and self._read_slots[0] <= request_ns:
-            heapq.heappop(self._read_slots)
-        if len(self._read_slots) < self._read_queue_capacity:
-            return request_ns
-        start = heapq.heappop(self._read_slots)
-        self.total_read_queue_wait_ns += start - request_ns
-        return start
-
-    def _release_read_slot(self, completion_ns: float) -> None:
-        heapq.heappush(self._read_slots, completion_ns)
-        if len(self._read_slots) > self.read_queue_peak:
-            self.read_queue_peak = len(self._read_slots)
-
     def read_line(self, address: int, request_ns: float) -> ReadResult:
         """Fetch and (if encrypted) decrypt one data line.
 
-        Hot path: the slot scan, bank/bus scheduling, device fetch and
-        stats emit are inlined — bit-identical to the composed calls
-        (``docs/performance.md``) — because every simulated miss and
-        counter fill funnels through here.
+        A full read queue delays the request until its earliest slot
+        frees; the slot is then held until the data arrives.
         """
-        # Read-queue slot (== _acquire_read_slot).
         slots = self._read_slots
         while slots and slots[0] <= request_ns:
-            heapq.heappop(slots)
+            heappop(slots)
         if len(slots) >= self._read_queue_capacity:
-            start = heapq.heappop(slots)
+            start = heappop(slots)
             self.total_read_queue_wait_ns += start - request_ns
             request_ns = start
         line = address & _LINE_MASK
-        payload_bytes = self.layout.read_payload_bytes
+        layout = self.layout
+        payload_bytes = layout.read_payload_bytes
         line_index = line >> _LINE_SHIFT
-        bank = line_index & self._bank_mask
-        row = (line_index // self._num_banks) // 64
-        # Bank array read (== BankTimingModel.schedule_read).
-        banks = self.banks
-        read_free = banks._read_free
-        free = read_free[bank]
-        start = request_ns if request_ns >= free else free
-        banks.total_read_wait_ns += start - request_ns
-        open_row = banks._open_row
-        if open_row[bank] == row:
-            complete = start + banks._row_hit_ns
-            banks.row_hits += 1
-        else:
-            complete = start + banks._read_access_ns
-            open_row[bank] = row
-        read_free[bank] = complete
-        write_free = banks._write_free
-        if write_free[bank] < complete:
-            write_free[bank] = complete
-        banks.reads += 1
-        # Bus burst (== BusModel.schedule_transfer).
-        bus = self.bus
-        bus_free = bus._free_ns
-        bus_start = complete if complete >= bus_free else bus_free
-        duration = bus._burst_cache.get(payload_bytes)
-        if duration is None:
-            duration = bus.timing.burst_ns(payload_bytes)
-            bus._burst_cache[payload_bytes] = duration
-        data_arrival = bus_start + duration
-        bus._free_ns = data_arrival
-        bus.transfers += 1
-        bus.bytes_moved += payload_bytes
-        bus.busy_ns += duration
-        # Slot release (== _release_read_slot).
-        heapq.heappush(slots, data_arrival)
+        complete = self.banks.schedule_read(
+            line_index & self._bank_mask,
+            request_ns,
+            (line_index // self._num_banks) // _LINES_PER_ROW,
+        )
+        data_arrival = self.bus.schedule_transfer(complete, payload_bytes)
+        heappush(slots, data_arrival)
         if len(slots) > self.read_queue_peak:
             self.read_queue_peak = len(slots)
-        # Device fetch (== NVMDevice.read_line).
-        device = self.device
-        if line < 0 or line >= self._memory_size:
-            raise AddressError("address 0x%x outside the device" % line)
-        device.line_reads += 1
-        stored = device._lines.get(line, _ZERO_PERSISTED)
-        result = self.layout.complete_read(line, request_ns, data_arrival, stored.payload)
-        # Stats emit (== BatchingEventBus.emit_read).
-        events = self.events
-        if events._generic:
-            EventBus.emit_read(
-                events, line, request_ns, result.complete_ns, payload_bytes,
-                result.counter_cache_hit,
-            )
-        else:
-            buffer = events._buffer
-            buffer.append((_READ, request_ns, result.complete_ns, payload_bytes))
-            if len(buffer) >= _FLUSH_EVERY:
-                events.flush()
+        stored = self.device.read_line(line)
+        result = layout.complete_read(line, request_ns, data_arrival, stored.payload)
+        records = self.records
+        records.append(
+            (READ, line, request_ns, result.complete_ns, payload_bytes, result.counter_cache_hit)
+        )
+        if len(records) >= self._fold_at:
+            self.fold_records()
         return result
 
     # ------------------------------------------------------------------
@@ -285,26 +229,17 @@ class MemoryController:
     ) -> WriteTicket:
         """Accept one data-line writeback (clwb or cache eviction)."""
         line = address & _LINE_MASK
-        # Stats emit (== BatchingEventBus.emit_write_request).
-        events = self.events
-        if events._generic:
-            EventBus.emit_write_request(events, line, request_ns, counter_atomic)
-        else:
-            buffer = events._buffer
-            buffer.append(_WRITE_REQUEST_RECORD)
-            if len(buffer) >= _FLUSH_EVERY:
-                events.flush()
-        return self.layout.write_line(line, payload, request_ns, counter_atomic)
+        records = self.records
+        records.append((WRITE_REQUEST, line, request_ns, counter_atomic))
+        ticket = self.layout.write_line(line, payload, request_ns, counter_atomic)
+        if len(records) >= self._fold_at:
+            self.fold_records()
+        return ticket
 
     def drain_write(
-        self,
-        queue: WriteQueue,
-        role: str,
-        address: int,
-        ready_ns: float,
-        payload_bytes: int,
+        self, role: str, address: int, ready_ns: float, payload_bytes: int
     ) -> Tuple[float, float]:
-        """Schedule the array write + bus transfer for one drain.
+        """Schedule the bus transfer + array write for one drain.
 
         ``role`` names the queue's drain timeline (``"data"``,
         ``"counter"``, ``"tree"``).  Returns ``(issue_ns,
@@ -321,41 +256,13 @@ class MemoryController:
             last = self._last_drain[role]
             if start < last:
                 start = last
-        bank = (address >> _LINE_SHIFT) & self._bank_mask
-        # Bus burst (== BusModel.schedule_transfer).
-        bus = self.bus
-        bus_free = bus._free_ns
-        bus_start = start if start >= bus_free else bus_free
-        duration = bus._burst_cache.get(payload_bytes)
-        if duration is None:
-            duration = bus.timing.burst_ns(payload_bytes)
-            bus._burst_cache[payload_bytes] = duration
-        bus_done = bus_start + duration
-        bus._free_ns = bus_done
-        bus.transfers += 1
-        bus.bytes_moved += payload_bytes
-        bus.busy_ns += duration
-        # Bank array write (== BankTimingModel.schedule_write).
-        banks = self.banks
-        write_free = banks._write_free
-        issue = bus_done
-        free = write_free[bank]
-        if free > issue:
-            issue = free
-        free = banks._read_free[bank]
-        if free > issue:
-            issue = free
-        banks.total_write_wait_ns += issue - bus_done
-        complete = issue + banks._write_access_ns
-        write_free[bank] = complete + banks._t_wtr_ns
-        banks._open_row[bank] = None
-        banks.writes += 1
+        bus_done = self.bus.schedule_transfer(start, payload_bytes)
+        issued = self.banks.schedule_write((address >> _LINE_SHIFT) & self._bank_mask, bus_done)
         if self._fifo_drain:
-            self._last_drain[role] = complete
-        events = self.events
-        if events._generic:
-            EventBus.emit_drain(events, role, address, issue, complete)
-        return issue, complete
+            self._last_drain[role] = issued[1]
+        if self._trace is not None:
+            self.records.append((DRAIN, role, address) + issued)
+        return issued
 
     # ------------------------------------------------------------------
     # counter_cache_writeback() (Section 4.3 / 5.2.2)
@@ -368,15 +275,17 @@ class MemoryController:
         ccwb support or the line is clean (a no-op, per the paper).
         The flushed entry's ready bit is always set — it is not paired.
         """
-        self.events.emit_ccwb(address, request_ns)
-        if self.engine is None or not self.policy.ccwb_enabled:
-            return None
-        flushed = self.engine.counter_cache.writeback_line(address)
-        if flushed is None:
-            return None
-        self.events.emit_ccwb_flush(address, request_ns)
-        ticket = self.atomicity.writeback_counter_line(flushed, request_ns)
-        self.integrity.on_ccwb(request_ns)
+        records = self.records
+        records.append((CCWB, address, request_ns))
+        ticket = None
+        if self.engine is not None and self.policy.ccwb_enabled:
+            flushed = self.engine.counter_cache.writeback_line(address)
+            if flushed is not None:
+                records.append((CCWB_FLUSH, address, request_ns))
+                ticket = self.atomicity.writeback_counter_line(flushed, request_ns)
+                self.integrity.on_ccwb(request_ns)
+        if len(records) >= self._fold_at:
+            self.fold_records()
         return ticket
 
     # ------------------------------------------------------------------
@@ -419,8 +328,9 @@ class MemoryController:
         Covers every mutable structure the timing and functional paths
         touch, layer by layer; config-derived objects (address map,
         cipher, policy, the strategy objects themselves) are rebuilt
-        from config on restore.  The event-trace subscriber is not
-        state — a restored run re-appends to its trace.
+        from config on restore.  The record log is folded into the
+        stats first; the trace is not state — a restored run re-appends
+        to it.
         """
         return {
             "device": self.device.get_state(),
@@ -440,7 +350,7 @@ class MemoryController:
         }
 
     def set_state(self, state: dict) -> None:
-        self.events.flush()
+        self.fold_records()
         self.device.set_state(state["device"])
         self.banks.set_state(state["banks"])
         self.bus.set_state(state["bus"])
@@ -455,4 +365,4 @@ class MemoryController:
         self.read_queue_peak = state["read_queue_peak"]
         self.total_read_queue_wait_ns = state["total_read_queue_wait_ns"]
         self.journal.set_state(state["journal"])
-        self._stats.stats = ControllerStats(**state["stats"])
+        self._stats = ControllerStats(**state["stats"])

@@ -1,366 +1,108 @@
-"""Typed memory events, the controller's event bus, and its subscribers.
+"""The controller's event records, their stats fold, and the trace tap.
 
 The decomposed controller (see :mod:`repro.mem.controller`) does not
 increment statistics inline.  Instead, every observable action on the
 write/read path — a read completing, a data line persisting, a
-counter-atomic pair committing, a tree node draining — is emitted as a
-typed :class:`MemoryEvent` on a synchronous :class:`EventBus`, and
-:class:`ControllerStats` is *derived* by :class:`StatsSubscriber` from
-the event stream.  An optional :class:`JsonlTraceSubscriber` appends
-every event as a JSON line, giving campaigns and perf debugging an
-observability hook without touching the simulation paths.
+counter-atomic pair committing, a tree node draining — appends one
+record, a plain tuple ``(code, *fields)``, to the controller's record
+log, and :class:`ControllerStats` is *derived* from the log by
+:func:`fold`.  When ``config.controller.event_trace_path`` is set,
+:class:`JsonlTrace` also writes every record as one JSON line, named by
+the :data:`TRACE_FIELDS` table — the opt-in observability tap.
 
-Bus contract (also documented in ``docs/architecture.md``):
+Record contract (also documented in ``docs/architecture.md``):
 
-* Dispatch is synchronous and in emission order; subscribers must not
-  emit events themselves or mutate simulation state.
-* Events are frozen dataclasses; timestamps are absolute simulated
-  nanoseconds (the controller's timing contract).
+* Records are appended in emission order; each carries a fixed field
+  tuple per code (:data:`TRACE_FIELDS`).  Timestamps are absolute
+  simulated nanoseconds (the controller's timing contract).
 * Float-valued statistics (read latency, accept waits) are accumulated
   in emission order, which the controller keeps identical to the
   pre-decomposition increment order so long-run sums stay bit-identical.
-* Subscribers are *not* checkpointed: :class:`StatsSubscriber` state is
-  captured via ``ControllerStats`` in the controller snapshot, and a
-  JSONL trace is diagnostic output that restored runs re-append to.
+* ``drain`` records carry no statistics; the controller produces them
+  only while a trace is configured.
+* The log is not checkpointed: it is folded into ``ControllerStats``
+  (which is) whenever stats are read, and a JSONL trace is diagnostic
+  output that restored runs re-append to.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Callable, ClassVar, List, Optional
+from typing import IO, Dict, List, Optional, Tuple
 
 from ..config import CACHE_LINE_SIZE
 
-
-@dataclass(frozen=True)
-class MemoryEvent:
-    """Base class for everything emitted on the controller's bus."""
-
-    kind: ClassVar[str] = ""
-
-
-@dataclass(frozen=True)
-class ReadEvent(MemoryEvent):
-    """One ``read_line`` completed (decryption overlap already applied)."""
-
-    kind: ClassVar[str] = "read"
-    address: int
-    request_ns: float
-    complete_ns: float
-    payload_bytes: int
-    counter_cache_hit: bool
-
-
-@dataclass(frozen=True)
-class CounterFetchEvent(MemoryEvent):
-    """A covering counter line was read from the NVM counter region."""
-
-    kind: ClassVar[str] = "counter-fetch"
-    address: int
-    request_ns: float
-    payload_bytes: int
-
-
-@dataclass(frozen=True)
-class WriteRequestEvent(MemoryEvent):
-    """One ``write_line`` entered the controller (before routing)."""
-
-    kind: ClassVar[str] = "write-request"
-    address: int
-    request_ns: float
-    counter_atomic: bool
-
-
-@dataclass(frozen=True)
-class DataPersistEvent(MemoryEvent):
-    """A data-line write was accepted (or coalesced into a queued one).
-
-    ``accept_wait_ns`` is the stall between the request and queue
-    acceptance charged to this write; paired writes charge their wait on
-    the :class:`PairEvent` instead and carry ``0.0`` here.
-    """
-
-    kind: ClassVar[str] = "data-persist"
-    address: int
-    payload_bytes: int
-    coalesced: bool
-    accept_ns: float
-    drain_ns: float
-    accept_wait_ns: float = 0.0
-
-
-@dataclass(frozen=True)
-class CounterPersistEvent(MemoryEvent):
-    """A counter-line write reached the counter write queue.
-
-    Only split-counter-region persists emit this; co-located designs
-    carry the counter inside their 72 B data access and the ideal
-    design's magic counters never generate traffic.
-    """
-
-    kind: ClassVar[str] = "counter-persist"
-    address: int
-    payload_bytes: int
-    coalesced: bool
-    paired: bool
-    accept_ns: float
-    drain_ns: float
-
-
-@dataclass(frozen=True)
-class PairEvent(MemoryEvent):
-    """A counter-atomic pair committed (paper Section 5.2.2).
-
-    ``lag_forced`` marks pairs escalated by the Osiris counter-lag
-    bound rather than requested by the design's pairing discipline.
-    """
-
-    kind: ClassVar[str] = "pair"
-    address: int
-    settled_ns: float
-    accept_wait_ns: float
-    lag_forced: bool
-    coalesced: bool
-
-
-@dataclass(frozen=True)
-class CcwbEvent(MemoryEvent):
-    """``counter_cache_writeback()`` was invoked (flushing or not)."""
-
-    kind: ClassVar[str] = "ccwb"
-    address: int
-    request_ns: float
-
-
-@dataclass(frozen=True)
-class CcwbFlushEvent(MemoryEvent):
-    """A ccwb call found its covering counter line dirty and flushed it."""
-
-    kind: ClassVar[str] = "ccwb-flush"
-    address: int
-    request_ns: float
-
-
-@dataclass(frozen=True)
-class CcwbTreeFlushEvent(MemoryEvent):
-    """A lazy-mode ccwb drained the coalesced dirty tree nodes."""
-
-    kind: ClassVar[str] = "ccwb-tree-flush"
-    request_ns: float
-    nodes: int
-
-
-@dataclass(frozen=True)
-class TreeNodeEvent(MemoryEvent):
-    """One integrity-tree node digest was sent to (or merged in) NVM."""
-
-    kind: ClassVar[str] = "tree-node"
-    address: int
-    coalesced: bool
-    drain_ns: float
-
-
-@dataclass(frozen=True)
-class TreeVerifyEvent(MemoryEvent):
-    """A fetched counter line authenticated against the tree."""
-
-    kind: ClassVar[str] = "tree-verify"
-    group_base: int
-    request_ns: float
-
-
-@dataclass(frozen=True)
-class TreeFillEvent(MemoryEvent):
-    """An uncached tree node was read from NVM during verification."""
-
-    kind: ClassVar[str] = "tree-fill"
-    address: int
-    payload_bytes: int
-
-
-@dataclass(frozen=True)
-class RootUpdateEvent(MemoryEvent):
-    """The on-chip secure root advanced over a persisted counter line."""
-
-    kind: ClassVar[str] = "root-update"
-    group_base: int
-    effective_ns: float
-
-
-@dataclass(frozen=True)
-class DrainEvent(MemoryEvent):
-    """One write-queue entry drained to its bank (pure observability)."""
-
-    kind: ClassVar[str] = "drain"
-    role: str
-    address: int
-    issue_ns: float
-    complete_ns: float
-
-
-#: A bus subscriber: called once per event, in emission order.
-Subscriber = Callable[[MemoryEvent], None]
-
-#: Integer codes of the vector-emit records buffered by
-#: :class:`BatchingEventBus`.  Each buffered record is a plain tuple
-#: ``(code, <stats fields>)`` carrying only what the stats fold needs.
-_READ = 0
-_DATA_PERSIST = 1
-_COUNTER_PERSIST = 2
-_PAIR = 3
-_WRITE_REQUEST = 4
-_COUNTER_FETCH = 5
-_CCWB = 6
-_CCWB_FLUSH = 7
-_CCWB_TREE_FLUSH = 8
-_TREE_NODE = 9
-_TREE_VERIFY = 10
-_TREE_FILL = 11
-_ROOT_UPDATE = 12
-
-#: Field-free records are shared constants so the hot path allocates
-#: nothing for them.
-_WRITE_REQUEST_RECORD = (_WRITE_REQUEST,)
-_CCWB_RECORD = (_CCWB,)
-_CCWB_FLUSH_RECORD = (_CCWB_FLUSH,)
-_TREE_VERIFY_RECORD = (_TREE_VERIFY,)
-_ROOT_UPDATE_RECORD = (_ROOT_UPDATE,)
-
-#: Buffered records folded per flush (amortizes the Python-call and
-#: attribute-store cost over the batch).
-_FLUSH_EVERY = 512
-
-
-class EventBus:
-    """Synchronous fan-out of :class:`MemoryEvent` to subscribers.
-
-    Dispatch happens inline on the emitting call — subscribers see
-    events in exactly the order the simulation produced them, which is
-    what lets :class:`StatsSubscriber` reproduce the legacy inline
-    float-accumulation order bit for bit.
-
-    The ``emit_<kind>`` methods are the vector-emit surface shared with
-    :class:`BatchingEventBus`: on this bus they simply materialize the
-    dataclass and dispatch it, so emitters can be written once against
-    the batched API and stay correct on either bus.
-    """
-
-    def __init__(self) -> None:
-        self._subscribers: List[Subscriber] = []
-
-    def subscribe(self, subscriber: Subscriber) -> None:
-        self._subscribers.append(subscriber)
-
-    def emit(self, event: MemoryEvent) -> None:
-        for subscriber in self._subscribers:
-            subscriber(event)
-
-    def flush(self) -> None:
-        """Drain any buffered records (no-op on the synchronous bus)."""
-
-    # -- vector-emit surface (materializing fallbacks) -------------------
-
-    def emit_read(self, address, request_ns, complete_ns, payload_bytes, counter_cache_hit) -> None:
-        self.emit(
-            ReadEvent(
-                address=address,
-                request_ns=request_ns,
-                complete_ns=complete_ns,
-                payload_bytes=payload_bytes,
-                counter_cache_hit=counter_cache_hit,
-            )
-        )
-
-    def emit_counter_fetch(self, address, request_ns, payload_bytes) -> None:
-        self.emit(
-            CounterFetchEvent(
-                address=address, request_ns=request_ns, payload_bytes=payload_bytes
-            )
-        )
-
-    def emit_write_request(self, address, request_ns, counter_atomic) -> None:
-        self.emit(
-            WriteRequestEvent(
-                address=address, request_ns=request_ns, counter_atomic=counter_atomic
-            )
-        )
-
-    def emit_data_persist(
-        self, address, payload_bytes, coalesced, accept_ns, drain_ns, accept_wait_ns=0.0
-    ) -> None:
-        self.emit(
-            DataPersistEvent(
-                address=address,
-                payload_bytes=payload_bytes,
-                coalesced=coalesced,
-                accept_ns=accept_ns,
-                drain_ns=drain_ns,
-                accept_wait_ns=accept_wait_ns,
-            )
-        )
-
-    def emit_counter_persist(
-        self, address, payload_bytes, coalesced, paired, accept_ns, drain_ns
-    ) -> None:
-        self.emit(
-            CounterPersistEvent(
-                address=address,
-                payload_bytes=payload_bytes,
-                coalesced=coalesced,
-                paired=paired,
-                accept_ns=accept_ns,
-                drain_ns=drain_ns,
-            )
-        )
-
-    def emit_pair(self, address, settled_ns, accept_wait_ns, lag_forced, coalesced) -> None:
-        self.emit(
-            PairEvent(
-                address=address,
-                settled_ns=settled_ns,
-                accept_wait_ns=accept_wait_ns,
-                lag_forced=lag_forced,
-                coalesced=coalesced,
-            )
-        )
-
-    def emit_ccwb(self, address, request_ns) -> None:
-        self.emit(CcwbEvent(address=address, request_ns=request_ns))
-
-    def emit_ccwb_flush(self, address, request_ns) -> None:
-        self.emit(CcwbFlushEvent(address=address, request_ns=request_ns))
-
-    def emit_ccwb_tree_flush(self, request_ns, nodes) -> None:
-        self.emit(CcwbTreeFlushEvent(request_ns=request_ns, nodes=nodes))
-
-    def emit_tree_node(self, address, coalesced, drain_ns) -> None:
-        self.emit(TreeNodeEvent(address=address, coalesced=coalesced, drain_ns=drain_ns))
-
-    def emit_tree_verify(self, group_base, request_ns) -> None:
-        self.emit(TreeVerifyEvent(group_base=group_base, request_ns=request_ns))
-
-    def emit_tree_fill(self, address, payload_bytes) -> None:
-        self.emit(TreeFillEvent(address=address, payload_bytes=payload_bytes))
-
-    def emit_root_update(self, group_base, effective_ns) -> None:
-        self.emit(RootUpdateEvent(group_base=group_base, effective_ns=effective_ns))
-
-    def emit_drain(self, role, address, issue_ns, complete_ns) -> None:
-        self.emit(
-            DrainEvent(
-                role=role, address=address, issue_ns=issue_ns, complete_ns=complete_ns
-            )
-        )
+#: Record codes.  A record is ``(code, *fields)`` with the fields named
+#: in :data:`TRACE_FIELDS`.
+READ = 0
+DATA_PERSIST = 1
+COUNTER_PERSIST = 2
+PAIR = 3
+WRITE_REQUEST = 4
+COUNTER_FETCH = 5
+CCWB = 6
+CCWB_FLUSH = 7
+CCWB_TREE_FLUSH = 8
+TREE_NODE = 9
+TREE_VERIFY = 10
+TREE_FILL = 11
+ROOT_UPDATE = 12
+DRAIN = 13
+
+#: code -> (trace kind, names of the fields after the code).
+TRACE_FIELDS: Dict[int, Tuple[str, Tuple[str, ...]]] = {
+    # One read_line completed (decryption overlap already applied).
+    READ: (
+        "read",
+        ("address", "request_ns", "complete_ns", "payload_bytes", "counter_cache_hit"),
+    ),
+    # A data-line write was accepted (or coalesced into a queued one).
+    # ``accept_wait_ns`` is the stall charged to this write; paired
+    # writes charge theirs on the pair record and carry 0.0 here.
+    DATA_PERSIST: (
+        "data-persist",
+        ("address", "payload_bytes", "coalesced", "accept_ns", "drain_ns", "accept_wait_ns"),
+    ),
+    # A counter-line write reached the counter write queue (split
+    # counter region only).
+    COUNTER_PERSIST: (
+        "counter-persist",
+        ("address", "payload_bytes", "coalesced", "paired", "accept_ns", "drain_ns"),
+    ),
+    # A counter-atomic pair committed (paper Section 5.2.2);
+    # ``lag_forced`` marks pairs escalated by the Osiris counter-lag
+    # bound rather than requested by the design.
+    PAIR: ("pair", ("address", "settled_ns", "accept_wait_ns", "lag_forced", "coalesced")),
+    # One write_line entered the controller (before routing).
+    WRITE_REQUEST: ("write-request", ("address", "request_ns", "counter_atomic")),
+    # A covering counter line was read from the NVM counter region.
+    COUNTER_FETCH: ("counter-fetch", ("address", "request_ns", "payload_bytes")),
+    # counter_cache_writeback() was invoked (flushing or not) ...
+    CCWB: ("ccwb", ("address", "request_ns")),
+    # ... and found its covering counter line dirty.
+    CCWB_FLUSH: ("ccwb-flush", ("address", "request_ns")),
+    # A lazy-mode ccwb drained the coalesced dirty tree nodes.
+    CCWB_TREE_FLUSH: ("ccwb-tree-flush", ("request_ns", "nodes")),
+    # One integrity-tree node digest was sent to (or merged in) NVM.
+    TREE_NODE: ("tree-node", ("address", "coalesced", "drain_ns")),
+    # A fetched counter line authenticated against the tree.
+    TREE_VERIFY: ("tree-verify", ("group_base", "request_ns")),
+    # An uncached tree node was read from NVM during verification.
+    TREE_FILL: ("tree-fill", ("address", "payload_bytes")),
+    # The on-chip secure root advanced over a persisted counter line.
+    ROOT_UPDATE: ("root-update", ("group_base", "effective_ns")),
+    # One write-queue entry drained to its bank (trace only).
+    DRAIN: ("drain", ("role", "address", "issue_ns", "complete_ns")),
+}
 
 
 @dataclass
 class ControllerStats:
     """Aggregate controller statistics for one simulation.
 
-    Derived from the event stream by :class:`StatsSubscriber`; nothing
-    in the simulation paths increments these fields directly.
+    Derived from the record log by :func:`fold`; nothing in the
+    simulation paths increments these fields directly.
     """
 
     reads: int = 0
@@ -390,393 +132,129 @@ class ControllerStats:
         return self.total_read_latency_ns / self.reads if self.reads else 0.0
 
 
-class StatsSubscriber:
-    """Folds the event stream into a :class:`ControllerStats`.
+def fold(stats: ControllerStats, records: List[tuple]) -> None:
+    """Fold records into ``stats`` in list (= emission) order.
 
-    The mapping is one event kind to a fixed set of increments; the
-    float accumulators pick up contributions in emission order.
+    Each accumulator is kept in a local for the duration of the batch
+    and written back once.  Every accumulator picks up its contributions
+    in emission order, so float sums do not depend on how the log was
+    split into batches.
+    """
+    reads = stats.reads
+    data_writes = stats.data_writes
+    counter_writes = stats.counter_writes
+    paired_writes = stats.paired_writes
+    coalesced_data = stats.coalesced_data_writes
+    coalesced_counter = stats.coalesced_counter_writes
+    ccwb_calls = stats.ccwb_calls
+    ccwb_lines = stats.ccwb_lines_flushed
+    bytes_read = stats.bytes_read
+    bytes_written = stats.bytes_written
+    counter_fills = stats.counter_fill_reads
+    read_latency = stats.total_read_latency_ns
+    accept_wait = stats.total_write_accept_wait_ns
+    tree_nodes = stats.tree_node_writes
+    coalesced_tree = stats.coalesced_tree_writes
+    tree_verifies = stats.tree_verifications
+    tree_fills = stats.tree_node_fills
+    root_updates = stats.root_updates
+    tree_flushes = stats.ccwb_tree_flushes
+    lag_forced = stats.lag_forced_pairs
+    for record in records:
+        code = record[0]
+        if code == READ:
+            reads += 1
+            bytes_read += record[4]
+            read_latency += record[3] - record[2]
+        elif code == DATA_PERSIST:
+            if record[3]:
+                coalesced_data += 1
+            else:
+                bytes_written += record[2]
+            accept_wait += record[6]
+        elif code == WRITE_REQUEST:
+            data_writes += 1
+        elif code == COUNTER_PERSIST:
+            if record[3]:
+                coalesced_counter += 1
+            else:
+                counter_writes += 1
+                bytes_written += record[2]
+        elif code == PAIR:
+            paired_writes += 1
+            accept_wait += record[3]
+            if record[4]:
+                lag_forced += 1
+        elif code == CCWB:
+            ccwb_calls += 1
+        elif code == CCWB_FLUSH:
+            ccwb_lines += 1
+        elif code == COUNTER_FETCH:
+            counter_fills += 1
+            bytes_read += record[3]
+        elif code == TREE_NODE:
+            if record[2]:
+                coalesced_tree += 1
+            else:
+                tree_nodes += 1
+                bytes_written += CACHE_LINE_SIZE
+        elif code == TREE_VERIFY:
+            tree_verifies += 1
+        elif code == TREE_FILL:
+            tree_fills += 1
+            bytes_read += record[2]
+        elif code == ROOT_UPDATE:
+            root_updates += 1
+        elif code == CCWB_TREE_FLUSH:
+            tree_flushes += record[2]
+    stats.reads = reads
+    stats.data_writes = data_writes
+    stats.counter_writes = counter_writes
+    stats.paired_writes = paired_writes
+    stats.coalesced_data_writes = coalesced_data
+    stats.coalesced_counter_writes = coalesced_counter
+    stats.ccwb_calls = ccwb_calls
+    stats.ccwb_lines_flushed = ccwb_lines
+    stats.bytes_read = bytes_read
+    stats.bytes_written = bytes_written
+    stats.counter_fill_reads = counter_fills
+    stats.total_read_latency_ns = read_latency
+    stats.total_write_accept_wait_ns = accept_wait
+    stats.tree_node_writes = tree_nodes
+    stats.coalesced_tree_writes = coalesced_tree
+    stats.tree_verifications = tree_verifies
+    stats.tree_node_fills = tree_fills
+    stats.root_updates = root_updates
+    stats.ccwb_tree_flushes = tree_flushes
+    stats.lag_forced_pairs = lag_forced
+
+
+class JsonlTrace:
+    """Appends records as JSON lines named by :data:`TRACE_FIELDS`.
+
+    The file opens lazily on the first write and stays open for the
+    controller's lifetime.  Each :meth:`write` flushes the file, and
+    the controller writes once per request, so a killed run loses at
+    most the request in flight.
     """
 
-    def __init__(self, stats: Optional[ControllerStats] = None) -> None:
-        self.stats = stats if stats is not None else ControllerStats()
-
-    def __call__(self, event: MemoryEvent) -> None:
-        stats = self.stats
-        if isinstance(event, ReadEvent):
-            stats.reads += 1
-            stats.bytes_read += event.payload_bytes
-            stats.total_read_latency_ns += event.complete_ns - event.request_ns
-        elif isinstance(event, DataPersistEvent):
-            if event.coalesced:
-                stats.coalesced_data_writes += 1
-            else:
-                stats.bytes_written += event.payload_bytes
-            stats.total_write_accept_wait_ns += event.accept_wait_ns
-        elif isinstance(event, CounterPersistEvent):
-            if event.coalesced:
-                stats.coalesced_counter_writes += 1
-            else:
-                stats.counter_writes += 1
-                stats.bytes_written += event.payload_bytes
-        elif isinstance(event, PairEvent):
-            stats.paired_writes += 1
-            stats.total_write_accept_wait_ns += event.accept_wait_ns
-            if event.lag_forced:
-                stats.lag_forced_pairs += 1
-        elif isinstance(event, WriteRequestEvent):
-            stats.data_writes += 1
-        elif isinstance(event, CounterFetchEvent):
-            stats.counter_fill_reads += 1
-            stats.bytes_read += event.payload_bytes
-        elif isinstance(event, CcwbEvent):
-            stats.ccwb_calls += 1
-        elif isinstance(event, CcwbFlushEvent):
-            stats.ccwb_lines_flushed += 1
-        elif isinstance(event, CcwbTreeFlushEvent):
-            stats.ccwb_tree_flushes += event.nodes
-        elif isinstance(event, TreeNodeEvent):
-            if event.coalesced:
-                stats.coalesced_tree_writes += 1
-            else:
-                stats.tree_node_writes += 1
-                stats.bytes_written += CACHE_LINE_SIZE
-        elif isinstance(event, TreeVerifyEvent):
-            stats.tree_verifications += 1
-        elif isinstance(event, TreeFillEvent):
-            stats.tree_node_fills += 1
-            stats.bytes_read += event.payload_bytes
-        elif isinstance(event, RootUpdateEvent):
-            stats.root_updates += 1
-        # DrainEvent carries no statistics — trace-only.
-
-    def fold_vector(self, records: List[tuple]) -> None:
-        """Fold a batch of vector-emit records into the stats.
-
-        The per-kind increments are exactly those of :meth:`__call__`,
-        applied in buffer (= emission) order; each accumulator is kept
-        in a local for the duration of the batch and written back once,
-        which is where the batched bus's speedup comes from.  Because
-        every accumulator picks up its contributions in the same order
-        as the synchronous dispatch, float sums stay bit-identical.
-        """
-        stats = self.stats
-        reads = stats.reads
-        data_writes = stats.data_writes
-        counter_writes = stats.counter_writes
-        paired_writes = stats.paired_writes
-        coalesced_data = stats.coalesced_data_writes
-        coalesced_counter = stats.coalesced_counter_writes
-        ccwb_calls = stats.ccwb_calls
-        ccwb_lines = stats.ccwb_lines_flushed
-        bytes_read = stats.bytes_read
-        bytes_written = stats.bytes_written
-        counter_fills = stats.counter_fill_reads
-        read_latency = stats.total_read_latency_ns
-        accept_wait = stats.total_write_accept_wait_ns
-        tree_nodes = stats.tree_node_writes
-        coalesced_tree = stats.coalesced_tree_writes
-        tree_verifies = stats.tree_verifications
-        tree_fills = stats.tree_node_fills
-        root_updates = stats.root_updates
-        tree_flushes = stats.ccwb_tree_flushes
-        lag_forced = stats.lag_forced_pairs
-        for record in records:
-            code = record[0]
-            if code == _READ:
-                # (code, request_ns, complete_ns, payload_bytes)
-                reads += 1
-                bytes_read += record[3]
-                read_latency += record[2] - record[1]
-            elif code == _DATA_PERSIST:
-                # (code, payload_bytes, coalesced, accept_wait_ns)
-                if record[2]:
-                    coalesced_data += 1
-                else:
-                    bytes_written += record[1]
-                accept_wait += record[3]
-            elif code == _WRITE_REQUEST:
-                data_writes += 1
-            elif code == _COUNTER_PERSIST:
-                # (code, payload_bytes, coalesced)
-                if record[2]:
-                    coalesced_counter += 1
-                else:
-                    counter_writes += 1
-                    bytes_written += record[1]
-            elif code == _PAIR:
-                # (code, accept_wait_ns, lag_forced)
-                paired_writes += 1
-                accept_wait += record[1]
-                if record[2]:
-                    lag_forced += 1
-            elif code == _CCWB:
-                ccwb_calls += 1
-            elif code == _CCWB_FLUSH:
-                ccwb_lines += 1
-            elif code == _COUNTER_FETCH:
-                # (code, payload_bytes)
-                counter_fills += 1
-                bytes_read += record[1]
-            elif code == _TREE_NODE:
-                # (code, coalesced)
-                if record[1]:
-                    coalesced_tree += 1
-                else:
-                    tree_nodes += 1
-                    bytes_written += CACHE_LINE_SIZE
-            elif code == _TREE_VERIFY:
-                tree_verifies += 1
-            elif code == _TREE_FILL:
-                # (code, payload_bytes)
-                tree_fills += 1
-                bytes_read += record[1]
-            elif code == _ROOT_UPDATE:
-                root_updates += 1
-            elif code == _CCWB_TREE_FLUSH:
-                # (code, nodes)
-                tree_flushes += record[1]
-        stats.reads = reads
-        stats.data_writes = data_writes
-        stats.counter_writes = counter_writes
-        stats.paired_writes = paired_writes
-        stats.coalesced_data_writes = coalesced_data
-        stats.coalesced_counter_writes = coalesced_counter
-        stats.ccwb_calls = ccwb_calls
-        stats.ccwb_lines_flushed = ccwb_lines
-        stats.bytes_read = bytes_read
-        stats.bytes_written = bytes_written
-        stats.counter_fill_reads = counter_fills
-        stats.total_read_latency_ns = read_latency
-        stats.total_write_accept_wait_ns = accept_wait
-        stats.tree_node_writes = tree_nodes
-        stats.coalesced_tree_writes = coalesced_tree
-        stats.tree_verifications = tree_verifies
-        stats.tree_node_fills = tree_fills
-        stats.root_updates = root_updates
-        stats.ccwb_tree_flushes = tree_flushes
-        stats.lag_forced_pairs = lag_forced
-
-
-class BatchingEventBus(EventBus):
-    """Amortized event dispatch: stats fold over buffered record vectors.
-
-    When only :class:`StatsSubscriber`\\ s are attached (the common
-    case — every simulation), each ``emit_<kind>`` call appends one
-    compact tuple to a buffer instead of allocating a frozen dataclass
-    and walking the subscriber list; the buffer is folded in batches by
-    :meth:`StatsSubscriber.fold_vector`.  Buffer order is emission
-    order and the fold applies the exact per-kind increments of the
-    synchronous dispatch, so derived statistics — including the
-    order-sensitive float accumulators — are bit-identical.
-
-    As soon as a generic subscriber (e.g. the JSONL tracer) is
-    attached, every ``emit_<kind>`` materializes its event and
-    dispatches synchronously — generic subscribers see the full stream
-    in order, exactly as on the plain :class:`EventBus`.  Drain events
-    carry no statistics, so with no generic subscriber attached they
-    are skipped entirely.
-
-    ``flush()`` is called by the controller whenever derived stats are
-    read (the ``stats`` property, checkpoints), keeping the buffer
-    invisible to every observer.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._stats: List[StatsSubscriber] = []
-        self._generic: List[Subscriber] = []
-        self._buffer: List[tuple] = []
-
-    def subscribe(self, subscriber: Subscriber) -> None:
-        self.flush()
-        self._subscribers.append(subscriber)
-        if isinstance(subscriber, StatsSubscriber):
-            self._stats.append(subscriber)
-        else:
-            self._generic.append(subscriber)
-
-    def emit(self, event: MemoryEvent) -> None:
-        """Generic emit: flush the buffer first to preserve order."""
-        if self._buffer:
-            self.flush()
-        for subscriber in self._subscribers:
-            subscriber(event)
-
-    def flush(self) -> None:
-        buffer = self._buffer
-        if buffer:
-            self._buffer = []
-            for subscriber in self._stats:
-                subscriber.fold_vector(buffer)
-
-    # -- vector-emit fast paths ------------------------------------------
-
-    def emit_read(self, address, request_ns, complete_ns, payload_bytes, counter_cache_hit) -> None:
-        if self._generic:
-            EventBus.emit_read(
-                self, address, request_ns, complete_ns, payload_bytes, counter_cache_hit
-            )
-            return
-        buffer = self._buffer
-        buffer.append((_READ, request_ns, complete_ns, payload_bytes))
-        if len(buffer) >= _FLUSH_EVERY:
-            self.flush()
-
-    def emit_counter_fetch(self, address, request_ns, payload_bytes) -> None:
-        if self._generic:
-            EventBus.emit_counter_fetch(self, address, request_ns, payload_bytes)
-            return
-        buffer = self._buffer
-        buffer.append((_COUNTER_FETCH, payload_bytes))
-        if len(buffer) >= _FLUSH_EVERY:
-            self.flush()
-
-    def emit_write_request(self, address, request_ns, counter_atomic) -> None:
-        if self._generic:
-            EventBus.emit_write_request(self, address, request_ns, counter_atomic)
-            return
-        buffer = self._buffer
-        buffer.append(_WRITE_REQUEST_RECORD)
-        if len(buffer) >= _FLUSH_EVERY:
-            self.flush()
-
-    def emit_data_persist(
-        self, address, payload_bytes, coalesced, accept_ns, drain_ns, accept_wait_ns=0.0
-    ) -> None:
-        if self._generic:
-            EventBus.emit_data_persist(
-                self, address, payload_bytes, coalesced, accept_ns, drain_ns, accept_wait_ns
-            )
-            return
-        buffer = self._buffer
-        buffer.append((_DATA_PERSIST, payload_bytes, coalesced, accept_wait_ns))
-        if len(buffer) >= _FLUSH_EVERY:
-            self.flush()
-
-    def emit_counter_persist(
-        self, address, payload_bytes, coalesced, paired, accept_ns, drain_ns
-    ) -> None:
-        if self._generic:
-            EventBus.emit_counter_persist(
-                self, address, payload_bytes, coalesced, paired, accept_ns, drain_ns
-            )
-            return
-        buffer = self._buffer
-        buffer.append((_COUNTER_PERSIST, payload_bytes, coalesced))
-        if len(buffer) >= _FLUSH_EVERY:
-            self.flush()
-
-    def emit_pair(self, address, settled_ns, accept_wait_ns, lag_forced, coalesced) -> None:
-        if self._generic:
-            EventBus.emit_pair(self, address, settled_ns, accept_wait_ns, lag_forced, coalesced)
-            return
-        buffer = self._buffer
-        buffer.append((_PAIR, accept_wait_ns, lag_forced))
-        if len(buffer) >= _FLUSH_EVERY:
-            self.flush()
-
-    def emit_ccwb(self, address, request_ns) -> None:
-        if self._generic:
-            EventBus.emit_ccwb(self, address, request_ns)
-            return
-        buffer = self._buffer
-        buffer.append(_CCWB_RECORD)
-        if len(buffer) >= _FLUSH_EVERY:
-            self.flush()
-
-    def emit_ccwb_flush(self, address, request_ns) -> None:
-        if self._generic:
-            EventBus.emit_ccwb_flush(self, address, request_ns)
-            return
-        buffer = self._buffer
-        buffer.append(_CCWB_FLUSH_RECORD)
-        if len(buffer) >= _FLUSH_EVERY:
-            self.flush()
-
-    def emit_ccwb_tree_flush(self, request_ns, nodes) -> None:
-        if self._generic:
-            EventBus.emit_ccwb_tree_flush(self, request_ns, nodes)
-            return
-        buffer = self._buffer
-        buffer.append((_CCWB_TREE_FLUSH, nodes))
-        if len(buffer) >= _FLUSH_EVERY:
-            self.flush()
-
-    def emit_tree_node(self, address, coalesced, drain_ns) -> None:
-        if self._generic:
-            EventBus.emit_tree_node(self, address, coalesced, drain_ns)
-            return
-        buffer = self._buffer
-        buffer.append((_TREE_NODE, coalesced))
-        if len(buffer) >= _FLUSH_EVERY:
-            self.flush()
-
-    def emit_tree_verify(self, group_base, request_ns) -> None:
-        if self._generic:
-            EventBus.emit_tree_verify(self, group_base, request_ns)
-            return
-        buffer = self._buffer
-        buffer.append(_TREE_VERIFY_RECORD)
-        if len(buffer) >= _FLUSH_EVERY:
-            self.flush()
-
-    def emit_tree_fill(self, address, payload_bytes) -> None:
-        if self._generic:
-            EventBus.emit_tree_fill(self, address, payload_bytes)
-            return
-        buffer = self._buffer
-        buffer.append((_TREE_FILL, payload_bytes))
-        if len(buffer) >= _FLUSH_EVERY:
-            self.flush()
-
-    def emit_root_update(self, group_base, effective_ns) -> None:
-        if self._generic:
-            EventBus.emit_root_update(self, group_base, effective_ns)
-            return
-        buffer = self._buffer
-        buffer.append(_ROOT_UPDATE_RECORD)
-        if len(buffer) >= _FLUSH_EVERY:
-            self.flush()
-
-    def emit_drain(self, role, address, issue_ns, complete_ns) -> None:
-        # Drain events are pure observability: without a generic
-        # subscriber there is nothing to record.
-        if self._generic:
-            EventBus.emit_drain(self, role, address, issue_ns, complete_ns)
-
-
-class JsonlTraceSubscriber:
-    """Appends every event as one JSON line (the observability hook).
-
-    The file handle opens lazily on the first event and stays open for
-    the controller's lifetime.  ``flush_every`` controls the crash
-    durability of the trace: the default of 1 flushes per event, so a
-    crashed or killed run keeps its full trace prefix; larger values
-    amortize the flush over batches at the cost of losing up to that
-    many trailing lines on a crash
-    (``config.controller.event_trace_flush_every``).
-    """
-
-    def __init__(self, path: str, flush_every: int = 1) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.flush_every = max(1, int(flush_every))
-        self._since_flush = 0
-        self._stream = None
+        self._stream: Optional[IO[str]] = None
 
-    def __call__(self, event: MemoryEvent) -> None:
+    def write(self, records: List[tuple]) -> None:
         if self._stream is None:
             self._stream = open(self.path, "a", encoding="utf-8")
-        record = {"kind": event.kind}
-        record.update(dataclasses.asdict(event))
-        self._stream.write(json.dumps(record, sort_keys=True))
-        self._stream.write("\n")
-        self._since_flush += 1
-        if self._since_flush >= self.flush_every:
-            self._stream.flush()
-            self._since_flush = 0
+        stream = self._stream
+        for record in records:
+            kind, names = TRACE_FIELDS[record[0]]
+            line = dict(zip(names, record[1:]))
+            line["kind"] = kind
+            stream.write(json.dumps(line, sort_keys=True))
+            stream.write("\n")
+        stream.flush()
 
     def close(self) -> None:
         if self._stream is not None:
             self._stream.close()
             self._stream = None
-            self._since_flush = 0

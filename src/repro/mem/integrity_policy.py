@@ -30,6 +30,7 @@ from ..core.designs import DesignPolicy
 from ..errors import SimulationError
 from ..integrity.cache import TreeNodeCache
 from ..integrity.tree import IntegrityTreeEngine, TreeNode
+from .events import CCWB_TREE_FLUSH, ROOT_UPDATE, TREE_FILL, TREE_NODE, TREE_VERIFY
 from .writequeue import WriteQueue
 
 if TYPE_CHECKING:
@@ -105,19 +106,20 @@ class TreePersistence(NoIntegrity):
         point an eager/strict-ordering caller must wait for).
         """
         ctrl = self.ctrl
-        assert self.tree is not None and self.tree_queue is not None
+        queue = self.tree_queue
+        assert self.tree is not None and queue is not None
         address = self.tree.node_address(node)
-        coalesced = self.tree_queue.try_coalesce(address, request_ns, None, 0)
-        if coalesced is not None:
-            ctrl.events.emit_tree_node(address, True, coalesced.drain_ns)
-            return max(request_ns, coalesced.drain_ns)
-        entry = self.tree_queue.accept(address, request_ns, None, is_counter=False)
-        self.tree_queue.mark_ready(entry, entry.accept_ns)
-        issue, drain = ctrl.drain_write(
-            self.tree_queue, "tree", address, entry.accept_ns, CACHE_LINE_SIZE
-        )
-        self.tree_queue.set_drain_time(entry, drain, slot_release_ns=issue)
-        ctrl.events.emit_tree_node(address, False, drain)
+        entry = queue.probe(address, request_ns)
+        if entry is not None:
+            queue.merge(entry, None, 0)
+            drain_ns = entry.drain_ns
+            ctrl.records.append((TREE_NODE, address, True, drain_ns))
+            return request_ns if request_ns >= drain_ns else drain_ns
+        entry = queue.accept(address, request_ns, None, False)
+        accept_ns = entry.accept_ns
+        issue, drain = ctrl.drain_write("tree", address, accept_ns, CACHE_LINE_SIZE)
+        queue.schedule(entry, accept_ns, issue, drain)
+        ctrl.records.append((TREE_NODE, address, False, drain))
         return drain
 
     def verify_counter_fetch(self, data_address: int, request_ns: float) -> float:
@@ -138,7 +140,8 @@ class TreePersistence(NoIntegrity):
             raise SimulationError(
                 "integrity-tree mismatch for counter line of group 0x%x" % group_base
             )
-        ctrl.events.emit_tree_verify(group_base, request_ns)
+        ctrl.records.append((TREE_VERIFY, group_base, request_ns))
+        address_map = ctrl.address_map
         arrival = request_ns
         index = self.tree.leaf_index(group_base)
         for level in range(self.tree.levels):
@@ -146,12 +149,12 @@ class TreePersistence(NoIntegrity):
             if self.tree_cache.touch(node):
                 break
             address = self.tree.node_address(node)
-            bank = ctrl.address_map.bank_of(address)
-            row = ctrl.address_map.row_of(address)
-            access = ctrl.banks.schedule_read(bank, request_ns, row=row)
-            node_arrival = ctrl.bus.schedule_transfer(access.complete_ns, CACHE_LINE_SIZE)
+            complete = ctrl.banks.schedule_read(
+                address_map.bank_of(address), request_ns, address_map.row_of(address)
+            )
+            node_arrival = ctrl.bus.schedule_transfer(complete, CACHE_LINE_SIZE)
             arrival = max(arrival, node_arrival)
-            ctrl.events.emit_tree_fill(address, CACHE_LINE_SIZE)
+            ctrl.records.append((TREE_FILL, address, CACHE_LINE_SIZE))
             evicted = self.tree_cache.insert(node, dirty=False)
             if evicted is not None:
                 self.persist_tree_node(evicted, request_ns)
@@ -193,7 +196,7 @@ class EagerTreePersistence(TreePersistence):
     ) -> float:
         assert self.tree is not None and self.tree_cache is not None
         path = self.tree.update_group(group_base, counters)
-        self.ctrl.events.emit_root_update(group_base, effective_ns)
+        self.ctrl.records.append((ROOT_UPDATE, group_base, effective_ns))
         settled_ns = effective_ns
         for node in path:
             evicted = self.tree_cache.insert(node, dirty=False)
@@ -220,7 +223,7 @@ class LazyTreePersistence(TreePersistence):
     ) -> float:
         assert self.tree is not None and self.tree_cache is not None
         path = self.tree.update_group(group_base, counters)
-        self.ctrl.events.emit_root_update(group_base, effective_ns)
+        self.ctrl.records.append((ROOT_UPDATE, group_base, effective_ns))
         for node in path:
             evicted = self.tree_cache.insert(node, dirty=True)
             if evicted is not None:
@@ -235,7 +238,7 @@ class LazyTreePersistence(TreePersistence):
         dirty = self.tree_cache.flush_dirty()
         for node in dirty:
             self.persist_tree_node(node, request_ns)
-        self.ctrl.events.emit_ccwb_tree_flush(request_ns, len(dirty))
+        self.ctrl.records.append((CCWB_TREE_FLUSH, request_ns, len(dirty)))
 
 
 def build_integrity(

@@ -21,14 +21,12 @@ in the controller; a layout turns the arrived bytes into a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Optional
 
 from ..config import CACHE_LINE_SIZE, SystemConfig
 from ..core.designs import DesignPolicy
 from .atomicity import WriteTicket
-from .events import _DATA_PERSIST, _FLUSH_EVERY, EventBus
-from .writequeue import _INF, WriteQueueEntry
+from .events import COUNTER_FETCH
 
 if TYPE_CHECKING:
     from .controller import MemoryController
@@ -65,17 +63,17 @@ class PlainLayout:
         self, line: int, request_ns: float, data_arrival: float, stored: bytes
     ) -> ReadResult:
         return ReadResult(
-            address=line,
-            complete_ns=data_arrival,
-            plaintext=stored if self._functional else None,
-            counter_cache_hit=False,
-            raw_read_ns=data_arrival - request_ns,
+            line,
+            data_arrival,
+            stored if self._functional else None,
+            False,
+            data_arrival - request_ns,
         )
 
     def write_line(
         self, line: int, payload: Optional[bytes], request_ns: float, counter_atomic: bool
     ) -> WriteTicket:
-        return self.ctrl.atomicity.write_unpaired(line, payload, request_ns, encrypted_with=0)
+        return self.ctrl.atomicity.write_unpaired(line, payload, request_ns, 0, CACHE_LINE_SIZE)
 
 
 class ColocatedLayout(PlainLayout):
@@ -115,13 +113,7 @@ class ColocatedLayout(PlainLayout):
         plaintext = None
         if self._functional:
             plaintext = engine.cipher.decrypt(line, counter, stored)
-        return ReadResult(
-            address=line,
-            complete_ns=complete,
-            plaintext=plaintext,
-            counter_cache_hit=hit,
-            raw_read_ns=data_arrival - request_ns,
-        )
+        return ReadResult(line, complete, plaintext, hit, data_arrival - request_ns)
 
     def write_line(
         self, line: int, payload: Optional[bytes], request_ns: float, counter_atomic: bool
@@ -143,122 +135,22 @@ class ColocatedLayout(PlainLayout):
             ctrl.atomicity.writeback_counter_line(
                 encryption.evicted_counter_line, request_ns
             )
-        payload = encryption.ciphertext
         counter = encryption.counter
-        queue = ctrl.atomicity.data_queue
-        events = ctrl.events
-        counter_line = ctrl.address_map.counter_line_address_of(line)
-        # Hot path: queue probe/accept/drain-time and the stats emit are
-        # inlined, bit-identical to the composed calls (see
-        # docs/performance.md); colocated entries are never
-        # counter-atomic, but keep the probe's filter for exactness.
-        entry = queue._live_by_address.get(line) if queue.coalesce_enabled else None
-        if (
-            entry is not None
-            and entry.slot_release_ns > request_ns
-            and not entry.counter_atomic
-        ):
-            entry.payload = payload
-            entry.encrypted_with = counter
-            entry.coalesced += 1
-            queue.coalesced += 1
-            drain_ns = entry.drain_ns
-            ctrl.device.persist_line(line, payload, counter)
-            ctrl.counter_store.write(line, counter)
-            if ctrl.journal.enabled:
-                ctrl.journal.amend_data(
-                    entry.entry_id, payload, counter, effective_ns=request_ns
-                )
-                ctrl.journal.record_counter(
-                    address=counter_line,
-                    counters=(counter,),
-                    group_base=line,
-                    accept_ns=request_ns,
-                    ready_ns=request_ns,
-                    drain_ns=drain_ns,
-                    single_slot=True,
-                )
-            if events._generic:
-                EventBus.emit_data_persist(
-                    events, line, COLOCATED_PAYLOAD, True, request_ns, drain_ns
-                )
-            else:
-                buffer = events._buffer
-                buffer.append((_DATA_PERSIST, COLOCATED_PAYLOAD, True, 0.0))
-                if len(buffer) >= _FLUSH_EVERY:
-                    events.flush()
-            return WriteTicket(
-                address=line,
-                accept_ns=request_ns,
-                drain_ns=drain_ns,
-                paired=False,
-                coalesced=True,
-            )
-        slots = queue._slots
-        while slots and slots[0] <= request_ns:
-            heappop(slots)
-        if len(slots) < queue.capacity:
-            accept_ns = request_ns
-        else:
-            accept_ns = slots[0]
-            queue.total_accept_wait_ns += accept_ns - request_ns
-        ids = queue._entry_ids
-        entry_id = ids.next_id
-        ids.next_id = entry_id + 1
-        entry = WriteQueueEntry(
-            entry_id, line, payload, False, counter, None,
-            accept_ns, accept_ns, _INF,
+        ticket = ctrl.atomicity.write_unpaired(
+            line, encryption.ciphertext, request_ns, counter, COLOCATED_PAYLOAD
         )
-        queue._live_by_address[line] = entry
-        queue.history.append(entry)
-        queue.accepted += 1
-        issue, drain = ctrl.drain_write(queue, "data", line, accept_ns, COLOCATED_PAYLOAD)
-        entry.drain_ns = drain
-        entry.slot_release_ns = issue
-        while slots and slots[0] <= accept_ns:
-            heappop(slots)
-        heappush(slots, issue)
-        if len(slots) > queue.peak_occupancy:
-            queue.peak_occupancy = len(slots)
-        ctrl.device.persist_line(line, payload, counter)
         ctrl.counter_store.write(line, counter)
         if ctrl.journal.enabled:
-            ctrl.journal.record_data(
-                entry_id=entry_id,
-                address=line,
-                payload=payload,
-                encrypted_with=counter,
-                accept_ns=accept_ns,
-                ready_ns=accept_ns,
-                drain_ns=drain,
-            )
             ctrl.journal.record_counter(
-                address=counter_line,
+                address=ctrl.address_map.counter_line_address_of(line),
                 counters=(counter,),
                 group_base=line,
-                accept_ns=accept_ns,
-                ready_ns=accept_ns,
-                drain_ns=drain,
+                accept_ns=ticket.accept_ns,
+                ready_ns=ticket.accept_ns,
+                drain_ns=ticket.drain_ns,
                 single_slot=True,
             )
-        if events._generic:
-            EventBus.emit_data_persist(
-                events,
-                line,
-                COLOCATED_PAYLOAD,
-                False,
-                accept_ns,
-                drain,
-                accept_wait_ns=accept_ns - request_ns,
-            )
-        else:
-            buffer = events._buffer
-            buffer.append((_DATA_PERSIST, COLOCATED_PAYLOAD, False, accept_ns - request_ns))
-            if len(buffer) >= _FLUSH_EVERY:
-                events.flush()
-        return WriteTicket(
-            address=line, accept_ns=accept_ns, drain_ns=drain, paired=False, coalesced=False
-        )
+        return ticket
 
 
 class SplitCounterLayout(PlainLayout):
@@ -293,22 +185,23 @@ class SplitCounterLayout(PlainLayout):
                 decryption.evicted_counter_line, request_ns
             )
         return ReadResult(
-            address=line,
-            complete_ns=complete,
-            plaintext=decryption.plaintext,
-            counter_cache_hit=decryption.counter_cache_hit,
-            raw_read_ns=data_arrival - request_ns,
+            line,
+            complete,
+            decryption.plaintext,
+            decryption.counter_cache_hit,
+            data_arrival - request_ns,
         )
 
     def fetch_counter_line(self, data_address: int, request_ns: float) -> float:
         """Read the covering counter line from NVM."""
         ctrl = self.ctrl
-        counter_line = ctrl.address_map.counter_line_address_of(data_address)
-        bank = ctrl.address_map.bank_of(counter_line)
-        row = ctrl.address_map.row_of(counter_line)
-        access = ctrl.banks.schedule_read(bank, request_ns, row=row)
-        arrival = ctrl.bus.schedule_transfer(access.complete_ns, CACHE_LINE_SIZE)
-        ctrl.events.emit_counter_fetch(counter_line, request_ns, CACHE_LINE_SIZE)
+        address_map = ctrl.address_map
+        counter_line = address_map.counter_line_address_of(data_address)
+        complete = ctrl.banks.schedule_read(
+            address_map.bank_of(counter_line), request_ns, address_map.row_of(counter_line)
+        )
+        arrival = ctrl.bus.schedule_transfer(complete, CACHE_LINE_SIZE)
+        ctrl.records.append((COUNTER_FETCH, counter_line, request_ns, CACHE_LINE_SIZE))
         if ctrl.integrity.tree is not None:
             # The fetched counters cannot be trusted (used for OTPs)
             # until their tree path authenticates.

@@ -5,7 +5,7 @@ space is interleaved across N :class:`MemoryController` instances at
 counter-group granularity (:class:`repro.nvm.address.ShardMap`), so each
 shard owns complete counter lines, counter-cache entries and BMT
 subtrees — no security-metadata structure ever spans controllers.  Every
-shard gets its own event bus, data/counter/tree write queues, counter
+shard gets its own record log, data/counter/tree write queues, counter
 cache (an iso-hardware slice of the configured capacity) and, on
 ``+bmt`` designs, a Bonsai subtree keyed by its own secure root.
 
@@ -375,7 +375,7 @@ class ShardedMemorySystem:
     def stats(self) -> ControllerStats:
         merged = ControllerStats()
         for controller in self.controllers:
-            stats = controller.stats  # flushes the shard's event bus
+            stats = controller.stats  # folds the shard's record log
             for field in dataclasses.fields(ControllerStats):
                 setattr(
                     merged,

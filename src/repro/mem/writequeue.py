@@ -9,18 +9,22 @@ drain — this yields the all-or-nothing behaviour that keeps data and
 counter versions in sync.
 
 Timing model: each queue is a bounded buffer whose slots are occupied
-from acceptance until drain.  Acceptance applies backpressure: a request
-arriving while the queue is full is accepted only when the earliest
-in-flight entry drains.  Drain times are computed against the shared
-bank/bus timelines by the memory controller; this module owns occupancy,
-coalescing, pairing and the crash-time ready-bit semantics.
+from acceptance until the entry issues to its bank.  Acceptance applies
+backpressure: a request arriving while the queue is full is accepted
+only when the earliest in-flight entry leaves.  Drain times are computed
+against the shared bank/bus timelines by the memory controller; this
+module owns occupancy, coalescing and the crash-time ready-bit
+semantics.  Every write path in :mod:`repro.mem.atomicity` and
+:mod:`repro.mem.integrity_policy` uses the same four steps:
+:meth:`WriteQueue.probe` for a merge candidate, :meth:`WriteQueue.merge`,
+:meth:`WriteQueue.accept`, and :meth:`WriteQueue.schedule`.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import QueueFullError, SimulationError
 
@@ -35,18 +39,13 @@ class EntryIdAllocator:
     must depend only on the simulation itself, never on how many other
     machines ran earlier in the process.  Each controller therefore owns
     one allocator starting from zero; its cursor is part of the
-    checkpoint state.
+    checkpoint state.  :meth:`WriteQueue.accept` takes the next id.
     """
 
     __slots__ = ("next_id",)
 
     def __init__(self, start: int = 0) -> None:
         self.next_id = start
-
-    def allocate(self) -> int:
-        value = self.next_id
-        self.next_id += 1
-        return value
 
 
 #: Fallback for queues constructed standalone (tests, tools).
@@ -81,10 +80,6 @@ class WriteQueueEntry:
     partner_id: Optional[int] = None
     coalesced: int = 0
 
-    @property
-    def ready_at(self) -> float:
-        return self.ready_ns
-
 
 class WriteQueue:
     """Bounded write buffer with coalescing and occupancy backpressure."""
@@ -115,95 +110,54 @@ class WriteQueue:
         self.total_accept_wait_ns = 0.0
         self.peak_occupancy = 0
 
-    # -- occupancy --------------------------------------------------------
-
-    def _release_drained(self, now_ns: float) -> None:
-        while self._slots and self._slots[0] <= now_ns:
-            heapq.heappop(self._slots)
-
     def occupancy(self, now_ns: float) -> int:
-        self._release_drained(now_ns)
-        return len(self._slots)
+        """Entries still holding a slot at ``now_ns``."""
+        slots = self._slots
+        while slots and slots[0] <= now_ns:
+            heappop(slots)
+        return len(slots)
 
-    def acceptance_time(self, request_ns: float) -> float:
-        """Earliest time a new entry can be accepted (slot available)."""
-        self._release_drained(request_ns)
-        if len(self._slots) < self.capacity:
-            return request_ns
-        # Queue full: the request waits for the earliest drain.
-        return self._slots[0]
+    # -- the write protocol ----------------------------------------------------
 
-    # -- coalescing --------------------------------------------------------
-
-    def find_live(self, address: int, now_ns: float) -> Optional[WriteQueueEntry]:
-        """A still-queued entry for ``address`` (eligible to coalesce).
+    def probe(
+        self, address: int, now_ns: float, counter_atomic_ok: bool = False
+    ) -> Optional[WriteQueueEntry]:
+        """The queued entry a new write to ``address`` may merge into.
 
         An entry stops being mergeable once its write has issued to the
         bank (``slot_release_ns``), even though the cell write finishes
-        later.
-        """
-        entry = self._live_by_address.get(address)
-        if entry is not None and entry.slot_release_ns > now_ns:
-            return entry
-        return None
-
-    def try_coalesce(
-        self,
-        address: int,
-        now_ns: float,
-        payload: Optional[bytes],
-        encrypted_with: int,
-        counter_values: Optional[Tuple[int, Tuple[int, ...]]] = None,
-        allow_counter_atomic: bool = False,
-    ) -> Optional[WriteQueueEntry]:
-        """Merge a new write into a queued entry for the same line.
-
-        Returns the updated entry on success, None if no live entry
-        exists (or coalescing is disabled).  By default counter-atomic
-        paired entries never coalesce with later *plain* writes — their
-        all-or-nothing pairing must not absorb unrelated updates; a new
-        counter-atomic pair may merge into a queued paired counter line
-        (``allow_counter_atomic=True``) because the merge and the
-        ready-bit update form one ADR-protected operation.
-        """
-        entry = self.peek_coalesce(address, now_ns, allow_counter_atomic)
-        if entry is None:
-            return None
-        return self.commit_coalesce(entry, payload, encrypted_with, counter_values)
-
-    def peek_coalesce(
-        self, address: int, now_ns: float, allow_counter_atomic: bool = False
-    ) -> Optional[WriteQueueEntry]:
-        """Find a merge candidate without mutating it.
-
-        Callers that must merge into *two* queues atomically (paired
-        writes) peek both, then commit both, so a miss on one side
-        leaves the other untouched.
+        later.  Counter-atomic entries merge only when
+        ``counter_atomic_ok``: a pair's all-or-nothing guarantee must not
+        absorb an unrelated plain write, while a new counter-atomic pair
+        may merge into it because the merge and the ready-bit update form
+        one ADR-protected operation.  The probe does not mutate, so a
+        paired write can probe both queues before merging into either.
         """
         if not self.coalesce_enabled:
             return None
-        entry = self.find_live(address, now_ns)
-        if entry is None or (entry.counter_atomic and not allow_counter_atomic):
+        entry = self._live_by_address.get(address)
+        if (
+            entry is None
+            or entry.slot_release_ns <= now_ns
+            or (entry.counter_atomic and not counter_atomic_ok)
+        ):
             return None
         return entry
 
-    def commit_coalesce(
+    def merge(
         self,
         entry: WriteQueueEntry,
         payload: Optional[bytes],
         encrypted_with: int,
         counter_values: Optional[Tuple[int, Tuple[int, ...]]] = None,
-    ) -> WriteQueueEntry:
-        """Apply a merge found by :meth:`peek_coalesce`."""
+    ) -> None:
+        """Merge a new write into ``entry``, found by :meth:`probe`."""
         entry.payload = payload
         entry.encrypted_with = encrypted_with
         if counter_values is not None:
             entry.counter_values = counter_values
         entry.coalesced += 1
         self.coalesced += 1
-        return entry
-
-    # -- acceptance ----------------------------------------------------------
 
     def accept(
         self,
@@ -217,21 +171,17 @@ class WriteQueue:
     ) -> WriteQueueEntry:
         """Accept a new entry, waiting for a slot if the queue is full.
 
-        The entry's ready/drain times start undefined (``inf``); the
-        controller sets them via :meth:`mark_ready` /
-        :meth:`set_drain_time` once pairing resolves and the drain is
-        scheduled.
+        The entry's ready and drain times start undefined (``inf``);
+        :meth:`schedule` sets them once pairing resolves and the drain
+        is scheduled.
         """
-        # Inlined acceptance_time(): accept() runs once per simulated
-        # writeback, so the slot scan and id allocation are done
-        # in-place with bound locals rather than through method calls.
         slots = self._slots
-        heappop = heapq.heappop
         while slots and slots[0] <= request_ns:
             heappop(slots)
         if len(slots) < self.capacity:
             accept_ns = request_ns
         else:
+            # Queue full: the request waits for the earliest issue.
             accept_ns = slots[0]
             self.total_accept_wait_ns += accept_ns - request_ns
         ids = self._entry_ids
@@ -247,42 +197,40 @@ class WriteQueue:
             accept_ns,
             _INF,
             _INF,
+            _INF,
+            counter_atomic,
         )
-        if counter_atomic:
-            entry.counter_atomic = True
         self._live_by_address[address] = entry
         self.history.append(entry)
         self.accepted += 1
         return entry
 
-    def mark_ready(self, entry: WriteQueueEntry, ready_ns: float) -> None:
+    def schedule(
+        self, entry: WriteQueueEntry, ready_ns: float, issue_ns: float, drain_ns: float
+    ) -> None:
+        """Set the entry's ready bit and drain schedule, and occupy a slot.
+
+        The slot is held until ``issue_ns`` — the instant the write
+        issues to its bank and leaves the queue — while ``drain_ns``
+        records when the cell write completes (the long PCM write
+        recovery no longer blocks the queue slot).
+        """
         if ready_ns < entry.accept_ns:
             raise SimulationError("entry cannot be ready before acceptance")
-        entry.ready_ns = ready_ns
-
-    def set_drain_time(
-        self,
-        entry: WriteQueueEntry,
-        drain_ns: float,
-        slot_release_ns: Optional[float] = None,
-    ) -> None:
-        """Finalize the drain schedule and occupy a slot.
-
-        The slot is held until ``slot_release_ns`` — the instant the
-        write issues to its bank and leaves the queue — while
-        ``drain_ns`` records when the cell write completes (the long
-        PCM write recovery no longer blocks the queue slot).
-        """
-        if drain_ns < entry.ready_ns:
+        if drain_ns < ready_ns:
             raise SimulationError("entry cannot drain before it is ready")
-        entry.drain_ns = drain_ns
-        entry.slot_release_ns = slot_release_ns if slot_release_ns is not None else drain_ns
-        if entry.slot_release_ns > drain_ns:
+        if issue_ns > drain_ns:
             raise SimulationError("slot cannot outlive the drain")
-        self._release_drained(entry.accept_ns)
-        heapq.heappush(self._slots, entry.slot_release_ns)
-        if len(self._slots) > self.peak_occupancy:
-            self.peak_occupancy = len(self._slots)
+        entry.ready_ns = ready_ns
+        entry.drain_ns = drain_ns
+        entry.slot_release_ns = issue_ns
+        slots = self._slots
+        accept_ns = entry.accept_ns
+        while slots and slots[0] <= accept_ns:
+            heappop(slots)
+        heappush(slots, issue_ns)
+        if len(slots) > self.peak_occupancy:
+            self.peak_occupancy = len(slots)
 
     # -- crash semantics --------------------------------------------------------
 

@@ -50,6 +50,7 @@ class NVMDevice:
 
     def __init__(self, address_map: AddressMap, track_wear: bool = True) -> None:
         self.address_map = address_map
+        self._size = address_map.memory_size_bytes
         self._lines: Dict[int, PersistedLine] = {}
         self.wear: Optional[WearTracker] = WearTracker() if track_wear else None
         self.line_writes = 0
@@ -72,28 +73,23 @@ class NVMDevice:
         truth is still recorded so atomicity checks work.
         """
         line = address & _LINE_MASK
-        if line < 0 or line >= self.address_map.memory_size_bytes:
+        if line < 0 or line >= self._size:
             raise AddressError("address 0x%x outside the device" % address)
         self.line_writes += 1
         if not self.crash_bookkeeping:
             return
         data = payload if payload is not None else _ZERO_LINE
-        self._lines[line] = PersistedLine(payload=data, encrypted_with=encrypted_with)
-        wear = self.wear
-        if wear is not None:
-            wear._writes[line] = wear._writes.get(line, 0) + 1
-            wear.total_writes += 1
+        self._lines[line] = PersistedLine(data, encrypted_with)
+        if self.wear is not None:
+            self.wear.record_write(line)
 
     def read_line(self, address: int) -> PersistedLine:
         """Fetch one line; unwritten lines read as zeroes in the clear."""
         line = address & _LINE_MASK
-        if line < 0 or line >= self.address_map.memory_size_bytes:
+        if line < 0 or line >= self._size:
             raise AddressError("address 0x%x outside the device" % address)
         self.line_reads += 1
-        stored = self._lines.get(line)
-        if stored is None:
-            return _ZERO_PERSISTED
-        return stored
+        return self._lines.get(line, _ZERO_PERSISTED)
 
     def contains_line(self, address: int) -> bool:
         return (address & _LINE_MASK) in self._lines

@@ -13,23 +13,9 @@ time ``tWR``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, Optional, Tuple
 
 from ..config import CACHE_LINE_SIZE, NVMTimingConfig
-
-
-@dataclass(slots=True)
-class BankAccess:
-    """Outcome of scheduling one array access on a bank."""
-
-    bank: int
-    start_ns: float
-    #: Time at which the requested line is available (read) or the
-    #: write is architecturally durable.
-    complete_ns: float
-    #: Time at which the bank can accept its next access.
-    bank_free_ns: float
 
 
 class BankTimingModel:
@@ -65,67 +51,57 @@ class BankTimingModel:
         self.total_read_wait_ns = 0.0
         self.total_write_wait_ns = 0.0
 
-    def _row_of(self, bank: int, row_hint: Optional[int]) -> Optional[int]:
-        return row_hint
-
     def schedule_read(
         self, bank: int, request_ns: float, row: Optional[int] = None
-    ) -> BankAccess:
+    ) -> float:
         """Schedule an array read of one line on ``bank``.
 
-        ``row`` identifies the row-buffer row; a hit skips the row
-        activation (``tRCD``) and pays only the column read (``tCL``),
-        which is what gives sequential streams their short latency.
+        Returns when the line is available.  ``row`` identifies the
+        row-buffer row; a hit skips the row activation (``tRCD``) and
+        pays only the column read (``tCL``), which is what gives
+        sequential streams their short latency.
         """
-        start = max(request_ns, self._read_free[bank])
+        read_free = self._read_free
+        free = read_free[bank]
+        start = request_ns if request_ns >= free else free
         self.total_read_wait_ns += start - request_ns
-        if row is not None and self._open_row[bank] == row:
-            access_ns = self._row_hit_ns
+        open_row = self._open_row
+        if row is not None and open_row[bank] == row:
+            complete = start + self._row_hit_ns
             self.row_hits += 1
         else:
-            access_ns = self._read_access_ns
-            self._open_row[bank] = row
-        complete = start + access_ns
-        self._read_free[bank] = complete
+            complete = start + self._read_access_ns
+            open_row[bank] = row
+        read_free[bank] = complete
         # A preempted write must redo its slot after the read.
-        self._write_free[bank] = max(self._write_free[bank], complete)
+        write_free = self._write_free
+        if write_free[bank] < complete:
+            write_free[bank] = complete
         self.reads += 1
-        return BankAccess(bank=bank, start_ns=start, complete_ns=complete, bank_free_ns=complete)
+        return complete
 
-    def schedule_write(
-        self, bank: int, request_ns: float, row: Optional[int] = None
-    ) -> BankAccess:
+    def schedule_write(self, bank: int, request_ns: float) -> Tuple[float, float]:
         """Schedule an array write of one line on ``bank``.
 
-        The write is durable after ``tCWD``+burst, but the bank stays
-        busy through the long PCM write-recovery window ``tWR``.  PCM
-        writes go to the cell array, so they close the open row.
+        Returns ``(start_ns, complete_ns)``: the write issues at start
+        and is durable at complete (after ``tCWD``+burst), but the bank
+        stays busy through the long PCM write-recovery window ``tWR``.
+        PCM writes go to the cell array, so they close the open row.
         """
-        start = max(request_ns, self._write_free[bank], self._read_free[bank])
+        write_free = self._write_free
+        start = request_ns
+        free = write_free[bank]
+        if free > start:
+            start = free
+        free = self._read_free[bank]
+        if free > start:
+            start = free
         self.total_write_wait_ns += start - request_ns
         complete = start + self._write_access_ns
-        self._write_free[bank] = complete + self._t_wtr_ns
+        write_free[bank] = complete + self._t_wtr_ns
         self._open_row[bank] = None
         self.writes += 1
-        return BankAccess(
-            bank=bank, start_ns=start, complete_ns=complete, bank_free_ns=self._write_free[bank]
-        )
-
-    def earliest_free(self) -> float:
-        """Time at which at least one bank can take a write."""
-        return min(
-            max(r, w) for r, w in zip(self._read_free, self._write_free)
-        )
-
-    def reset(self) -> None:
-        self._read_free = [0.0] * self.timing.num_banks
-        self._write_free = [0.0] * self.timing.num_banks
-        self._open_row = [None] * self.timing.num_banks
-        self.reads = 0
-        self.writes = 0
-        self.row_hits = 0
-        self.total_read_wait_ns = 0.0
-        self.total_write_wait_ns = 0.0
+        return start, complete
 
     def get_state(self) -> dict:
         """Checkpoint state: per-bank timelines and counters."""
@@ -170,16 +146,18 @@ class BusModel:
 
     def schedule_transfer(self, request_ns: float, payload_bytes: int = CACHE_LINE_SIZE) -> float:
         """Reserve the bus; returns the transfer completion time."""
-        start = max(request_ns, self._free_ns)
+        free = self._free_ns
+        start = request_ns if request_ns >= free else free
         duration = self._burst_cache.get(payload_bytes)
         if duration is None:
             duration = self.timing.burst_ns(payload_bytes)
             self._burst_cache[payload_bytes] = duration
-        self._free_ns = start + duration
+        done = start + duration
+        self._free_ns = done
         self.transfers += 1
         self.bytes_moved += payload_bytes
         self.busy_ns += duration
-        return self._free_ns
+        return done
 
     def utilization(self, elapsed_ns: float) -> float:
         """Fraction of ``elapsed_ns`` the bus spent transferring."""

@@ -1,4 +1,4 @@
-"""Small shared utilities: bit manipulation, statistics, formatting."""
+"""Small shared utilities: bit manipulation, formatting, code versions."""
 
 from .bitops import (
     align_down,
@@ -9,7 +9,6 @@ from .bitops import (
     log2_int,
     u64_to_bytes,
 )
-from .stats import Counter, Histogram, RunningMean, geometric_mean
 from .tables import format_table
 from .versioning import code_version
 
@@ -21,10 +20,6 @@ __all__ = [
     "is_power_of_two",
     "log2_int",
     "u64_to_bytes",
-    "Counter",
-    "Histogram",
-    "RunningMean",
-    "geometric_mean",
     "format_table",
     "code_version",
 ]

@@ -23,6 +23,7 @@ from repro.bench.harness import build_traces
 from repro.config import fast_config
 from repro.crypto.aes import _NP_BATCH_MIN, AES128
 from repro.crypto.counter_cache import COUNTERS_PER_LINE, CounterCache
+from repro.crypto.counters import CounterStore
 from repro.crypto.integrity import IntegrityEngine
 from repro.crypto.otp import OTPCipher, make_block_cipher
 from repro.crypto.prf import NP_BATCH_MIN, SplitMixPRF
@@ -244,13 +245,14 @@ class TestBulkCounterCache:
 
         bulk = CounterCache(CounterCacheConfig(size_bytes=2048, ways=2))
         seq = CounterCache(CounterCacheConfig(size_bytes=2048, ways=2))
+        store = CounterStore(counter_region_base=1 << 26, memory_size_bytes=1 << 26)
         bulk_victims = []
         for chunk_start in range(0, len(fills), 8):
             chunk = fills[chunk_start : chunk_start + 8]
             bulk_victims.extend(bulk.fill_many(chunk))
             # Dirty what just landed so later evictions yield victims.
             for address, _ in chunk:
-                bulk.update(address, address + 1)
+                bulk.write(address, address + 1, store)
         seq_victims = []
         for chunk_start in range(0, len(fills), 8):
             for address, line_counters in fills[chunk_start : chunk_start + 8]:
@@ -258,7 +260,7 @@ class TestBulkCounterCache:
                 if victim is not None:
                     seq_victims.append(victim)
             for address, _ in fills[chunk_start : chunk_start + 8]:
-                seq.update(address, address + 1)
+                seq.write(address, address + 1, store)
         assert bulk_victims == seq_victims
         assert bulk_victims  # eviction pressure actually produced writebacks
         assert bulk.get_state() == seq.get_state()

@@ -11,6 +11,16 @@ SMALL = CounterCacheConfig(size_bytes=4 * 1024, ways=4)
 EIGHT = tuple(range(8))
 
 
+class _Store:
+    """The counter store as the write path's fill sees it."""
+
+    def read_counter_line(self, data_address):
+        return EIGHT
+
+
+STORE = _Store()
+
+
 @pytest.fixture
 def cache():
     return CounterCache(SMALL)
@@ -33,24 +43,44 @@ class TestLookups:
 
     def test_write_lookup_counts_separately(self, cache):
         cache.fill(0, EIGHT)
-        cache.lookup_for_write(0)
+        assert cache.write(0, 9, STORE) == (True, None)
         assert cache.stats.write_hits == 1
-        cache.lookup_for_write(GROUP_SPAN * 50)
+        assert cache.write(GROUP_SPAN * 50, 9, STORE) == (False, None)
         assert cache.stats.write_misses == 1
+        assert cache.stats.read_hits == cache.stats.read_misses == 0
 
 
 class TestUpdates:
     def test_update_requires_resident_line(self, cache):
-        assert cache.update(0x40, 99) is False
-        cache.fill(0x40, EIGHT)
-        assert cache.update(0x40, 99) is True
+        """A write miss allocates: the line is filled, then updated."""
+        assert not cache.contains(0x40)
+        assert cache.write(0x40, 99, STORE) == (False, None)
+        assert cache.stats.fills == 1
         assert cache.lookup_for_read(0x40) == 99
+        assert cache.lookup_for_read(0x80) == 2  # sibling from the fill
 
     def test_update_marks_dirty(self, cache):
         cache.fill(0, EIGHT)
         assert not cache.is_dirty(0)
-        cache.update(0, 42)
+        cache.write(0, 42, STORE)
         assert cache.is_dirty(0)
+
+    def test_write_ticks_lru_like_lookup_then_store(self, cache):
+        cache.fill(0, EIGHT)
+        tick = cache._tick
+        cache.write(0, 42, STORE)  # hit: one touch for the probe, one for the store
+        assert cache._tick == tick + 2
+        cache.write(GROUP_SPAN, 43, STORE)  # miss: one for the fill, one for the store
+        assert cache._tick == tick + 4
+
+    def test_write_miss_returns_dirty_victim(self, cache):
+        stride = cache.num_sets * GROUP_SPAN
+        cache.write(0, 123, STORE)
+        for way in range(1, cache.ways):
+            cache.fill(way * stride, EIGHT)
+        hit, victim = cache.write(cache.ways * stride, 5, STORE)
+        assert not hit
+        assert victim == (0, (123,) + EIGHT[1:])
 
 
 class TestWriteback:
@@ -60,21 +90,21 @@ class TestWriteback:
 
     def test_writeback_dirty_line_returns_counters(self, cache):
         cache.fill(0, EIGHT)
-        cache.update(0x40, 77)
+        cache.write(0x40, 77, STORE)
         group_base, counters = cache.writeback_line(0x40)
         assert group_base == 0
         assert counters[1] == 77
 
     def test_writeback_cleans_without_invalidating(self, cache):
         cache.fill(0, EIGHT)
-        cache.update(0, 5)
+        cache.write(0, 5, STORE)
         cache.writeback_line(0)
         assert not cache.is_dirty(0)
         assert cache.contains(0)
 
     def test_second_writeback_is_noop(self, cache):
         cache.fill(0, EIGHT)
-        cache.update(0, 5)
+        cache.write(0, 5, STORE)
         assert cache.writeback_line(0) is not None
         assert cache.writeback_line(0) is None
 
@@ -97,7 +127,7 @@ class TestEviction:
     def test_dirty_eviction_returns_payload(self, cache):
         stride = cache.num_sets * GROUP_SPAN
         cache.fill(0, EIGHT)
-        cache.update(0, 123)
+        cache.write(0, 123, STORE)
         for way in range(1, cache.ways):
             cache.fill(way * stride, EIGHT)
         victim = cache.fill(cache.ways * stride, EIGHT)
@@ -124,7 +154,7 @@ class TestVolatility:
     def test_dirty_lines_enumerates_only_dirty(self, cache):
         cache.fill(0, EIGHT)
         cache.fill(GROUP_SPAN, EIGHT)
-        cache.update(GROUP_SPAN, 9)
+        cache.write(GROUP_SPAN, 9, STORE)
         dirty = cache.dirty_lines()
         assert len(dirty) == 1
         assert dirty[0][0] == GROUP_SPAN
@@ -147,9 +177,7 @@ class TestProperties:
         latest = {}
         for group, counter in updates:
             address = group * GROUP_SPAN
-            if not cache.contains(address):
-                cache.fill(address, EIGHT)
-            cache.update(address, counter)
+            cache.write(address, counter, STORE)
             latest[address] = counter
         for address, expected in latest.items():
             if cache.contains(address):

@@ -1,6 +1,4 @@
-"""Tests for the utility helpers (bitops, stats, tables)."""
-
-import math
+"""Tests for the utility helpers (bitops, tables)."""
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +18,6 @@ from repro.utils.bitops import (
     u64_to_bytes,
     xor_bytes,
 )
-from repro.utils.stats import Counter, Histogram, RunningMean, geometric_mean, weighted_mean
 from repro.utils.tables import format_table
 
 
@@ -67,96 +64,6 @@ class TestBitops:
         assert xor_bytes(b"\x0f\xf0", b"\xff\xff") == b"\xf0\x0f"
         with pytest.raises(ValueError):
             xor_bytes(b"\x00", b"\x00\x00")
-
-
-class TestCounter:
-    def test_accumulates(self):
-        counter = Counter("x")
-        counter.add()
-        counter.add(4)
-        assert int(counter) == 5
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter("x").add(-1)
-
-    def test_reset(self):
-        counter = Counter("x")
-        counter.add(3)
-        counter.reset()
-        assert int(counter) == 0
-
-
-class TestRunningMean:
-    def test_mean_and_extremes(self):
-        mean = RunningMean()
-        for value in (1.0, 2.0, 3.0):
-            mean.add(value)
-        assert mean.mean == pytest.approx(2.0)
-        assert mean.minimum == 1.0
-        assert mean.maximum == 3.0
-
-    def test_variance_matches_reference(self):
-        values = [3.0, 7.0, 7.0, 19.0]
-        mean = RunningMean()
-        for value in values:
-            mean.add(value)
-        reference = sum((v - 9.0) ** 2 for v in values) / 3
-        assert mean.variance == pytest.approx(reference)
-
-    def test_merge_equals_sequential(self):
-        left, right, combined = RunningMean(), RunningMean(), RunningMean()
-        for i, value in enumerate([1.0, 5.0, 2.0, 8.0, 3.0]):
-            (left if i % 2 else right).add(value)
-            combined.add(value)
-        left.merge(right)
-        assert left.mean == pytest.approx(combined.mean)
-        assert left.variance == pytest.approx(combined.variance)
-
-    def test_empty(self):
-        assert RunningMean().mean == 0.0
-        assert RunningMean().variance == 0.0
-
-
-class TestHistogram:
-    def test_bucketing(self):
-        histogram = Histogram([10, 100])
-        for value in (5, 50, 500):
-            histogram.add(value)
-        assert histogram.buckets == [1, 1, 1]
-
-    def test_fraction(self):
-        histogram = Histogram([10, 100])
-        for value in (1, 2, 200):
-            histogram.add(value)
-        assert histogram.fraction_at_or_below(10) == pytest.approx(2 / 3)
-
-    def test_as_dict_labels(self):
-        histogram = Histogram([10])
-        histogram.add(1)
-        assert set(histogram.as_dict()) == {"<=10", ">10"}
-
-    def test_empty_edges_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram([])
-
-
-class TestMeans:
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_geometric_mean_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-    def test_weighted_mean(self):
-        assert weighted_mean([(1.0, 1.0), (3.0, 3.0)]) == pytest.approx(2.5)
-
-    def test_weighted_mean_zero_weight_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_mean([(1.0, 0.0)])
 
 
 class TestTables:

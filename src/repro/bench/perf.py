@@ -197,6 +197,28 @@ def bench_kernels(scale: str = "quick") -> Dict[str, Dict[str, float]]:
     ref_s = _best_of(lambda: [tree.root_over(tree_counters) for _ in range(bmt_ref_n)])
     results["bmt_root_update"] = _kernel(fast_s, bmt_fast_n, ref_s, bmt_ref_n)
 
+    # -- Tree root over a crash image: uint64 lanes vs the scalar walk ---
+    # One recovery-sized image: 400 leaf groups spread over the region,
+    # 1-7 counters each.  root_over groups them as arrays and hashes each
+    # level of NP_BATCH_MIN nodes or more as lanes; the reference is the
+    # scalar walk it otherwise takes.
+    image_counters = {
+        group * 2 * 512 + slot * 64: group * 8 + slot + 1
+        for group in range(400)
+        for slot in range(1 + group % 7)
+    }
+
+    def scalar_root() -> int:
+        return tree._walk_up(0, tree._leaf_digests(image_counters))
+
+    if tree.root_over(image_counters) != scalar_root():
+        raise ConfigurationError("tree kernel setup: lanes root != scalar walk")
+    root_n = 4 * mult
+    fast_s = _best_of(lambda: [tree.root_over(image_counters) for _ in range(root_n)])
+    ref_s = _best_of(lambda: [scalar_root() for _ in range(root_n)])
+    results["tree_root_over"] = _kernel(fast_s, root_n, ref_s, root_n)
+    results["tree_root_over"]["numpy"] = HAVE_NUMPY
+
     # -- Write queue protocol (every simulated writeback) ----------------
     # The probe -> accept -> schedule sequence every fresh write runs.
     accept_n = 5000 * mult

@@ -86,16 +86,14 @@ class CrashInjector:
             crash_ns, adr=adr, adr_budget=adr_budget
         )
         device = NVMDevice(self._address_map, track_wear=False)
-        for address, (payload, encrypted_with) in data_lines.items():
-            device.persist_line(address, payload, encrypted_with)
+        device.install(data_lines)
         # Reconstruction inflates write counters; report reads instead.
         device.line_writes = 0
         store = CounterStore(
             counter_region_base=self._address_map.counter_region_base,
             memory_size_bytes=self._address_map.memory_size_bytes,
         )
-        for address, value in counters.items():
-            store.write(address, value)
+        store.install(counters)
         image = CrashImage(
             crash_ns=crash_ns,
             device=device,
@@ -238,16 +236,19 @@ def nested_crash_image(
     """
     address_map = image.address_map
     device = NVMDevice(address_map, track_wear=False)
-    for address in image.device.touched_lines():
-        stored = image.device.read_line(address)
-        device.persist_line(address, stored.payload, stored.encrypted_with)
+    base = image.device.snapshot()
+    device.install(
+        {
+            address: (base[address].payload, base[address].encrypted_with)
+            for address in sorted(base)
+        }
+    )
     device.line_writes = 0
     store = CounterStore(
         counter_region_base=address_map.counter_region_base,
         memory_size_bytes=address_map.memory_size_bytes,
     )
-    for address, value in image.counter_store.snapshot().items():
-        store.write(address, value)
+    store.install(image.counter_store.snapshot())
     cipher = OTPCipher(make_block_cipher(config.encryption)) if encrypted else None
     tags: Optional[Dict[int, bytes]] = (
         dict(image.line_tags) if image.line_tags is not None else None

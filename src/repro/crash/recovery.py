@@ -13,17 +13,20 @@ recovery (:mod:`repro.txn`) runs on.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import CACHE_LINE_SIZE, EncryptionConfig
 from ..core.invariants import AtomicityViolation, check_counter_atomicity
 from ..crypto.otp import OTPCipher, make_block_cipher
 from ..errors import DecryptionFailure
-from ..utils.bitops import align_down, bytes_to_u64, u64_to_bytes
+from ..utils.bitops import align_down, bytes_to_u64
 from .injector import CrashImage
 
 _ZERO_LINE = bytes(CACHE_LINE_SIZE)
+_U64 = struct.Struct("<Q")
 
 
 class GarbageRead(bytes):
@@ -96,14 +99,16 @@ class RecoveredMemory:
         bit-identical iff their fingerprints match.  Used by the
         nested-crash determinism and resume-equivalence properties.
         """
-        digest = hashlib.sha256()
-        for address in sorted(self.plaintext_lines):
-            digest.update(u64_to_bytes(address))
-            digest.update(self.plaintext_lines[address])
-        digest.update(b"|garbage|")
-        for address in sorted(self.garbage_lines):
-            digest.update(u64_to_bytes(address))
-        return digest.hexdigest()
+        lines = self.plaintext_lines
+        addresses = sorted(lines)
+        # One buffer, one hash: each address as a little-endian u64 (line
+        # addresses and log targets read back as u64), then its line.
+        pack = _U64.pack
+        blob = b"".join(
+            chain.from_iterable(zip(map(pack, addresses), map(lines.__getitem__, addresses)))
+        )
+        blob += b"|garbage|" + b"".join(map(pack, sorted(self.garbage_lines)))
+        return hashlib.sha256(blob).hexdigest()
 
 
 class RecoveryManager:

@@ -94,11 +94,8 @@ def shard_crash_image(
         else:
             data_lines, counters = journal.reconstruct(crash_ns, adr=True)
             adr_pending += journal.adr_pending(crash_ns)
-        for address, (payload, encrypted_with) in data_lines.items():
-            device.persist_line(address, payload, encrypted_with)
-        store_update = store.write
-        for address, value in counters.items():
-            store_update(address, value)
+        device.install(data_lines)
+        store.install(counters)
         if result.policy.integrity_tree:
             _, acked = journal.reconstruct(crash_ns, adr=True)
             covered.update(acked)

@@ -8,7 +8,7 @@ and writebacks therefore move eight counters at a time.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Mapping, Tuple
 
 from ..config import CACHE_LINE_SIZE, COUNTERS_PER_LINE
 from ..errors import AddressError, CounterOverflowError
@@ -78,6 +78,28 @@ class CounterStore:
                 "counter value %d out of range for line 0x%x" % (value, data_address)
             )
         self._counters[data_address & _LINE_MASK] = value
+
+    def install(self, counters: Mapping[int, int]) -> None:
+        """:meth:`write` for every ``data address -> counter value``.
+
+        Installs a whole reconstructed image with one ``dict.update``
+        instead of one call per slot.  On bad input it falls back to the
+        per-slot loop, so the first offending entry raises what
+        :meth:`write` raises.
+        """
+        if not counters:
+            return
+        values = counters.values()
+        if (
+            min(counters) < 0
+            or max(counters) >= self.counter_region_base
+            or min(values) < 0
+            or max(values) >= COUNTER_LIMIT
+        ):
+            for address, value in counters.items():
+                self.write(address, value)
+            return
+        self._counters.update(zip(map(_LINE_MASK.__and__, counters), values))
 
     def write_counter_line(self, data_address: int, values: Tuple[int, ...]) -> None:
         """Persist all eight counters of the counter line covering ``data_address``."""

@@ -15,9 +15,14 @@ from ..config import CACHE_LINE_SIZE, EncryptionConfig
 from ..errors import CryptoError
 from ..utils.accel import np as _np
 from .aes import AES128
-from .prf import SplitMixPRF
+from .prf import NP_BATCH_MIN, SplitMixPRF
 
 _SEED_BLOCK = struct.Struct("<QIHH")  # address, counter-low, counter-high, block index
+#: The counter bits a seed block keeps (counter-low and counter-high).
+_COUNTER_BITS = (1 << 48) - 1
+
+if _np is not None:
+    _U64 = _np.dtype("<u8")
 
 
 class BlockCipher(Protocol):
@@ -139,12 +144,9 @@ class OTPCipher:
         bytes, same pad-cache hit/miss/eviction accounting (duplicate
         misses within a batch count one miss then hits, exactly as
         sequential calls would) — but all missing pad blocks go through
-        the cipher as one batch, which is where the numpy-vectorized
-        AES rounds pay off.
+        the cipher as one batch (:meth:`_fresh_pads`).
         """
         cache = self._pad_cache
-        blocks_per_line = self._blocks_per_line
-        pack = _SEED_BLOCK.pack
         limit = self._pad_cache_limit
         # The cache mutation sequence (hit touches, evictions, insert
         # order) depends only on the keys, never on the pad bytes — so
@@ -155,7 +157,6 @@ class OTPCipher:
         # an int naming the slot a duplicate occurrence resolves to.
         results: List[Union[bytes, int, None]] = []
         missing: List[Tuple[int, Tuple[int, int], list]] = []
-        seeds: List[bytes] = []
         for key in keys:
             cached = cache.get(key)
             if cached is not None:
@@ -167,11 +168,6 @@ class OTPCipher:
                     results.append(cached)
                 continue
             self.pad_misses += 1
-            address, counter = key
-            counter_low = counter & 0xFFFFFFFF
-            counter_high = (counter >> 32) & 0xFFFF
-            for block_index in range(blocks_per_line):
-                seeds.append(pack(address, counter_low, counter_high, block_index))
             slot = len(results)
             placeholder = [slot]
             while len(cache) >= limit:
@@ -181,15 +177,8 @@ class OTPCipher:
             missing.append((slot, key, placeholder))
             results.append(None)
         if missing:
-            encrypt_batch = getattr(self._cipher, "encrypt_blocks", None)
-            if encrypt_batch is not None:
-                blocks = encrypt_batch(seeds)
-            else:
-                blocks = [self._cipher.encrypt_block(seed) for seed in seeds]
-            for index, (slot, key, placeholder) in enumerate(missing):
-                pad = b"".join(
-                    blocks[index * blocks_per_line : (index + 1) * blocks_per_line]
-                )
+            pads = self._fresh_pads([key for _slot, key, _placeholder in missing])
+            for (slot, key, placeholder), pad in zip(missing, pads):
                 if cache.get(key) is placeholder:
                     # In-place overwrite keeps the insertion-time LRU
                     # position; an evicted placeholder stays evicted.
@@ -198,6 +187,56 @@ class OTPCipher:
         # Resolve duplicate-miss placeholders (ints referencing slots).
         return [
             results[item] if isinstance(item, int) else item for item in results
+        ]
+
+    def _fresh_pads(self, keys: Sequence[Tuple[int, int]]) -> List[bytes]:
+        """The pads of ``keys``, all blocks through the cipher in one batch.
+
+        A cipher with ``encrypt_words`` (the PRF) takes batches of
+        :data:`~repro.crypto.prf.NP_BATCH_MIN` blocks or more straight
+        as uint64 lanes in :data:`_SEED_BLOCK`'s layout: ``lo`` is the
+        address, ``hi`` the low 48 counter bits with the block index
+        above them.  Every pad is then a slice of one output buffer.
+        Other ciphers (AES) and smaller batches get packed seed bytes.
+        """
+        blocks_per_line = self._blocks_per_line
+        line_size = self.line_size
+        encrypt_words = getattr(self._cipher, "encrypt_words", None)
+        if (
+            _np is not None
+            and encrypt_words is not None
+            and len(keys) * blocks_per_line >= NP_BATCH_MIN
+        ):
+            count = len(keys)
+            addresses = _np.fromiter(
+                [address for address, _counter in keys], dtype=_U64, count=count
+            )
+            counters = _np.fromiter(
+                [counter & _COUNTER_BITS for _address, counter in keys],
+                dtype=_U64,
+                count=count,
+            )
+            block_index = _np.arange(blocks_per_line, dtype=_U64) << _np.uint64(48)
+            out_lo, out_hi = encrypt_words(
+                _np.repeat(addresses, blocks_per_line),
+                (counters[:, None] | block_index).ravel(),
+            )
+            raw = _np.stack((out_lo, out_hi), axis=1).astype(_U64, copy=False).tobytes()
+            return [raw[start : start + line_size] for start in range(0, len(raw), line_size)]
+        pack = _SEED_BLOCK.pack
+        seeds = [
+            pack(address, counter & 0xFFFFFFFF, (counter >> 32) & 0xFFFF, block_index)
+            for address, counter in keys
+            for block_index in range(blocks_per_line)
+        ]
+        encrypt_batch = getattr(self._cipher, "encrypt_blocks", None)
+        if encrypt_batch is not None:
+            blocks = encrypt_batch(seeds)
+        else:
+            blocks = [self._cipher.encrypt_block(seed) for seed in seeds]
+        return [
+            b"".join(blocks[start : start + blocks_per_line])
+            for start in range(0, len(blocks), blocks_per_line)
         ]
 
     def encrypt_lines(
@@ -240,23 +279,19 @@ class OTPCipher:
     ) -> List[bytes]:
         """One vectorized XOR across every enciphered line of a batch."""
         line_size = self.line_size
-        texts: List[bytes] = []
-        slots: List[int] = []
-        out: List[Union[bytes, None]] = []
-        for _address, counter, text in items:
-            if counter == 0:
-                out.append(text)
-            else:
-                texts.append(text)
-                slots.append(len(out))
-                out.append(None)
-        if texts:
-            lhs = _np.frombuffer(b"".join(pads), dtype=_np.uint64)
-            rhs = _np.frombuffer(b"".join(texts), dtype=_np.uint64)
-            raw = (lhs ^ rhs).tobytes()
-            for index, slot in enumerate(slots):
-                out[slot] = raw[index * line_size : (index + 1) * line_size]
-        return out
+        texts = [text for _address, counter, text in items if counter != 0]
+        raw = (
+            _np.frombuffer(b"".join(pads), dtype=_np.uint64)
+            ^ _np.frombuffer(b"".join(texts), dtype=_np.uint64)
+        ).tobytes()
+        lines = [raw[start : start + line_size] for start in range(0, len(raw), line_size)]
+        if len(lines) == len(items):
+            return lines
+        # Counter-0 lines pass through in the clear, in their places.
+        enciphered = iter(lines)
+        return [
+            next(enciphered) if counter != 0 else text for _address, counter, text in items
+        ]
 
 
 def _xor(left: bytes, right: bytes) -> bytes:

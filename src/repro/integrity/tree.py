@@ -33,13 +33,14 @@ Phoenix observation that makes tree-node writes journal-free.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..config import CACHE_LINE_SIZE, COUNTERS_PER_LINE, EncryptionConfig
 from ..crypto.counter_cache import GROUP_SPAN
-from ..crypto.prf import SplitMixPRF, _splitmix64
+from ..crypto.prf import NP_BATCH_MIN, SplitMixPRF, _splitmix64, _splitmix64_words
 from ..errors import AddressError, ConfigurationError
 from ..nvm.address import AddressMap
+from ..utils.accel import np as _np
 from ..utils.bitops import align_down, is_power_of_two
 
 __all__ = ["IntegrityTreeEngine", "TreeNode", "derive_tree_key"]
@@ -54,6 +55,13 @@ _TWO_U64 = struct.Struct("<QQ")
 #: an interior digest over the same values.
 _LEAF_DOMAIN = 0x9D1B0F5B1E4C68A1
 _NODE_DOMAIN = 0x6E2A9C47D3B185F3
+
+#: Address bits below a line, and line-index bits below a leaf.
+_LINE_BITS = CACHE_LINE_SIZE.bit_length() - 1
+_SLOT_BITS = COUNTERS_PER_LINE.bit_length() - 1
+
+if _np is not None:
+    _U64 = _np.dtype("<u8")
 
 
 def derive_tree_key(config: EncryptionConfig) -> int:
@@ -81,6 +89,7 @@ class IntegrityTreeEngine:
         if not is_power_of_two(arity) or arity < 2:
             raise ConfigurationError("tree arity must be a power of two >= 2")
         self.arity = arity
+        self._arity_bits = arity.bit_length() - 1
         self.counter_region_base = address_map.counter_region_base
         self.counter_region_bytes = address_map.counter_region_bytes
         #: One leaf per data-line group (= per counter line).
@@ -187,17 +196,35 @@ class IntegrityTreeEngine:
         :meth:`repro.crypto.counters.CounterStore.snapshot` shape);
         absent lines implicitly hold 0.  The rebuild is sparse: only
         touched subtrees are hashed, everything else is a default.
+
+        With numpy loaded and at least :data:`~repro.crypto.prf.NP_BATCH_MIN`
+        leaf groups, the counters are grouped as arrays and each level is
+        hashed as uint64 lanes while it has that many nodes; the scalar
+        walk hashes the levels above.  Otherwise the scalar walk does it
+        all, and it stays the reference.
         """
+        if _np is not None and len(counters) >= NP_BATCH_MIN:
+            lanes = self._lane_levels(counters)
+            if lanes is not None:
+                return self._walk_up(*lanes)
+        return self._walk_up(0, self._leaf_digests(counters))
+
+    def _leaf_digests(self, counters: Mapping[int, int]) -> Dict[int, int]:
+        """Scalar grouping by leaf: ``{leaf index: leaf digest}``."""
         groups: Dict[int, List[int]] = {}
         for line_address, value in counters.items():
             group = align_down(line_address, GROUP_SPAN)
             slot = (line_address // CACHE_LINE_SIZE) % COUNTERS_PER_LINE
             groups.setdefault(group, [0] * COUNTERS_PER_LINE)[slot] = value
-        level_digests: Dict[int, int] = {}
-        for group, values in groups.items():
-            level_digests[self.leaf_index(group)] = self.leaf_digest(tuple(values))
+        return {
+            self.leaf_index(group): self.leaf_digest(tuple(values))
+            for group, values in groups.items()
+        }
+
+    def _walk_up(self, start: int, level_digests: Dict[int, int]) -> int:
+        """Scalar walk from level ``start``'s ``{node index: digest}`` to the root."""
         arity = self.arity
-        for level in range(1, self.levels + 1):
+        for level in range(start + 1, self.levels + 1):
             child_default = self._defaults[level - 1]
             parents: Dict[int, int] = {}
             for parent in {i // arity for i in level_digests}:
@@ -211,6 +238,64 @@ class IntegrityTreeEngine:
                 )
             level_digests = parents
         return level_digests.get(0, self._defaults[self.levels])
+
+    def _chain_lanes(self, domain: int, table):
+        """:meth:`_chain` down each column of a ``(width, nodes)`` uint64 table."""
+        state = _np.full(table.shape[1], _splitmix64(self._key ^ domain), dtype=_U64)
+        for row in table:
+            state = _splitmix64_words(state ^ row)
+        return state
+
+    def _lane_levels(
+        self, counters: Mapping[int, int]
+    ) -> Optional[Tuple[int, Dict[int, int]]]:
+        """Group ``counters`` by leaf and hash levels as uint64 lanes.
+
+        Each level is hashed as lanes while it has at least
+        ``NP_BATCH_MIN`` nodes.  Returns the last level hashed and its
+        ``{node index: digest}``, for :meth:`_walk_up` to finish; None
+        when the leaves are too few, or when an address or value does
+        not fit the lanes (the scalar path then hashes it or raises).
+        """
+        count = len(counters)
+        try:
+            addresses = _np.fromiter(counters, dtype=_np.int64, count=count)
+            digests = _np.fromiter(counters.values(), dtype=_U64, count=count)
+        except OverflowError:
+            return None
+        if addresses.min() < 0 or addresses.max() >= self.num_leaves * GROUP_SPAN:
+            return None
+        children = addresses >> _LINE_BITS
+        # Stable, so a line given twice (two addresses in one line) keeps
+        # mapping order; the last one wins, as in the scalar grouping.
+        order = _np.argsort(children, kind="stable")
+        children = children[order]
+        digests = digests[order]
+        last = _np.ones(count, dtype=bool)
+        last[:-1] = children[1:] != children[:-1]
+        children = children[last]
+        digests = digests[last]
+        # Level -1 is the counter slots: their parents are the leaves.
+        level = -1
+        bits, fill, domain = _SLOT_BITS, 0, _LEAF_DOMAIN
+        while level < self.levels:
+            parents = children >> bits
+            first = _np.ones(len(parents), dtype=bool)
+            first[1:] = parents[1:] != parents[:-1]
+            nodes = parents[first]
+            if len(nodes) < NP_BATCH_MIN:
+                break
+            # Column = parent, row = child position; absent children
+            # keep their level's default digest.
+            table = _np.full((1 << bits, len(nodes)), fill, dtype=_U64)
+            table[children & ((1 << bits) - 1), _np.cumsum(first) - 1] = digests
+            digests = self._chain_lanes(domain, table)
+            children = nodes
+            level += 1
+            bits, fill, domain = self._arity_bits, self._defaults[level], _NODE_DOMAIN
+        if level < 0:
+            return None
+        return level, dict(zip(children.tolist(), digests.tolist()))
 
     def rebuild(self, counters: Mapping[int, int]) -> int:
         """Reset the working tree to cover ``counters`` (Phoenix recovery).

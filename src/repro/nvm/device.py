@@ -15,7 +15,7 @@ counters and compares against ground truth to detect Eq.-4 failures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from ..config import CACHE_LINE_SIZE
 from ..errors import AddressError
@@ -26,7 +26,7 @@ _ZERO_LINE = bytes(CACHE_LINE_SIZE)
 _LINE_MASK = ~(CACHE_LINE_SIZE - 1)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class PersistedLine:
     """One line as stored in NVM: payload plus encryption ground truth."""
 
@@ -34,9 +34,13 @@ class PersistedLine:
     #: Counter used to encrypt ``payload`` (0 = stored in the clear).
     encrypted_with: int
 
-    def __post_init__(self) -> None:
-        if len(self.payload) != CACHE_LINE_SIZE:
+    def __init__(self, payload: bytes, encrypted_with: int) -> None:
+        # Hand-written so a persist costs one call, not __init__ plus
+        # __post_init__: every simulated write and image line builds one.
+        if len(payload) != CACHE_LINE_SIZE:
             raise AddressError("persisted lines are exactly %d bytes" % CACHE_LINE_SIZE)
+        self.payload = payload
+        self.encrypted_with = encrypted_with
 
 
 #: Shared image of an unwritten line: payload is immutable and callers
@@ -82,6 +86,37 @@ class NVMDevice:
         self._lines[line] = PersistedLine(data, encrypted_with)
         if self.wear is not None:
             self.wear.record_write(line)
+
+    def install(self, lines: Mapping[int, Tuple[Optional[bytes], int]]) -> None:
+        """:meth:`persist_line` for every ``address -> (payload, encrypted_with)``.
+
+        Installs a whole reconstructed image in a few passes instead of
+        one call per line, ending in the state and counts the per-line
+        loop leaves.  On bad input it falls back to that loop, so the
+        first offending entry raises what :meth:`persist_line` raises.
+        """
+        if not lines:
+            return
+        addresses = list(map(_LINE_MASK.__and__, lines))
+        payloads = [
+            _ZERO_LINE if payload is None else payload for payload, _ in lines.values()
+        ]
+        if (
+            min(addresses) < 0
+            or max(addresses) >= self._size
+            or set(map(len, payloads)) != {CACHE_LINE_SIZE}
+        ):
+            for address, (payload, encrypted_with) in lines.items():
+                self.persist_line(address, payload, encrypted_with)
+            return
+        self.line_writes += len(addresses)
+        if not self.crash_bookkeeping:
+            return
+        encrypted = [encrypted_with for _, encrypted_with in lines.values()]
+        self._lines.update(zip(addresses, map(PersistedLine, payloads, encrypted)))
+        if self.wear is not None:
+            for line in addresses:
+                self.wear.record_write(line)
 
     def read_line(self, address: int) -> PersistedLine:
         """Fetch one line; unwritten lines read as zeroes in the clear."""

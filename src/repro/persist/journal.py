@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..config import CACHE_LINE_SIZE
@@ -65,28 +66,6 @@ class JournalRecord:
     single_slot: bool = False
     partner_id: Optional[int] = None
     amendments: List[_Amendment] = field(default_factory=list)
-
-    def persists_at(self, crash_ns: float, adr: bool = True) -> bool:
-        """Does this record survive a failure at ``crash_ns``?"""
-        if self.drain_ns <= crash_ns:
-            return True
-        if adr and self.ready_ns <= crash_ns:
-            return True
-        return False
-
-    def effective_values(self, crash_ns: float) -> _Amendment:
-        """Payload/counters as of ``crash_ns`` (latest applicable amendment)."""
-        chosen = _Amendment(
-            effective_ns=self.accept_ns,
-            payload=self.payload,
-            encrypted_with=self.encrypted_with,
-            group_base=self.group_base,
-            counters=self.counters,
-        )
-        for amendment in self.amendments:
-            if amendment.effective_ns <= crash_ns:
-                chosen = amendment
-        return chosen
 
 
 @dataclass(slots=True)
@@ -272,32 +251,36 @@ class PersistJournal:
         data_lines: Dict[int, Tuple[Optional[bytes], int]] = {}
         counters: Dict[int, int] = {}
         adr_drained = 0
+        data_kind = JournalKind.DATA
         values: Union[JournalRecord, _Amendment]
+        # One pass with the persist rule inline: this runs for every
+        # record of every crash image a campaign or recovery builds.
         for record in self.records:
-            if not record.persists_at(crash_ns, adr=adr):
-                continue
-            if (
-                adr_budget is not None
-                and record.drain_ns > crash_ns  # persists via ADR only
-            ):
-                if adr_drained >= adr_budget:
+            if record.drain_ns > crash_ns:
+                # Not in the array: only the ADR drain can save it.
+                if not adr or record.ready_ns > crash_ns:
                     continue
-                adr_drained += 1
-            # A record without amendments carries its own values, under
-            # the same field names as an amendment.
-            values = record.effective_values(crash_ns) if record.amendments else record
-            if record.kind is JournalKind.DATA:
+                if adr_budget is not None:
+                    if adr_drained >= adr_budget:
+                        continue
+                    adr_drained += 1
+            # The latest amendment in effect by the crash, else the
+            # record's own values (same field names as an amendment).
+            values = record
+            for amendment in record.amendments:
+                if amendment.effective_ns <= crash_ns:
+                    values = amendment
+            if record.kind is data_kind:
                 data_lines[record.address] = (values.payload, values.encrypted_with)
+                continue
+            group_base = values.group_base
+            line_counters = values.counters
+            if group_base is None or line_counters is None:
+                raise SimulationError("counter record without counter values")
+            if record.single_slot:
+                counters[group_base] = line_counters[0]
             else:
-                group_base = values.group_base
-                line_counters = values.counters
-                if group_base is None or line_counters is None:
-                    raise SimulationError("counter record without counter values")
-                if record.single_slot:
-                    counters[group_base] = line_counters[0]
-                else:
-                    for slot, value in enumerate(line_counters):
-                        counters[group_base + slot * CACHE_LINE_SIZE] = value
+                counters.update(zip(count(group_base, CACHE_LINE_SIZE), line_counters))
         return data_lines, counters
 
     def adr_pending(self, crash_ns: float) -> int:
@@ -306,11 +289,11 @@ class PersistJournal:
         This is the drain work the ADR reserve must fund; a budget below
         this number loses writes (see ``reconstruct``).
         """
-        return sum(
-            1
-            for record in self.records
-            if record.ready_ns <= crash_ns < record.drain_ns
-        )
+        pending = 0
+        for record in self.records:
+            if record.ready_ns <= crash_ns < record.drain_ns:
+                pending += 1
+        return pending
 
     # -- introspection -----------------------------------------------------------
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import CACHE_LINE_SIZE
@@ -253,17 +254,24 @@ class PrefixValidator:
     ) -> None:
         self.run = run
         self.txn_end_times = list(txn_end_times) if txn_end_times is not None else None
-        self._prefix_states = self._build_prefix_states()
+        self._tracked = sorted(run.tracked_lines())
+        self._prefix_of = self._index_prefixes()
 
-    def _build_prefix_states(self) -> List[Dict[int, bytes]]:
-        states: List[Dict[int, bytes]] = []
-        current = dict(self.run.initial_image)
-        states.append(dict(current))
-        for txn in self.run.history:
+    def _index_prefixes(self) -> Dict[Tuple[bytes, ...], int]:
+        """Each reachable tuple of tracked-line values -> its largest prefix.
+
+        The history is walked once; a state the run returns to keeps
+        the later (larger) prefix index, as the descending scan did.
+        """
+        position = {line: index for index, line in enumerate(self._tracked)}
+        initial = self.run.initial_image
+        state = [initial.get(line, _ZERO_LINE) for line in self._tracked]
+        prefix_of = {tuple(state): 0}
+        for index, txn in enumerate(self.run.history, 1):
             for line, _old, new in txn.writes:
-                current[line] = new
-            states.append(dict(current))
-        return states
+                state[position[line]] = new
+            prefix_of[tuple(state)] = index
+        return prefix_of
 
     def _min_required_prefix(self, crash_ns: float) -> int:
         if self.txn_end_times is None:
@@ -311,26 +319,20 @@ class PrefixValidator:
             verdict.detected.append("recovery failed: %s" % failure)
             return verdict
 
-        tracked = sorted(run.tracked_lines())
-        recovered_values = {}
-        for line in tracked:
-            try:
-                recovered_values[line] = recovered.read(line, CACHE_LINE_SIZE)
-            except DecryptionFailure:
-                verdict.detected.append(
-                    "tracked line 0x%x undecryptable after recovery" % line
-                )
-        if verdict.detected:
-            return verdict
-
-        for j in range(len(self._prefix_states) - 1, -1, -1):
-            state = self._prefix_states[j]
-            if all(
-                recovered_values[line] == state.get(line, _ZERO_LINE)
+        # Tracked lines are line-aligned, so each is one plaintext line.
+        tracked = self._tracked
+        garbage = recovered.garbage_lines
+        if not garbage.isdisjoint(tracked):
+            verdict.detected.extend(
+                "tracked line 0x%x undecryptable after recovery" % line
                 for line in tracked
-            ):
-                verdict.matched_prefix = j
-                break
+                if line in garbage
+            )
+            return verdict
+        plaintext = recovered.plaintext_lines
+        verdict.matched_prefix = self._prefix_of.get(
+            tuple(map(plaintext.get, tracked, repeat(_ZERO_LINE)))
+        )
         if verdict.matched_prefix is not None and verdict.matched_prefix >= minimum:
             verdict.consistent = True
             return verdict

@@ -2,10 +2,21 @@
 
 import pytest
 
-from repro.config import fast_config
-from repro.crash.injector import CrashInjector, uniform_sample
+from repro.bench.harness import run_workload
+from repro.config import KB, fast_config
+from repro.crash.injector import (
+    CrashInjector,
+    nested_crash_image,
+    tag_data_lines,
+    uniform_sample,
+)
+from repro.crypto.counters import CounterStore
+from repro.crypto.integrity import IntegrityEngine
+from repro.integrity.tree import IntegrityTreeEngine
+from repro.nvm.device import NVMDevice
 from repro.sim.machine import Machine
 from repro.sim.trace import TraceBuilder
+from repro.workloads.base import WorkloadParams
 
 
 def run_simple(design="sca", lines=4):
@@ -62,6 +73,72 @@ class TestCrashImages:
         image = injector.crash_at(result.stats.runtime_ns + 1e6)
         image.device.persist_line(0x9000, bytes(64))
         assert not result.controller.device.contains_line(0x9000)
+
+
+def per_line_image(result, crash_ns, adr=True, adr_budget=None):
+    """The image ``crash_at`` builds, installed one line and slot at a time.
+
+    Returns ``(device, store, secure_root, line_tags)``; the last two are
+    None unless the design keeps an integrity tree.
+    """
+    journal = result.controller.journal
+    address_map = result.controller.address_map
+    data_lines, counters = journal.reconstruct(crash_ns, adr=adr, adr_budget=adr_budget)
+    device = NVMDevice(address_map, track_wear=False)
+    for address, (payload, encrypted_with) in data_lines.items():
+        device.persist_line(address, payload, encrypted_with)
+    device.line_writes = 0
+    store = CounterStore(
+        counter_region_base=address_map.counter_region_base,
+        memory_size_bytes=address_map.memory_size_bytes,
+    )
+    for address, value in counters.items():
+        store.write(address, value)
+    if not result.policy.integrity_tree:
+        return device, store, None, None
+    _, covered = journal.reconstruct(crash_ns)
+    tree = IntegrityTreeEngine(
+        result.config.encryption, address_map, arity=result.config.integrity.arity
+    )
+    tags = tag_data_lines(device, IntegrityEngine(result.config.encryption))
+    return device, store, tree.root_over(covered), tags
+
+
+class TestBulkImageBuild:
+    """Every crash image equals the per-line build, state for state."""
+
+    @pytest.mark.parametrize("design", ["sca", "fca", "co-located-cc", "sca+bmt"])
+    def test_images_match_per_line_build(self, design):
+        outcome = run_workload(
+            design, "hash", params=WorkloadParams(operations=12, footprint_bytes=16 * KB)
+        )
+        result = outcome.result
+        injector = CrashInjector(result)
+        times = injector.interesting_times(limit=12) + injector.midpoint_times(limit=6)
+        for crash_ns in times:
+            for adr, budget in ((True, None), (False, None), (True, 1)):
+                image = injector.crash_at(crash_ns, adr=adr, adr_budget=budget)
+                device, store, root, tags = per_line_image(result, crash_ns, adr, budget)
+                assert image.device.get_state() == device.get_state()
+                assert image.counter_store.get_state() == store.get_state()
+                assert (image.secure_root, image.line_tags) == (root, tags)
+
+    def test_nested_image_copies_the_base_image(self):
+        outcome = run_workload(
+            "sca+bmt", "hash", params=WorkloadParams(operations=12, footprint_bytes=16 * KB)
+        )
+        result = outcome.result
+        injector = CrashInjector(result)
+        image = injector.crash_at(result.stats.runtime_ns / 2)
+        nested = nested_crash_image(image, {}, result.config)
+        device = NVMDevice(image.address_map, track_wear=False)
+        for address in image.device.touched_lines():
+            stored = image.device.read_line(address)
+            device.persist_line(address, stored.payload, stored.encrypted_with)
+        device.line_writes = 0
+        assert nested.device.get_state() == device.get_state()
+        assert nested.counter_store.get_state() == image.counter_store.get_state()
+        assert nested.secure_root == image.secure_root
 
 
 class TestCrashPointEnumeration:

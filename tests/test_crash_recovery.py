@@ -1,5 +1,6 @@
 """Tests for post-crash decryption and the recovered-memory view."""
 
+import hashlib
 from functools import lru_cache
 
 import pytest
@@ -7,12 +8,13 @@ import pytest
 from repro.bench.harness import run_workload
 from repro.config import KB, fast_config
 from repro.crash.injector import CrashInjector
-from repro.crash.recovery import RecoveryManager
+from repro.crash.recovery import RecoveredMemory, RecoveryManager
 from repro.crypto.otp import OTPCipher, make_block_cipher
 from repro.errors import DecryptionFailure
 from repro.faults.registry import make_fault_model
 from repro.sim.machine import Machine
 from repro.sim.trace import TraceBuilder
+from repro.utils.bitops import u64_to_bytes
 from repro.workloads.base import WorkloadParams
 
 
@@ -178,3 +180,42 @@ class TestCrashTiming:
         image = injector.crash_at(1.0)  # before any writeback
         recovered = RecoveryManager(result.config.encryption).recover(image)
         assert recovered.read_u64(0x1000) == 0
+
+
+def per_update_fingerprint(recovered):
+    """The fingerprint as one ``update`` per address, line and garbage entry."""
+    digest = hashlib.sha256()
+    for address in sorted(recovered.plaintext_lines):
+        digest.update(u64_to_bytes(address))
+        digest.update(recovered.plaintext_lines[address])
+    digest.update(b"|garbage|")
+    for address in sorted(recovered.garbage_lines):
+        digest.update(u64_to_bytes(address))
+    return digest.hexdigest()
+
+
+class TestFingerprint:
+    def test_pinned_and_equal_to_the_per_update_hash(self):
+        lines = {
+            0x1000: bytes(range(64)),
+            0x40: b"\xff" * 64,
+            0x7FC0: bytes(64),
+            0xFFFF_FFFF_FFC0: b"\x5a" * 64,
+        }
+        recovered = RecoveredMemory(
+            image=None, plaintext_lines=lines, garbage_lines={0x7FC0, 0x2000}
+        )
+        assert recovered.fingerprint() == per_update_fingerprint(recovered)
+        assert recovered.fingerprint() == (
+            "0357f1fffab2079af33441eda13d23592d390fc935bf7e2dafec5d98d9add42a"
+        )
+        empty = RecoveredMemory(image=None, plaintext_lines={}, garbage_lines=set())
+        assert empty.fingerprint() == per_update_fingerprint(empty)
+
+    def test_recovered_image_matches_the_per_update_hash(self):
+        result = run_trace("sca", flushed_writes)
+        recovered = RecoveryManager(result.config.encryption).recover(
+            CrashInjector(result).crash_at(result.stats.runtime_ns + 1e6)
+        )
+        recovered.garbage_lines.add(0x2000)
+        assert recovered.fingerprint() == per_update_fingerprint(recovered)

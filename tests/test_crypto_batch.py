@@ -195,6 +195,32 @@ class TestBatchedOTP:
         assert pad_cache_state(batched) == pad_cache_state(sequential)
 
     @pytest.mark.parametrize("cipher_name", ["aes", "prf"])
+    @pytest.mark.parametrize("evict", [False, True])
+    @pytest.mark.parametrize("misses", [7, 8, 9])
+    def test_pads_many_either_side_of_the_lane_threshold(self, cipher_name, misses, evict):
+        """7, 8 and 9 missing pads are 28, 32 and 36 PRF blocks, either side
+        of NP_BATCH_MIN: below it the seeds are packed bytes, from it up
+        they go to the PRF as uint64 lanes.  Duplicates, warm hits and
+        evictions of warm pads ride along; counters at and above 2**48
+        check the seed layout's 48-bit counter field."""
+        counters = [1, (1 << 48) - 1, (1 << 48) + 3, 1 << 32, 0xFFFFFFFF, 2, 3, 4, 5]
+        fresh = [((i * 977 + 3) * 64, counters[i]) for i in range(misses)]
+        fresh[-1] = ((1 << 58) - 64, fresh[-1][1])
+        warm = [((1 << 30) + i * 64, 9) for i in range(4)]
+        keys = [warm[-1]] + fresh[:3] + [fresh[0]] + fresh[3:] + [fresh[-1], warm[-1], fresh[1]]
+        # Room for the batch plus one: the probe evicts the three older warm pads.
+        limit = misses + 1 if evict else None
+        batched = make_otp(cipher_name, limit)
+        sequential = make_otp(cipher_name, limit)
+        for cipher in (batched, sequential):
+            for address, counter in warm:
+                cipher.pad(address, counter)
+        assert batched.pads_many(keys) == [sequential.pad(a, c) for a, c in keys]
+        assert pad_cache_state(batched) == pad_cache_state(sequential)
+        assert batched.pad_misses == len(warm) + misses
+        assert batched.pad_evictions == (3 if evict else 0)
+
+    @pytest.mark.parametrize("cipher_name", ["aes", "prf"])
     @given(items=ITEMS)
     @settings(max_examples=40, deadline=None)
     def test_encrypt_lines_matches_scalar(self, cipher_name, items):

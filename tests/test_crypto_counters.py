@@ -1,5 +1,7 @@
 """Tests for the architectural counter store and address mapping."""
 
+import random
+
 import pytest
 
 from repro.config import CACHE_LINE_SIZE
@@ -96,3 +98,51 @@ class TestCounterLines:
         store.write(0x100, 1)
         store.write(0x40, 1)
         assert list(store.touched_lines()) == [0x40, 0x100]
+
+
+def per_slot(store, counters):
+    """The reference install: one ``write`` per entry."""
+    for address, value in counters.items():
+        store.write(address, value)
+
+
+class TestBulkInstall:
+    """``install`` against a ``write`` per entry."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_slot_writes(self, seed):
+        rng = random.Random(seed)
+        # Offset 8 puts a second address in a line: the later value wins.
+        counters = {}
+        for _ in range(200):
+            line = rng.randrange(0, BASE // CACHE_LINE_SIZE) * CACHE_LINE_SIZE
+            value = rng.choice((0, 1, COUNTER_LIMIT - 1, rng.randrange(COUNTER_LIMIT)))
+            counters[line + rng.choice((0, 0, 8))] = value
+        bulk = CounterStore(counter_region_base=BASE, memory_size_bytes=SIZE)
+        reference = CounterStore(counter_region_base=BASE, memory_size_bytes=SIZE)
+        for store in (bulk, reference):
+            store.write(0x40, 5)  # pre-existing slot
+        bulk.install(counters)
+        per_slot(reference, counters)
+        assert bulk.get_state() == reference.get_state()
+        assert list(bulk.snapshot()) == list(reference.snapshot())
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ({BASE: 1}, AddressError),
+            ({-CACHE_LINE_SIZE: 1}, AddressError),
+            ({0x80: COUNTER_LIMIT}, CounterOverflowError),
+            ({0x80: -1}, CounterOverflowError),
+        ],
+    )
+    def test_bad_entry_raises_what_write_raises(self, bad, error):
+        counters = {0x40: 1, **bad, 0xC0: 2}
+        bulk = CounterStore(counter_region_base=BASE, memory_size_bytes=SIZE)
+        reference = CounterStore(counter_region_base=BASE, memory_size_bytes=SIZE)
+        with pytest.raises(error) as raised:
+            bulk.install(counters)
+        with pytest.raises(error) as expected:
+            per_slot(reference, counters)
+        assert str(raised.value) == str(expected.value)
+        assert bulk.get_state() == reference.get_state()

@@ -1,12 +1,18 @@
 """Unit tests for the Bonsai tree engine and the tree-node cache."""
 
+import random
+
 import pytest
 
 from repro.config import CACHE_LINE_SIZE, COUNTERS_PER_LINE, EncryptionConfig
 from repro.crypto.counter_cache import GROUP_SPAN
+from repro.crypto.prf import NP_BATCH_MIN
 from repro.errors import AddressError, ConfigurationError
 from repro.integrity import IntegrityTreeEngine, TreeNodeCache, derive_tree_key
+from repro.integrity import tree as tree_module
 from repro.nvm.address import AddressMap
+
+MAX_COUNTER = (1 << 48) - 1
 
 
 def make_engine(memory_kb=64, arity=COUNTERS_PER_LINE):
@@ -117,6 +123,105 @@ class TestTreeEngine:
                 make_engine(arity=arity)
         wide = make_engine(arity=16)
         assert wide.levels >= 1
+
+
+def incremental_root(fresh, counters):
+    """Reference root: one ``update_group`` per group on the ``fresh`` engine.
+
+    Groups the mapping the way ``root_over`` does: absent slots hold 0
+    and a line given twice keeps the later value.
+    """
+    groups = {}
+    for address, value in counters.items():
+        slot = (address // CACHE_LINE_SIZE) % COUNTERS_PER_LINE
+        groups.setdefault(address - address % GROUP_SPAN, [0] * COUNTERS_PER_LINE)[slot] = value
+    for base, values in groups.items():
+        fresh.update_group(base, tuple(values))
+    return fresh.root
+
+
+def spread_counters(engine, groups, seed):
+    """``groups`` leaf groups across the whole region, first and last leaf
+    included (distant subtrees), counters 0 and 2**48-1 among the values,
+    in shuffled mapping order."""
+    rng = random.Random(seed)
+    leaves = set(rng.sample(range(1, engine.num_leaves - 1), max(0, groups - 2)))
+    leaves |= {0, engine.num_leaves - 1}
+    leaves = sorted(leaves)[:groups]
+    items = []
+    for leaf in leaves:
+        for slot in rng.sample(range(COUNTERS_PER_LINE), rng.randint(1, COUNTERS_PER_LINE)):
+            value = rng.choice((0, MAX_COUNTER, rng.randrange(1, MAX_COUNTER)))
+            items.append((leaf * GROUP_SPAN + slot * CACHE_LINE_SIZE, value))
+    rng.shuffle(items)
+    return dict(items)
+
+
+def scalar_root(engine, counters, monkeypatch):
+    """``root_over`` with the numpy lanes switched off: the scalar walk."""
+    with monkeypatch.context() as patch:
+        patch.setattr(tree_module, "_np", None)
+        return engine.root_over(counters)
+
+
+class TestRootOverLanes:
+    """``root_over`` is one root whichever way each level is hashed.
+
+    With numpy, levels of at least ``NP_BATCH_MIN`` nodes are hashed as
+    uint64 lanes; the scalar walk and a per-group ``update_group``
+    replay are the references.  Without numpy all three are scalar.
+    """
+
+    @pytest.mark.parametrize("arity", [2, COUNTERS_PER_LINE])
+    @pytest.mark.parametrize(
+        "groups", [0, 1, NP_BATCH_MIN - 1, NP_BATCH_MIN, NP_BATCH_MIN + 1, 1000]
+    )
+    def test_lanes_match_scalar_walk(self, groups, arity, monkeypatch):
+        engine = make_engine(memory_kb=4096, arity=arity)
+        counters = spread_counters(engine, groups, seed=groups * 7 + arity)
+        root = engine.root_over(counters)
+        assert root == scalar_root(engine, counters, monkeypatch)
+        assert root == incremental_root(make_engine(memory_kb=4096, arity=arity), counters)
+
+    def test_extreme_counters_in_every_slot(self, monkeypatch):
+        engine = make_engine(memory_kb=1024)
+        for value in (0, MAX_COUNTER):
+            counters = {
+                leaf * GROUP_SPAN + slot * CACHE_LINE_SIZE: value
+                for leaf in range(0, engine.num_leaves, 17)
+                for slot in range(COUNTERS_PER_LINE)
+            }
+            root = engine.root_over(counters)
+            assert root == scalar_root(engine, counters, monkeypatch)
+            assert root == incremental_root(make_engine(memory_kb=1024), counters)
+
+    def test_values_beyond_uint64_take_the_scalar_walk(self, monkeypatch):
+        engine = make_engine(memory_kb=1024)
+        counters = spread_counters(engine, 40, seed=9)
+        first, second = list(counters)[:2]
+        counters[first] = -1
+        counters[second] = (1 << 70) + 5
+        assert engine.root_over(counters) == scalar_root(engine, counters, monkeypatch)
+
+    def test_line_given_twice_keeps_the_later_value(self, monkeypatch):
+        engine = make_engine(memory_kb=1024)
+        counters = spread_counters(engine, 40, seed=3)
+        first = next(iter(counters))
+        counters[first + 8] = 12345  # same line, later in mapping order
+        root = engine.root_over(counters)
+        assert root == scalar_root(engine, counters, monkeypatch)
+        assert root == incremental_root(make_engine(memory_kb=1024), counters)
+
+    @pytest.mark.parametrize("outside", [-CACHE_LINE_SIZE, "end"])
+    def test_address_outside_the_region_raises_on_both_paths(self, outside, monkeypatch):
+        engine = make_engine(memory_kb=1024)
+        counters = spread_counters(engine, 40, seed=5)
+        address = engine.num_leaves * GROUP_SPAN if outside == "end" else outside
+        counters[address] = 1
+        with pytest.raises(AddressError):
+            engine.root_over(counters)
+        with pytest.raises(AddressError):
+            scalar_root(engine, counters, monkeypatch)
 
 
 class TestTreeNodeCache:

@@ -1,5 +1,7 @@
 """Tests for the persistent NVM byte store."""
 
+import random
+
 import pytest
 
 from repro.config import CACHE_LINE_SIZE, MB
@@ -83,3 +85,66 @@ class TestWearIntegration:
         device = NVMDevice(AddressMap(memory_size_bytes=64 * MB), track_wear=False)
         device.persist_line(0x40, LINE)
         assert device.wear is None
+
+
+def per_line(device, lines):
+    """The reference install: one ``persist_line`` per entry."""
+    for address, (payload, encrypted_with) in lines.items():
+        device.persist_line(address, payload, encrypted_with)
+
+
+def random_image(seed, count=60):
+    rng = random.Random(seed)
+    lines = {}
+    for _ in range(count):
+        address = rng.randrange(0, 1024) * CACHE_LINE_SIZE + rng.choice((0, 0, 8, 63))
+        payload = None if rng.random() < 0.1 else bytes([rng.randrange(256)]) * CACHE_LINE_SIZE
+        lines[address] = (payload, rng.randrange(0, 1 << 20))
+    return lines
+
+
+class TestBulkInstall:
+    """``install`` against a ``persist_line`` per entry."""
+
+    @pytest.mark.parametrize("track_wear", [False, True])
+    @pytest.mark.parametrize("bookkeeping", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_line_persists(self, seed, track_wear, bookkeeping):
+        # Addresses inside one line (offsets 8, 63) share it: the later wins.
+        lines = random_image(seed)
+        devices = []
+        for install in (True, False):
+            device = NVMDevice(AddressMap(memory_size_bytes=64 * MB), track_wear=track_wear)
+            device.crash_bookkeeping = bookkeeping
+            device.persist_line(0x40, LINE, encrypted_with=9)  # pre-existing line
+            if install:
+                device.install(lines)
+            else:
+                per_line(device, lines)
+            devices.append(device)
+        bulk, reference = devices
+        assert bulk.get_state() == reference.get_state()
+
+    def test_empty_mapping_is_a_no_op(self, device):
+        device.install({})
+        assert device.get_state() == NVMDevice(AddressMap(memory_size_bytes=64 * MB)).get_state()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {64 * MB: (LINE, 1)},
+            {-CACHE_LINE_SIZE: (LINE, 1)},
+            {0x80: (b"short", 1)},
+            {0x80: (LINE + b"x", 1)},
+        ],
+    )
+    def test_bad_entry_raises_what_persist_line_raises(self, bad):
+        lines = {0x40: (LINE, 1), **bad, 0xC0: (LINE, 2)}
+        bulk = NVMDevice(AddressMap(memory_size_bytes=64 * MB))
+        reference = NVMDevice(AddressMap(memory_size_bytes=64 * MB))
+        with pytest.raises(AddressError) as raised:
+            bulk.install(lines)
+        with pytest.raises(AddressError) as expected:
+            per_line(reference, lines)
+        assert str(raised.value) == str(expected.value)
+        assert bulk.get_state() == reference.get_state()

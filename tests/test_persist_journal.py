@@ -150,25 +150,42 @@ class TestFinalImage:
 
 
 def reference_reconstruct(journal, crash_ns, adr=True, adr_budget=None):
-    """Replay through ``persists_at``/``effective_values`` for every record."""
+    """Replay record by record: does it persist, and with which values?"""
     data, counters = {}, {}
     adr_drained = 0
     for record in journal.records:
-        if not record.persists_at(crash_ns, adr=adr):
+        # persists_at: in the array, or ready and drained by ADR.
+        if not (record.drain_ns <= crash_ns or (adr and record.ready_ns <= crash_ns)):
             continue
         if adr_budget is not None and record.drain_ns > crash_ns:
             if adr_drained >= adr_budget:
                 continue
             adr_drained += 1
-        values = record.effective_values(crash_ns)
+        # effective_values: the latest amendment in effect, else the record.
+        values = (record.payload, record.encrypted_with, record.group_base, record.counters)
+        for amendment in record.amendments:
+            if amendment.effective_ns <= crash_ns:
+                values = (
+                    amendment.payload,
+                    amendment.encrypted_with,
+                    amendment.group_base,
+                    amendment.counters,
+                )
+        payload, encrypted_with, group_base, line_counters = values
         if record.kind is JournalKind.DATA:
-            data[record.address] = (values.payload, values.encrypted_with)
+            data[record.address] = (payload, encrypted_with)
         elif record.single_slot:
-            counters[values.group_base] = values.counters[0]
+            counters[group_base] = line_counters[0]
         else:
-            for slot, value in enumerate(values.counters):
-                counters[values.group_base + slot * CACHE_LINE_SIZE] = value
+            for slot, value in enumerate(line_counters):
+                counters[group_base + slot * CACHE_LINE_SIZE] = value
     return data, counters
+
+
+def reference_adr_pending(journal, crash_ns):
+    return sum(
+        1 for record in journal.records if record.ready_ns <= crash_ns < record.drain_ns
+    )
 
 
 #: One journal write: (is_counter, line, accept, ready delta, drain
@@ -234,9 +251,14 @@ class TestReconstructionProperties:
         """Records with and without amendments, with and without ADR and
         an ADR budget: reconstruction equals the per-record replay."""
         journal = build_journal(writes)
-        assert journal.reconstruct(crash, adr=adr, adr_budget=adr_budget) == (
-            reference_reconstruct(journal, crash, adr=adr, adr_budget=adr_budget)
+        data, counters = journal.reconstruct(crash, adr=adr, adr_budget=adr_budget)
+        ref_data, ref_counters = reference_reconstruct(
+            journal, crash, adr=adr, adr_budget=adr_budget
         )
+        # Insertion order too: crash images install lines in this order.
+        assert list(data.items()) == list(ref_data.items())
+        assert list(counters.items()) == list(ref_counters.items())
+        assert journal.adr_pending(crash) == reference_adr_pending(journal, crash)
 
     @given(
         st.lists(

@@ -8,7 +8,7 @@ from repro.bench.harness import run_workload
 from repro.config import CACHE_LINE_SIZE, KB
 from repro.crash.injector import CrashInjector
 from repro.crash.recovery import RecoveryManager
-from repro.errors import WorkloadError
+from repro.errors import DecryptionFailure, WorkloadError
 from repro.workloads.base import (
     PrefixValidator,
     RecordedTxn,
@@ -18,6 +18,7 @@ from repro.workloads.base import (
 )
 
 PARAMS = WorkloadParams(operations=6, footprint_bytes=8 * KB)
+ZERO = bytes(CACHE_LINE_SIZE)
 
 
 def final_recovered(outcome):
@@ -83,6 +84,151 @@ class TestPrefixValidator:
         for txn in run.history:
             for line, _old, _new in txn.writes:
                 assert line in tracked
+
+
+def reference_verdict(run, recovered):
+    """The descending scan the keyed lookup replaced.
+
+    Returns ``(detected, matched_prefix)``: every tracked line read
+    strictly, then the largest prefix whose state equals them all.
+    """
+    tracked = sorted(run.tracked_lines())
+    values, detected = {}, []
+    for line in tracked:
+        try:
+            values[line] = recovered.read(line, CACHE_LINE_SIZE)
+        except DecryptionFailure:
+            detected.append("tracked line 0x%x undecryptable after recovery" % line)
+    if detected:
+        return detected, None
+    states = [dict(run.initial_image)]
+    for txn in run.history:
+        state = dict(states[-1])
+        for line, _old, new in txn.writes:
+            state[line] = new
+        states.append(state)
+    for j in range(len(states) - 1, -1, -1):
+        if all(values[line] == states[j].get(line, ZERO) for line in tracked):
+            return [], j
+    return [], None
+
+
+def synthetic_run(base, history, initial=None):
+    return WorkloadRun(
+        name="synthetic",
+        arena=base.arena,
+        initial_image=dict(initial or {}),
+        history=history,
+        final_model=base.final_model,
+        mechanism="undo",
+        operations=len(history),
+    )
+
+
+def seeded_history(rng, lines, transactions, pool):
+    """Random writes drawn from a small value pool, so states recur."""
+    state, history = {}, []
+    for index in range(transactions):
+        writes = []
+        for line in sorted(rng.sample(lines, rng.randint(1, len(lines)))):
+            old = state.get(line, ZERO)
+            new = rng.choice(pool)
+            if new != old:
+                writes.append((line, old, new))
+                state[line] = new
+        history.append(RecordedTxn(index=index, writes=writes))
+    return history
+
+
+def set_tracked(recovered, lines, state, rng):
+    """Make ``lines`` read as ``state``; zero lines are dropped or stored."""
+    for line in lines:
+        value = state.get(line, ZERO)
+        if value == ZERO and rng.random() < 0.5:
+            recovered.plaintext_lines.pop(line, None)
+        else:
+            recovered.plaintext_lines[line] = value
+
+
+@pytest.fixture(scope="module")
+def base_outcome():
+    return run_workload("sca", "array", params=PARAMS)
+
+
+class TestKeyedPrefixVerdict:
+    """``classify`` against the descending ``all(...)`` scan."""
+
+    def lines_beyond(self, recovered, count):
+        start = (max(recovered.plaintext_lines) // CACHE_LINE_SIZE + 64) * CACHE_LINE_SIZE
+        return [start + i * CACHE_LINE_SIZE for i in range(count)]
+
+    def assert_same_verdict(self, run, recovered, end_times=None):
+        verdict = PrefixValidator(run, txn_end_times=end_times).classify(recovered)
+        detected, matched = reference_verdict(run, recovered)
+        assert verdict.detected == detected
+        assert verdict.matched_prefix == matched
+        return verdict
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_histories(self, base_outcome, seed):
+        rng = random.Random(seed)
+        recovered = final_recovered(base_outcome)
+        lines = self.lines_beyond(recovered, rng.randint(1, 6))
+        pool = [ZERO, b"\x01" * CACHE_LINE_SIZE, b"\x02" * CACHE_LINE_SIZE]
+        history = seeded_history(rng, lines, rng.randint(1, 30), pool)
+        initial = {lines[0]: pool[2]} if seed % 2 else {}
+        run = synthetic_run(base_outcome.runs[0], history, initial)
+        end_times = sorted(rng.uniform(0, 100) for _ in history)
+        recovered.image.crash_ns = 50.0
+        state = dict(initial)
+        states = [dict(state)]
+        for txn in history:
+            for line, _old, new in txn.writes:
+                state[line] = new
+            states.append(dict(state))
+        for probe in states + [
+            {line: rng.choice(pool + [b"\x03" * CACHE_LINE_SIZE]) for line in lines}
+            for _ in range(5)
+        ]:
+            set_tracked(recovered, lines, probe, rng)
+            verdict = self.assert_same_verdict(run, recovered, end_times)
+            assert verdict.matched_prefix is not None or probe not in states
+
+    def test_state_revisited_matches_the_largest_prefix(self, base_outcome):
+        recovered = final_recovered(base_outcome)
+        (line,) = self.lines_beyond(recovered, 1)
+        one = b"\x01" * CACHE_LINE_SIZE
+        history = [
+            RecordedTxn(index=0, writes=[(line, ZERO, one)]),
+            RecordedTxn(index=1, writes=[(line, one, ZERO)]),  # prefix 2 == prefix 0
+            RecordedTxn(index=2, writes=[(line, ZERO, one)]),
+        ]
+        run = synthetic_run(base_outcome.runs[0], history)
+        recovered.plaintext_lines.pop(line, None)
+        assert self.assert_same_verdict(run, recovered).matched_prefix == 2
+        recovered.plaintext_lines[line] = one
+        assert self.assert_same_verdict(run, recovered).matched_prefix == 3
+
+    def test_empty_tracked_set_matches_the_whole_history(self, base_outcome):
+        recovered = final_recovered(base_outcome)
+        history = [RecordedTxn(index=i, writes=[]) for i in range(3)]
+        run = synthetic_run(base_outcome.runs[0], history)
+        assert run.tracked_lines() == set()
+        verdict = self.assert_same_verdict(run, recovered)
+        assert verdict.matched_prefix == 3
+        assert verdict.consistent
+
+    def test_garbage_tracked_lines_are_detected_in_order(self, base_outcome):
+        recovered = final_recovered(base_outcome)
+        run = base_outcome.runs[0]
+        tracked = sorted(run.tracked_lines())
+        recovered.garbage_lines.update({tracked[-1], tracked[0]})
+        verdict = self.assert_same_verdict(run, recovered)
+        assert verdict.detected == [
+            "tracked line 0x%x undecryptable after recovery" % line
+            for line in (tracked[0], tracked[-1])
+        ]
+        assert not verdict.consistent
 
 
 class TestZipfIndex:

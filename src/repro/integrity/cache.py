@@ -1,11 +1,12 @@
 """The on-chip tree-node cache.
 
-Every counter-line update re-hashes its leaf-to-root path; persisting
-all of those nodes eagerly is the Freij-style discipline the FCA+bmt
-design models.  The lazy mode instead coalesces dirty path nodes in
-this cache — repeated updates to a hot subtree dirty the same few
-nodes — and flushes them at ``counter_cache_writeback()`` and on
-eviction, mirroring SCA's counter relaxation.
+Every counter-line update changes its leaf and, once the tree settles,
+every node on its leaf-to-root path; persisting all of those nodes
+eagerly is the Freij-style discipline the FCA+bmt design models.  The
+lazy mode instead coalesces dirty path nodes in this cache — repeated
+updates to a hot subtree dirty the same few nodes — and flushes them
+at ``counter_cache_writeback()`` and on eviction, mirroring SCA's
+counter relaxation.
 
 The cache is fully associative with true LRU (tree working sets are a
 handful of paths, far below set-conflict scale) and, like the counter

@@ -5,8 +5,9 @@ designs — the working tree (with its on-chip secure root), the tree
 node cache, and the dedicated tree write queue — and the two hooks the
 rest of the controller calls:
 
-* ``note_counter_persist`` — re-hash the leaf-to-root path whenever a
-  counter line persists, and persist interior nodes per the mode:
+* ``note_counter_persist`` — hash the leaf whenever a counter line
+  persists (the tree settles its interior nodes and root when they are
+  next read), and persist the leaf-to-root path per the mode:
   :class:`EagerTreePersistence` drives the whole path into the tree
   write queue right there (Freij-style strict ordering, no ADR cover —
   the write settles only when the path has drained), while

@@ -87,16 +87,14 @@ class Trace:
 class TraceBuilder:
     """Fluent builder for traces, mirroring the paper's primitives.
 
-    The builder also maintains a *plaintext shadow* of everything the
-    program wrote, so tests can compare the simulated NVM image against
-    the intended memory contents.
+    :meth:`shadow_bytes` answers what the program meant memory to hold,
+    so tests can compare the simulated NVM image against the intended
+    contents.
     """
 
     def __init__(self, name: str = "", functional: bool = True) -> None:
         self.trace = Trace(name=name)
         self.functional = functional
-        #: Shadow of program-visible memory: address -> byte (sparse).
-        self.shadow: dict = {}
 
     # -- raw memory ops --------------------------------------------------
 
@@ -113,15 +111,14 @@ class TraceBuilder:
     ) -> "TraceBuilder":
         if data is not None:
             length = len(data)
-            if self.functional:
-                for offset, byte in enumerate(data):
-                    self.shadow[address + offset] = byte
+            if not self.functional:
+                data = None
         self.trace.ops.append(
             Op(
                 kind=OpKind.STORE,
                 address=address,
                 length=length,
-                data=data if self.functional else None,
+                data=data,
                 counter_atomic=counter_atomic,
             )
         )
@@ -203,8 +200,23 @@ class TraceBuilder:
         return self.trace
 
     def shadow_bytes(self, address: int, length: int) -> bytes:
-        """The program's intended memory contents for a byte range."""
-        return bytes(self.shadow.get(address + i, 0) for i in range(length))
+        """The program's intended memory contents for a byte range.
+
+        Replays the STOREs that carry data, in trace order, so the last
+        write to a byte wins; bytes no such store wrote read as zero,
+        and so does every byte of a non-functional builder's trace.
+        """
+        out = bytearray(length)
+        end = address + length
+        for op in self.trace.ops:
+            if op.kind is OpKind.STORE and op.data is not None:
+                start = max(op.address, address)
+                stop = min(op.address + op.length, end)
+                if start < stop:
+                    out[start - address : stop - address] = op.data[
+                        start - op.address : stop - op.address
+                    ]
+        return bytes(out)
 
 
 def persist_barrier(builder: TraceBuilder) -> TraceBuilder:

@@ -1,5 +1,8 @@
 """Counter-mode OTP construction tests (paper Eq. 1-4)."""
 
+import struct
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from repro.config import CACHE_LINE_SIZE, EncryptionConfig
 from repro.crypto.aes import AES128
 from repro.crypto.otp import OTPCipher, decrypt_line, encrypt_line, make_block_cipher
+from repro.crypto.prf import NP_BATCH_MIN
 from repro.errors import CryptoError
 
 LINE = st.binary(min_size=CACHE_LINE_SIZE, max_size=CACHE_LINE_SIZE)
@@ -100,3 +104,86 @@ class TestValidation:
         config = EncryptionConfig()
         line = bytes(i % 256 for i in range(64))
         assert decrypt_line(config, 0x40, 9, encrypt_line(config, 0x40, 9, line)) == line
+
+
+def packed_seed_pad(block_cipher, address, counter):
+    """Reference pad: one packed ``<QIHH`` seed block per 16 B block."""
+    return b"".join(
+        block_cipher.encrypt_block(
+            struct.pack("<QIHH", address, counter & 0xFFFFFFFF, (counter >> 32) & 0xFFFF, index)
+        )
+        for index in range(CACHE_LINE_SIZE // 16)
+    )
+
+
+def reference_pads(block_cipher, keys, limit):
+    """Sequential pads through an LRU of ``limit`` entries, with its stats."""
+    cache = OrderedDict()
+    hits = misses = evictions = 0
+    pads = []
+    for key in keys:
+        if key in cache:
+            hits += 1
+            cache.move_to_end(key)
+        else:
+            misses += 1
+            pad = packed_seed_pad(block_cipher, *key)
+            while len(cache) >= limit:
+                cache.popitem(last=False)
+                evictions += 1
+            cache[key] = pad
+        pads.append(cache[key])
+    stats = {"hits": hits, "misses": misses, "evictions": evictions}
+    return pads, dict(stats, entries=len(cache), limit=limit)
+
+
+EDGE_ADDRESSES = (0, 64, 2**64 - 64)
+EDGE_COUNTERS = (0, 1, 2**32 - 1, 2**32, 2**48 - 1, 2**48, 2**64 - 1)
+
+
+class TestOnePassPad:
+    """The PRF's one-pass pad equals the packed-seed ``encrypt_block`` pad."""
+
+    @pytest.mark.parametrize("limit", [4096, 5])
+    def test_pad_matches_packed_seeds(self, limit):
+        cipher = OTPCipher(make_block_cipher(EncryptionConfig(cipher="prf")))
+        cipher._pad_cache_limit = limit
+        keys = [(a, c) for a in EDGE_ADDRESSES for c in EDGE_COUNTERS]
+        keys += keys[::3]  # warm hits, or misses again after eviction
+        expected, stats = reference_pads(cipher._cipher, keys, limit)
+        assert [cipher.pad(a, c) for a, c in keys] == expected
+        assert cipher.pad_cache_stats == stats
+
+    def test_counters_keep_their_low_48_bits(self):
+        cipher = OTPCipher(make_block_cipher(EncryptionConfig(cipher="prf")))
+        assert cipher.pad(64, 2**48 + 5) == cipher.pad(64, 5)
+        assert cipher.pad(64, 2**64 - 1) == cipher.pad(64, 2**48 - 1)
+
+    @pytest.mark.parametrize("count", range(1, 8))
+    def test_pads_many_small_batches_match_pad(self, count):
+        assert count * 4 < NP_BATCH_MIN  # the scalar branch of _fresh_pads
+        keys = [(EDGE_ADDRESSES[i % 3], EDGE_COUNTERS[(i * 3) % 7]) for i in range(count)]
+        keys[-1] = keys[0]  # a duplicate within the batch
+        batch = OTPCipher(make_block_cipher(EncryptionConfig(cipher="prf")))
+        single = OTPCipher(make_block_cipher(EncryptionConfig(cipher="prf")))
+        batch.pad(*keys[count // 2])  # one warm hit
+        single.pad(*keys[count // 2])
+        assert batch.pads_many(keys) == [single.pad(a, c) for a, c in keys]
+        assert batch.pad_cache_stats == single.pad_cache_stats
+        assert batch.pads_many(keys) == [packed_seed_pad(batch._cipher, a, c) for a, c in keys]
+
+    @pytest.mark.parametrize("address", [-64, 2**64])
+    def test_address_outside_64_bits_raises(self, address):
+        cipher = OTPCipher(make_block_cipher(EncryptionConfig(cipher="prf")))
+        with pytest.raises(CryptoError):
+            cipher.pad(address, 1)
+        with pytest.raises(CryptoError):
+            cipher.pads_many([(0, 1), (address, 1)])
+
+    def test_aes_pads_keep_packed_seeds(self):
+        cipher = OTPCipher(make_block_cipher(EncryptionConfig(cipher="aes")))
+        for address in EDGE_ADDRESSES:
+            for counter in (1, 2**48 - 1, 2**64 - 1):
+                assert cipher.pad(address, counter) == packed_seed_pad(
+                    cipher._cipher, address, counter
+                )

@@ -4,10 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import struct
+
 from repro.crypto.prf import SplitMixPRF
 from repro.errors import CryptoError
 
 _KEY = b"0123456789abcdef"
+_TWO_U64 = struct.Struct("<QQ")
+U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
 
 class TestBasics:
@@ -66,3 +70,19 @@ class TestStatisticalProperties:
             ones += sum(bin(b).count("1") for b in out)
             total += 128
         assert 0.45 < ones / total < 0.55
+
+
+class TestSharedLowWord:
+    """``encrypt_shared_lo`` is ``encrypt_block`` over packed blocks."""
+
+    @given(U64, st.lists(U64, max_size=10))
+    @settings(max_examples=200)
+    def test_matches_packed_blocks(self, lo, his):
+        prf = SplitMixPRF(_KEY)
+        expected = b"".join(prf.encrypt_block(_TWO_U64.pack(lo, hi)) for hi in his)
+        assert prf.encrypt_shared_lo(lo, his) == expected
+
+    @pytest.mark.parametrize("lo", [-1, -64, 2**64, 2**70])
+    def test_low_word_outside_64_bits_raises(self, lo):
+        with pytest.raises(CryptoError):
+            SplitMixPRF(_KEY).encrypt_shared_lo(lo, [1, 2])

@@ -7,6 +7,16 @@ from repro.errors import TraceError
 from repro.sim.trace import Op, OpKind, Trace, TraceBuilder, merge_round_robin
 
 
+def reference_shadow(ops, address, length):
+    """Per-byte replay of every data-carrying store, in order."""
+    shadow = {}
+    for op in ops:
+        if op.kind is OpKind.STORE and op.data is not None:
+            for offset, byte in enumerate(op.data):
+                shadow[op.address + offset] = byte
+    return bytes(shadow.get(address + i, 0) for i in range(length))
+
+
 class TestOpValidation:
     def test_rejects_oversized_memory_op(self):
         with pytest.raises(TraceError):
@@ -52,6 +62,27 @@ class TestBuilder:
         builder.store(0x40, b"\x01\x02\x03\x04\x05\x06\x07\x08")
         assert builder.shadow_bytes(0x40, 8) == bytes(range(1, 9))
         assert builder.shadow_bytes(0x48, 4) == bytes(4)
+
+    def test_shadow_last_write_wins(self):
+        builder = TraceBuilder("t")
+        builder.store(0x40, bytes(range(1, 9)))
+        builder.store(0x44, b"\xaa\xbb\xcc\xdd\xee\xff\x11\x22")  # partly over the first
+        builder.store(0x42, b"\x99\x98")  # inside both
+        builder.store(0x40, b"\x55")
+        builder.load(0x40).clwb(0x40)
+        for address, length in ((0x3C, 20), (0x40, 12), (0x43, 3), (0x4B, 8), (0x50, 4)):
+            assert builder.shadow_bytes(address, length) == reference_shadow(
+                builder.build().ops, address, length
+            )
+        assert builder.shadow_bytes(0x40, 12) == (
+            b"\x55\x02\x99\x98\xaa\xbb\xcc\xdd\xee\xff\x11\x22"
+        )
+
+    def test_non_functional_shadow_reads_zero(self):
+        builder = TraceBuilder("t", functional=False)
+        builder.store(0x40, b"\xff" * 8)
+        builder.store_u64(0x44, 7)
+        assert builder.shadow_bytes(0x3C, 16) == bytes(16)
 
     def test_store_u64_little_endian(self):
         builder = TraceBuilder("t")

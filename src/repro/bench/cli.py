@@ -68,40 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 1 = in-process serial execution)",
     )
     parser.add_argument(
-        "--backend",
-        choices=("inline", "pool", "workqueue"),
-        default=None,
-        help="execution backend: 'inline' (serial in-process oracle), "
-        "'pool' (hardened local process pool), 'workqueue' (shared-"
-        "directory lease queue; see --queue-dir).  Default: pool when "
-        "--workers > 1, inline otherwise.  An unavailable backend "
-        "degrades down the ladder workqueue -> pool -> inline, counted "
-        "in executor stats",
-    )
-    parser.add_argument(
-        "--queue-dir",
-        metavar="DIR",
-        default=None,
-        help="shared directory for the workqueue backend (lease files, "
-        "idempotent results); default: a private temporary directory",
-    )
-    parser.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="workqueue lease deadline: a job whose lease goes this stale "
-        "is reclaimed from its (dead or stalled) worker and re-queued",
-    )
-    parser.add_argument(
-        "--max-lease-failures",
-        type=int,
-        default=3,
-        metavar="N",
-        help="quarantine a job as poison after N failed leases "
-        "(expiries, worker errors, corrupt results)",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the on-disk result cache (every design point reruns)",
@@ -178,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="kill and retry any campaign job exceeding this wall time",
+        help="kill and retry any campaign job exceeding this wall time "
+        "(jobs then run in worker processes, even at --workers 1)",
     )
     campaign.add_argument(
         "--retries",
@@ -220,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="declare a worker stalled (and retry its job) when its "
-        "heartbeat file goes this stale; needs checkpointing on",
+        "heartbeat file goes this stale; needs --checkpoint-every with "
+        "--campaign-dir, or --checkpoint-dir",
     )
     campaign.add_argument(
         "--strict",
@@ -269,22 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the old one in the journal",
     )
     campaign.add_argument(
-        "--chaos",
-        action="store_true",
-        help="chaos smoke harness: run the campaign twice — serially "
-        "(the oracle) and on the workqueue backend with seeded worker "
-        "faults (kill/stall/corrupt/duplicate) — and fail unless triage "
-        "counts are bit-identical and every result was published "
-        "exactly once",
-    )
-    campaign.add_argument(
-        "--chaos-faults",
-        default=None,
-        metavar="A,B",
-        help="comma-separated chaos fault kinds to inject "
-        "(default: kill,stall,corrupt,duplicate)",
-    )
-    campaign.add_argument(
         "--integrity",
         action="store_true",
         help="run every encrypted design with its Bonsai-Merkle-tree "
@@ -304,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = parser.add_argument_group(
         "serve options (experiment = 'serve'; also honors --designs, "
         "--seed, --mechanisms, --nested-crash, --with-counter-recovery, "
-        "--workers/--backend and --json)"
+        "--workers and --json)"
     )
     serve.add_argument(
         "--tenants", type=int, default=4, metavar="N",
@@ -381,14 +333,7 @@ def _make_executor(args: argparse.Namespace) -> SweepExecutor:
     cache: Optional[ResultCache] = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir)
-    return SweepExecutor(
-        workers=args.workers,
-        cache=cache,
-        backend=args.backend,
-        queue_dir=args.queue_dir,
-        lease_timeout_s=args.lease_timeout,
-        max_lease_failures=args.max_lease_failures,
-    )
+    return SweepExecutor(workers=args.workers, cache=cache)
 
 
 def _run_perf(args: argparse.Namespace) -> int:
@@ -423,44 +368,6 @@ def _run_perf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_campaign_chaos(args: argparse.Namespace, spec) -> int:
-    import json
-
-    from .chaos import FAULT_KINDS, render_chaos_report, run_chaos_campaign
-
-    if args.chaos_faults:
-        kinds = tuple(
-            kind.strip() for kind in args.chaos_faults.split(",") if kind.strip()
-        )
-    else:
-        kinds = FAULT_KINDS
-    try:
-        document = run_chaos_campaign(
-            spec,
-            workers=max(2, args.workers),
-            queue_dir=args.queue_dir,
-            # Chaos recovery waits on lease expiry; the normal 30s
-            # default would make the smoke run crawl, so shorten it
-            # unless the user chose a lease timeout explicitly.
-            lease_timeout_s=2.0 if args.lease_timeout == 30.0 else args.lease_timeout,
-            chaos_seed=args.seed,
-            kinds=kinds,
-        )
-    except ValueError as exc:
-        print("repro-bench campaign: %s" % exc, file=sys.stderr)
-        return 2
-    print(render_chaos_report(document))
-    if args.json is not None:
-        payload = json.dumps(document, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as stream:
-                stream.write(payload + "\n")
-            print("wrote %s" % args.json)
-    return 0 if document["ok"] else 1
-
-
 def _run_campaign(args: argparse.Namespace) -> int:
     import json
     import os
@@ -490,6 +397,14 @@ def _run_campaign(args: argparse.Namespace) -> int:
         and args.campaign_dir is not None
     ):
         checkpoint_dir = os.path.join(args.campaign_dir, "checkpoints")
+    if args.heartbeat_timeout is not None and checkpoint_dir is None:
+        # Jobs beat their heartbeat file only under checkpointing.
+        print(
+            "repro-bench campaign: --heartbeat-timeout needs --checkpoint-every "
+            "with --campaign-dir, or --checkpoint-dir",
+            file=sys.stderr,
+        )
+        return 2
     if args.fresh and args.campaign_dir is not None:
         journal = os.path.join(args.campaign_dir, CampaignRunner.JOURNAL_NAME)
         if os.path.exists(journal):
@@ -536,17 +451,11 @@ def _run_campaign(args: argparse.Namespace) -> int:
     )
     if faults is not None:
         spec.faults = tuple(faults)
-    if args.chaos:
-        return _run_campaign_chaos(args, spec)
     executor = SweepExecutor(
         workers=args.workers,
         job_timeout_s=args.job_timeout,
         max_retries=args.retries,
         heartbeat_timeout_s=args.heartbeat_timeout,
-        backend=args.backend,
-        queue_dir=args.queue_dir,
-        lease_timeout_s=args.lease_timeout,
-        max_lease_failures=args.max_lease_failures,
     )
     runner = CampaignRunner(
         spec,
@@ -563,10 +472,9 @@ def _run_campaign(args: argparse.Namespace) -> int:
         return 2
     print(report.render())
     stats = executor.stats()
-    line = (
+    print(
         "executor[%s]: %d job(s) run, %d retried, %d timed out, %d stalled, "
-        "%d pool fallback(s), %d backend fallback(s), %d corrupt cache "
-        "entr(ies) quarantined"
+        "%d pool fallback(s), %d corrupt cache entr(ies) quarantined"
         % (
             stats["backend"],
             stats["jobs_executed"],
@@ -574,24 +482,9 @@ def _run_campaign(args: argparse.Namespace) -> int:
             stats["timeouts"],
             stats["stalls"],
             stats["pool_fallbacks"],
-            stats["backend_fallbacks"],
             stats["cache_corruption_events"],
         )
     )
-    if stats["backend"] == "workqueue":
-        line += (
-            "; workqueue: %d claim(s), %d expired lease(s), %d result(s) "
-            "published, %d reused, %d duplicate(s) dropped, %d poison"
-            % (
-                stats["leases_claimed"],
-                stats["leases_expired"],
-                stats["results_published"],
-                stats["results_reused"],
-                stats["duplicate_results"],
-                stats["poison_jobs"],
-            )
-        )
-    print(line)
     if args.json is not None:
         payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
         if args.json == "-":
@@ -668,10 +561,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             job_timeout_s=args.job_timeout,
             max_retries=args.retries,
-            backend=args.backend,
-            queue_dir=args.queue_dir,
-            lease_timeout_s=args.lease_timeout,
-            max_lease_failures=args.max_lease_failures,
         )
         runner = ServiceRunner(jobs, executor=executor, journal_dir=args.serve_dir)
         report = runner.run()

@@ -5,9 +5,9 @@ points, and each point is an independent, deterministic simulation.
 This module decomposes such sweeps into :class:`SweepJob` descriptions
 and executes them through a :class:`SweepExecutor`, which
 
-* fans jobs out over a :class:`concurrent.futures.ProcessPoolExecutor`
-  when ``workers > 1`` (falling back to in-process execution when the
-  pool cannot be created or breaks),
+* fans jobs out over a hardened ``multiprocessing.Pool`` when
+  ``workers > 1`` or a job timeout is set (falling back to in-process
+  execution when the pool cannot be created or breaks),
 * preserves deterministic result ordering — ``map_stats`` returns one
   :class:`~repro.sim.stats.MachineStats` per job, in job order, with
   values identical to a serial run, and
@@ -31,7 +31,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..config import SystemConfig, fast_config
 from ..errors import JobExecutionError
@@ -244,35 +244,49 @@ class ResultCache:
 ResultCallback = Callable[[int, object], None]
 
 
+class _WorkerStalledError(Exception):
+    """A worker's heartbeat went stale: hung or killed mid-job."""
+
+
 class SweepExecutor:
-    """Runs sweep jobs through a pluggable execution backend.
+    """Runs sweep jobs in this process or over a hardened process pool.
 
     ``SweepExecutor()`` (the default used by ``Experiment.run``) is a
     plain in-process serial runner with no cache, preserving the exact
     behaviour experiments had before this engine existed.
 
-    ``backend`` picks the execution engine (see
-    :mod:`repro.bench.backends`):
+    ``backend`` picks the engine: ``"inline"`` (serial, in process, the
+    deterministic oracle) or ``"pool"`` (a local
+    ``multiprocessing.Pool``).  The default, ``None``, runs a map on the
+    pool when it has more than one item and ``workers > 1``, or when a
+    job or heartbeat timeout is set — only a worker process can be
+    reclaimed when its job hangs — and inline otherwise.
 
-    * ``None`` (default) — ``pool`` when ``workers > 1``, ``inline``
-      otherwise: the historical behaviour.
-    * ``"inline"`` — serial in-process execution, the deterministic
-      oracle.
-    * ``"pool"`` — the hardened local ``multiprocessing.Pool``
-      (per-job timeouts reclaiming hung workers, bounded retries with
-      backoff, heartbeat stall watchdog, in-process last-chance
-      attempt).
-    * ``"workqueue"`` — a shared-directory lease queue (``queue_dir``)
-      with atomic claim-via-rename, heartbeat lease renewal,
-      lease-expiry reclamation, idempotent result publication keyed by
-      the job cache key, and poison-job quarantine after
-      ``max_lease_failures`` failed leases.
+    The pooled path is hardened against misbehaving workers:
 
-    A backend that cannot run on this host degrades down the fallback
-    ladder (``workqueue -> pool -> inline``); every hop is counted in
-    ``stats()['backend_fallbacks']``, never silent.  Backoff sleeps
-    only *between* retry rounds — never after the final attempt — and
-    the total slept is reported as ``stats()['backoff_slept_s']``.
+    * ``job_timeout_s`` bounds every job; a hung worker is detected,
+      the pool (and the hung process with it) is torn down and rebuilt,
+      and the job is retried.
+    * Failures and timeouts are retried up to ``max_retries`` times
+      with exponential backoff (``retry_backoff_s`` base).  Backoff is
+      slept *between* rounds only — never after the final attempt of a
+      permanently failing job — and the total is reported as
+      ``stats()['backoff_slept_s']``.
+    * A job that exhausts pool retries on *errors* gets one final
+      in-process attempt, so a broken pool degrades to serial
+      execution instead of failing the sweep; a job that exhausts
+      retries on *timeouts* raises :class:`JobExecutionError` (running
+      it in-process would hang the sweep instead).
+    * With ``heartbeat_timeout_s`` set, jobs that publish a heartbeat
+      file (see :mod:`repro.bench.resilience`) are watched while they
+      run: a worker whose heartbeat goes stale is declared stalled well
+      before the job timeout, torn down with the pool, and retried.  A
+      job that never writes its heartbeat file is *not* stalled — the
+      job timeout alone covers workers that die before their first
+      beat, which avoids false stalls for jobs queued behind a busy
+      pool.
+    * Corrupt result-cache entries are quarantined and counted by the
+      cache (``cache.corruption_events``), never silently recomputed.
     """
 
     def __init__(
@@ -284,17 +298,10 @@ class SweepExecutor:
         retry_backoff_s: float = 0.1,
         heartbeat_timeout_s: Optional[float] = None,
         backend: Optional[str] = None,
-        queue_dir: Optional[str] = None,
-        lease_timeout_s: float = 30.0,
-        max_lease_failures: int = 3,
-        chaos_plan: Optional[object] = None,
     ) -> None:
-        from .backends import BACKENDS, ExecutorCounters
-
-        if backend is not None and backend not in BACKENDS:
+        if backend not in (None, "inline", "pool"):
             raise ValueError(
-                "unknown execution backend %r; available: %s"
-                % (backend, ", ".join(sorted(BACKENDS)))
+                "unknown execution backend %r; available: inline, pool" % backend
             )
         self.workers = max(1, int(workers))
         self.cache = cache
@@ -303,33 +310,15 @@ class SweepExecutor:
         self.retry_backoff_s = max(0.0, float(retry_backoff_s))
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.backend = backend
-        self.queue_dir = queue_dir
-        self.lease_timeout_s = lease_timeout_s
-        self.max_lease_failures = max(1, int(max_lease_failures))
-        self.chaos_plan = chaos_plan
-        self.counters = ExecutorCounters()
         self.resolved_backend: Optional[str] = None
         self.cache_hits = 0
         self.cache_misses = 0
         self.jobs_executed = 0
-
-    # -- legacy counter aliases (kept: tests and reports read them) --------
-
-    @property
-    def pool_fallbacks(self) -> int:
-        return self.counters.pool_fallbacks
-
-    @property
-    def timeouts(self) -> int:
-        return self.counters.timeouts
-
-    @property
-    def stalls(self) -> int:
-        return self.counters.stalls
-
-    @property
-    def retries(self) -> int:
-        return self.counters.retries
+        self.retries = 0
+        self.timeouts = 0
+        self.stalls = 0
+        self.pool_fallbacks = 0
+        self.backoff_slept_s = 0.0
 
     # -- stats -------------------------------------------------------------
 
@@ -339,17 +328,19 @@ class SweepExecutor:
 
     def stats(self) -> Dict[str, object]:
         """Executor health counters, for reports and the CLI."""
-        document: Dict[str, object] = {
-            "backend": self.resolved_backend
-            or self.backend
-            or ("pool" if self.workers > 1 else "inline"),
+        return {
+            # Before any map ran: the engine a multi-job map would use.
+            "backend": self.resolved_backend or self._engine(2),
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_corruption_events": self.cache_corruption_events,
             "jobs_executed": self.jobs_executed,
+            "retries": self.retries,
+            "timeouts": self.timeouts,
+            "stalls": self.stalls,
+            "pool_fallbacks": self.pool_fallbacks,
+            "backoff_slept_s": round(self.backoff_slept_s, 4),
         }
-        document.update(self.counters.as_dict())
-        return document
 
     # -- execution --------------------------------------------------------
 
@@ -372,14 +363,7 @@ class SweepExecutor:
         else:
             pending = list(range(len(jobs)))
         if pending:
-            job_ids: Optional[List[str]] = None
-            if self.cache is not None:
-                job_ids = [keys[i] for i in pending]  # type: ignore[misc]
-            elif self._resolve_backend_name() == "workqueue":
-                job_ids = [job_cache_key(jobs[i]) for i in pending]
-            fresh = self.map(
-                execute_job, [jobs[i] for i in pending], job_ids=job_ids
-            )
+            fresh = self.map(execute_job, [jobs[i] for i in pending])
             for index, stats in zip(pending, fresh):
                 results[index] = stats
                 key = keys[index]
@@ -387,28 +371,14 @@ class SweepExecutor:
                     self.cache.put(key, stats)
         return results  # type: ignore[return-value]
 
-    def _resolve_backend_name(self, item_count: int = 2) -> str:
+    def _engine(self, item_count: int) -> str:
+        """The engine a map of ``item_count`` items runs on."""
         if self.backend is not None:
             return self.backend
-        if self.workers == 1 or item_count <= 1:
-            return "inline"
-        return "pool"
-
-    def _backend_spec(self):
-        from .backends import BackendSpec
-
-        return BackendSpec(
-            workers=self.workers,
-            job_timeout_s=self.job_timeout_s,
-            max_retries=self.max_retries,
-            retry_backoff_s=self.retry_backoff_s,
-            heartbeat_timeout_s=self.heartbeat_timeout_s,
-            queue_dir=self.queue_dir,
-            lease_timeout_s=self.lease_timeout_s,
-            max_lease_failures=self.max_lease_failures,
-            chaos_plan=self.chaos_plan,
-            counters=self.counters,
-        )
+        timed = self.job_timeout_s is not None or self.heartbeat_timeout_s is not None
+        if item_count > 0 and (timed or (self.workers > 1 and item_count > 1)):
+            return "pool"
+        return "inline"
 
     def map(
         self,
@@ -416,50 +386,243 @@ class SweepExecutor:
         items: Sequence[object],
         on_result: Optional[ResultCallback] = None,
         heartbeats: Optional[Sequence[Optional[str]]] = None,
-        job_ids: Optional[Sequence[str]] = None,
     ) -> List[object]:
         """Hardened ordered map: ``results[i] = fn(items[i])``.
 
         ``fn`` must be a module-level callable and every item picklable
-        when execution leaves this process.  ``on_result`` fires as
-        each result lands, which lets callers journal progress for
+        when the map runs on the pool.  ``on_result`` fires as each
+        result lands, which lets callers journal progress for
         resumability.  ``heartbeats`` (optional, one path or None per
         item) names the heartbeat file each job updates while it runs;
-        the pool watchdog only engages when ``heartbeat_timeout_s`` is
-        set.  ``job_ids`` (optional, one stable key per item) keys the
-        workqueue backend's idempotent result publication; other
-        backends ignore it.
+        the watchdog only engages when ``heartbeat_timeout_s`` is set.
         """
-        from .backends import make_backend
-
         items = list(items)
         results: List[object] = [None] * len(items)
         self.jobs_executed += len(items)
         if heartbeats is not None and len(heartbeats) != len(items):
             raise ValueError("heartbeats must align one-to-one with items")
-        if job_ids is not None and len(job_ids) != len(items):
-            raise ValueError("job_ids must align one-to-one with items")
-        requested = self._resolve_backend_name(len(items))
-        if requested == "inline":
-            # The serial fast path: no backend object, no indirection —
-            # bit-identical to the pre-backend executor.
-            self.resolved_backend = "inline"
-            for index, item in enumerate(items):
-                results[index] = fn(item)
-                if on_result is not None:
-                    on_result(index, results[index])
-            return results
-        backend = make_backend(requested, self._backend_spec())
-        self.resolved_backend = backend.name
-        try:
-            backend.run(
-                fn,
-                items,
-                results,
-                on_result=on_result,
-                heartbeats=heartbeats,
-                job_ids=job_ids,
-            )
-        finally:
-            backend.close()
+        self.resolved_backend = self._engine(len(items))
+        if self.resolved_backend == "pool":
+            self._map_pooled(fn, items, results, on_result, heartbeats)
+        else:
+            self._run_inline(fn, items, results, range(len(items)), on_result)
         return results
+
+    # -- pooled execution -------------------------------------------------
+
+    def _map_pooled(
+        self,
+        fn: Callable,
+        items: List[object],
+        results: List[object],
+        on_result: Optional[ResultCallback],
+        heartbeats: Optional[Sequence[Optional[str]]],
+    ) -> None:
+        import multiprocessing
+
+        pool = self._make_pool(min(self.workers, len(items)))
+        if pool is None:
+            self._run_inline(fn, items, results, range(len(items)), on_result)
+            return
+        remaining = list(range(len(items)))
+        attempts = [0] * len(items)
+        timed_out = [False] * len(items)
+        try:
+            while remaining:
+                handles = []
+                pool_broken = False
+                for index in remaining:
+                    self._clear_heartbeat(heartbeats, index)
+                    try:
+                        handles.append((index, pool.apply_async(fn, (items[index],))))
+                    except Exception:
+                        handles.append((index, None))
+                        pool_broken = True
+                failed: List[int] = []
+                for index, handle in handles:
+                    if handle is None:
+                        failed.append(index)
+                        attempts[index] += 1
+                        continue
+                    heartbeat = heartbeats[index] if heartbeats is not None else None
+                    try:
+                        value = self._collect(handle, heartbeat)
+                    except multiprocessing.TimeoutError:
+                        self.timeouts += 1
+                        timed_out[index] = True
+                        attempts[index] += 1
+                        failed.append(index)
+                        # The worker is still wedged on this job; the
+                        # pool must be rebuilt to free the slot.
+                        pool_broken = True
+                        logger.warning(
+                            "job %d timed out after %.1f s (attempt %d/%d)",
+                            index,
+                            self.job_timeout_s or 0.0,
+                            attempts[index],
+                            self.max_retries + 1,
+                        )
+                    except _WorkerStalledError as exc:
+                        self.stalls += 1
+                        timed_out[index] = True
+                        attempts[index] += 1
+                        failed.append(index)
+                        pool_broken = True
+                        logger.warning(
+                            "job %d stalled (attempt %d/%d): %s",
+                            index,
+                            attempts[index],
+                            self.max_retries + 1,
+                            exc,
+                        )
+                    except Exception as exc:
+                        timed_out[index] = False
+                        attempts[index] += 1
+                        failed.append(index)
+                        pool_broken = True
+                        logger.warning(
+                            "job %d failed in worker (attempt %d/%d): %s: %s",
+                            index,
+                            attempts[index],
+                            self.max_retries + 1,
+                            type(exc).__name__,
+                            exc,
+                        )
+                    else:
+                        results[index] = value
+                        timed_out[index] = False
+                        if on_result is not None:
+                            on_result(index, value)
+                exhausted = [i for i in failed if attempts[i] > self.max_retries]
+                remaining = [i for i in failed if attempts[i] <= self.max_retries]
+                if exhausted:
+                    hung = [i for i in exhausted if timed_out[i]]
+                    if hung:
+                        raise JobExecutionError(
+                            "job(s) %s timed out on every attempt (%d tries each)"
+                            % (hung, self.max_retries + 1)
+                        )
+                    # Persistent worker-side errors: degrade to one
+                    # in-process attempt so a broken pool cannot sink
+                    # the sweep; a genuine job bug reproduces here with
+                    # a real traceback.
+                    self.pool_fallbacks += 1
+                    self._run_inline(fn, items, results, exhausted, on_result)
+                if remaining:
+                    # Backoff belongs *between* rounds: it is only slept
+                    # here, when another retry round will actually run.
+                    self.retries += len(remaining)
+                    self._backoff(attempts, remaining)
+                    if pool_broken:
+                        pool = self._rebuild_pool(pool, min(self.workers, len(remaining)))
+                        if pool is None:
+                            self._run_inline(fn, items, results, remaining, on_result)
+                            remaining = []
+        finally:
+            if pool is not None:
+                pool.terminate()
+                pool.join()
+
+    @staticmethod
+    def _run_inline(
+        fn: Callable,
+        items: List[object],
+        results: List[object],
+        indexes: Iterable[int],
+        on_result: Optional[ResultCallback],
+    ) -> None:
+        for index in indexes:
+            results[index] = fn(items[index])
+            if on_result is not None:
+                on_result(index, results[index])
+
+    def _backoff(self, attempts: List[int], remaining: List[int]) -> None:
+        if self.retry_backoff_s <= 0:
+            return
+        # Exponential in the retry round: the round number is how many
+        # attempts the least-retried surviving job has already made.
+        round_number = min(attempts[i] for i in remaining)
+        delay = self.retry_backoff_s * (2 ** (round_number - 1))
+        self.backoff_slept_s += delay
+        time.sleep(delay)
+
+    # -- heartbeat watchdog ------------------------------------------------
+
+    @staticmethod
+    def _clear_heartbeat(
+        heartbeats: Optional[Sequence[Optional[str]]], index: int
+    ) -> None:
+        """Drop a stale heartbeat file before (re)dispatching its job."""
+        if heartbeats is None or heartbeats[index] is None:
+            return
+        try:
+            os.unlink(heartbeats[index])
+        except OSError:
+            pass
+
+    def _collect(self, handle, heartbeat: Optional[str]):
+        """Wait for one async result, watching the job's heartbeat.
+
+        Without a watchdog this is a plain ``handle.get(timeout)``.
+        With one, the wait is chopped into short polls; a heartbeat
+        file that exists but has not been touched for
+        ``heartbeat_timeout_s`` raises :class:`_WorkerStalledError`.  A
+        *missing* file never stalls the job — the job timeout covers
+        workers that die before their first beat.
+        """
+        import multiprocessing
+
+        if self.heartbeat_timeout_s is None or heartbeat is None:
+            return handle.get(self.job_timeout_s)
+        poll = max(0.01, min(0.25, self.heartbeat_timeout_s / 4.0))
+        deadline = (
+            time.monotonic() + self.job_timeout_s
+            if self.job_timeout_s is not None
+            else None
+        )
+        while True:
+            remaining = poll
+            if deadline is not None:
+                remaining = min(poll, deadline - time.monotonic())
+                if remaining <= 0:
+                    raise multiprocessing.TimeoutError()
+            try:
+                return handle.get(remaining)
+            except multiprocessing.TimeoutError:
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise
+                try:
+                    age = time.time() - os.path.getmtime(heartbeat)
+                except OSError:
+                    continue  # no beat yet; only the job timeout applies
+                if age > self.heartbeat_timeout_s:
+                    raise _WorkerStalledError(
+                        "heartbeat %s is %.1f s stale (limit %.1f s)"
+                        % (heartbeat, age, self.heartbeat_timeout_s)
+                    ) from None
+
+    def _rebuild_pool(self, pool, workers: int):
+        try:
+            pool.terminate()
+            pool.join()
+        except Exception:  # pragma: no cover - teardown best-effort
+            pass
+        return self._make_pool(workers)
+
+    def _make_pool(self, workers: int):
+        """A ``multiprocessing.Pool`` (it supports ``terminate``, which
+        is what lets a hung worker be reclaimed), or None."""
+        try:
+            import multiprocessing
+
+            methods = multiprocessing.get_all_start_methods()
+            if "fork" in methods:
+                # Fork shares the already-imported simulator with the
+                # workers; spawn works too, just with a slower start.
+                context = multiprocessing.get_context("fork")
+            else:  # pragma: no cover - platform without fork
+                context = multiprocessing.get_context()
+            return context.Pool(processes=workers)
+        except (ImportError, OSError, ValueError):
+            self.pool_fallbacks += 1
+            return None

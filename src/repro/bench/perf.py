@@ -36,7 +36,7 @@ from ..crypto.prf import SplitMixPRF
 from ..errors import ConfigurationError
 from ..integrity.tree import IntegrityTreeEngine
 from ..mem.writequeue import WriteQueue
-from ..nvm.address import AddressMap, ShardMap
+from ..nvm.address import AddressMap
 from ..utils.accel import HAVE_NUMPY
 
 #: Iteration counts per scale: (fast-path ops, reference-path ops).
@@ -323,33 +323,6 @@ def bench_kernels(scale: str = "quick") -> Dict[str, Dict[str, float]]:
     tag_ops = tag_rounds * len(tag_items)
     results["integrity_tag_many"] = _kernel(fast_s, tag_ops, ref_s, tag_ops)
     results["integrity_tag_many"]["numpy"] = HAVE_NUMPY
-
-    # -- Bulk counter-cache probe vs per-call lookups --------------------
-    bulk_n = 5000 * mult
-    bulk_addresses = [(i % 64) * 512 + (i % 8) * 64 for i in range(bulk_n)]
-    fast_s = _best_of(lambda: cache.lookup_for_read_many(bulk_addresses))
-    ref_s = _best_of(lambda: [cache.lookup_for_read(a) for a in bulk_addresses])
-    results["counter_cache_bulk_lookup"] = _kernel(fast_s, bulk_n, ref_s, bulk_n)
-
-    # -- Sharded dispatch: batched bucketing vs per-line translation -----
-    # The sharded memory system routes every access through the
-    # granule-interleaved ShardMap; dispatch_batch buckets a whole batch
-    # in one pass, the reference is the per-line shard_of + to_local
-    # modulo loop the facade's single-access path uses.
-    shard_map = ShardMap(memory_size_bytes=64 * 1024 * 1024, shards=4)
-    dispatch_n = 20000 * mult
-    span = shard_map.data_capacity_bytes // 64
-    dispatch_addresses = [((i * 2654435761) % span) * 64 for i in range(dispatch_n)]
-
-    def run_dispatch_reference() -> None:
-        buckets: List[List[tuple]] = [[] for _ in range(shard_map.shards)]
-        for index, address in enumerate(dispatch_addresses):
-            shard, local = shard_map.to_local(address)
-            buckets[shard].append((index, local))
-
-    fast_s = _best_of(lambda: shard_map.dispatch_batch(dispatch_addresses))
-    ref_s = _best_of(run_dispatch_reference)
-    results["shard_dispatch_batch"] = _kernel(fast_s, dispatch_n, ref_s, dispatch_n)
 
     # -- KV service put transaction: volatile index vs persistent probe --
     results["kv_put_txn"] = _bench_kv_put(mult)

@@ -646,11 +646,10 @@ class JobJournal:
             return {}
         completed: Dict[str, Dict[str, object]] = {}
         # Dedupe by job key, last record wins.  A retried job (e.g. a
-        # worker killed after journaling, a ``retry_crashed`` re-run, or
-        # an at-least-once workqueue delivery) appends a *second* record
-        # for the same key; keeping both would double-count its points
-        # in any journal-derived tally, so older records are superseded
-        # and dropped from the rewritten journal.
+        # worker killed after journaling, or a ``retry_crashed`` re-run)
+        # appends a *second* record for the same key; keeping both would
+        # double-count its points in any journal-derived tally, so older
+        # records are superseded and dropped from the rewritten journal.
         line_by_key: Dict[str, str] = {}
         order: List[str] = []
         torn_lines: List[str] = []
@@ -882,11 +881,6 @@ class CampaignRunner:
                 prepared,
                 on_result=_journal_and_cleanup,
                 heartbeats=[job.heartbeat_path for job in prepared],
-                # The job key doubles as the workqueue backend's
-                # idempotent-publication key, giving distributed runs
-                # the same exactly-once resume the journal gives local
-                # ones.
-                job_ids=[keys[index] for index in pending],
             )
             for index, value in zip(pending, fresh):
                 results[index] = value

@@ -216,54 +216,6 @@ class CounterCache:
         entry.lru_tick = self._tick
         return hit, victim
 
-    # -- bulk paths --------------------------------------------------------
-
-    def lookup_for_read_many(self, addresses: List[int]) -> List[Optional[int]]:
-        """Bulk read probe: one call, many addresses.
-
-        Equivalent to ``[self.lookup_for_read(a) for a in addresses]``
-        — identical stats, LRU ticks and results — with the per-call
-        overhead (attribute loads, method dispatch) amortized over the
-        batch; used by trace prefetch analysis and the perf harness.
-        """
-        sets = self._sets
-        group_mask = self._group_mask
-        set_mask = self._set_mask
-        stats = self.stats
-        tick = self._tick
-        out: List[Optional[int]] = []
-        append = out.append
-        for address in addresses:
-            group = address & group_mask
-            entry = sets[(group // GROUP_SPAN) & set_mask].get(group)
-            if entry is None:
-                stats.read_misses += 1
-                append(None)
-            else:
-                stats.read_hits += 1
-                tick += 1
-                entry.lru_tick = tick
-                append(entry.counters[(address // CACHE_LINE_SIZE) % COUNTERS_PER_LINE])
-        self._tick = tick
-        return out
-
-    def fill_many(
-        self, fills: List[Tuple[int, Tuple[int, ...]]]
-    ) -> List[Tuple[int, Tuple[int, ...]]]:
-        """Bulk install of counter lines (e.g. warm-up or replay).
-
-        Applies :meth:`fill` per ``(data_address, counters)`` pair in
-        order and returns the dirty victims that must be written back,
-        in eviction order.
-        """
-        fill = self.fill
-        victims: List[Tuple[int, Tuple[int, ...]]] = []
-        for data_address, counters in fills:
-            victim = fill(data_address, counters)
-            if victim is not None:
-                victims.append(victim)
-        return victims
-
     def writeback_line(self, data_address: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
         """``counter_cache_writeback()``: flush one dirty counter line.
 

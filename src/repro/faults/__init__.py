@@ -22,7 +22,6 @@ from .models import (
     TornCounterLineWrite,
     TornDataLineWrite,
 )
-from .oneshot import OneShotTrigger, latch_once
 from .recovery import (
     RECOVERY_PHASES,
     RecoveryFaultPlan,
@@ -38,8 +37,6 @@ from .registry import (
 )
 
 __all__ = [
-    "OneShotTrigger",
-    "latch_once",
     "RECOVERY_PHASES",
     "RecoveryFaultPlan",
     "RecoveryFaultPoint",

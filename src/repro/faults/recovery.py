@@ -21,11 +21,9 @@ point names a recovery phase (``txn-replay``, ``counter-search``,
     the new content persists, the tail keeps the pre-write content —
     the recovery-side twin of :class:`~repro.faults.models.TornDataLineWrite`.
 
-Delivery is one-shot through the same latch discipline the chaos
-harness uses for worker faults (:mod:`repro.faults.oneshot`): every
-point fires exactly once per plan, so a recovery procedure that is
-restartable always terminates — re-running it after the nested crash
-proceeds past the fired point.
+Delivery is one-shot: every point fires exactly once per plan, so a
+recovery procedure that is restartable always terminates — re-running
+it after the nested crash proceeds past the fired point.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import CACHE_LINE_SIZE
 from .base import require
-from .oneshot import OneShotTrigger
 
 #: Recovery phases a fault point can name, in escalation-ladder order.
 RECOVERY_PHASES: Tuple[str, ...] = ("txn-replay", "counter-search", "tree-repair")
@@ -93,7 +90,6 @@ class RecoveryFaultPlan:
     def __init__(self, points: Sequence[RecoveryFaultPoint], seed: int = 0) -> None:
         self.points = tuple(points)
         self.seed = seed
-        self._trigger = OneShotTrigger()
         self._fired: List[RecoveryFaultPoint] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -105,7 +101,7 @@ class RecoveryFaultPlan:
                 point.phase == phase
                 and point.step == step
                 and point.kind == kind
-                and self._trigger.fire(point)
+                and point not in self._fired
             ):
                 self._fired.append(point)
                 return point

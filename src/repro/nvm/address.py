@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 from ..config import CACHE_LINE_SIZE, COUNTERS_PER_LINE
 from ..errors import AddressError
@@ -117,8 +116,6 @@ class AddressMap:
 #: cache entry, a BMT leaf, and a ready-bit pair — wholly inside one
 #: shard, so no security-metadata structure ever spans controllers.
 SHARD_GRANULE = CACHE_LINE_SIZE * COUNTERS_PER_LINE
-_GRANULE_SHIFT = SHARD_GRANULE.bit_length() - 1
-_GRANULE_MASK = SHARD_GRANULE - 1
 
 
 @dataclass(frozen=True)
@@ -198,45 +195,3 @@ class ShardMap:
         self.check_address(address)
         return address
 
-    def dispatch_batch(
-        self, addresses: "Sequence[int]"
-    ) -> "list[list[tuple[int, int]]]":
-        """Bucket a batch of global addresses by owning shard.
-
-        Returns one list per shard of ``(batch_index, local_address)``
-        pairs, each in batch order — the per-shard issue lists a batched
-        dispatcher hands its controllers.  Equivalent to calling
-        :meth:`to_local` per address (the retained reference path in
-        ``repro.bench.perf``), but single-pass with the bounds check
-        hoisted to the batch extremes and one ``divmod`` per line, so
-        bucketing large batches stays off the simulator's profile.
-        """
-        buckets: "list[list[tuple[int, int]]]" = [[] for _ in range(self.shards)]
-        if not addresses:
-            return buckets
-        if min(addresses) < 0 or max(addresses) >= self.data_capacity_bytes:
-            for address in addresses:
-                self.check_address(address)  # raises with the culprit
-        shards = self.shards
-        appends = [bucket.append for bucket in buckets]
-        if shards & (shards - 1) == 0:
-            # Power-of-two shard counts (the common deployments) bucket
-            # with pure shifts and masks — no division on the hot path.
-            shard_mask = shards - 1
-            shard_shift = shards.bit_length() - 1
-            for index, address in enumerate(addresses):
-                group = address >> _GRANULE_SHIFT
-                appends[group & shard_mask](
-                    (
-                        index,
-                        ((group >> shard_shift) << _GRANULE_SHIFT)
-                        | (address & _GRANULE_MASK),
-                    )
-                )
-        else:
-            granule = SHARD_GRANULE
-            for index, address in enumerate(addresses):
-                group, offset = divmod(address, granule)
-                local_group, shard = divmod(group, shards)
-                appends[shard]((index, local_group * granule + offset))
-        return buckets

@@ -17,10 +17,10 @@ One :class:`ServiceJob` runs the full story for one design point:
    (:mod:`repro.service.slo`).
 
 :class:`ServiceRunner` sweeps jobs across designs with the shared
-execution backends (inline / pool / workqueue) and the same
-journal/resume discipline campaigns use — a killed ``repro-bench
-serve`` pointed at the same ``--serve-dir`` resumes instead of
-re-running finished designs.
+:class:`~repro.bench.parallel.SweepExecutor` (inline or process pool)
+and the same journal/resume discipline campaigns use — a killed
+``repro-bench serve`` pointed at the same ``--serve-dir`` resumes
+instead of re-running finished designs.
 """
 
 from __future__ import annotations
@@ -419,7 +419,6 @@ class ServiceRunner:
                 run_service_job,
                 [self.jobs[index] for index in pending],
                 on_result=lambda _index, value: self.journal.append(value),
-                job_ids=[keys[index] for index in pending],
             )
             for index, value in zip(pending, fresh):
                 results[index] = value

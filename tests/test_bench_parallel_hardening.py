@@ -1,4 +1,5 @@
-"""Hardened sweep execution: timeouts, retries, fallback, quarantine."""
+"""Hardened sweep execution: engines, timeouts, retries, backoff,
+fallback, quarantine."""
 
 import logging
 import os
@@ -8,6 +9,7 @@ import pytest
 
 from repro.bench.parallel import ResultCache, SweepExecutor, SweepJob, job_cache_key
 from repro.config import fast_config
+from repro.crash.campaign import CampaignRunner, CampaignSpec
 from repro.errors import JobExecutionError
 from repro.workloads.base import WorkloadParams
 
@@ -19,6 +21,10 @@ PARAMS = WorkloadParams(operations=8, footprint_bytes=8 * 1024)
 
 def well_behaved(item):
     return "done:%s" % item
+
+
+def double(item):
+    return item * 2
 
 
 def hang_unless_sentinel(item):
@@ -55,6 +61,32 @@ def fail_always(item):
     raise ValueError("permanent failure on %s" % item)
 
 
+class TestBackendEquivalence:
+    @pytest.mark.parametrize("name", ["inline", "pool"])
+    def test_same_results_every_backend(self, name):
+        executor = SweepExecutor(workers=2, retry_backoff_s=0.0, backend=name)
+        seen = []
+        results = executor.map(
+            double,
+            [1, 2, 3, 4, 5],
+            on_result=lambda index, value: seen.append((index, value)),
+        )
+        assert results == [2, 4, 6, 8, 10]
+        assert sorted(seen) == [(0, 2), (1, 4), (2, 6), (3, 8), (4, 10)]
+        assert executor.stats()["backend"] == name
+
+    def test_inline_is_serial_and_ordered(self):
+        executor = SweepExecutor(workers=1)
+        order = []
+        executor.map(double, [3, 1, 2], on_result=lambda i, v: order.append(i))
+        assert order == [0, 1, 2]
+        assert executor.stats()["backend"] == "inline"
+
+    def test_unknown_backend_raises(self):
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            SweepExecutor(workers=2, backend="carrier-pigeon")
+
+
 class TestTimeoutsAndRetries:
     def test_hung_worker_is_timed_out_and_retried(self, tmp_path):
         executor = SweepExecutor(
@@ -74,6 +106,18 @@ class TestTimeoutsAndRetries:
         with pytest.raises(JobExecutionError):
             executor.map(hang_always, ["a", "b"])
         assert executor.timeouts >= 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lone_hung_job_times_out_at_any_worker_count(self, workers):
+        # A timeout runs the map on the pool even at one worker or one
+        # item: only a worker process can be reclaimed when it hangs.
+        executor = SweepExecutor(
+            workers=workers, job_timeout_s=0.3, max_retries=0, retry_backoff_s=0.0
+        )
+        with pytest.raises(JobExecutionError):
+            executor.map(hang_always, ["a"])
+        assert executor.timeouts >= 1
+        assert executor.stats()["backend"] == "pool"
 
     def test_transient_failure_is_retried(self, tmp_path):
         executor = SweepExecutor(workers=2, max_retries=2, retry_backoff_s=0.01)
@@ -99,6 +143,62 @@ class TestTimeoutsAndRetries:
         )
         assert results == ["done:a", "done:b", "done:c"]
         assert landed == {0: "done:a", 1: "done:b", 2: "done:c"}
+
+
+class TestPoolBackoff:
+    def test_no_sleep_after_final_retry_round(self):
+        # fail_always exhausts max_retries + 1 attempts; backoff must be
+        # slept only *between* rounds (2 sleeps for max_retries=2),
+        # never after the last attempt, and the total is exposed.
+        executor = SweepExecutor(
+            workers=2, max_retries=2, retry_backoff_s=0.05, backend="pool"
+        )
+        with pytest.raises(ValueError, match="permanent failure"):
+            executor.map(fail_always, ["x"])
+        expected = 0.05 * (2 ** 0) + 0.05 * (2 ** 1)
+        assert executor.backoff_slept_s == pytest.approx(expected)
+        assert executor.stats()["backoff_slept_s"] == pytest.approx(expected)
+        assert executor.retries == 2
+        assert executor.pool_fallbacks == 1
+
+    def test_no_backoff_when_first_attempt_succeeds(self):
+        executor = SweepExecutor(
+            workers=2, max_retries=2, retry_backoff_s=5.0, backend="pool"
+        )
+        start = time.monotonic()
+        assert executor.map(double, [7]) == [14]
+        assert time.monotonic() - start < 4.0
+        assert executor.backoff_slept_s == 0.0
+
+    def test_transient_failure_retries_then_succeeds(self, tmp_path):
+        sentinel = tmp_path / "sentinel"
+        executor = SweepExecutor(
+            workers=2, max_retries=2, retry_backoff_s=0.01, backend="pool"
+        )
+        results = executor.map(fail_unless_sentinel, ["fail:%s" % sentinel])
+        assert results == ["done:fail:%s" % sentinel]
+        assert executor.retries == 1
+        assert executor.backoff_slept_s == pytest.approx(0.01)
+
+
+class TestCampaignOracle:
+    def test_pool_campaign_matches_serial_oracle(self):
+        spec = CampaignSpec(
+            workloads=("array",),
+            designs=("sca", "unsafe"),
+            mechanisms=("undo",),
+            faults=("torn-data", "bitflip-data"),
+            crash_points=4,
+            seed=7,
+            operations=6,
+        )
+        serial = CampaignRunner(spec).run().as_dict()
+        executor = SweepExecutor(workers=2)
+        pooled = CampaignRunner(spec, executor=executor).run().as_dict()
+        assert executor.stats()["backend"] == "pool"
+        assert serial.pop("executor")["backend"] == "inline"
+        pooled.pop("executor")
+        assert pooled == serial
 
 
 class TestCacheQuarantine:

@@ -273,6 +273,16 @@ class TestCliResilience:
         assert main(argv) == 2
         assert "disagree" in capsys.readouterr().err
 
+    def test_heartbeat_timeout_without_checkpointing_exits_2(self, capsys):
+        # Jobs beat only under checkpointing, so the watchdog would arm
+        # nothing; --checkpoint-every alone has no directory either.
+        for extra in ([], ["--checkpoint-every", "40"]):
+            argv = self.CAMPAIGN_ARGS + ["--heartbeat-timeout", "5"] + extra
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "--heartbeat-timeout needs --checkpoint-every" in err
+            assert "--checkpoint-dir" in err
+
     def test_resume_from_picks_up_existing_journal(self, tmp_path, capsys):
         campaign_dir = str(tmp_path / "campaign")
         assert main(self.CAMPAIGN_ARGS + ["--campaign-dir", campaign_dir]) == 0

@@ -1,11 +1,11 @@
 """Batched crypto paths are bit-identical to their scalar oracles.
 
-PR6 vectorizes the AES T-table rounds, the OTP pad XOR and the
-counter-cache probes over whole batches (numpy when available, with the
-scalar implementations retained as oracles).  These properties pin the
-equivalence contract from docs/performance.md: same bytes, same stats,
-same LRU state — for every batch size including 0 and 1 — and the
-fast-forward simulation path reproduces the step-by-step fingerprint.
+The AES T-table rounds and the OTP pad XOR run over whole batches
+(numpy when available, with the scalar implementations retained as
+oracles).  These properties pin the equivalence contract
+from docs/performance.md: same bytes and same stats for every batch
+size including 0 and 1 — and the fast-forward simulation path
+reproduces the step-by-step fingerprint.
 The SplitMix64 PRF and the ECC-lane tags run as numpy uint64 lanes on
 the crash-image read side; they are pinned against the per-block PRF
 and a per-byte CBC-MAC reference on both sides of the dispatch
@@ -22,12 +22,10 @@ from hypothesis import strategies as st
 from repro.bench.harness import build_traces
 from repro.config import fast_config
 from repro.crypto.aes import _NP_BATCH_MIN, AES128
-from repro.crypto.counter_cache import COUNTERS_PER_LINE, CounterCache
-from repro.crypto.counters import CounterStore
 from repro.crypto.integrity import IntegrityEngine
 from repro.crypto.otp import OTPCipher, make_block_cipher
 from repro.crypto.prf import NP_BATCH_MIN, SplitMixPRF
-from repro.config import CounterCacheConfig, EncryptionConfig
+from repro.config import EncryptionConfig
 from repro.errors import CryptoError
 from repro.sim.machine import Machine
 from repro.sim.snapshot import (
@@ -240,56 +238,6 @@ class TestBatchedOTP:
             [(a, c, e) for (a, c, _t), e in zip(items, encrypted)]
         )
         assert roundtrip == [t for _a, _c, t in items]
-
-
-class TestBulkCounterCache:
-    @given(
-        addresses=st.lists(st.integers(min_value=0, max_value=255).map(lambda i: i * 64), max_size=64),
-        warm=st.lists(st.integers(min_value=0, max_value=255).map(lambda i: i * 64), max_size=16),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_lookup_many_matches_sequential(self, addresses, warm):
-        def build():
-            cache = CounterCache(CounterCacheConfig(size_bytes=4096, ways=2))
-            cache.fill_many(
-                [(a, tuple(range(1, COUNTERS_PER_LINE + 1))) for a in warm]
-            )
-            return cache
-
-        bulk, seq = build(), build()
-        assert bulk.lookup_for_read_many(addresses) == [
-            seq.lookup_for_read(a) for a in addresses
-        ]
-        assert bulk.stats.as_dict() == seq.stats.as_dict()
-        assert bulk.get_state() == seq.get_state()
-
-    def test_fill_many_matches_sequential_fills(self):
-        counters = tuple(range(1, COUNTERS_PER_LINE + 1))
-        # One address per 512 B counter-line group so 40 fills install
-        # 40 distinct lines into a 32-entry cache: guaranteed evictions.
-        fills = [(a * 512, counters) for a in range(40)]
-
-        bulk = CounterCache(CounterCacheConfig(size_bytes=2048, ways=2))
-        seq = CounterCache(CounterCacheConfig(size_bytes=2048, ways=2))
-        store = CounterStore(counter_region_base=1 << 26, memory_size_bytes=1 << 26)
-        bulk_victims = []
-        for chunk_start in range(0, len(fills), 8):
-            chunk = fills[chunk_start : chunk_start + 8]
-            bulk_victims.extend(bulk.fill_many(chunk))
-            # Dirty what just landed so later evictions yield victims.
-            for address, _ in chunk:
-                bulk.write(address, address + 1, store)
-        seq_victims = []
-        for chunk_start in range(0, len(fills), 8):
-            for address, line_counters in fills[chunk_start : chunk_start + 8]:
-                victim = seq.fill(address, line_counters)
-                if victim is not None:
-                    seq_victims.append(victim)
-            for address, _ in fills[chunk_start : chunk_start + 8]:
-                seq.write(address, address + 1, store)
-        assert bulk_victims == seq_victims
-        assert bulk_victims  # eviction pressure actually produced writebacks
-        assert bulk.get_state() == seq.get_state()
 
 
 class TestFastForward:

@@ -458,9 +458,9 @@ class TestJournalDedupe:
         journal = directory / CampaignRunner.JOURNAL_NAME
         lines = journal.read_text().splitlines()
         assert len(lines) == 1
-        # A retried job (worker killed after journaling, or an
-        # at-least-once workqueue redelivery) appends a second record
-        # for the same key.  Resume must count the job exactly once.
+        # A retried job (worker killed after journaling, or a
+        # --retry-crashed re-run) appends a second record for the same
+        # key.  Resume must count the job exactly once.
         stale = json.loads(lines[0])
         stale["outcomes"] = {k: 0 for k in stale["outcomes"]}
         stale["points"] = 0

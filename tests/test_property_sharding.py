@@ -5,8 +5,7 @@ Two families of properties:
 * **Address algebra** — the :class:`~repro.nvm.address.ShardMap`
   interleave is a bijection between the global data space and the
   disjoint union of the shards' local spaces, for *arbitrary* shard
-  counts (not just the power-of-two deployments), and the batched
-  dispatcher agrees with the per-line translation exactly.
+  counts (not just the power-of-two deployments).
 * **Crash durability** — on a machine sharded 2 and 4 ways, a uniform
   power failure at *any* instant (Hypothesis picks the nanosecond, not
   a curated sample) recovers every crash-consistent design to a
@@ -73,28 +72,6 @@ class TestShardMapBijection:
         last = mapping.to_local(base + SHARD_GRANULE - 1)
         assert first[0] == last[0] == group % shards
         assert last[1] - first[1] == SHARD_GRANULE - 1
-
-    @given(
-        shards=SHARD_COUNTS,
-        lines=st.lists(st.integers(min_value=0, max_value=4095), max_size=64),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_dispatch_batch_matches_per_line_translation(self, shards, lines):
-        mapping = shard_map(shards)
-        addresses = [line * 64 for line in lines]
-        buckets = mapping.dispatch_batch(addresses)
-        reference = [[] for _ in range(shards)]
-        for index, address in enumerate(addresses):
-            shard, local = mapping.to_local(address)
-            reference[shard].append((index, local))
-        assert buckets == reference
-
-    def test_dispatch_batch_rejects_out_of_range(self):
-        mapping = shard_map(2)
-        from repro.errors import AddressError
-
-        with pytest.raises(AddressError):
-            mapping.dispatch_batch([0, mapping.data_capacity_bytes])
 
 
 class _SweepFixture:

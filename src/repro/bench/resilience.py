@@ -92,7 +92,6 @@ def run_workload_resilient(
     params: Optional[WorkloadParams] = None,
     checkpoint_dir: Optional[str] = None,
     every_events: Optional[int] = None,
-    every_seconds: Optional[float] = None,
     heartbeat: Optional[Heartbeat] = None,
     code: Optional[str] = None,
     keep: int = 3,
@@ -120,7 +119,7 @@ def run_workload_resilient(
             code=code if code is not None else code_version(),
             keep=keep,
         )
-    policy = CheckpointPolicy(every_events=every_events, every_seconds=every_seconds)
+    policy = CheckpointPolicy(every_events=every_events)
     on_event = None
     if heartbeat is not None:
         on_event = heartbeat.beat

@@ -26,7 +26,7 @@ from .cache import Cache, CacheStats, EvictedLine
 from .cacheline import CacheLine
 from .controller import ControllerStats, MemoryController
 from .events import TRACE_FIELDS, JsonlTrace, fold
-from .hierarchy import CacheHierarchy, HierarchyAccess
+from .hierarchy import CacheHierarchy
 from .integrity_policy import (
     EagerTreePersistence,
     LazyTreePersistence,
@@ -41,7 +41,6 @@ __all__ = [
     "EvictedLine",
     "CacheLine",
     "CacheHierarchy",
-    "HierarchyAccess",
     "ColocatedLayout",
     "ControllerStats",
     "EagerTreePersistence",

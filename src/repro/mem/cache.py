@@ -30,6 +30,8 @@ class CacheStats:
     read_hits: int = 0
     read_misses: int = 0
     write_hits: int = 0
+    #: Stays 0: :meth:`Cache.write` leaves a miss to its caller, and the
+    #: hierarchy write-allocates.  Kept so snapshots keep their shape.
     write_misses: int = 0
     evictions: int = 0
     dirty_evictions: int = 0
@@ -72,21 +74,9 @@ class Cache:
 
     # -- addressing ------------------------------------------------------
 
-    def _set_index(self, line_address: int) -> int:
-        return (line_address >> _LINE_SHIFT) & self._set_mask
-
     @staticmethod
     def line_address(address: int) -> int:
         return address & _LINE_MASK
-
-    # -- internals -------------------------------------------------------
-
-    def _lookup(self, line_address: int) -> Optional[CacheLine]:
-        return self._sets[(line_address >> _LINE_SHIFT) & self._set_mask].get(line_address)
-
-    def _touch(self, line: CacheLine) -> None:
-        self._tick += 1
-        line.lru_tick = self._tick
 
     # -- queries -----------------------------------------------------------
 
@@ -104,11 +94,12 @@ class Cache:
 
     # -- read path -----------------------------------------------------------
 
-    def read(self, address: int, length: int) -> Optional[Tuple[Optional[bytes], CacheLine]]:
-        """Read ``length`` bytes; returns None on miss.
+    def read(self, address: int) -> Optional[CacheLine]:
+        """A read access: count a hit or a miss; returns the line or None.
 
-        On a hit, returns ``(data, line)`` where data is None in
-        timing-only mode.
+        A hit also touches the line's LRU position.  The caller reads
+        the bytes it needs from the returned line (``payload`` is None
+        in timing-only mode).
         """
         line_address = address & _LINE_MASK
         line = self._sets[(line_address >> _LINE_SHIFT) & self._set_mask].get(line_address)
@@ -118,23 +109,30 @@ class Cache:
         self.stats.read_hits += 1
         self._tick += 1
         line.lru_tick = self._tick
-        data = line.read_bytes(address - line_address, length)
-        return (data, line)
+        return line
 
     # -- write path ------------------------------------------------------------
 
     def write(
-        self, address: int, data: Optional[bytes], length: int, counter_atomic: bool = False
+        self,
+        address: int,
+        data: Optional[bytes],
+        length: int,
+        counter_atomic: bool = False,
+        dirty: bool = True,
     ) -> bool:
-        """Store into a resident line; returns False on miss.
+        """Store into a resident line; returns False on a miss.
 
-        ``data`` is None in timing-only mode, in which case ``length``
-        still drives the bounds check.
+        A miss changes nothing: the caller decides between allocating
+        the line (a store) and leaving the level alone (a writeback
+        passing by).  ``data`` is None in timing-only mode, in which
+        case ``length`` still drives the bounds check.  ``dirty=False``
+        is a write-through: the line takes the bytes but ends clean,
+        because they are already on their way to memory.
         """
         line_address = address & _LINE_MASK
         line = self._sets[(line_address >> _LINE_SHIFT) & self._set_mask].get(line_address)
         if line is None:
-            self.stats.write_misses += 1
             return False
         self.stats.write_hits += 1
         self._tick += 1
@@ -143,7 +141,7 @@ class Cache:
             line.write_bytes(address - line_address, data)
         elif address - line_address + length > CACHE_LINE_SIZE:
             raise AddressError("store spills out of the line")
-        line.dirty = True
+        line.dirty = dirty
         if counter_atomic:
             line.counter_atomic = True
         return True
@@ -213,11 +211,11 @@ class Cache:
         cache_set[line_address] = new_line
         return victim
 
-    def clean_line(self, address: int) -> Optional[EvictedLine]:
+    def clean_line(self, address: int) -> Optional[Tuple[Optional[bytes], bool]]:
         """clwb semantics: emit a writeback for a dirty line, keep it valid.
 
-        Returns the writeback payload (with its CounterAtomic flag) or
-        None if the line is absent or clean.  The line's dirty and
+        Returns ``(payload, counter_atomic)`` for the writeback, or None
+        if the line is absent or clean.  The line's dirty and
         CounterAtomic flags are cleared — the update is now owned by
         the memory controller.
         """
@@ -229,34 +227,21 @@ class Cache:
         was_ca = line.counter_atomic
         line.counter_atomic = False
         self.stats.writebacks_cleaned += 1
-        return EvictedLine(
-            address=line_address,
-            payload=line.snapshot_payload(),
-            dirty=True,
-            counter_atomic=was_ca,
-        )
+        return line.snapshot_payload(), was_ca
 
     def invalidate_all(self) -> None:
         """Drop all contents (volatile loss at power failure)."""
         for cache_set in self._sets:
             cache_set.clear()
 
-    def dirty_lines(self) -> List[EvictedLine]:
-        """All dirty lines, for flush-all style operations."""
-        result: List[EvictedLine] = []
-        for cache_set in self._sets:
-            for line in cache_set.values():
-                if line.dirty:
-                    result.append(
-                        EvictedLine(
-                            address=line.tag,
-                            payload=line.snapshot_payload(),
-                            dirty=True,
-                            counter_atomic=line.counter_atomic,
-                        )
-                    )
-        result.sort(key=lambda e: e.address)
-        return result
+    def dirty_lines(self) -> List[int]:
+        """Addresses of all dirty lines, ascending (flush-all operations)."""
+        return sorted(
+            line.tag
+            for cache_set in self._sets
+            for line in cache_set.values()
+            if line.dirty
+        )
 
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)

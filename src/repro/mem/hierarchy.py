@@ -2,20 +2,23 @@
 
 The hierarchy is functional (real bytes flow through it) and returns
 timing in the same resource-timeline style as the controller: every
-access takes the core's current time and yields an absolute completion
-time plus any writeback acceptance times the core's persistency tracker
-must observe.
+access takes the core's current time and yields its absolute
+completion time.  Loaded bytes stay in the L1 line; functional
+checkers read them back with :meth:`CacheHierarchy.read_current`.
 
 Eviction policy: inclusive-enough write-back/write-allocate.  L1 dirty
 victims merge into L2; L2 dirty victims become controller writes that
 carry their CounterAtomic flag (Section 5.1: the annotation travels
 with the line so the controller can pair the writeback).
+
+Statistics: an access probes its L1 without counting, so L1 misses
+are never counted; the access that follows a fill counts as an L1 hit.
+L2 counts its read hits and misses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from ..config import CACHE_LINE_SIZE, SystemConfig
 from ..errors import AddressError, SimulationError
@@ -25,22 +28,15 @@ if TYPE_CHECKING:
     from ..sim.machine import MemorySystem
 
 _LINE_MASK = ~(CACHE_LINE_SIZE - 1)
-_LINE_SHIFT = CACHE_LINE_SIZE.bit_length() - 1
 
 
-@dataclass(slots=True)
-class HierarchyAccess:
-    """Outcome of one load/store as seen by the issuing core."""
-
-    complete_ns: float
-    #: Bytes loaded (loads only; None for stores or timing-only mode).
-    data: Optional[bytes]
-    #: Where the access was satisfied: "l1", "l2" or "memory".
-    served_by: str
-    #: Queue-acceptance times of any writebacks this access triggered
-    #: (dirty evictions); persist_barriers need not wait on these (the
-    #: paper's barrier covers clwb'd lines), but crash modeling does.
-    writeback_accepts: List[float] = field(default_factory=list)
+def _reject_span(address: int, length: int) -> None:
+    """Raise the :class:`AddressError` for an access that leaves its line."""
+    if length <= 0 or length > CACHE_LINE_SIZE:
+        raise AddressError("access length %d out of range" % length)
+    raise AddressError(
+        "access at 0x%x of %d bytes crosses a cache line" % (address, length)
+    )
 
 
 class CacheHierarchy:
@@ -55,7 +51,6 @@ class CacheHierarchy:
             for core in range(config.num_cores)
         ]
         self.l2 = Cache(config.l2, functional=functional, name="l2")
-        self._functional = functional
         # Hit latencies hoisted out of the per-access config walk.
         self._l1_hit_ns = config.l1.hit_latency_ns
         self._l2_hit_ns = config.l2.hit_latency_ns
@@ -64,181 +59,73 @@ class CacheHierarchy:
     # Internal fill machinery
     # ------------------------------------------------------------------
 
-    def _handle_l2_victim(
-        self, victim: Optional[EvictedLine], now_ns: float
-    ) -> Optional[float]:
-        """A dirty L2 victim becomes a controller write; returns its accept."""
-        if victim is None:
-            return None
-        ticket = self.controller.write_line(
-            victim.address,
-            victim.payload,
-            now_ns,
-            counter_atomic=victim.counter_atomic,
-        )
-        return ticket.accept_ns
-
-    def _handle_l1_victim(
-        self, victim: Optional[EvictedLine], now_ns: float
-    ) -> Optional[float]:
-        """Dirty L1 victims merge into L2; L2's own victim may go to memory."""
-        if victim is None:
-            return None
-        if self.l2.contains(victim.address):
-            self.l2.write(
+    def _handle_l2_victim(self, victim: Optional[EvictedLine], now_ns: float) -> None:
+        """A dirty L2 victim becomes a controller write."""
+        if victim is not None:
+            self.controller.write_line(
                 victim.address,
                 victim.payload,
-                CACHE_LINE_SIZE,
+                now_ns,
                 counter_atomic=victim.counter_atomic,
             )
-            return None
-        l2_victim = self.l2.fill(
+
+    def _handle_l1_victim(self, victim: Optional[EvictedLine], now_ns: float) -> None:
+        """Dirty L1 victims merge into L2; L2's own victim may go to memory."""
+        if victim is None:
+            return
+        l2 = self.l2
+        if not l2.write(
             victim.address,
             victim.payload,
-            dirty=True,
+            CACHE_LINE_SIZE,
             counter_atomic=victim.counter_atomic,
-        )
-        return self._handle_l2_victim(l2_victim, now_ns)
+        ):
+            self._handle_l2_victim(
+                l2.fill(
+                    victim.address,
+                    victim.payload,
+                    dirty=True,
+                    counter_atomic=victim.counter_atomic,
+                ),
+                now_ns,
+            )
 
-    def _fill_from_memory(
-        self, core: int, line_address: int, now_ns: float
-    ) -> Tuple[float, Tuple[float, ...]]:
-        """Miss everywhere: read from the controller, fill L2 then L1."""
-        result = self.controller.read_line(line_address, now_ns)
+    def _miss_in_l1(self, core: int, line_address: int, now_ns: float) -> float:
+        """L1 lookup missed: fill it from the shared L2, else from memory.
+
+        Returns the time the line is in L1.
+        """
+        # The L1 lookup that missed, then the L2 lookup (hit or miss).
+        complete = now_ns + self._l1_hit_ns + self._l2_hit_ns
+        l1 = self.l1s[core]
+        line = self.l2.read(line_address)
+        if line is not None:
+            self._handle_l1_victim(l1.fill(line_address, line.payload), complete)
+            return complete
+        result = self.controller.read_line(line_address, complete)
         complete = result.complete_ns
         plaintext = result.plaintext
-        l2_accept = self._handle_l2_victim(self.l2.fill(line_address, plaintext), complete)
-        l1_accept = self._handle_l1_victim(
-            self.l1s[core].fill(line_address, plaintext), complete
-        )
-        if l2_accept is None:
-            accepts = () if l1_accept is None else (l1_accept,)
-        else:
-            accepts = (l2_accept,) if l1_accept is None else (l2_accept, l1_accept)
-        return complete, accepts
-
-    def _miss_in_l1(
-        self, core: int, line_address: int, now_ns: float
-    ) -> Tuple[float, str, Tuple[float, ...]]:
-        """L1 lookup already missed: consult the shared L2, then memory."""
-        hit = self.l2.read(line_address, CACHE_LINE_SIZE)
-        now_ns += self._l1_hit_ns  # L1 lookup that missed
-        if hit is not None:
-            complete = now_ns + self._l2_hit_ns
-            accept = self._handle_l1_victim(
-                self.l1s[core].fill(line_address, hit[0]), complete
-            )
-            return complete, "l2", () if accept is None else (accept,)
-        complete = now_ns + self._l2_hit_ns  # L2 lookup that missed
-        fill_time, accepts = self._fill_from_memory(core, line_address, complete)
-        return fill_time, "memory", accepts
-
-    def _ensure_in_l1(
-        self, core: int, address: int, now_ns: float
-    ) -> Tuple[float, str, Tuple[float, ...]]:
-        """Bring the line into this core's L1; returns (time, source, accepts)."""
-        line_address = address & _LINE_MASK
-        if self.l1s[core].contains(line_address):
-            return now_ns + self._l1_hit_ns, "l1", ()
-        return self._miss_in_l1(core, line_address, now_ns)
+        self._handle_l2_victim(self.l2.fill(line_address, plaintext), complete)
+        self._handle_l1_victim(l1.fill(line_address, plaintext), complete)
+        return complete
 
     # ------------------------------------------------------------------
     # Public operations
     # ------------------------------------------------------------------
 
-    def load_complete(self, core: int, address: int, length: int, now_ns: float) -> float:
-        """Timing fast path: ``load(...).complete_ns`` without the wrapper.
-
-        This performs exactly the stat increments and LRU touches of the
-        full path and skips the :class:`HierarchyAccess` allocation; the
-        machine's inner loop discards the loaded bytes anyway.  On a
-        miss it runs the shared fill machinery and then replays the
-        guaranteed L1 hit inline.  A span that the full path would
-        reject falls back to :meth:`load`, so errors stay identical.
-        """
+    def load(self, core: int, address: int, length: int, now_ns: float) -> float:
+        """Load ``length`` bytes (within one line); returns the completion time."""
         line_address = address & _LINE_MASK
-        if 0 < length <= CACHE_LINE_SIZE and address - line_address + length <= CACHE_LINE_SIZE:
-            l1 = self.l1s[core]
-            cache_set = l1._sets[(line_address >> _LINE_SHIFT) & l1._set_mask]
-            line = cache_set.get(line_address)
-            if line is None:
-                # Miss: the shared fill machinery, then the L1 re-read
-                # that load() performs (bytes are discarded; the byte
-                # copy has no observable effect either way).
-                complete = self._miss_in_l1(core, line_address, now_ns)[0]
-                line = cache_set.get(line_address)
-                if line is None:
-                    raise SimulationError("line vanished from L1 after fill")
-                l1.stats.read_hits += 1
-                l1._tick += 1
-                line.lru_tick = l1._tick
-                return complete
-            l1.stats.read_hits += 1
-            l1._tick += 1
-            line.lru_tick = l1._tick
-            return now_ns + self._l1_hit_ns
-        return self.load(core, address, length, now_ns).complete_ns
-
-    def store_complete(
-        self,
-        core: int,
-        address: int,
-        data: Optional[bytes],
-        length: int,
-        now_ns: float,
-        counter_atomic: bool = False,
-    ) -> float:
-        """Timing fast path: ``store(...).complete_ns`` without the wrapper.
-
-        Stores replicate the full path's effects exactly — one
-        ``write_hits`` bump, an LRU touch, the byte write (functional
-        mode), the dirty and CounterAtomic flags — and skip the
-        :class:`HierarchyAccess` allocation.  Misses run the shared
-        fill machinery first (write-allocate); rejectable spans fall
-        back to :meth:`store`.
-        """
-        if data is not None:
-            length = len(data)
-        line_address = address & _LINE_MASK
-        if 0 < length <= CACHE_LINE_SIZE and address - line_address + length <= CACHE_LINE_SIZE:
-            l1 = self.l1s[core]
-            cache_set = l1._sets[(line_address >> _LINE_SHIFT) & l1._set_mask]
-            line = cache_set.get(line_address)
-            if line is None:
-                complete = self._miss_in_l1(core, line_address, now_ns)[0]
-                line = cache_set.get(line_address)
-                if line is None:
-                    raise SimulationError("store missed L1 after fill")
-            else:
-                complete = now_ns + self._l1_hit_ns
-            l1.stats.write_hits += 1
-            l1._tick += 1
-            line.lru_tick = l1._tick
-            if data is not None:
-                line.write_bytes(address - line_address, data)
-            line.dirty = True
-            if counter_atomic:
-                line.counter_atomic = True
-            return complete
-        return self.store(
-            core, address, data, length, now_ns, counter_atomic=counter_atomic
-        ).complete_ns
-
-    def load(self, core: int, address: int, length: int, now_ns: float) -> HierarchyAccess:
-        """Load ``length`` bytes (must not cross a line boundary)."""
-        self._check_span(address, length)
-        complete, served_by, accepts = self._ensure_in_l1(core, address, now_ns)
-        data: Optional[bytes] = None
-        hit = self.l1s[core].read(address, length)
-        if hit is None:
+        if length <= 0 or address - line_address + length > CACHE_LINE_SIZE:
+            _reject_span(address, length)
+        l1 = self.l1s[core]
+        if l1.contains(line_address):
+            complete = now_ns + self._l1_hit_ns
+        else:
+            complete = self._miss_in_l1(core, line_address, now_ns)
+        if l1.read(line_address) is None:
             raise SimulationError("line vanished from L1 after fill")
-        data = hit[0]
-        return HierarchyAccess(
-            complete_ns=complete,
-            data=data,
-            served_by=served_by,
-            writeback_accepts=list(accepts),
-        )
+        return complete
 
     def store(
         self,
@@ -248,20 +135,26 @@ class CacheHierarchy:
         length: int,
         now_ns: float,
         counter_atomic: bool = False,
-    ) -> HierarchyAccess:
-        """Store bytes (write-allocate; must not cross a line boundary)."""
+    ) -> float:
+        """Store bytes (write-allocate, within one line); returns the completion time."""
         if data is not None:
             length = len(data)
-        self._check_span(address, length)
-        complete, served_by, accepts = self._ensure_in_l1(core, address, now_ns)
-        if not self.l1s[core].write(address, data, length, counter_atomic=counter_atomic):
+        line_address = address & _LINE_MASK
+        if length <= 0 or address - line_address + length > CACHE_LINE_SIZE:
+            _reject_span(address, length)
+        l1 = self.l1s[core]
+        if l1.contains(line_address):
+            complete = now_ns + self._l1_hit_ns
+        else:
+            complete = self._miss_in_l1(core, line_address, now_ns)
+        if not l1.write(address, data, length, counter_atomic):
             raise SimulationError("store missed L1 after fill")
-        return HierarchyAccess(
-            complete_ns=complete,
-            data=None,
-            served_by=served_by,
-            writeback_accepts=list(accepts),
-        )
+        return complete
+
+    # The end-to-end benchmark's spans (benchmarks/e2e/spans.py) wrap the
+    # names the two access paths once had; the aliases keep them alive.
+    load_complete = load
+    store_complete = store
 
     def clwb(self, core: int, address: int, now_ns: float) -> Optional[float]:
         """Write back (without invalidating) the line holding ``address``.
@@ -272,39 +165,19 @@ class CacheHierarchy:
         or absent (a no-op clwb).
         """
         line_address = address & _LINE_MASK
-        l1 = self.l1s[core]
-        line = l1._sets[(line_address >> _LINE_SHIFT) & l1._set_mask].get(line_address)
-        if line is not None and line.dirty:
-            # == l1.clean_line, without the EvictedLine allocation.
-            line.dirty = False
-            counter_atomic = line.counter_atomic
-            line.counter_atomic = False
-            l1.stats.writebacks_cleaned += 1
-            payload = line.snapshot_payload()
-            # Keep L2's copy (if any) coherent with the flushed data:
-            # one lookup replaces contains + write + peek; the write-hit
-            # stat, LRU touch and byte merge match l2.write, and the
-            # net dirty state is False exactly as before.
-            l2 = self.l2
-            l2_line = l2._sets[(line_address >> _LINE_SHIFT) & l2._set_mask].get(line_address)
-            if l2_line is not None:
-                l2.stats.write_hits += 1
-                l2._tick += 1
-                l2_line.lru_tick = l2._tick
-                if payload is not None:
-                    l2_line.write_bytes(0, payload)
-                l2_line.dirty = False
+        flushed = self.l1s[core].clean_line(line_address)
+        if flushed is not None:
+            # L2's copy, if any, takes the flushed bytes and ends clean.
+            self.l2.write(line_address, flushed[0], CACHE_LINE_SIZE, dirty=False)
         else:
             flushed = self.l2.clean_line(line_address)
             if flushed is None:
                 return None
-            payload = flushed.payload
-            counter_atomic = flushed.counter_atomic
-        issue = now_ns + self._l1_hit_ns
+        payload, counter_atomic = flushed
         ticket = self.controller.write_line(
             line_address,
             payload,
-            issue,
+            now_ns + self._l1_hit_ns,
             counter_atomic=counter_atomic,
         )
         return ticket.accept_ns
@@ -312,20 +185,18 @@ class CacheHierarchy:
     def flush_all_dirty(self, now_ns: float) -> List[float]:
         """Write back every dirty line (used by flush-on-exit tooling)."""
         accepts: List[float] = []
-        for core in range(len(self.l1s)):
-            for line in self.l1s[core].dirty_lines():
-                accept = self.clwb(core, line.address, now_ns)
+        for core, l1 in enumerate(self.l1s):
+            for address in l1.dirty_lines():
+                accept = self.clwb(core, address, now_ns)
                 if accept is not None:
                     accepts.append(accept)
-        for line in self.l2.dirty_lines():
-            flushed = self.l2.clean_line(line.address)
+        for address in self.l2.dirty_lines():
+            flushed = self.l2.clean_line(address)
             if flushed is None:
                 continue
+            payload, counter_atomic = flushed
             ticket = self.controller.write_line(
-                flushed.address,
-                flushed.payload,
-                now_ns,
-                counter_atomic=flushed.counter_atomic,
+                address, payload, now_ns, counter_atomic=counter_atomic
             )
             accepts.append(ticket.accept_ns)
         return accepts
@@ -365,13 +236,3 @@ class CacheHierarchy:
         for l1, l1_state in zip(self.l1s, state["l1s"]):
             l1.set_state(l1_state)
         self.l2.set_state(state["l2"])
-
-    @staticmethod
-    def _check_span(address: int, length: int) -> None:
-        if length <= 0 or length > CACHE_LINE_SIZE:
-            raise AddressError("access length %d out of range" % length)
-        line_address = Cache.line_address(address)
-        if address - line_address + length > CACHE_LINE_SIZE:
-            raise AddressError(
-                "access at 0x%x of %d bytes crosses a cache line" % (address, length)
-            )

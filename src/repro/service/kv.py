@@ -47,10 +47,8 @@ from ..txn.manager import make_transactions
 from ..txn.redolog import recover_redo_log
 from ..txn.undolog import recover_undo_log
 from ..utils.bitops import align_down
-from ..workloads.base import LineModel, RecordedTxn, TxnRecorder
+from ..workloads.base import LineModel, RecordedTxn, TxnRecorder, index_prefixes
 from .traffic import Operation
-
-_ZERO_LINE = bytes(CACHE_LINE_SIZE)
 
 #: Slot sentinel: never-written key.
 EMPTY_KEY = 0
@@ -593,9 +591,14 @@ class ServiceValidator:
                 "txn_end_times has %d entries for %d committed transactions"
                 % (len(self.txn_end_times), len(run.commit_order))
             )
-        self._prefix_states = [
-            self._build_prefix_states(history) for history in run.tenant_histories
-        ]
+        # Per tenant: its sorted tracked lines and its keyed prefix index
+        # (a tenant's initial image is empty: every line starts as zeros).
+        self._tracked: List[List[int]] = []
+        self._prefix_of: List[Dict[Tuple[bytes, ...], int]] = []
+        for tenant, history in enumerate(run.tenant_histories):
+            tracked = sorted(run.tenant_tracked_lines(tenant))
+            self._tracked.append(tracked)
+            self._prefix_of.append(index_prefixes(tracked, {}, history))
         # Tenant-local txn index -> global txn index, per tenant.
         self._tenant_global: List[List[int]] = [[] for _ in run.arenas]
         for global_index, record in enumerate(run.commit_order):
@@ -606,18 +609,6 @@ class ServiceValidator:
                     % record.tenant
                 )
             locals_.append(global_index)
-
-    @staticmethod
-    def _build_prefix_states(
-        history: List[RecordedTxn],
-    ) -> List[Dict[int, bytes]]:
-        states: List[Dict[int, bytes]] = [{}]
-        current: Dict[int, bytes] = {}
-        for txn in history:
-            for line, _old, new in txn.writes:
-                current[line] = new
-            states.append(dict(current))
-        return states
 
     def _required_prefix(self, tenant: int, crash_ns: float) -> int:
         if self.txn_end_times is None:
@@ -667,7 +658,7 @@ class ServiceValidator:
                 required_prefix=self._required_prefix(tenant, crash_ns),
             )
             verdict.tenants.append(tenant_verdict)
-            tracked = sorted(run.tenant_tracked_lines(tenant))
+            tracked = self._tracked[tenant]
             leaked = [
                 line
                 for line in tracked
@@ -692,14 +683,9 @@ class ServiceValidator:
                 verdict.silent.extend(tenant_verdict.silent)
                 consistent = False
                 continue
-            states = self._prefix_states[tenant]
-            for j in range(len(states) - 1, -1, -1):
-                state = states[j]
-                if all(
-                    values[line] == state.get(line, _ZERO_LINE) for line in tracked
-                ):
-                    tenant_verdict.matched_prefix = j
-                    break
+            tenant_verdict.matched_prefix = self._prefix_of[tenant].get(
+                tuple(values[line] for line in tracked)
+            )
             if (
                 tenant_verdict.matched_prefix is not None
                 and tenant_verdict.matched_prefix >= tenant_verdict.required_prefix

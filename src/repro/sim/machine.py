@@ -1,21 +1,22 @@
 """The machine: cores + caches + memory controller, replaying traces.
 
 Scheduling: each core is a cursor into its trace with a local clock.
-The machine repeatedly picks the core with the earliest clock and
-executes its next operation, so shared-resource contention (L2, write
-queues, banks, bus) is resolved in global time order.  This is the
-standard conservative discrete-event discipline at operation
-granularity — sufficient because every inter-core interaction in this
-model happens through timestamped shared resources.
+The machine always executes the next operation of the core with the
+earliest clock (the lowest core id on a tie), so shared-resource
+contention (L2, write queues, banks, bus) is resolved in global time
+order.  This is the standard conservative discrete-event discipline at
+operation granularity — sufficient because every inter-core
+interaction in this model happens through timestamped shared
+resources.  :meth:`Machine.run_events` is the one loop that does it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-from typing import Union
+from math import inf, nextafter
+from operator import attrgetter
+from typing import List, Optional, Sequence, Union
 
 from ..config import SystemConfig
 from ..core.designs import DesignPolicy, get_design, sharded_design_name
@@ -25,7 +26,7 @@ from ..mem.hierarchy import CacheHierarchy
 from ..mem.sharded import ShardedMemorySystem
 from ..persist.model import PersistencyTracker
 from .stats import CoreStats, MachineStats
-from .trace import Op, OpKind, Trace
+from .trace import OpKind, Trace
 
 #: What the machine drives: the singleton controller (``shards == 1``,
 #: the exact pre-sharding fast path) or the N-way sharded coordinator
@@ -69,8 +70,8 @@ class _CoreState:
         return self.index >= len(self.trace.ops)
 
 
-#: Integer dispatch codes for the inlined fast loop
-#: (:meth:`Machine._run_single`), cached per trace as ``trace._op_codes``.
+#: Integer dispatch codes for the event loop (:meth:`Machine.run_events`),
+#: cached per trace as ``trace._dispatch_codes``.
 _OP_CODE = {
     OpKind.LOAD: 0,
     OpKind.STORE: 1,
@@ -82,6 +83,8 @@ _OP_CODE = {
     OpKind.TXN_END: 7,
     OpKind.LABEL: 8,
 }
+
+_clock_of = attrgetter("clock_ns")
 
 
 class Machine:
@@ -108,8 +111,8 @@ class Machine:
     def begin(self, traces: Sequence[Trace]) -> None:
         """Install traces and arm the event loop without running it.
 
-        ``begin`` / ``step`` / ``finish`` decompose :meth:`run` so a
-        checkpointing harness can pause the simulation at an event
+        ``begin`` / ``run_events`` / ``finish`` decompose :meth:`run` so
+        a checkpointing harness can pause the simulation at an event
         boundary; ``run`` remains the one-shot path.
         """
         if len(traces) > self.config.num_cores:
@@ -123,20 +126,10 @@ class Machine:
 
     def step(self) -> bool:
         """Execute one event; returns True while more events remain."""
-        pending = self._pending
-        if not pending:
-            return False
-        # Conservative order: always advance the earliest core.
-        core = min(pending, key=lambda c: c.clock_ns)
-        self._step(core)
-        self.events_executed += 1
-        if core.done:
-            core.stats.finish_ns = core.clock_ns
-            self._pending = [c for c in self._cores if not c.done]
-        return bool(self._pending)
+        return self.run_events(1)
 
     def finish(self) -> SimulationResult:
-        """Assemble the result once :meth:`step` has drained all events."""
+        """Assemble the result once every event has run."""
         if self._cores is None:
             raise SimulationError("finish() called before begin()")
         return self._finish(self._cores)
@@ -148,236 +141,147 @@ class Machine:
         return self.finish()
 
     def fast_forward(self) -> None:
-        """Drain all remaining events as fast as possible.
+        """Execute every remaining event."""
+        self.run_events(None)
 
-        Equivalent to ``while self.step(): pass`` — same stats, same
-        timing, same errors — but whenever exactly one core remains
-        pending the inlined single-core loop (:meth:`_run_single`)
-        takes over and skips the per-event scheduling, dispatch and
-        wrapper allocations.  Multi-core phases fall back to
-        :meth:`step` for the conservative global-time ordering.
+    def run_events(self, budget: Optional[int] = None) -> bool:
+        """Execute up to ``budget`` events (all with None); True while more remain.
+
+        The machine's one event loop.  It runs the earliest pending
+        core (the lowest core id on a tie) until the budget runs out,
+        its trace ends, or its clock passes the next core's
+        ``(clock_ns, core_id)`` — exactly the core one event at a time
+        would have picked, so any split of a run into calls lands on
+        the same event boundaries and state.  A lone pending core runs
+        to the end of its trace or budget in one pass.
+
+        Per-op counters accumulate in locals and are written back in a
+        ``finally``, so after a mid-loop simulation error the failing
+        op counts as executed (its index advanced) but not as a
+        completed event.
         """
         if self._cores is None:
-            raise SimulationError("fast_forward() called before begin()")
-        while self._pending:
-            if len(self._pending) == 1:
-                self._run_single(self._pending[0])
-            else:
-                self.step()
-
-    def run_events(self, budget: int) -> bool:
-        """Execute up to ``budget`` events; True while more remain.
-
-        The chunked counterpart of :meth:`step` for checkpointing
-        harnesses: a chunk lands on exactly the same event boundary as
-        ``budget`` individual ``step()`` calls, with single-core chunks
-        taking the fast loop.
-        """
-        while budget > 0:
-            pending = self._pending
-            if not pending:
-                return False
-            if len(pending) == 1:
-                budget -= self._run_single(pending[0], budget)
-            else:
-                self.step()
-                budget -= 1
-        return bool(self._pending)
-
-    def _run_single(self, core: _CoreState, budget: Optional[int] = None) -> int:
-        """Inlined event loop for a lone pending core; returns events run.
-
-        Bit-identical to repeated :meth:`step` calls on a one-core
-        machine: the handlers are unrolled into one dispatch on
-        precomputed op codes, per-op counters accumulate in locals, and
-        L1-resident loads/stores take the hierarchy's ``*_complete``
-        fast paths.  All bookkeeping is written back in a ``finally``
-        so a mid-loop simulation error leaves the same state as the
-        stepped path.
-        """
-        trace = core.trace
-        ops = trace.ops
-        codes = getattr(trace, "_op_codes", None)
-        if codes is None:
-            op_code = _OP_CODE
-            codes = [op_code[op.kind] for op in ops]
-            trace._op_codes = codes
-        start = index = core.index
-        end = len(ops)
-        if budget is not None and index + budget < end:
-            end = index + budget
-        clock = core.clock_ns
+            raise SimulationError("run_events() called before begin()")
         overhead = self.config.core.op_overhead_ns
         l1_hit = self.config.l1.hit_latency_ns
-        core_id = core.core_id
         hierarchy = self.hierarchy
-        load_complete = hierarchy.load_complete
-        store_complete = hierarchy.store_complete
+        load = hierarchy.load
+        store = hierarchy.store
         clwb = hierarchy.clwb
         ccwb = self.controller.counter_cache_writeback
         # Cross-shard commit barrier (None on the singleton controller).
         note_commit = getattr(self.controller, "note_txn_commit", None)
-        tracker = core.tracker
-        note_writeback = tracker.note_writeback
-        fence = tracker.fence
-        txn_ends = self._txn_end_times[core_id]
-        stats = core.stats
-        loads = stats.loads
-        stores = stats.stores
-        ca_stores = stats.ca_stores
-        clwbs = stats.clwbs
-        ccwbs = stats.ccwbs
-        fences = stats.fences
-        transactions = stats.transactions
-        load_stall = stats.load_stall_ns
-        fence_stall = stats.fence_stall_ns
-        completed = 0
-        try:
-            while index < end:
-                op = ops[index]
-                code = codes[index]
-                index += 1
-                now = clock + overhead
-                if code == 0:  # LOAD
-                    loads += 1
-                    complete = load_complete(core_id, op.address, op.length, now)
-                    load_stall += complete - now
-                    clock = complete
-                elif code == 1:  # STORE
-                    stores += 1
-                    if op.counter_atomic:
-                        ca_stores += 1
-                    clock = store_complete(
-                        core_id, op.address, op.data, op.length, now, op.counter_atomic
-                    )
-                elif code == 5:  # COMPUTE
-                    clock = now + op.duration_ns
-                elif code == 2:  # CLWB
-                    clwbs += 1
-                    accept = clwb(core_id, op.address, now)
-                    if accept is not None:
-                        note_writeback(accept)
-                    clock = now + l1_hit
-                elif code == 4:  # SFENCE
-                    fences += 1
-                    release = fence(now)
-                    fence_stall += release - now
-                    clock = release
-                elif code == 7:  # TXN_END
-                    transactions += 1
-                    txn_ends.append(now)
-                    if note_commit is not None:
-                        note_commit(core_id, now)
-                    clock = now
-                elif code == 3:  # CCWB
-                    ccwbs += 1
-                    ticket = ccwb(op.address, now)
-                    if ticket is not None:
-                        note_writeback(ticket.accept_ns)
-                    clock = now + l1_hit
-                else:  # TXN_BEGIN, LABEL
-                    clock = now
-                completed += 1
-        finally:
-            core.index = index
-            core.clock_ns = clock
-            stats.loads = loads
-            stats.stores = stores
-            stats.ca_stores = ca_stores
-            stats.clwbs = clwbs
-            stats.ccwbs = ccwbs
-            stats.fences = fences
-            stats.transactions = transactions
-            stats.load_stall_ns = load_stall
-            stats.fence_stall_ns = fence_stall
-            # Mirrors the stepped path under errors: the failing op is
-            # counted as executed (index advanced before the handler)
-            # but not as a completed event.
-            stats.ops_executed += index - start
-            self.events_executed += completed
-        if index >= len(ops):
-            stats.finish_ns = clock
-            self._pending = [c for c in self._cores if not c.done]
-        return completed
-
-    def _step(self, core: _CoreState) -> None:
-        op = core.trace.ops[core.index]
-        core.index += 1
-        core.stats.ops_executed += 1
-        now = core.clock_ns + self.config.core.op_overhead_ns
-        handler = self._HANDLERS[op.kind]
-        core.clock_ns = handler(self, core, op, now)
-
-    # -- op handlers -------------------------------------------------------
-
-    def _op_load(self, core: _CoreState, op: Op, now: float) -> float:
-        core.stats.loads += 1
-        access = self.hierarchy.load(core.core_id, op.address, op.length, now)
-        core.stats.load_stall_ns += access.complete_ns - now
-        return access.complete_ns
-
-    def _op_store(self, core: _CoreState, op: Op, now: float) -> float:
-        core.stats.stores += 1
-        if op.counter_atomic:
-            core.stats.ca_stores += 1
-        access = self.hierarchy.store(
-            core.core_id,
-            op.address,
-            op.data,
-            op.length,
-            now,
-            counter_atomic=op.counter_atomic,
-        )
-        return access.complete_ns
-
-    def _op_clwb(self, core: _CoreState, op: Op, now: float) -> float:
-        core.stats.clwbs += 1
-        accept = self.hierarchy.clwb(core.core_id, op.address, now)
-        if accept is not None:
-            core.tracker.note_writeback(accept)
-        return now + self.config.l1.hit_latency_ns
-
-    def _op_ccwb(self, core: _CoreState, op: Op, now: float) -> float:
-        core.stats.ccwbs += 1
-        ticket = self.controller.counter_cache_writeback(op.address, now)
-        if ticket is not None:
-            core.tracker.note_writeback(ticket.accept_ns)
-        return now + self.config.l1.hit_latency_ns
-
-    def _op_sfence(self, core: _CoreState, op: Op, now: float) -> float:
-        core.stats.fences += 1
-        release = core.tracker.fence(now)
-        core.stats.fence_stall_ns += release - now
-        return release
-
-    def _op_compute(self, core: _CoreState, op: Op, now: float) -> float:
-        return now + op.duration_ns
-
-    def _op_txn_begin(self, core: _CoreState, op: Op, now: float) -> float:
-        return now
-
-    def _op_txn_end(self, core: _CoreState, op: Op, now: float) -> float:
-        core.stats.transactions += 1
-        self._txn_end_times[core.core_id].append(now)
-        note_commit = getattr(self.controller, "note_txn_commit", None)
-        if note_commit is not None:
-            note_commit(core.core_id, now)
-        return now
-
-    def _op_label(self, core: _CoreState, op: Op, now: float) -> float:
-        return now
-
-    _HANDLERS = {
-        OpKind.LOAD: _op_load,
-        OpKind.STORE: _op_store,
-        OpKind.CLWB: _op_clwb,
-        OpKind.CCWB: _op_ccwb,
-        OpKind.SFENCE: _op_sfence,
-        OpKind.COMPUTE: _op_compute,
-        OpKind.TXN_BEGIN: _op_txn_begin,
-        OpKind.TXN_END: _op_txn_end,
-        OpKind.LABEL: _op_label,
-    }
+        pending = self._pending
+        while pending and (budget is None or budget > 0):
+            core = min(pending, key=_clock_of)
+            core_id = core.core_id
+            # The earliest core runs its next op, and keeps going while its
+            # (clock, id) stays below every other pending core's.  Against
+            # a higher id a tied clock still wins, so that bound moves one
+            # float up: one compare per op.
+            limit = inf
+            for other in pending:
+                if other is not core:
+                    bound = other.clock_ns
+                    if other.core_id > core_id:
+                        bound = nextafter(bound, inf)
+                    if bound < limit:
+                        limit = bound
+            trace = core.trace
+            ops = trace.ops
+            codes = getattr(trace, "_dispatch_codes", None)
+            if codes is None:
+                op_code = _OP_CODE
+                codes = [op_code[op.kind] for op in ops]
+                trace._dispatch_codes = codes
+            start = index = core.index
+            end = len(ops)
+            if budget is not None and index + budget < end:
+                end = index + budget
+            clock = core.clock_ns
+            tracker = core.tracker
+            note_writeback = tracker.note_writeback
+            fence = tracker.fence
+            txn_ends = self._txn_end_times[core_id]
+            stats = core.stats
+            loads = stats.loads
+            stores = stats.stores
+            ca_stores = stats.ca_stores
+            clwbs = stats.clwbs
+            ccwbs = stats.ccwbs
+            fences = stats.fences
+            transactions = stats.transactions
+            load_stall = stats.load_stall_ns
+            fence_stall = stats.fence_stall_ns
+            completed = 0
+            try:
+                while index < end:
+                    op = ops[index]
+                    code = codes[index]
+                    index += 1
+                    now = clock + overhead
+                    if code == 0:  # LOAD
+                        loads += 1
+                        complete = load(core_id, op.address, op.length, now)
+                        load_stall += complete - now
+                        clock = complete
+                    elif code == 1:  # STORE
+                        stores += 1
+                        if op.counter_atomic:
+                            ca_stores += 1
+                        clock = store(
+                            core_id, op.address, op.data, op.length, now, op.counter_atomic
+                        )
+                    elif code == 5:  # COMPUTE
+                        clock = now + op.duration_ns
+                    elif code == 2:  # CLWB
+                        clwbs += 1
+                        accept = clwb(core_id, op.address, now)
+                        if accept is not None:
+                            note_writeback(accept)
+                        clock = now + l1_hit
+                    elif code == 4:  # SFENCE
+                        fences += 1
+                        release = fence(now)
+                        fence_stall += release - now
+                        clock = release
+                    elif code == 7:  # TXN_END
+                        transactions += 1
+                        txn_ends.append(now)
+                        if note_commit is not None:
+                            note_commit(core_id, now)
+                        clock = now
+                    elif code == 3:  # CCWB
+                        ccwbs += 1
+                        ticket = ccwb(op.address, now)
+                        if ticket is not None:
+                            note_writeback(ticket.accept_ns)
+                        clock = now + l1_hit
+                    else:  # TXN_BEGIN, LABEL
+                        clock = now
+                    completed += 1
+                    if clock >= limit:
+                        break
+            finally:
+                core.index = index
+                core.clock_ns = clock
+                stats.loads = loads
+                stats.stores = stores
+                stats.ca_stores = ca_stores
+                stats.clwbs = clwbs
+                stats.ccwbs = ccwbs
+                stats.fences = fences
+                stats.transactions = transactions
+                stats.load_stall_ns = load_stall
+                stats.fence_stall_ns = fence_stall
+                stats.ops_executed += index - start
+                self.events_executed += completed
+            if budget is not None:
+                budget -= completed
+            if index >= len(ops):
+                stats.finish_ns = clock
+                pending = self._pending = [c for c in pending if not c.done]
+        return bool(pending)
 
     # -- result assembly -----------------------------------------------------
 

@@ -35,7 +35,6 @@ import json
 import os
 import pickle
 import struct
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -272,20 +271,17 @@ class SnapshotStore:
 
 @dataclass
 class CheckpointPolicy:
-    """When to checkpoint: every N events and/or every S wall seconds."""
+    """When to checkpoint: every N simulated events."""
 
     every_events: Optional[int] = None
-    every_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.every_events is not None and self.every_events < 1:
             raise SnapshotError("checkpoint cadence must be at least one event")
-        if self.every_seconds is not None and self.every_seconds <= 0:
-            raise SnapshotError("checkpoint wall-clock cadence must be positive")
 
     @property
     def enabled(self) -> bool:
-        return self.every_events is not None or self.every_seconds is not None
+        return self.every_events is not None
 
 
 def run_with_checkpoints(
@@ -321,51 +317,24 @@ def run_with_checkpoints(
     if not restored:
         machine.begin(traces)
 
-    next_event_mark = (
-        machine.events_executed + policy.every_events
-        if policy.every_events is not None
-        else None
-    )
-    last_save_wall = time.monotonic()
-    fast = on_event is None
+    every = policy.every_events if store is not None else None
+    next_mark = machine.events_executed + every if every is not None else None
     more = True
     while more:
-        if fast:
-            # Crash-free fast-forward: nothing observes individual
-            # events, so drain them in chunks through the machine's
-            # inlined loop.  A chunk lands on exactly the same event
-            # boundary as that many step() calls, so checkpoints (and
-            # the result) stay bit-identical to the per-event path.
-            if store is None or not policy.enabled:
-                machine.fast_forward()
-                more = False
-            elif next_event_mark is not None:
-                more = machine.run_events(
-                    max(1, next_event_mark - machine.events_executed)
-                )
-            else:
-                # Wall-clock-only policy: bounded chunks keep the
-                # every_seconds check responsive.
-                more = machine.run_events(1024)
-        else:
+        if on_event is not None:
             more = machine.step()
             on_event(machine.events_executed)
-        if store is None or not policy.enabled or not more:
-            continue
-        due = False
-        if next_event_mark is not None and machine.events_executed >= next_event_mark:
-            due = True
-        if (
-            not due
-            and policy.every_seconds is not None
-            and time.monotonic() - last_save_wall >= policy.every_seconds
-        ):
-            due = True
-        if due:
+        else:
+            # Nothing observes single events: run to the next checkpoint
+            # (or the end) in one call.  A call lands on exactly the
+            # event boundary that many step() calls would, so the
+            # checkpoints and the result stay bit-identical.
+            more = machine.run_events(
+                None if next_mark is None else next_mark - machine.events_executed
+            )
+        if more and next_mark is not None and machine.events_executed >= next_mark:
             store.save(machine.get_state(), meta={"events": machine.events_executed})
-            last_save_wall = time.monotonic()
-            if next_event_mark is not None:
-                next_event_mark = machine.events_executed + policy.every_events
+            next_mark = machine.events_executed + every
 
     result = machine.finish()
     stats = {"restored": restored, "restored_events": restored_events}

@@ -236,6 +236,28 @@ class ValidationVerdict:
         )
 
 
+def index_prefixes(
+    tracked: Sequence[int],
+    initial: Dict[int, bytes],
+    history: Sequence[RecordedTxn],
+) -> Dict[Tuple[bytes, ...], int]:
+    """Each reachable tuple of tracked-line values -> its largest prefix.
+
+    ``tracked`` is the sorted list of every line the history writes (and
+    any the initial image holds); a line missing from ``initial`` reads
+    as zeros.  The history is walked once; a state the run returns to
+    keeps the later (larger) prefix index, as a descending scan would.
+    """
+    position = {line: index for index, line in enumerate(tracked)}
+    state = [initial.get(line, _ZERO_LINE) for line in tracked]
+    prefix_of = {tuple(state): 0}
+    for index, txn in enumerate(history, 1):
+        for line, _old, new in txn.writes:
+            state[position[line]] = new
+        prefix_of[tuple(state)] = index
+    return prefix_of
+
+
 class PrefixValidator:
     """Checks a recovered memory against the transaction history.
 
@@ -255,23 +277,7 @@ class PrefixValidator:
         self.run = run
         self.txn_end_times = list(txn_end_times) if txn_end_times is not None else None
         self._tracked = sorted(run.tracked_lines())
-        self._prefix_of = self._index_prefixes()
-
-    def _index_prefixes(self) -> Dict[Tuple[bytes, ...], int]:
-        """Each reachable tuple of tracked-line values -> its largest prefix.
-
-        The history is walked once; a state the run returns to keeps
-        the later (larger) prefix index, as the descending scan did.
-        """
-        position = {line: index for index, line in enumerate(self._tracked)}
-        initial = self.run.initial_image
-        state = [initial.get(line, _ZERO_LINE) for line in self._tracked]
-        prefix_of = {tuple(state): 0}
-        for index, txn in enumerate(self.run.history, 1):
-            for line, _old, new in txn.writes:
-                state[position[line]] = new
-            prefix_of[tuple(state)] = index
-        return prefix_of
+        self._prefix_of = index_prefixes(self._tracked, run.initial_image, run.history)
 
     def _min_required_prefix(self, crash_ns: float) -> int:
         if self.txn_end_times is None:

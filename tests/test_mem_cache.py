@@ -19,20 +19,20 @@ def cache():
 
 class TestFillAndRead:
     def test_miss_then_hit(self, cache):
-        assert cache.read(0x40, 8) is None
+        assert cache.read(0x40) is None
         cache.fill(0x40, LINE)
-        data, _line = cache.read(0x40, 8)
-        assert data == LINE[:8]
+        assert cache.read(0x40).read_bytes(0, 8) == LINE[:8]
 
     def test_offset_reads(self, cache):
         cache.fill(0x40, LINE)
-        data, _ = cache.read(0x48, 4)
-        assert data == LINE[8:12]
+        line = cache.read(0x48)
+        assert line is cache.peek(0x40)
+        assert line.read_bytes(8, 4) == LINE[8:12]
 
     def test_stats_track_hits_and_misses(self, cache):
-        cache.read(0x40, 8)
+        cache.read(0x40)
         cache.fill(0x40, LINE)
-        cache.read(0x40, 8)
+        cache.read(0x40)
         assert cache.stats.read_misses == 1
         assert cache.stats.read_hits == 1
         assert cache.stats.miss_rate == pytest.approx(0.5)
@@ -41,12 +41,27 @@ class TestFillAndRead:
 class TestWrites:
     def test_write_miss_returns_false(self, cache):
         assert cache.write(0x40, b"12345678", 8) is False
+        assert cache.occupancy() == 0
 
     def test_write_hit_mutates_line(self, cache):
         cache.fill(0x40, LINE)
         cache.write(0x40, b"\xff" * 8, 8)
-        data, _ = cache.read(0x40, 8)
-        assert data == b"\xff" * 8
+        assert cache.read(0x40).read_bytes(0, 8) == b"\xff" * 8
+
+    def test_write_miss_counts_nothing(self, cache):
+        cache.write(0x40, b"12345678", 8)
+        assert cache.stats.write_misses == 0
+        assert cache.stats.accesses == 0
+
+    def test_write_through_takes_bytes_and_ends_clean(self, cache):
+        cache.fill(0x40, LINE)
+        cache.write(0x40, b"\xff" * 8, 8, counter_atomic=True)
+        assert cache.write(0x40, b"\x11" * 64, 64, dirty=False) is True
+        line = cache.peek(0x40)
+        assert not line.dirty
+        assert line.counter_atomic  # only a writeback clears the flag
+        assert line.read_bytes(0, 64) == b"\x11" * 64
+        assert cache.stats.write_hits == 2
 
     def test_write_sets_dirty(self, cache):
         cache.fill(0x40, LINE)
@@ -68,8 +83,9 @@ class TestClwb:
         cache.write(0x40, b"\xff" * 8, 8, counter_atomic=True)
         flushed = cache.clean_line(0x40)
         assert flushed is not None
-        assert flushed.counter_atomic is True
-        assert flushed.payload[:8] == b"\xff" * 8
+        payload, counter_atomic = flushed
+        assert counter_atomic is True
+        assert payload[:8] == b"\xff" * 8
         assert cache.contains(0x40)
         assert not cache.peek(0x40).dirty
         assert not cache.peek(0x40).counter_atomic
@@ -81,6 +97,12 @@ class TestClwb:
     def test_clean_of_absent_line_is_noop(self, cache):
         assert cache.clean_line(0x40) is None
 
+    def test_dirty_lines_lists_addresses_in_order(self, cache):
+        stride = cache.num_sets * CACHE_LINE_SIZE
+        for address in (stride + 0x40, 0x80, 0x40):
+            cache.fill(address, LINE, dirty=address != 0x80)
+        assert cache.dirty_lines() == [0x40, stride + 0x40]
+
 
 class TestEviction:
     def _colliding(self, cache, count):
@@ -91,7 +113,7 @@ class TestEviction:
         addresses = self._colliding(cache, cache.ways + 1)
         for address in addresses[:-1]:
             cache.fill(address, LINE, dirty=True)
-        cache.read(addresses[0], 8)  # refresh way 0
+        cache.read(addresses[0])  # refresh way 0
         victim = cache.fill(addresses[-1], LINE)
         assert victim.address == addresses[1]
 
@@ -119,8 +141,7 @@ class TestEviction:
         cache.write(0x40, b"\xaa" * 8, 8)
         assert cache.fill(0x40, None) is None
         # Dirty data survives a redundant fill.
-        data, _ = cache.read(0x40, 8)
-        assert data == b"\xaa" * 8
+        assert cache.read(0x40).read_bytes(0, 8) == b"\xaa" * 8
 
     def test_invalidate_all(self, cache):
         cache.fill(0x40, LINE)
@@ -144,8 +165,7 @@ class TestTimingOnlyMode:
     def test_tag_behavior_matches_without_payloads(self):
         cache = Cache(SMALL, functional=False)
         cache.fill(0x40, None)
-        data, line = cache.read(0x40, 8)
-        assert data is None
+        assert cache.read(0x40).read_bytes(0, 8) is None
         assert cache.write(0x40, None, 8) is True
         assert cache.peek(0x40).dirty
 
@@ -185,6 +205,6 @@ class TestProperties:
                 cache.fill(address, payload)
                 reference[address] = payload[:8]
         for address, expected in reference.items():
-            hit = cache.read(address, 8)
-            if hit is not None and hit[0] is not None:
-                assert hit[0] == expected[:8]
+            hit = cache.read(address)
+            if hit is not None:
+                assert hit.read_bytes(0, 8) == expected[:8]

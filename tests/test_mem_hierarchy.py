@@ -15,60 +15,116 @@ def make_hierarchy(design="sca", cores=1):
     return CacheHierarchy(config, controller), controller
 
 
+def served_by(hierarchy, controller, access):
+    """Where ``access()`` was satisfied: "l1", "l2" or "memory".
+
+    Read off the counters an access moves: an L1 probe counts nothing,
+    an L2 lookup counts a read hit or miss, and memory is a controller
+    read.  The access that follows a fill counts as one L1 hit.
+    """
+    l1_hits = [l1.stats.read_hits + l1.stats.write_hits for l1 in hierarchy.l1s]
+    l2_hits, l2_misses = hierarchy.l2.stats.read_hits, hierarchy.l2.stats.read_misses
+    reads = controller.stats.reads
+    access()
+    after = [l1.stats.read_hits + l1.stats.write_hits for l1 in hierarchy.l1s]
+    assert sum(after) - sum(l1_hits) == 1
+    assert all(l1.stats.read_misses == l1.stats.write_misses == 0 for l1 in hierarchy.l1s)
+    if controller.stats.reads > reads:
+        assert controller.stats.reads == reads + 1
+        assert hierarchy.l2.stats.read_misses == l2_misses + 1
+        assert hierarchy.l2.stats.read_hits == l2_hits
+        return "memory"
+    assert hierarchy.l2.stats.read_misses == l2_misses
+    if hierarchy.l2.stats.read_hits > l2_hits:
+        assert hierarchy.l2.stats.read_hits == l2_hits + 1
+        return "l2"
+    return "l1"
+
+
 class TestLoadPath:
     def test_cold_load_comes_from_memory(self):
-        hierarchy, _ = make_hierarchy()
-        access = hierarchy.load(0, 0x1000, 8, 0.0)
-        assert access.served_by == "memory"
-        assert access.data == bytes(8)
+        hierarchy, controller = make_hierarchy()
+        complete = []
+        source = served_by(
+            hierarchy,
+            controller,
+            lambda: complete.append(hierarchy.load(0, 0x1000, 8, 0.0)),
+        )
+        assert source == "memory"
+        assert complete[0] > 0.0
+        assert hierarchy.read_current(0, 0x1000, 8) == bytes(8)
 
     def test_second_load_hits_l1(self):
-        hierarchy, _ = make_hierarchy()
+        hierarchy, controller = make_hierarchy()
         hierarchy.load(0, 0x1000, 8, 0.0)
-        access = hierarchy.load(0, 0x1000, 8, 1000.0)
-        assert access.served_by == "l1"
+        assert served_by(
+            hierarchy, controller, lambda: hierarchy.load(0, 0x1000, 8, 1000.0)
+        ) == "l1"
 
     def test_sibling_core_hits_shared_l2(self):
-        hierarchy, _ = make_hierarchy(cores=2)
+        hierarchy, controller = make_hierarchy(cores=2)
         hierarchy.load(0, 0x1000, 8, 0.0)
-        access = hierarchy.load(1, 0x1000, 8, 1000.0)
-        assert access.served_by == "l2"
+        assert served_by(
+            hierarchy, controller, lambda: hierarchy.load(1, 0x1000, 8, 1000.0)
+        ) == "l2"
+        assert hierarchy.l1s[1].contains(0x1000)
 
     def test_l1_hit_is_fastest(self):
         hierarchy, _ = make_hierarchy()
         hierarchy.load(0, 0x1000, 8, 0.0)
-        hit = hierarchy.load(0, 0x1000, 8, 1000.0)
-        assert hit.complete_ns - 1000.0 == pytest.approx(
-            hierarchy.config.l1.hit_latency_ns
-        )
+        complete = hierarchy.load(0, 0x1000, 8, 1000.0)
+        assert complete - 1000.0 == pytest.approx(hierarchy.config.l1.hit_latency_ns)
+
+    def test_miss_latencies_add_up(self):
+        hierarchy, _ = make_hierarchy(cores=2)
+        config = hierarchy.config
+        hierarchy.load(0, 0x1000, 8, 0.0)
+        complete = hierarchy.load(1, 0x1000, 8, 1000.0)
+        assert complete == 1000.0 + config.l1.hit_latency_ns + config.l2.hit_latency_ns
+
+    def test_complete_aliases_are_the_access_paths(self):
+        assert CacheHierarchy.load_complete is CacheHierarchy.load
+        assert CacheHierarchy.store_complete is CacheHierarchy.store
 
 
 class TestStorePath:
     def test_store_then_load_round_trip(self):
         hierarchy, _ = make_hierarchy()
         hierarchy.store(0, 0x1000, b"\xaa" * 8, 8, 0.0)
-        access = hierarchy.load(0, 0x1000, 8, 100.0)
-        assert access.data == b"\xaa" * 8
+        hierarchy.load(0, 0x1000, 8, 100.0)
+        assert hierarchy.read_current(0, 0x1000, 8) == b"\xaa" * 8
 
     def test_store_allocates_on_miss(self):
-        hierarchy, _ = make_hierarchy()
-        access = hierarchy.store(0, 0x1000, b"\xbb" * 8, 8, 0.0)
-        assert access.served_by == "memory"
+        hierarchy, controller = make_hierarchy()
+        assert served_by(
+            hierarchy,
+            controller,
+            lambda: hierarchy.store(0, 0x1000, b"\xbb" * 8, 8, 0.0),
+        ) == "memory"
         assert hierarchy.l1s[0].contains(0x1000)
+        assert hierarchy.l1s[0].peek(0x1000).dirty
 
     def test_store_preserves_rest_of_line(self):
         hierarchy, controller = make_hierarchy()
         controller.write_line(0x1000, bytes(range(64)), 0.0)
         hierarchy.store(0, 0x1008, b"\xff" * 8, 8, 100.0)
-        data = hierarchy.load(0, 0x1000, 8, 200.0).data
-        assert data == bytes(range(8))
+        hierarchy.load(0, 0x1000, 8, 200.0)
+        assert hierarchy.read_current(0, 0x1000, 8) == bytes(range(8))
 
     def test_cross_line_access_rejected(self):
         hierarchy, _ = make_hierarchy()
-        with pytest.raises(AddressError):
+        with pytest.raises(AddressError, match="crosses a cache line"):
             hierarchy.load(0, 0x103C, 16, 0.0)
-        with pytest.raises(AddressError):
+        with pytest.raises(AddressError, match="crosses a cache line"):
             hierarchy.store(0, 0x103C, b"x" * 16, 16, 0.0)
+
+    def test_bad_length_rejected(self):
+        hierarchy, _ = make_hierarchy()
+        with pytest.raises(AddressError, match="out of range"):
+            hierarchy.load(0, 0x1000, 0, 0.0)
+        with pytest.raises(AddressError, match="out of range"):
+            hierarchy.store(0, 0x1000, None, 65, 0.0)
+        assert hierarchy.l1s[0].occupancy() == 0
 
 
 class TestClwb:
@@ -84,10 +140,12 @@ class TestClwb:
         assert plaintext[:8] == b"\xcc" * 8
 
     def test_clwb_keeps_line_cached(self):
-        hierarchy, _ = make_hierarchy()
+        hierarchy, controller = make_hierarchy()
         hierarchy.store(0, 0x1000, b"\xcc" * 8, 8, 0.0)
         hierarchy.clwb(0, 0x1000, 100.0)
-        assert hierarchy.load(0, 0x1000, 8, 200.0).served_by == "l1"
+        assert served_by(
+            hierarchy, controller, lambda: hierarchy.load(0, 0x1000, 8, 200.0)
+        ) == "l1"
 
     def test_clwb_clean_line_is_noop(self):
         hierarchy, _ = make_hierarchy()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import KB, bench_config, fast_config
 from repro.bench.harness import run_workload
+from repro.persist.journal import JournalKind
 from repro.sim.machine import Machine
 from repro.sim.trace import TraceBuilder
 from repro.workloads.base import WorkloadParams
@@ -109,3 +110,67 @@ class TestSharedQueues:
                 for line, _old, _new in txn.writes
             }
             assert arena_lines <= touched
+
+
+def tied_traces(cores=3, rounds=2):
+    """Equal per-core work, so clocks tie at op boundaries.
+
+    Every core computes for the same time, then stores to and clwb's
+    its own line: the stores all miss at the same instant, and the
+    order the scheduler breaks that tie in is the order the controller
+    serves the reads and later receives the writebacks.
+    """
+    traces = []
+    for core in range(cores):
+        builder = TraceBuilder("core%d" % core)
+        for round_ in range(rounds):
+            line = 0x10000 + core * 0x1000 + round_ * 64
+            builder.txn_begin()
+            builder.compute(100.0)
+            builder.store_u64(line, core + 1)
+            builder.clwb(line)
+            builder.sfence()
+            builder.txn_end()
+        traces.append(builder.build())
+    return traces
+
+
+class TestSchedulerOrder:
+    """The order events run in, not just the totals they add up to."""
+
+    @pytest.mark.parametrize("cores", [3, 4])
+    def test_tied_clocks_run_lowest_core_first(self, cores):
+        machine = Machine(fast_config(num_cores=cores), "sca")
+        machine.begin(tied_traces(cores))
+        # The first op of every core is a tie at 0 ns.
+        assert machine.step()
+        indexes = [core["index"] for core in machine.get_state()["cores"]]
+        assert indexes == [1] + [0] * (cores - 1)
+        machine.fast_forward()
+        data = [
+            record.address
+            for record in machine.finish().controller.journal.records
+            if record.kind is JournalKind.DATA
+        ]
+        first_round = [0x10000 + core * 0x1000 for core in range(cores)]
+        assert data[:cores] == first_round
+
+    @pytest.mark.parametrize("design", ["sca", "fca+bmt"])
+    def test_run_events_matches_as_many_steps(self, design):
+        traces = tied_traces(3)
+        config = fast_config(num_cores=3)
+        reference = Machine(config, design)
+        reference.begin(traces)
+        states = [reference.get_state()]
+        while reference.step():
+            states.append(reference.get_state())
+        states.append(reference.get_state())
+        total = reference.events_executed
+        assert total == sum(len(trace) for trace in traces)
+        for budget in range(total + 1):
+            machine = Machine(config, design)
+            machine.begin(traces)
+            more = machine.run_events(budget)
+            assert more == (budget < total)
+            assert machine.events_executed == budget
+            assert machine.get_state() == states[budget], budget

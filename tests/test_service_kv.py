@@ -1,11 +1,17 @@
 """KV engine unit tests: tenant namespaces, splits, validation, SLO math."""
 
+import dataclasses
+import random
+
 import pytest
 
-from repro.config import fast_config
+from repro.config import CACHE_LINE_SIZE, fast_config
+from repro.crash.injector import CrashInjector
+from repro.crash.recovery import RecoveryManager
 from repro.errors import ServiceError
 from repro.service import (
     LatencyHistogram,
+    ServiceValidator,
     ServiceWorkload,
     TrafficSpec,
     attribute_latencies,
@@ -13,8 +19,10 @@ from repro.service import (
     generate_operations,
     summarize_tenants,
 )
-from repro.service.kv import TOMBSTONE_KEY
+from repro.service.kv import TOMBSTONE_KEY, CommitRecord
 from repro.sim.machine import Machine
+from repro.workloads.base import RecordedTxn
+from tests.test_workload_validator import ZERO, seeded_history
 
 
 @pytest.fixture()
@@ -215,3 +223,122 @@ class TestLatencyAttribution:
         assert timings
         with pytest.raises(ServiceError):
             attribute_latencies(run, [0.0], spec)
+
+
+def tenant_states(history):
+    """The state after each prefix of ``history``, from an empty image."""
+    state, states = {}, [{}]
+    for txn in history:
+        for line, _old, new in txn.writes:
+            state[line] = new
+        states.append(dict(state))
+    return states
+
+
+def reference_tenant_prefix(run, tenant, recovered):
+    """The descending ``all(...)`` scan the keyed prefix index replaced."""
+    tracked = sorted(run.tenant_tracked_lines(tenant))
+    values = {line: recovered.read(line, CACHE_LINE_SIZE) for line in tracked}
+    states = tenant_states(run.tenant_histories[tenant])
+    for j in range(len(states) - 1, -1, -1):
+        if all(values[line] == states[j].get(line, ZERO) for line in tracked):
+            return j
+    return None
+
+
+def synthetic_service_run(base, histories, rng):
+    """``base`` with ``histories`` committed in a seeded interleaving."""
+    remaining = [len(history) for history in histories]
+    order = []
+    while any(remaining):
+        tenant = rng.choice([t for t, left in enumerate(remaining) if left])
+        local = len(histories[tenant]) - remaining[tenant]
+        order.append(CommitRecord(tenant=tenant, local_index=local, tag="put", op_index=None))
+        remaining[tenant] -= 1
+    return dataclasses.replace(base, tenant_histories=histories, commit_order=order)
+
+
+def top_lines(arena, count):
+    """Lines at the top of a tenant's heap, which the base run never uses."""
+    top = (arena.heap.limit // CACHE_LINE_SIZE - 1) * CACHE_LINE_SIZE
+    return [top - i * CACHE_LINE_SIZE for i in range(count)]
+
+
+@pytest.fixture(scope="module")
+def finished_service():
+    workload = ServiceWorkload(fast_config(), tenants=3, initial_buckets=8)
+    operations = generate_operations(TrafficSpec(tenants=3, operations=20, seed=5, keyspace=16))
+    workload.execute(operations)
+    run = workload.build_run(operations)
+    result = Machine(workload.config, "sca").run([run.trace])
+    image = CrashInjector(result).crash_at(result.stats.runtime_ns + 1e9)
+    recovered = RecoveryManager(result.config.encryption).recover(image)
+    return run, recovered
+
+
+class TestServiceValidatorPrefixIndex:
+    """Each tenant's keyed prefix lookup against the descending scan."""
+
+    def assert_same_prefixes(self, run, recovered, end_times):
+        verdict = ServiceValidator(run, txn_end_times=end_times).classify(recovered)
+        assert [t.tenant for t in verdict.tenants] == list(range(run.tenants))
+        for tenant_verdict in verdict.tenants:
+            expected = reference_tenant_prefix(run, tenant_verdict.tenant, recovered)
+            assert tenant_verdict.matched_prefix == expected
+            assert tenant_verdict.consistent == (
+                expected is not None and expected >= tenant_verdict.required_prefix
+            )
+        return verdict
+
+    def test_base_run_recovers_every_tenant_whole(self, finished_service):
+        run, recovered = finished_service
+        verdict = self.assert_same_prefixes(run, recovered, None)
+        assert verdict.consistent
+        assert [t.matched_prefix for t in verdict.tenants] == [
+            len(history) for history in run.tenant_histories
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_histories(self, finished_service, seed):
+        base, recovered = finished_service
+        rng = random.Random(seed)
+        pool = [ZERO, b"\x01" * CACHE_LINE_SIZE, b"\x02" * CACHE_LINE_SIZE]
+        lines = [top_lines(arena, rng.randint(1, 4)) for arena in base.arenas]
+        histories = [seeded_history(rng, tenant_lines, rng.randint(0, 15), pool)
+                     for tenant_lines in lines]
+        run = synthetic_service_run(base, histories, rng)
+        end_times = sorted(rng.uniform(0, 100) for _ in run.commit_order)
+        recovered.image.crash_ns = 50.0
+        states = [tenant_states(history) for history in histories]
+        odd = pool + [b"\x03" * CACHE_LINE_SIZE]
+        for _ in range(12):
+            for tenant_lines, tenant_states_ in zip(lines, states):
+                if rng.random() < 0.7:
+                    probe = rng.choice(tenant_states_)
+                else:
+                    probe = {line: rng.choice(odd) for line in tenant_lines}
+                for line in tenant_lines:
+                    value = probe.get(line, ZERO)
+                    if value == ZERO and rng.random() < 0.5:
+                        recovered.plaintext_lines.pop(line, None)
+                    else:
+                        recovered.plaintext_lines[line] = value
+            self.assert_same_prefixes(run, recovered, end_times)
+
+    def test_state_revisited_matches_the_largest_prefix(self, finished_service):
+        base, recovered = finished_service
+        one = b"\x01" * CACHE_LINE_SIZE
+        (line,) = top_lines(base.arenas[1], 1)
+        history = [
+            RecordedTxn(index=0, writes=[(line, ZERO, one)]),
+            RecordedTxn(index=1, writes=[(line, one, ZERO)]),  # prefix 2 == prefix 0
+            RecordedTxn(index=2, writes=[(line, ZERO, one)]),
+        ]
+        histories = [[], history, []]
+        run = synthetic_service_run(base, histories, random.Random(0))
+        recovered.plaintext_lines.pop(line, None)
+        verdict = self.assert_same_prefixes(run, recovered, None)
+        assert [t.matched_prefix for t in verdict.tenants] == [0, 2, 0]
+        recovered.plaintext_lines[line] = one
+        verdict = self.assert_same_prefixes(run, recovered, None)
+        assert [t.matched_prefix for t in verdict.tenants] == [0, 3, 0]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import fast_config
-from repro.errors import TraceError
+from repro.errors import SimulationError, TraceError
 from repro.sim.machine import Machine, run_design
 from repro.sim.trace import TraceBuilder
 
@@ -59,6 +59,37 @@ class TestSingleCore:
         builder.load(0x1000, 8)
         result = Machine(fast_config(), "no-encryption").run([builder.build()])
         assert result.stats.per_core[0].load_stall_ns > 0
+
+
+class TestEventLoopEntryPoints:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda machine: machine.step(),
+            lambda machine: machine.run_events(5),
+            lambda machine: machine.run_events(None),
+            lambda machine: machine.fast_forward(),
+            lambda machine: machine.finish(),
+            lambda machine: machine.get_state(),
+        ],
+        ids=["step", "run_events", "run_events-all", "fast_forward", "finish", "get_state"],
+    )
+    def test_every_entry_point_raises_before_begin(self, call):
+        with pytest.raises(SimulationError, match="called before begin"):
+            call(Machine(fast_config(), "sca"))
+
+    def test_zero_budget_runs_nothing(self):
+        machine = Machine(fast_config(), "sca")
+        machine.begin([simple_trace()])
+        assert machine.run_events(0) is True
+        assert machine.events_executed == 0
+
+    def test_empty_machine_has_no_events(self):
+        machine = Machine(fast_config(), "sca")
+        machine.begin([])
+        assert machine.step() is False
+        assert machine.run_events(None) is False
+        assert machine.finish().stats.runtime_ns == 0.0
 
 
 class TestMultiCore:

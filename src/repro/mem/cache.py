@@ -30,8 +30,9 @@ class CacheStats:
     read_hits: int = 0
     read_misses: int = 0
     write_hits: int = 0
-    #: Stays 0: :meth:`Cache.write` leaves a miss to its caller, and the
-    #: hierarchy write-allocates.  Kept so snapshots keep their shape.
+    #: Counted by the hierarchy for an L1 store that misses and
+    #: write-allocates: :meth:`Cache.write` leaves a miss to its caller,
+    #: so a writeback that misses a level counts nothing there.
     write_misses: int = 0
     evictions: int = 0
     dirty_evictions: int = 0

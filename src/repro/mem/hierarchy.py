@@ -11,9 +11,17 @@ victims merge into L2; L2 dirty victims become controller writes that
 carry their CounterAtomic flag (Section 5.1: the annotation travels
 with the line so the controller can pair the writeback).
 
-Statistics: an access probes its L1 without counting, so L1 misses
-are never counted; the access that follows a fill counts as an L1 hit.
-L2 counts its read hits and misses.
+Statistics: each L1 counts every core load and store as exactly one
+hit or one miss.  L2 counts a read hit or miss for each L1 fill it
+serves, and a write hit for each writeback that merges into it.
+
+A lone core's caches see the same accesses whatever the controller
+answers in a timing-only run, so such a run takes them out of the
+machine's loop (``repro.sim.machine``): a CPU pass runs this class's
+accesses once per trace over a recorder that stands in for the
+controller, and each design's memory pass replays what it logged with
+the timing of :meth:`CacheHierarchy._miss_in_l1` and
+:meth:`CacheHierarchy.clwb`.
 """
 
 from __future__ import annotations
@@ -118,14 +126,9 @@ class CacheHierarchy:
         line_address = address & _LINE_MASK
         if length <= 0 or address - line_address + length > CACHE_LINE_SIZE:
             _reject_span(address, length)
-        l1 = self.l1s[core]
-        if l1.contains(line_address):
-            complete = now_ns + self._l1_hit_ns
-        else:
-            complete = self._miss_in_l1(core, line_address, now_ns)
-        if l1.read(line_address) is None:
-            raise SimulationError("line vanished from L1 after fill")
-        return complete
+        if self.l1s[core].read(line_address) is not None:
+            return now_ns + self._l1_hit_ns
+        return self._miss_in_l1(core, line_address, now_ns)
 
     def store(
         self,
@@ -143,12 +146,14 @@ class CacheHierarchy:
         if length <= 0 or address - line_address + length > CACHE_LINE_SIZE:
             _reject_span(address, length)
         l1 = self.l1s[core]
-        if l1.contains(line_address):
-            complete = now_ns + self._l1_hit_ns
-        else:
-            complete = self._miss_in_l1(core, line_address, now_ns)
-        if not l1.write(address, data, length, counter_atomic):
-            raise SimulationError("store missed L1 after fill")
+        if l1.write(address, data, length, counter_atomic):
+            return now_ns + self._l1_hit_ns
+        complete = self._miss_in_l1(core, line_address, now_ns)
+        l1.write(address, data, length, counter_atomic)
+        # The write into the filled line counted a hit; the store missed.
+        stats = l1.stats
+        stats.write_hits -= 1
+        stats.write_misses += 1
         return complete
 
     # The end-to-end benchmark's spans (benchmarks/e2e/spans.py) wrap the

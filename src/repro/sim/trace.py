@@ -5,13 +5,21 @@ the transactional layer *generate* traces; the machine *replays* them.
 Keeping programs as data decouples workload logic from the simulator
 and lets the same trace run unchanged under every design point, which
 is exactly how the paper compares designs.
+
+A :class:`Trace` holds its operations as parallel columns, one list per
+field: :class:`TraceBuilder` appends to them and the machine's event
+loop reads them by index, so no run builds a per-op object.  :class:`Op`
+is the value type of the read-only :attr:`Trace.ops` view and of
+``Trace(ops=...)``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from itertools import zip_longest
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..config import CACHE_LINE_SIZE
 from ..errors import TraceError
@@ -29,6 +37,37 @@ class OpKind(enum.Enum):
     TXN_BEGIN = "txn-begin"
     TXN_END = "txn-end"
     LABEL = "label"
+
+
+#: Every kind in declaration order: a kind's position is its op code,
+#: the value :attr:`Trace.codes` holds and the machine's loop dispatches
+#: on (LOAD 0, STORE 1, CLWB 2, CCWB 3, SFENCE 4, COMPUTE 5, TXN_BEGIN 6,
+#: TXN_END 7, LABEL 8).
+KINDS: Tuple[OpKind, ...] = tuple(OpKind)
+#: Each kind's op code, the inverse of :data:`KINDS`.
+CODES: Dict[OpKind, int] = {kind: code for code, kind in enumerate(KINDS)}
+
+_LOAD = CODES[OpKind.LOAD]
+_STORE = CODES[OpKind.STORE]
+_CLWB = CODES[OpKind.CLWB]
+_CCWB = CODES[OpKind.CCWB]
+_SFENCE = CODES[OpKind.SFENCE]
+_COMPUTE = CODES[OpKind.COMPUTE]
+_TXN_BEGIN = CODES[OpKind.TXN_BEGIN]
+_TXN_END = CODES[OpKind.TXN_END]
+_LABEL = CODES[OpKind.LABEL]
+
+
+def _check_length(length: int) -> None:
+    """Raise unless a load or store of ``length`` bytes fits a cache line."""
+    if length <= 0 or length > CACHE_LINE_SIZE:
+        raise TraceError("memory op length %d out of range" % length)
+
+
+def _check_duration(duration_ns: float) -> None:
+    """Raise if a compute duration is negative."""
+    if duration_ns < 0:
+        raise TraceError("compute duration cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -52,54 +91,148 @@ class Op:
 
     def __post_init__(self) -> None:
         if self.kind in (OpKind.LOAD, OpKind.STORE):
-            if self.length <= 0 or self.length > CACHE_LINE_SIZE:
-                raise TraceError("memory op length %d out of range" % self.length)
+            _check_length(self.length)
             if self.data is not None and len(self.data) != self.length:
                 raise TraceError("op data length disagrees with length field")
-        if self.kind is OpKind.COMPUTE and self.duration_ns < 0:
-            raise TraceError("compute duration cannot be negative")
+        if self.kind is OpKind.COMPUTE:
+            _check_duration(self.duration_ns)
 
 
-@dataclass
+#: The column attributes of a :class:`Trace`, in :class:`Op` field order.
+_COLUMNS = (
+    "codes",
+    "addresses",
+    "lengths",
+    "payloads",
+    "counter_atomic",
+    "durations",
+    "notes",
+)
+
+
 class Trace:
-    """An ordered list of operations for one core."""
+    """An ordered list of operations for one core, held as columns.
 
-    ops: List[Op] = field(default_factory=list)
-    name: str = ""
+    Operation ``i`` is ``KINDS[codes[i]]`` with ``addresses[i]``,
+    ``lengths[i]``, ``payloads[i]``, ``counter_atomic[i]``,
+    ``durations[i]`` and ``notes[i]``; a field an op's kind does not use
+    holds the :class:`Op` default.  ``Trace(ops=...)`` appends the
+    fields of ready-made :class:`Op` values.
+    """
+
+    def __init__(self, ops: Iterable[Op] = (), name: str = "") -> None:
+        self.name = name
+        self.codes: List[int] = []
+        self.addresses: List[int] = []
+        self.lengths: List[int] = []
+        self.payloads: List[Optional[bytes]] = []
+        self.counter_atomic: List[bool] = []
+        self.durations: List[float] = []
+        self.notes: List[str] = []
+        for op in ops:
+            self._append(
+                CODES[op.kind],
+                op.address,
+                op.length,
+                op.data,
+                op.counter_atomic,
+                op.duration_ns,
+                op.note,
+            )
+
+    def _append(
+        self,
+        code: int,
+        address: int,
+        length: int,
+        payload: Optional[bytes],
+        counter_atomic: bool,
+        duration_ns: float,
+        note: str,
+    ) -> None:
+        """Append one operation's fields, already validated."""
+        self.codes.append(code)
+        self.addresses.append(address)
+        self.lengths.append(length)
+        self.payloads.append(payload)
+        self.counter_atomic.append(counter_atomic)
+        self.durations.append(duration_ns)
+        self.notes.append(note)
+
+    @property
+    def ops(self) -> Tuple[Op, ...]:
+        """The operations as :class:`Op` values, built on every call.
+
+        A read-only view for tests and tools; no run path reads it.
+        """
+        return tuple(
+            Op(KINDS[code], address, length, payload, counter_atomic, duration_ns, note)
+            for code, address, length, payload, counter_atomic, duration_ns, note in zip(
+                self.codes,
+                self.addresses,
+                self.lengths,
+                self.payloads,
+                self.counter_atomic,
+                self.durations,
+                self.notes,
+            )
+        )
 
     def __iter__(self) -> Iterator[Op]:
         return iter(self.ops)
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.codes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.name == other.name and all(
+            getattr(self, column) == getattr(other, column) for column in _COLUMNS
+        )
+
+    def __repr__(self) -> str:
+        return "Trace(name=%r, %d ops)" % (self.name, len(self))
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the name and the columns only.
+
+        What a run derives from the trace and keeps on it (the
+        machine's recorded cache passes) is rebuilt on demand, so a
+        checkpoint carrying the trace stays the size of its ops.
+        """
+        state: Dict[str, object] = {"name": self.name}
+        for column in _COLUMNS:
+            state[column] = getattr(self, column)
+        return state
 
     def counts(self) -> dict:
         """Operation histogram (diagnostics and tests)."""
-        histogram: dict = {}
-        for op in self.ops:
-            histogram[op.kind] = histogram.get(op.kind, 0) + 1
-        return histogram
+        return {KINDS[code]: count for code, count in Counter(self.codes).items()}
 
     def transactions(self) -> int:
-        return sum(1 for op in self.ops if op.kind is OpKind.TXN_END)
+        return self.codes.count(_TXN_END)
 
 
 class TraceBuilder:
     """Fluent builder for traces, mirroring the paper's primitives.
 
-    :meth:`shadow_bytes` answers what the program meant memory to hold,
-    so tests can compare the simulated NVM image against the intended
-    contents.
+    Each method validates its operation and appends one value to every
+    column of :attr:`trace`.  :meth:`shadow_bytes` answers what the
+    program meant memory to hold, so tests can compare the simulated NVM
+    image against the intended contents.
     """
 
     def __init__(self, name: str = "", functional: bool = True) -> None:
         self.trace = Trace(name=name)
         self.functional = functional
+        self._append = self.trace._append
 
     # -- raw memory ops --------------------------------------------------
 
     def load(self, address: int, length: int = 8) -> "TraceBuilder":
-        self.trace.ops.append(Op(kind=OpKind.LOAD, address=address, length=length))
+        _check_length(length)
+        self._append(_LOAD, address, length, None, False, 0.0, "")
         return self
 
     def store(
@@ -113,15 +246,8 @@ class TraceBuilder:
             length = len(data)
             if not self.functional:
                 data = None
-        self.trace.ops.append(
-            Op(
-                kind=OpKind.STORE,
-                address=address,
-                length=length,
-                data=data,
-                counter_atomic=counter_atomic,
-            )
-        )
+        _check_length(length)
+        self._append(_STORE, address, length, data, counter_atomic, 0.0, "")
         return self
 
     def store_u64(
@@ -143,7 +269,7 @@ class TraceBuilder:
     # -- persistency primitives ---------------------------------------------
 
     def clwb(self, address: int) -> "TraceBuilder":
-        self.trace.ops.append(Op(kind=OpKind.CLWB, address=address))
+        self._append(_CLWB, address, 8, None, False, 0.0, "")
         return self
 
     def clwb_span(self, address: int, length: int) -> "TraceBuilder":
@@ -156,7 +282,7 @@ class TraceBuilder:
 
     def ccwb(self, address: int) -> "TraceBuilder":
         """counter_cache_writeback() for the counter line covering ``address``."""
-        self.trace.ops.append(Op(kind=OpKind.CCWB, address=address))
+        self._append(_CCWB, address, 8, None, False, 0.0, "")
         return self
 
     def ccwb_span(self, address: int, length: int) -> "TraceBuilder":
@@ -169,7 +295,7 @@ class TraceBuilder:
         return self
 
     def sfence(self) -> "TraceBuilder":
-        self.trace.ops.append(Op(kind=OpKind.SFENCE))
+        self._append(_SFENCE, 0, 8, None, False, 0.0, "")
         return self
 
     def persist_barrier(self) -> "TraceBuilder":
@@ -179,19 +305,20 @@ class TraceBuilder:
     # -- structure markers -------------------------------------------------------
 
     def compute(self, duration_ns: float) -> "TraceBuilder":
-        self.trace.ops.append(Op(kind=OpKind.COMPUTE, duration_ns=duration_ns))
+        _check_duration(duration_ns)
+        self._append(_COMPUTE, 0, 8, None, False, duration_ns, "")
         return self
 
     def txn_begin(self, note: str = "") -> "TraceBuilder":
-        self.trace.ops.append(Op(kind=OpKind.TXN_BEGIN, note=note))
+        self._append(_TXN_BEGIN, 0, 8, None, False, 0.0, note)
         return self
 
     def txn_end(self, note: str = "") -> "TraceBuilder":
-        self.trace.ops.append(Op(kind=OpKind.TXN_END, note=note))
+        self._append(_TXN_END, 0, 8, None, False, 0.0, note)
         return self
 
     def label(self, note: str) -> "TraceBuilder":
-        self.trace.ops.append(Op(kind=OpKind.LABEL, note=note))
+        self._append(_LABEL, 0, 8, None, False, 0.0, note)
         return self
 
     # -- results ---------------------------------------------------------------------
@@ -208,13 +335,17 @@ class TraceBuilder:
         """
         out = bytearray(length)
         end = address + length
-        for op in self.trace.ops:
-            if op.kind is OpKind.STORE and op.data is not None:
-                start = max(op.address, address)
-                stop = min(op.address + op.length, end)
+        trace = self.trace
+        # Only a functional store carries a payload.
+        for op_address, op_length, data in zip(
+            trace.addresses, trace.lengths, trace.payloads
+        ):
+            if data is not None:
+                start = max(op_address, address)
+                stop = min(op_address + op_length, end)
                 if start < stop:
-                    out[start - address : stop - address] = op.data[
-                        start - op.address : stop - op.address
+                    out[start - address : stop - address] = data[
+                        start - op_address : stop - op_address
                     ]
         return bytes(out)
 
@@ -226,16 +357,10 @@ def persist_barrier(builder: TraceBuilder) -> TraceBuilder:
 
 def merge_round_robin(traces: Sequence[Trace]) -> Trace:
     """Interleave several traces op-by-op (diagnostic tool)."""
-    merged = Trace(name="+".join(t.name for t in traces))
-    iterators = [iter(t.ops) for t in traces]
-    active = list(iterators)
-    while active:
-        still_active = []
-        for iterator in active:
-            try:
-                merged.ops.append(next(iterator))
-                still_active.append(iterator)
-            except StopIteration:
-                pass
-        active = still_active
-    return merged
+    ops = [
+        op
+        for round_ops in zip_longest(*(trace.ops for trace in traces))
+        for op in round_ops
+        if op is not None
+    ]
+    return Trace(ops=ops, name="+".join(trace.name for trace in traces))

@@ -40,11 +40,18 @@ under every design on both scenarios into
 ``tests/test_single_core_equivalence.py``.  Each scenario's traces are
 built once and every design runs on the same ``Trace`` objects, as a
 figure sweep runs them.
+
+``--capture-traces`` records, for each of :data:`TRACE_SCENARIOS`, every
+built trace's op count and the SHA-256 of its ``dumps_trace`` text into
+``tests/fixtures/golden_traces.json``, replayed by
+``tests/test_sim_trace_columns.py``: the trace builder and the trace
+file format must not change a byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import pickle
@@ -55,6 +62,7 @@ from repro.config import SystemConfig, bench_config, fast_config
 from repro.sim.machine import Machine, SimulationResult
 from repro.sim.snapshot import result_fingerprint
 from repro.sim.trace import Trace
+from repro.sim.tracefile import dumps_trace
 from repro.workloads.base import WorkloadParams
 
 FIXTURE_PATH = os.path.join(
@@ -65,6 +73,9 @@ ABLATION_FIXTURE_PATH = os.path.join(
 )
 SINGLE_CORE_FIXTURE_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "fixtures", "golden_single_core.json"
+)
+TRACE_FIXTURE_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "fixtures", "golden_traces.json"
 )
 
 #: Fixture schema version (bump when scenarios change).
@@ -112,6 +123,15 @@ ABLATIONS: Dict[str, Tuple[Dict[str, object], bool]] = {
 ABLATION_DESIGNS: Tuple[str, ...] = ("sca", "fca", "co-located-cc", "fca+bmt", "sca+bmt")
 
 ABLATION_SCENARIO: Tuple[str, str, int, int] = SCENARIOS[0]
+
+#: (workload, mechanism, operations, seed, config) trace scenarios: a
+#: functional single-core trace, fig12's timing-only geometry (stores
+#: without payloads) and two functional cores of the checksummed log.
+TRACE_SCENARIOS: Tuple[Tuple[str, str, int, int, SystemConfig], ...] = (
+    ("hash", "undo", 12, 11, fast_config()),
+    ("array", "redo", 12, 23, bench_config().scaled(functional=False)),
+    ("btree", "checksum-undo", 12, 5, fast_config(num_cores=2)),
+)
 
 
 def single_core_config() -> SystemConfig:
@@ -225,6 +245,35 @@ def capture_single_core() -> Dict[str, object]:
     return {"schema": SCHEMA, "designs": list(ALL_DESIGN_NAMES), "cells": cells}
 
 
+def trace_scenario_traces(
+    workload: str, mechanism: str, operations: int, seed: int, config: SystemConfig
+) -> List[Trace]:
+    """One trace scenario's traces, one per core."""
+    traces, _runs, _layout = build_traces(
+        workload, config, mechanism, WorkloadParams(operations=operations, seed=seed)
+    )
+    return traces
+
+
+def trace_scenario_key(workload: str, mechanism: str, operations: int, seed: int) -> str:
+    return "%s/%s/ops%d/seed%d" % (workload, mechanism, operations, seed)
+
+
+def trace_cell(trace: Trace) -> Dict[str, object]:
+    """What the trace fixture pins of one trace."""
+    text = dumps_trace(trace)
+    return {"ops": len(trace), "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+
+
+def capture_traces() -> Dict[str, object]:
+    """Digest every trace of every :data:`TRACE_SCENARIOS` entry."""
+    cells: Dict[str, List[Dict[str, object]]] = {}
+    for *scenario, config in TRACE_SCENARIOS:
+        traces = trace_scenario_traces(*scenario, config)
+        cells[trace_scenario_key(*scenario)] = [trace_cell(trace) for trace in traces]
+    return {"schema": SCHEMA, "cells": cells}
+
+
 def load_fixture(path: str = FIXTURE_PATH) -> Dict[str, object]:
     with open(path, "r", encoding="utf-8") as stream:
         return json.load(stream)
@@ -249,10 +298,21 @@ def main() -> int:
         action="store_true",
         help="re-capture %s from the current machine" % SINGLE_CORE_FIXTURE_PATH,
     )
+    parser.add_argument(
+        "--capture-traces",
+        action="store_true",
+        help="re-capture %s from the current trace builder" % TRACE_FIXTURE_PATH,
+    )
     args = parser.parse_args()
-    if not (args.capture or args.capture_ablations or args.capture_single_core):
+    if not (
+        args.capture
+        or args.capture_ablations
+        or args.capture_single_core
+        or args.capture_traces
+    ):
         parser.error(
-            "nothing to do (pass --capture, --capture-ablations or --capture-single-core)"
+            "nothing to do (pass --capture, --capture-ablations, "
+            "--capture-single-core or --capture-traces)"
         )
     targets = []
     if args.capture:
@@ -261,6 +321,8 @@ def main() -> int:
         targets.append((ABLATION_FIXTURE_PATH, capture_ablations))
     if args.capture_single_core:
         targets.append((SINGLE_CORE_FIXTURE_PATH, capture_single_core))
+    if args.capture_traces:
+        targets.append((TRACE_FIXTURE_PATH, capture_traces))
     for path, capture_document in targets:
         document = capture_document()
         os.makedirs(os.path.dirname(path), exist_ok=True)

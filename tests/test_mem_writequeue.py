@@ -1,4 +1,8 @@
-"""Tests for the write queues: occupancy, coalescing, ready bits, ADR."""
+"""Tests for the write queues: occupancy, coalescing, ready bits and
+checkpoint state.  A queue keeps only its live entries; the ready-bit
+rule crash images follow (paper §5.2.2) is pinned on the persist journal
+(tests/test_persist_journal.py: test_record_absent_before_ready,
+test_adr_drains_ready_but_undrained)."""
 
 import pytest
 from hypothesis import given, settings
@@ -124,34 +128,32 @@ class TestCoalescing:
         assert entry.counter_values == (0, (2,) * 8)
 
 
-class TestCrashSemantics:
-    def test_adr_drains_only_ready_entries(self):
-        """Paper §5.2.2 'Steps During a System Failure': only ready
-        entries drain when the power fails."""
-        queue = WriteQueue("q", 8)
-        ready = make_entry(queue, address=0x00, t=0.0)
-        queue.schedule(ready, 5.0, 100.0, 100.0)
-        unready = make_entry(queue, address=0x40, t=0.0)
-        queue.schedule(unready, 50.0, 120.0, 120.0)  # pair completes late
+class TestCheckpointState:
+    def test_restored_live_entries_stay_mergeable(self):
+        queue = WriteQueue("q", 4)
+        first = make_entry(queue, address=0x40, t=0.0)
+        queue.schedule(first, 0.0, 1000.0, 1000.0)
+        second = make_entry(queue, address=0x80, t=1.0)
+        queue.schedule(second, 1.0, 900.0, 1000.0)
+        queue.merge(first, b"\x01" * 64, 3)
+        clone = WriteQueue("q", 4)
+        clone.set_state(queue.get_state())
+        assert clone.get_state() == queue.get_state()
+        restored = clone.probe(0x40, 2.0)
+        assert restored is not None
+        assert (restored.payload, restored.coalesced) == (b"\x01" * 64, 1)
+        clone.merge(restored, None, 4)
+        assert clone.probe(0x40, 2.0).coalesced == 2
+        assert clone.probe(0x80, 2.0).entry_id == second.entry_id
 
-        crash_ns = 20.0
-        drainable = queue.adr_drainable_at(crash_ns)
-        dropped = queue.dropped_at(crash_ns)
-        assert [e.address for e in drainable] == [0x00]
-        assert [e.address for e in dropped] == [0x40]
-
-    def test_entries_at_excludes_drained(self):
-        queue = WriteQueue("q", 8)
-        entry = make_entry(queue, t=0.0)
-        queue.schedule(entry, 0.0, 10.0, 10.0)
-        assert queue.entries_at(5.0) == [entry]
-        assert queue.entries_at(15.0) == []
-
-    def test_entries_at_excludes_not_yet_accepted(self):
-        queue = WriteQueue("q", 8)
-        entry = make_entry(queue, t=100.0)
-        queue.schedule(entry, 100.0, 200.0, 200.0)
-        assert queue.entries_at(50.0) == []
+    def test_state_keeps_one_entry_per_address(self):
+        queue = WriteQueue("q", 4)
+        for t in (0.0, 10.0, 20.0):
+            entry = make_entry(queue, address=0x40, t=t)
+            queue.schedule(entry, t, t + 5.0, t + 5.0)
+        live = queue.get_state()["live"]
+        assert [state[1] for state in live] == [0x40]
+        assert live[0][0] == entry.entry_id
 
 
 class TestProperties:

@@ -18,9 +18,16 @@ A kill can race a very fast job (snapshot seen, but the job journals
 and cleans up before the signal lands); the smoke retries a few times
 before declaring failure.  Exit 0 on success, 1 on failure.
 
+The killed process's snapshots are pickled machines, so ``--designs``
+and ``--shards`` choose what a snapshot holds: the defaults run ``sca``
+on one controller, and ``--designs fca+bmt --shards 2`` kills a job
+whose machine holds two sharded controllers, each with its integrity
+tree, tree-node cache and tree write queue.
+
 Usage::
 
     python benchmarks/kill_resume_smoke.py [--attempts 3] [--workdir DIR]
+        [--designs sca] [--shards 1]
 """
 
 import argparse
@@ -40,16 +47,17 @@ POLL_S = 0.005
 FIRST_SNAPSHOT_TIMEOUT_S = 120.0
 
 
-def campaign_command(campaign_dir, operations, json_path=None):
+def campaign_command(campaign_dir, operations, args, json_path=None):
     command = [
         sys.executable, "-m", "repro.bench.cli", "campaign",
         "--workloads", "array",
-        "--designs", "sca",
+        "--designs", args.designs,
         "--mechanisms", "undo",
         "--faults", "none,torn-counter",
         "--crash-points", "6",
         "--operations", str(operations),
         "--seed", "42",
+        "--shards", str(args.shards),
         "--campaign-dir", campaign_dir,
         "--checkpoint-every", str(CHECKPOINT_EVERY),
     ]
@@ -67,22 +75,22 @@ def child_env():
     return env
 
 
-def run_baseline(workdir, operations):
+def run_baseline(workdir, operations, args):
     json_path = os.path.join(workdir, "baseline.json")
     command = campaign_command(
-        os.path.join(workdir, "baseline"), operations, json_path
+        os.path.join(workdir, "baseline"), operations, args, json_path
     )
     subprocess.run(command, env=child_env(), check=True)
     with open(json_path, "r", encoding="utf-8") as handle:
         return json.load(handle)["totals"]
 
 
-def attempt_kill_resume(workdir, operations, attempt):
+def attempt_kill_resume(workdir, operations, attempt, args):
     """One kill-and-resume round; returns the resumed document or None
     when the kill raced the campaign to completion."""
     campaign_dir = os.path.join(workdir, "killed-%d" % attempt)
     process = subprocess.Popen(
-        campaign_command(campaign_dir, operations),
+        campaign_command(campaign_dir, operations, args),
         env=child_env(),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
@@ -107,7 +115,8 @@ def attempt_kill_resume(workdir, operations, attempt):
         return None
     json_path = os.path.join(workdir, "resumed-%d.json" % attempt)
     resumed = subprocess.run(
-        campaign_command(campaign_dir, operations, json_path), env=child_env()
+        campaign_command(campaign_dir, operations, args, json_path),
+        env=child_env(),
     )
     if resumed.returncode != 0:
         raise SystemExit("resumed campaign exited %d" % resumed.returncode)
@@ -126,24 +135,28 @@ def main(argv=None):
     parser.add_argument("--operations", type=int, default=60)
     parser.add_argument("--workdir", default=None,
                         help="scratch directory (default: a fresh tempdir)")
+    parser.add_argument("--designs", default="sca",
+                        help="comma-separated designs of the campaign")
+    parser.add_argument("--shards", type=int, default=1,
+                        help="memory controllers per machine")
     args = parser.parse_args(argv)
 
     workdir = args.workdir or tempfile.mkdtemp(prefix="kill-resume-smoke-")
     os.makedirs(workdir, exist_ok=True)
     try:
-        baseline_totals = run_baseline(workdir, args.operations)
+        baseline_totals = run_baseline(workdir, args.operations, args)
         print("baseline totals: %s" % json.dumps(baseline_totals, sort_keys=True))
         document = None
         operations = args.operations
         for attempt in range(1, args.attempts + 1):
-            document = attempt_kill_resume(workdir, operations, attempt)
+            document = attempt_kill_resume(workdir, operations, attempt, args)
             if document is not None:
                 break
             # More simulated work widens the kill window for the retry —
             # but changes the job key, so rebuild the baseline to match.
             operations *= 2
             baseline_totals = run_baseline(
-                os.path.join(workdir, "baseline-%d" % attempt), operations
+                os.path.join(workdir, "baseline-%d" % attempt), operations, args
             )
         if document is None:
             print("FAIL: no attempt managed to kill the campaign mid-run")

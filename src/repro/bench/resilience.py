@@ -33,17 +33,16 @@ from .harness import WorkloadRunOutcome, build_traces
 __all__ = ["Heartbeat", "run_workload_resilient"]
 
 #: Default minimum spacing between heartbeat writes.  Far below any
-#: sane watchdog timeout, far above per-event overhead.
+#: sane watchdog timeout.
 DEFAULT_BEAT_INTERVAL_S = 0.05
 
 
 class Heartbeat:
     """Worker-side liveness beacon: a small file, atomically refreshed.
 
-    ``beat()`` is safe to call at event granularity — writes are
-    rate-limited to ``min_interval_s``.  The watchdog reads only the
-    file's mtime; the JSON payload (pid, progress) is for humans
-    debugging a stall.
+    ``beat()`` is cheap to call often — writes are rate-limited to
+    ``min_interval_s``.  The watchdog reads only the file's mtime; the
+    JSON payload (pid, progress) is for humans debugging a stall.
     """
 
     def __init__(self, path: str, min_interval_s: float = DEFAULT_BEAT_INTERVAL_S) -> None:

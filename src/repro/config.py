@@ -194,8 +194,8 @@ class MemoryControllerConfig:
     #: observability tap for campaign debugging and perf analysis.  The
     #: file is flushed once per controller request, so a killed run
     #: loses at most the request in flight.  The trace is diagnostic
-    #: output, not simulation state: it is not checkpointed and replays
-    #: from a restored snapshot re-append.
+    #: output, not simulation state: a checkpoint keeps its path, not
+    #: its contents, and a resumed run appends to it.
     event_trace_path: Optional[str] = None
     #: Record crash-reconstruction state (persist journal, device line
     #: images, wear map).  Timing-only figure sweeps that never inject

@@ -190,7 +190,8 @@ def run_campaign_job(job: CampaignJob) -> Dict[str, object]:
     The simulation phase checkpoints to ``job.checkpoint_dir`` (when
     set) and resumes from the newest valid snapshot there, so a worker
     killed mid-simulation loses at most one checkpoint interval.  The
-    heartbeat (when set) is beaten per simulated event and per triaged
+    heartbeat (when set) is beaten per chunk of simulated events (see
+    :func:`repro.sim.snapshot.run_with_checkpoints`) and per triaged
     crash point, feeding the executor's stall watchdog.
     """
     from ..bench.resilience import Heartbeat, run_workload_resilient

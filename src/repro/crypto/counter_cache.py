@@ -13,8 +13,7 @@ encrypted data in NVM (the paper's motivating failure).
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..config import CACHE_LINE_SIZE, COUNTERS_PER_LINE, CounterCacheConfig
@@ -249,33 +248,3 @@ class CounterCache:
     def occupancy(self) -> int:
         """Number of valid entries across all sets."""
         return sum(len(s) for s in self._sets)
-
-    # -- checkpoint state ----------------------------------------------------
-
-    def get_state(self) -> Dict[str, object]:
-        """Plain-container snapshot; set-dict order is preserved because
-        LRU eviction breaks lru_tick ties by iteration order."""
-        return {
-            "tick": self._tick,
-            "stats": dataclasses.asdict(self.stats),
-            "sets": [
-                [
-                    (entry.group_base, list(entry.counters), entry.dirty, entry.lru_tick)
-                    for entry in cache_set.values()
-                ]
-                for cache_set in self._sets
-            ],
-        }
-
-    def set_state(self, state: Dict[str, object]) -> None:
-        self._tick = state["tick"]
-        self.stats = CounterCacheStats(**state["stats"])
-        sets: List[Dict[int, _Entry]] = []
-        for stored_set in state["sets"]:
-            cache_set: Dict[int, _Entry] = {}
-            for group_base, counters, dirty, lru_tick in stored_set:
-                entry = _Entry(group_base, list(counters), lru_tick)
-                entry.dirty = dirty
-                cache_set[group_base] = entry
-            sets.append(cache_set)
-        self._sets = sets

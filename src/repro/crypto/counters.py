@@ -150,10 +150,3 @@ class CounterStore:
     def restore(self, snapshot: Dict[int, int]) -> None:
         """Replace the persistent state with a previously taken snapshot."""
         self._counters = dict(snapshot)
-
-    def get_state(self) -> Dict[str, object]:
-        """Checkpoint state (region geometry is config, not state)."""
-        return {"counters": dict(self._counters)}
-
-    def set_state(self, state: Dict[str, object]) -> None:
-        self._counters = dict(state["counters"])

@@ -146,20 +146,3 @@ class EncryptionEngine:
     @property
     def global_counter(self) -> int:
         return self._global_counter
-
-    # -- checkpoint state --------------------------------------------------------
-
-    def get_state(self) -> dict:
-        """Checkpoint state: the global counter and the counter cache.
-
-        The counter store is owned (and snapshotted) by the memory
-        controller; the cipher is pure and derived from config.
-        """
-        return {
-            "global_counter": self._global_counter,
-            "counter_cache": self.counter_cache.get_state(),
-        }
-
-    def set_state(self, state: dict) -> None:
-        self._global_counter = state["global_counter"]
-        self.counter_cache.set_state(state["counter_cache"])

@@ -90,18 +90,3 @@ class TreeNodeCache:
     def invalidate_all(self) -> None:
         """Drop every entry: the cache's volatility at power loss."""
         self._lines.clear()
-
-    # -- checkpoint state -----------------------------------------------------
-
-    def get_state(self) -> Dict[str, object]:
-        return {
-            "lines": [
-                (level, index, dirty)
-                for (level, index), dirty in self._lines.items()
-            ]
-        }
-
-    def set_state(self, state: Dict[str, object]) -> None:
-        self._lines = {
-            (level, index): dirty for level, index, dirty in state["lines"]
-        }

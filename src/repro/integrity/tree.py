@@ -82,11 +82,13 @@ class IntegrityTreeEngine:
 
     ``update_group`` is the hot path: one counter-line change hashes
     its leaf right away and marks it stale.  The interior nodes and
-    the root settle when next read — through :attr:`root`, an interior
-    :meth:`node_digest` or :meth:`get_state` — in one pass per level
-    that hashes each parent of a stale node once.  An interior digest
-    is a pure function of its children's current digests, so a read
-    sees exactly what re-hashing the path on every update would give.
+    the root settle when next read — through :attr:`root` or an
+    interior :meth:`node_digest` — in one pass per level that hashes
+    each parent of a stale node once.  An interior digest is a pure
+    function of its children's current digests, so a read sees exactly
+    what re-hashing the path on every update would give.  A pickled
+    engine carries its pending updates, and the first read after
+    unpickling settles them.
     ``root_over`` rebuilds the root from scratch over a persisted
     counter mapping — the post-crash verification walk.
     """
@@ -379,19 +381,3 @@ class IntegrityTreeEngine:
         level, index = node
         line = self._level_offsets[level] + index
         return self.counter_region_base + (line * CACHE_LINE_SIZE) % self._placement_span
-
-    # -- checkpoint state -----------------------------------------------------
-
-    def get_state(self) -> Dict[str, object]:
-        root = self.root  # settles the interior nodes first
-        return {
-            "nodes": [(level, index, digest) for (level, index), digest in self._nodes.items()],
-            "root": root,
-        }
-
-    def set_state(self, state: Dict[str, object]) -> None:
-        self._nodes = {
-            (level, index): digest for level, index, digest in state["nodes"]
-        }
-        self._stale = set()
-        self._root = state["root"]

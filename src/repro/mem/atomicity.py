@@ -392,18 +392,6 @@ class UnpairedAtomicity:
         changed = sum(1 for old, new in zip(stored, counters) if old != new)
         return 8 * max(1, changed)
 
-    # -- checkpoint state ----------------------------------------------------
-
-    def get_state(self) -> dict:
-        return {
-            "data_queue": self.data_queue.get_state(),
-            "counter_queue": self.counter_queue.get_state(),
-        }
-
-    def set_state(self, state: dict) -> None:
-        self.data_queue.set_state(state["data_queue"])
-        self.counter_queue.set_state(state["counter_queue"])
-
 
 class FullCounterAtomicity(UnpairedAtomicity):
     """FCA: every write pairs; counter writebacks are full lines."""

@@ -8,8 +8,7 @@ identical in both modes, so timing-only sweeps exercise the same paths.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..config import CACHE_LINE_SIZE, CacheConfig
@@ -246,49 +245,3 @@ class Cache:
 
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
-
-    # -- checkpoint state -------------------------------------------------------
-
-    def get_state(self) -> Dict[str, object]:
-        """Plain-container snapshot of all mutable state.
-
-        Lines are emitted in set-dict insertion order: LRU eviction
-        breaks ties by iteration order, so restoring in the same order
-        is part of the bit-identical resume contract.
-        """
-        return {
-            "tick": self._tick,
-            "stats": dataclasses.asdict(self.stats),
-            "sets": [
-                [
-                    (
-                        line.tag,
-                        None if line.payload is None else bytes(line.payload),
-                        line.dirty,
-                        line.counter_atomic,
-                        line.lru_tick,
-                    )
-                    for line in cache_set.values()
-                ]
-                for cache_set in self._sets
-            ],
-        }
-
-    def set_state(self, state: Dict[str, object]) -> None:
-        """Inverse of :meth:`get_state` (geometry must match)."""
-        self._tick = state["tick"]
-        self.stats = CacheStats(**state["stats"])
-        sets: List[Dict[int, CacheLine]] = []
-        for stored_set in state["sets"]:
-            cache_set: Dict[int, CacheLine] = {}
-            for tag, payload, dirty, counter_atomic, lru_tick in stored_set:
-                line = CacheLine(
-                    tag,
-                    None if payload is None else bytearray(payload),
-                    lru_tick,
-                )
-                line.dirty = dirty
-                line.counter_atomic = counter_atomic
-                cache_set[tag] = line
-            sets.append(cache_set)
-        self._sets = sets

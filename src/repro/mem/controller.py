@@ -317,52 +317,3 @@ class MemoryController:
 
     def read_traffic_bytes(self) -> int:
         return self.stats.bytes_read
-
-    # ------------------------------------------------------------------
-    # Checkpoint state
-    # ------------------------------------------------------------------
-
-    def get_state(self) -> dict:
-        """Full controller state for a simulation checkpoint.
-
-        Covers every mutable structure the timing and functional paths
-        touch, layer by layer; config-derived objects (address map,
-        cipher, policy, the strategy objects themselves) are rebuilt
-        from config on restore.  The record log is folded into the
-        stats first; the trace is not state — a restored run re-appends
-        to it.
-        """
-        return {
-            "device": self.device.get_state(),
-            "banks": self.banks.get_state(),
-            "bus": self.bus.get_state(),
-            "counter_store": self.counter_store.get_state(),
-            "engine": self.engine.get_state() if self.engine is not None else None,
-            "next_entry_id": self.entry_ids.next_id,
-            "atomicity": self.atomicity.get_state(),
-            "integrity": self.integrity.get_state(),
-            "last_drain": dict(self._last_drain),
-            "read_slots": list(self._read_slots),
-            "read_queue_peak": self.read_queue_peak,
-            "total_read_queue_wait_ns": self.total_read_queue_wait_ns,
-            "journal": self.journal.get_state(),
-            "stats": dataclasses.asdict(self.stats),
-        }
-
-    def set_state(self, state: dict) -> None:
-        self.fold_records()
-        self.device.set_state(state["device"])
-        self.banks.set_state(state["banks"])
-        self.bus.set_state(state["bus"])
-        self.counter_store.set_state(state["counter_store"])
-        if self.engine is not None and state["engine"] is not None:
-            self.engine.set_state(state["engine"])
-        self.entry_ids.next_id = state["next_entry_id"]
-        self.atomicity.set_state(state["atomicity"])
-        self.integrity.set_state(state["integrity"])
-        self._last_drain = dict(state["last_drain"])
-        self._read_slots = list(state["read_slots"])
-        self.read_queue_peak = state["read_queue_peak"]
-        self.total_read_queue_wait_ns = state["total_read_queue_wait_ns"]
-        self.journal.set_state(state["journal"])
-        self._stats = ControllerStats(**state["stats"])

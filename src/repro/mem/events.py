@@ -20,9 +20,9 @@ Record contract (also documented in ``docs/architecture.md``):
   pre-decomposition increment order so long-run sums stay bit-identical.
 * ``drain`` records carry no statistics; the controller produces them
   only while a trace is configured.
-* The log is not checkpointed: it is folded into ``ControllerStats``
-  (which is) whenever stats are read, and a JSONL trace is diagnostic
-  output that restored runs re-append to.
+* A checkpoint pickles the log as it stands, unfolded records and
+  ``ControllerStats`` together; a JSONL trace is diagnostic output
+  that a resumed run appends to.
 """
 
 from __future__ import annotations
@@ -235,7 +235,8 @@ class JsonlTrace:
     The file opens lazily on the first write and stays open for the
     controller's lifetime.  Each :meth:`write` flushes the file, and
     the controller writes once per request, so a killed run loses at
-    most the request in flight.
+    most the request in flight.  A checkpointed machine pickles the
+    path, not the open file: the resumed run appends to the same file.
     """
 
     def __init__(self, path: str) -> None:
@@ -258,3 +259,7 @@ class JsonlTrace:
         if self._stream is not None:
             self._stream.close()
             self._stream = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the path only: an unpickled trace reopens it to append."""
+        return {**self.__dict__, "_stream": None}

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from ..config import CACHE_LINE_SIZE, SystemConfig
-from ..errors import AddressError, SimulationError
+from ..errors import AddressError
 from .cache import Cache, EvictedLine
 
 if TYPE_CHECKING:
@@ -224,20 +224,3 @@ class CacheHierarchy:
         for l1 in self.l1s:
             l1.invalidate_all()
         self.l2.invalidate_all()
-
-    def get_state(self) -> dict:
-        """Checkpoint state of every cache level."""
-        return {
-            "l1s": [l1.get_state() for l1 in self.l1s],
-            "l2": self.l2.get_state(),
-        }
-
-    def set_state(self, state: dict) -> None:
-        if len(state["l1s"]) != len(self.l1s):
-            raise SimulationError(
-                "snapshot has %d L1 caches, machine has %d"
-                % (len(state["l1s"]), len(self.l1s))
-            )
-        for l1, l1_state in zip(self.l1s, state["l1s"]):
-            l1.set_state(l1_state)
-        self.l2.set_state(state["l2"])

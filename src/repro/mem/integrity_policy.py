@@ -66,12 +66,6 @@ class NoIntegrity:
     def on_ccwb(self, request_ns: float) -> None:
         """Hook after a ccwb counter flush (lazy mode drains here)."""
 
-    def get_state(self) -> Optional[dict]:
-        return None
-
-    def set_state(self, state: Optional[dict]) -> None:
-        pass
-
 
 class TreePersistence(NoIntegrity):
     """Shared Bonsai-tree machinery of the eager and lazy modes."""
@@ -161,24 +155,6 @@ class TreePersistence(NoIntegrity):
                 self.persist_tree_node(evicted, request_ns)
             index //= self.tree.arity
         return arrival
-
-    def get_state(self) -> Optional[dict]:
-        assert self.tree is not None and self.tree_cache is not None
-        assert self.tree_queue is not None
-        return {
-            "tree": self.tree.get_state(),
-            "tree_cache": self.tree_cache.get_state(),
-            "tree_queue": self.tree_queue.get_state(),
-        }
-
-    def set_state(self, state: Optional[dict]) -> None:
-        if state is None:
-            return
-        assert self.tree is not None and self.tree_cache is not None
-        assert self.tree_queue is not None
-        self.tree.set_state(state["tree"])
-        self.tree_cache.set_state(state["tree_cache"])
-        self.tree_queue.set_state(state["tree_queue"])
 
 
 class EagerTreePersistence(TreePersistence):

@@ -421,31 +421,3 @@ class ShardedMemorySystem:
 
     def read_traffic_bytes(self) -> int:
         return sum(c.read_traffic_bytes() for c in self.controllers)
-
-    # ------------------------------------------------------------------
-    # Checkpoint state
-    # ------------------------------------------------------------------
-
-    def get_state(self) -> dict:
-        return {
-            "shards": [controller.get_state() for controller in self.controllers],
-            "watermarks": dict(self._watermarks),
-            "commit_log": self._commit_log.get_state(),
-            "barrier": self._barrier.get_state(),
-        }
-
-    def set_state(self, state: dict) -> None:
-        shard_states = state["shards"]
-        if len(shard_states) != len(self.controllers):
-            raise ConfigurationError(
-                "snapshot has %d shards, system has %d"
-                % (len(shard_states), len(self.controllers))
-            )
-        for controller, shard_state in zip(self.controllers, shard_states):
-            controller.set_state(shard_state)
-        self._watermarks = {
-            int(shard): mark for shard, mark in state["watermarks"].items()
-        }
-        self._commit_log.set_state(state["commit_log"])
-        self._barrier.set_state(state["barrier"])
-        self._merged_journal = None

@@ -231,67 +231,3 @@ class WriteQueue:
         heappush(slots, issue_ns)
         if len(slots) > self.peak_occupancy:
             self.peak_occupancy = len(slots)
-
-    # -- checkpoint state --------------------------------------------------------
-
-    @staticmethod
-    def _entry_state(entry: WriteQueueEntry) -> tuple:
-        return (
-            entry.entry_id,
-            entry.address,
-            entry.payload,
-            entry.is_counter,
-            entry.encrypted_with,
-            entry.counter_values,
-            entry.accept_ns,
-            entry.ready_ns,
-            entry.drain_ns,
-            entry.slot_release_ns,
-            entry.counter_atomic,
-            entry.partner_id,
-            entry.coalesced,
-        )
-
-    @staticmethod
-    def _entry_from_state(state: tuple) -> WriteQueueEntry:
-        return WriteQueueEntry(
-            entry_id=state[0],
-            address=state[1],
-            payload=state[2],
-            is_counter=state[3],
-            encrypted_with=state[4],
-            counter_values=state[5],
-            accept_ns=state[6],
-            ready_ns=state[7],
-            drain_ns=state[8],
-            slot_release_ns=state[9],
-            counter_atomic=state[10],
-            partner_id=state[11],
-            coalesced=state[12],
-        )
-
-    def get_state(self) -> Dict[str, object]:
-        """Checkpoint state: the live entries by value, and the slots.
-
-        Each address maps to its own entry, so restoring the entries
-        one per address preserves the map's identities.
-        """
-        return {
-            "slots": list(self._slots),
-            "live": [
-                self._entry_state(entry) for entry in self._live_by_address.values()
-            ],
-            "accepted": self.accepted,
-            "coalesced": self.coalesced,
-            "total_accept_wait_ns": self.total_accept_wait_ns,
-            "peak_occupancy": self.peak_occupancy,
-        }
-
-    def set_state(self, state: Dict[str, object]) -> None:
-        self._slots = list(state["slots"])  # a valid heap, saved verbatim
-        live = (self._entry_from_state(entry) for entry in state["live"])
-        self._live_by_address = {entry.address: entry for entry in live}
-        self.accepted = state["accepted"]
-        self.coalesced = state["coalesced"]
-        self.total_accept_wait_ns = state["total_accept_wait_ns"]
-        self.peak_occupancy = state["peak_occupancy"]

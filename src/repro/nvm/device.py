@@ -141,30 +141,6 @@ class NVMDevice:
     def restore(self, snapshot: Dict[int, PersistedLine]) -> None:
         self._lines = dict(snapshot)
 
-    # -- checkpoint state -----------------------------------------------------------
-
-    def get_state(self) -> Dict[str, object]:
-        """Plain-container checkpoint state (line order preserved)."""
-        return {
-            "lines": [
-                (address, line.payload, line.encrypted_with)
-                for address, line in self._lines.items()
-            ],
-            "line_writes": self.line_writes,
-            "line_reads": self.line_reads,
-            "wear": self.wear.get_state() if self.wear is not None else None,
-        }
-
-    def set_state(self, state: Dict[str, object]) -> None:
-        self._lines = {
-            address: PersistedLine(payload=payload, encrypted_with=encrypted_with)
-            for address, payload, encrypted_with in state["lines"]
-        }
-        self.line_writes = state["line_writes"]
-        self.line_reads = state["line_reads"]
-        if self.wear is not None and state["wear"] is not None:
-            self.wear.set_state(state["wear"])
-
     # -- statistics ---------------------------------------------------------------
 
     @property

@@ -103,29 +103,6 @@ class BankTimingModel:
         self.writes += 1
         return start, complete
 
-    def get_state(self) -> dict:
-        """Checkpoint state: per-bank timelines and counters."""
-        return {
-            "read_free": list(self._read_free),
-            "write_free": list(self._write_free),
-            "open_row": list(self._open_row),
-            "reads": self.reads,
-            "writes": self.writes,
-            "row_hits": self.row_hits,
-            "total_read_wait_ns": self.total_read_wait_ns,
-            "total_write_wait_ns": self.total_write_wait_ns,
-        }
-
-    def set_state(self, state: dict) -> None:
-        self._read_free = list(state["read_free"])
-        self._write_free = list(state["write_free"])
-        self._open_row = list(state["open_row"])
-        self.reads = state["reads"]
-        self.writes = state["writes"]
-        self.row_hits = state["row_hits"]
-        self.total_read_wait_ns = state["total_read_wait_ns"]
-        self.total_write_wait_ns = state["total_write_wait_ns"]
-
 
 class BusModel:
     """The shared memory bus between controller and DIMM.
@@ -170,18 +147,3 @@ class BusModel:
         self.transfers = 0
         self.bytes_moved = 0
         self.busy_ns = 0.0
-
-    def get_state(self) -> dict:
-        """Checkpoint state: bus timeline and traffic counters."""
-        return {
-            "free_ns": self._free_ns,
-            "transfers": self.transfers,
-            "bytes_moved": self.bytes_moved,
-            "busy_ns": self.busy_ns,
-        }
-
-    def set_state(self, state: dict) -> None:
-        self._free_ns = state["free_ns"]
-        self.transfers = state["transfers"]
-        self.bytes_moved = state["bytes_moved"]
-        self.busy_ns = state["busy_ns"]

@@ -47,14 +47,6 @@ class WearTracker:
     def writes_to(self, line_address: int) -> int:
         return self._writes.get(line_address, 0)
 
-    def get_state(self) -> Dict[str, object]:
-        """Checkpoint state (endurance is config, not state)."""
-        return {"writes": dict(self._writes), "total_writes": self.total_writes}
-
-    def set_state(self, state: Dict[str, object]) -> None:
-        self._writes = dict(state["writes"])
-        self.total_writes = state["total_writes"]
-
     def report(self) -> WearReport:
         """Produce a :class:`WearReport` for the current state."""
         distinct = len(self._writes)

@@ -303,85 +303,3 @@ class PersistJournal:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    # -- checkpoint state -----------------------------------------------------------
-
-    @staticmethod
-    def _record_state(record: JournalRecord) -> tuple:
-        return (
-            record.kind.value,
-            record.entry_id,
-            record.address,
-            record.accept_ns,
-            record.ready_ns,
-            record.drain_ns,
-            record.payload,
-            record.encrypted_with,
-            record.group_base,
-            record.counters,
-            record.single_slot,
-            record.partner_id,
-            [
-                (a.effective_ns, a.payload, a.encrypted_with, a.group_base, a.counters)
-                for a in record.amendments
-            ],
-        )
-
-    @staticmethod
-    def _record_from_state(state: tuple) -> JournalRecord:
-        return JournalRecord(
-            kind=JournalKind(state[0]),
-            entry_id=state[1],
-            address=state[2],
-            accept_ns=state[3],
-            ready_ns=state[4],
-            drain_ns=state[5],
-            payload=state[6],
-            encrypted_with=state[7],
-            group_base=state[8],
-            counters=state[9],
-            single_slot=state[10],
-            partner_id=state[11],
-            amendments=[
-                _Amendment(
-                    effective_ns=effective_ns,
-                    payload=payload,
-                    encrypted_with=encrypted_with,
-                    group_base=group_base,
-                    counters=counters,
-                )
-                for effective_ns, payload, encrypted_with, group_base, counters in state[12]
-            ],
-        )
-
-    def get_state(self) -> Dict[str, object]:
-        """Checkpoint state: every record with its amendment history.
-
-        The commit log is emitted only when non-empty so unsharded
-        snapshots (and the committed golden-equivalence fixtures) keep
-        the exact pre-sharding state shape.
-        """
-        state: Dict[str, object] = {
-            "auto_id": self._auto_id,
-            "records": [self._record_state(record) for record in self.records],
-        }
-        if self.commits:
-            state["commits"] = [
-                (c.sequence, c.core, c.commit_ns, dict(c.shard_watermarks))
-                for c in self.commits
-            ]
-        return state
-
-    def set_state(self, state: Dict[str, object]) -> None:
-        self._auto_id = state["auto_id"]
-        self.records = [self._record_from_state(record) for record in state["records"]]
-        self._by_entry_id = {record.entry_id: record for record in self.records}
-        self.commits = [
-            CommitRecord(
-                sequence=sequence,
-                core=core,
-                commit_ns=commit_ns,
-                shard_watermarks=dict(watermarks),
-            )
-            for sequence, core, commit_ns, watermarks in state.get("commits", ())
-        ]

@@ -52,18 +52,3 @@ class PersistencyTracker:
 
     def reset(self) -> None:
         self._pending_accepts.clear()
-
-    def get_state(self) -> dict:
-        """Checkpoint state of the outstanding-writeback set."""
-        return {
-            "pending_accepts": list(self._pending_accepts),
-            "fences": self.fences,
-            "writebacks": self.writebacks,
-            "total_fence_stall_ns": self.total_fence_stall_ns,
-        }
-
-    def set_state(self, state: dict) -> None:
-        self._pending_accepts = list(state["pending_accepts"])
-        self.fences = state["fences"]
-        self.writebacks = state["writebacks"]
-        self.total_fence_stall_ns = state["total_fence_stall_ns"]

@@ -14,11 +14,16 @@ timing-only run, so such a run splits in two passes: a CPU pass runs
 the caches once per trace and cache geometry and is kept on the trace,
 and each design's memory pass replays its controller traffic through
 the same loop (:func:`_recorded_pass`).
+
+A machine is its own checkpoint: everything a running machine reads is
+reachable from it, so a machine pickled at any event boundary and
+unpickled continues to the uninterrupted run's result
+(:mod:`repro.sim.snapshot` keeps such pickles on disk).
 """
 
 from __future__ import annotations
 
-import dataclasses
+import pickle
 from dataclasses import dataclass, field
 from math import inf, nextafter
 from operator import attrgetter
@@ -245,12 +250,13 @@ class _TrafficReplay:
 
 def _recorded_pass(
     config: SystemConfig, trace: Trace
-) -> Tuple[List[Optional[Tuple]], dict, dict]:
+) -> Tuple[List[Optional[Tuple]], bytes]:
     """The CPU pass of a lone core's caches over ``trace``, recorded once.
 
     Runs the trace's loads, stores and clwbs through a fresh
     :class:`CacheHierarchy` over a :class:`_TrafficRecorder` on core 0.
-    Returns the recorder's entries and the final state of L1 0 and L2.
+    Returns the recorder's entries and the final L1 0 and L2 as one
+    pickle, which each replay unpickles into a copy of its own.
     A timing-only run's caches see no data and no times from the
     controller, so the pass depends only on the trace and the cache
     geometry: it is kept on the trace as ``trace._cache_passes``, keyed
@@ -284,8 +290,7 @@ def _recorded_pass(
                 close_clwb(clwb(0, address, 0.0))
         recorded = passes[key] = (
             recorder.entries,
-            caches.l1s[0].get_state(),
-            caches.l2.get_state(),
+            pickle.dumps((caches.l1s[0], caches.l2), pickle.HIGHEST_PROTOCOL),
         )
     return recorded
 
@@ -369,10 +374,13 @@ class Machine:
         one trace on a timing-only config, from op 0 on caches no event
         has touched.  Then the trace's recorded CPU pass
         (:func:`_recorded_pass`) stands in through a
-        :class:`_TrafficReplay`, and :attr:`hierarchy` takes the pass's
-        final state at the end, equal to what the live caches would
-        hold.  Budgeted calls, several cores, functional configs and
-        restored machines keep the live hierarchy.
+        :class:`_TrafficReplay`, and :attr:`hierarchy` takes copies of
+        the pass's final L1 and L2 at the end, equal to what the live
+        caches would hold.  Budgeted calls, several cores, functional
+        configs and machines that have run any call keep the live
+        hierarchy.  ``_caches_untouched`` travels in a pickle, so a
+        machine unpickled right after :meth:`begin` replays as its
+        original would.
 
         Per-op counters accumulate in locals and are written back in a
         ``finally``, so after a mid-loop simulation error the failing
@@ -400,7 +408,7 @@ class Machine:
             and pending
             and not config.functional
         ):
-            entries, final_l1, final_l2 = _recorded_pass(config, pending[0].trace)
+            entries, final_caches = _recorded_pass(config, pending[0].trace)
             replay = _TrafficReplay(config, self.controller, entries)
             load = replay.load
             store = replay.store
@@ -526,8 +534,7 @@ class Machine:
                 pending = self._pending = [c for c in pending if not c.done]
         if replay is not None:
             replay.close()
-            hierarchy.l1s[0].set_state(final_l1)
-            hierarchy.l2.set_state(final_l2)
+            hierarchy.l1s[0], hierarchy.l2 = pickle.loads(final_caches)
         return bool(pending)
 
     # -- result assembly -----------------------------------------------------
@@ -573,67 +580,6 @@ class Machine:
             policy=self.policy,
             txn_end_times=self._txn_end_times,
         )
-
-    # -- checkpoint state -----------------------------------------------------
-
-    def get_state(self) -> dict:
-        """Complete machine state at an event boundary.
-
-        Self-contained: carries config, policy, and the traces, so
-        :meth:`from_state` can rebuild an identical machine with no
-        other inputs.  Resuming and running to completion produces a
-        bit-identical result to the uninterrupted run.
-        """
-        if self._cores is None:
-            raise SimulationError("get_state() called before begin()")
-        return {
-            "config": self.config,
-            "policy": self.policy,
-            "events": self.events_executed,
-            "txn_end_times": [list(times) for times in self._txn_end_times],
-            "cores": [
-                {
-                    "core_id": core.core_id,
-                    "trace": core.trace,
-                    "index": core.index,
-                    "clock_ns": core.clock_ns,
-                    "tracker": core.tracker.get_state(),
-                    "stats": dataclasses.asdict(core.stats),
-                }
-                for core in self._cores
-            ],
-            "controller": self.controller.get_state(),
-            "hierarchy": self.hierarchy.get_state(),
-        }
-
-    def set_state(self, state: dict) -> None:
-        """Restore a state captured by :meth:`get_state`.
-
-        The machine must have been built from the same config and
-        design; structural objects are reused, mutable state replaced.
-        """
-        cores: List[_CoreState] = []
-        for stored in state["cores"]:
-            core = _CoreState(stored["core_id"], stored["trace"])
-            core.index = stored["index"]
-            core.clock_ns = stored["clock_ns"]
-            core.tracker.set_state(stored["tracker"])
-            core.stats = CoreStats(**stored["stats"])
-            cores.append(core)
-        self._cores = cores
-        self._pending = [c for c in cores if not c.done]
-        self._caches_untouched = False
-        self.events_executed = state["events"]
-        self._txn_end_times = [list(times) for times in state["txn_end_times"]]
-        self.controller.set_state(state["controller"])
-        self.hierarchy.set_state(state["hierarchy"])
-
-    @classmethod
-    def from_state(cls, state: dict) -> "Machine":
-        """Rebuild a machine purely from a :meth:`get_state` capture."""
-        machine = cls(state["config"], state["policy"])
-        machine.set_state(state)
-        return machine
 
 
 def run_design(

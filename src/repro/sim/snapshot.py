@@ -1,8 +1,9 @@
 """Crash-consistent simulation checkpoints.
 
 The simulator studies crash consistency; its own campaigns must survive
-crashes too.  This module persists a :class:`repro.sim.machine.Machine`
-state capture (see ``Machine.get_state``) into generation-numbered
+crashes too.  A checkpoint is the running
+:class:`repro.sim.machine.Machine` itself, pickled whole at an event
+boundary.  This module keeps such pickles in generation-numbered
 snapshot files using the same discipline the paper demands of NVM
 software:
 
@@ -22,9 +23,12 @@ software:
   up, mirroring how the campaign engine falls back past corrupt result
   cache entries.
 
-Resume is deterministic: a machine checkpointed at event N and restored
-produces a bit-identical :class:`SimulationResult` to the uninterrupted
-run (asserted by ``result_fingerprint`` in the test suite).
+Resume is deterministic: everything a running machine reads is
+reachable from it, so a machine unpickled at event N continues to a
+:class:`SimulationResult` bit-identical to the uninterrupted run's
+(asserted by ``result_fingerprint`` in the test suite).
+:func:`run_with_checkpoints` resumes only a snapshot of the run it was
+asked for: the same config, design and traces.
 """
 
 from __future__ import annotations
@@ -40,13 +44,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SnapshotCorruptError, SnapshotError, SnapshotVersionError
 from .machine import Machine, SimulationResult
+from .trace import Trace
 
 #: File magic: identifies a repro checkpoint and its container revision.
 MAGIC = b"REPROCKPT1\n"
-#: Header format revision inside the container.
-FORMAT_VERSION = 1
+#: Header format revision inside the container.  Format 2: the body is
+#: a pickled :class:`Machine`.
+FORMAT_VERSION = 2
 #: Pickle protocol 4 is available on every supported interpreter.
 PICKLE_PROTOCOL = 4
+#: Events per ``run_events`` call while an ``on_event`` observer
+#: watches a checkpointed run: how often the observer hears from it.
+EVENT_CHUNK = 1024
 
 _HEADER_LEN = struct.Struct(">I")
 
@@ -58,16 +67,16 @@ _HEADER_LEN = struct.Struct(">I")
 
 def write_snapshot(
     path: str,
-    state: dict,
+    machine: Machine,
     code: str = "",
     meta: Optional[Dict[str, object]] = None,
 ) -> str:
-    """Atomically publish ``state`` as a snapshot file at ``path``.
+    """Atomically publish ``machine``, pickled, as a snapshot file at ``path``.
 
     ``code`` is the code-version hash stamped into the header (empty
     disables version checking on load).  Returns ``path``.
     """
-    body = pickle.dumps(state, protocol=PICKLE_PROTOCOL)
+    body = pickle.dumps(machine, protocol=PICKLE_PROTOCOL)
     header = {
         "format": FORMAT_VERSION,
         "code": code,
@@ -106,12 +115,13 @@ def _fsync_directory(directory: str) -> None:
 
 def read_snapshot(
     path: str, expected_code: Optional[str] = None
-) -> Tuple[dict, Dict[str, object]]:
-    """Load and validate one snapshot file; returns ``(state, header)``.
+) -> Tuple[Machine, Dict[str, object]]:
+    """Load and validate one snapshot file; returns ``(machine, header)``.
 
     Raises :class:`SnapshotCorruptError` for torn/garbled/checksum-
-    failing files and :class:`SnapshotVersionError` when the container
-    format or the recorded code hash does not match ``expected_code``.
+    failing files and bodies that are not a pickled :class:`Machine`,
+    and :class:`SnapshotVersionError` when the container format or the
+    recorded code hash does not match ``expected_code``.
     """
     try:
         with open(path, "rb") as handle:
@@ -151,12 +161,12 @@ def read_snapshot(
             % (path, header.get("code"), expected_code)
         )
     try:
-        state = pickle.loads(body)
+        machine = pickle.loads(body)
     except Exception as exc:  # pickle raises a zoo of types on garbage
         raise SnapshotCorruptError("%s: body does not unpickle" % path) from exc
-    if not isinstance(state, dict):
-        raise SnapshotCorruptError("%s: body is not a state mapping" % path)
-    return state, header
+    if not isinstance(machine, Machine):
+        raise SnapshotCorruptError("%s: body is not a pickled Machine" % path)
+    return machine, header
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +218,11 @@ class SnapshotStore:
 
     # -- save / load --------------------------------------------------------
 
-    def save(self, state: dict, meta: Optional[Dict[str, object]] = None) -> str:
-        """Write the next generation and prune old ones."""
+    def save(self, machine: Machine, meta: Optional[Dict[str, object]] = None) -> str:
+        """Write ``machine`` as the next generation and prune old ones."""
         existing = self.generations()
         generation = (existing[-1] + 1) if existing else 0
-        path = write_snapshot(self._path(generation), state, code=self.code, meta=meta)
+        path = write_snapshot(self._path(generation), machine, code=self.code, meta=meta)
         self.saved += 1
         self._prune()
         return path
@@ -240,10 +250,10 @@ class SnapshotStore:
             pass
         self.invalidated += 1
 
-    def load_latest(self) -> Optional[Tuple[dict, Dict[str, object]]]:
+    def load_latest(self) -> Optional[Tuple[Machine, Dict[str, object]]]:
         """Newest restorable snapshot, falling back past damaged ones.
 
-        Returns ``(state, header)`` or None when no generation (or no
+        Returns ``(machine, header)`` or None when no generation (or no
         undamaged, same-code generation) exists.
         """
         for generation in reversed(self.generations()):
@@ -286,7 +296,7 @@ class CheckpointPolicy:
 
 def run_with_checkpoints(
     machine: Machine,
-    traces: Sequence,
+    traces: Sequence[Trace],
     store: Optional[SnapshotStore] = None,
     policy: Optional[CheckpointPolicy] = None,
     resume: bool = True,
@@ -295,11 +305,14 @@ def run_with_checkpoints(
     """Run ``machine`` over ``traces`` with periodic durable checkpoints.
 
     With ``resume`` and an existing valid snapshot in ``store``, the
-    machine restores and continues from the checkpointed event instead
-    of starting over — the produced :class:`SimulationResult` is
-    bit-identical either way.  ``on_event`` (if given) is called with
-    the running event count after every simulated event; the resilience
-    layer hooks worker heartbeats through it.
+    snapshot's machine continues from its checkpointed event in place of
+    ``machine``, and the produced :class:`SimulationResult` is
+    bit-identical either way.  A snapshot whose config, design or traces
+    differ from ``machine``'s and ``traces`` raises :class:`SnapshotError`
+    rather than resuming another run.  ``on_event`` (if given) is called
+    with the running event count after every ``run_events`` call of at
+    most :data:`EVENT_CHUNK` events; the resilience layer hooks worker
+    heartbeats through it.
 
     Returns ``(result, stats)`` with ``stats`` covering saves,
     restores, quarantines and invalidations.
@@ -310,8 +323,9 @@ def run_with_checkpoints(
     if store is not None and resume:
         loaded = store.load_latest()
         if loaded is not None:
-            state, _header = loaded
-            machine.set_state(state)
+            snapshot, _header = loaded
+            _check_same_run(snapshot, machine, traces)
+            machine = snapshot
             restored = 1
             restored_events = machine.events_executed
     if not restored:
@@ -321,19 +335,19 @@ def run_with_checkpoints(
     next_mark = machine.events_executed + every if every is not None else None
     more = True
     while more:
+        # One call runs to the next checkpoint, the observer's next
+        # chunk, or the end.  A call lands on exactly the event boundary
+        # that as many step() calls would, so the checkpoints and the
+        # result do not depend on the chunking.
+        budget = None if on_event is None else EVENT_CHUNK
+        if next_mark is not None:
+            to_mark = next_mark - machine.events_executed
+            budget = to_mark if budget is None else min(budget, to_mark)
+        more = machine.run_events(budget)
         if on_event is not None:
-            more = machine.step()
             on_event(machine.events_executed)
-        else:
-            # Nothing observes single events: run to the next checkpoint
-            # (or the end) in one call.  A call lands on exactly the
-            # event boundary that many step() calls would, so the
-            # checkpoints and the result stay bit-identical.
-            more = machine.run_events(
-                None if next_mark is None else next_mark - machine.events_executed
-            )
         if more and next_mark is not None and machine.events_executed >= next_mark:
-            store.save(machine.get_state(), meta={"events": machine.events_executed})
+            store.save(machine, meta={"events": machine.events_executed})
             next_mark = machine.events_executed + every
 
     result = machine.finish()
@@ -341,6 +355,35 @@ def run_with_checkpoints(
     if store is not None:
         stats.update(store.stats())
     return result, stats
+
+
+def _check_same_run(
+    snapshot: Machine, machine: Machine, traces: Sequence[Trace]
+) -> None:
+    """Raise :class:`SnapshotError` unless ``snapshot`` continues this run."""
+    differs = [
+        name
+        for name, same in (
+            ("config", snapshot.config == machine.config),
+            ("design", snapshot.policy == machine.policy),
+            (
+                "traces",
+                [core.trace for core in snapshot._cores or ()] == list(traces),
+            ),
+        )
+        if not same
+    ]
+    if differs:
+        raise SnapshotError(
+            "snapshot holds a run of design %r at event %d, the request is "
+            "for design %r; they differ in %s"
+            % (
+                snapshot.policy.name,
+                snapshot.events_executed,
+                machine.policy.name,
+                ", ".join(differs),
+            )
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -105,12 +105,6 @@ class CrossShardBarrier:
         )
         self._last_marks.update(watermarks)
 
-    def get_state(self) -> Dict[str, object]:
-        return {"last_marks": dict(self._last_marks)}
-
-    def set_state(self, state: Dict[str, object]) -> None:
-        self._last_marks = dict(state["last_marks"])
-
 
 def apply_line_writes(
     txns: LineTransactions,

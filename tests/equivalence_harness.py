@@ -14,8 +14,8 @@ over seed workloads and records, per scenario:
   uninterrupted run (covers timing, traffic, the journal's final image
   and transaction commit times),
 * ``resume_fingerprint`` — the fingerprint of a run checkpointed at the
-  midpoint event, serialized, restored into a fresh machine and run to
-  completion (covers per-layer ``get_state``/``set_state``),
+  midpoint event: the machine pickled, unpickled and run to completion
+  (covers everything a checkpoint must carry),
 * ``stats`` — the full :class:`ControllerStats` field dict,
 * ``events`` — the machine's total event count.
 
@@ -167,17 +167,16 @@ def run_scenario(
     fingerprint = result_fingerprint(result)
     stats = dataclasses.asdict(result.controller.stats)
 
-    # Checkpoint at the midpoint event, round-trip the state through
-    # real serialization, restore into a *fresh* machine, finish, and
-    # fingerprint the resumed result.
+    # Checkpoint at the midpoint event: pickle the machine as a snapshot
+    # does, unpickle it, finish, and fingerprint the resumed result.
     total = machine.events_executed
     cut = max(1, total // 2)
     partial = Machine(config, design)
     partial.begin(traces)
     for _ in range(cut):
         partial.step()
-    blob = pickle.dumps(partial.get_state(), protocol=4)
-    resumed = Machine.from_state(pickle.loads(blob))
+    blob = pickle.dumps(partial, protocol=4)
+    resumed = pickle.loads(blob)
     while resumed.step():
         pass
     resume_fingerprint = result_fingerprint(resumed.finish())

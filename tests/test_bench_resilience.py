@@ -109,7 +109,7 @@ class TestResilientWorkloadRun:
         for _ in range(20):
             machine.step()
         checkpoint_dir = str(tmp_path / "ckpt")
-        SnapshotStore(checkpoint_dir, code=code_version()).save(machine.get_state())
+        SnapshotStore(checkpoint_dir, code=code_version()).save(machine)
         outcome, stats = run_workload_resilient(
             "sca",
             "hash",
@@ -195,7 +195,7 @@ class TestCampaignCheckpointing:
         for _ in range(15):
             machine.step()
         job_dir = str(tmp_path / "job")
-        SnapshotStore(job_dir, code=code_version()).save(machine.get_state())
+        SnapshotStore(job_dir, code=code_version()).save(machine)
         resumed = run_campaign_job(
             dataclasses.replace(job, checkpoint_dir=job_dir, checkpoint_every=500)
         )

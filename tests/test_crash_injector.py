@@ -17,6 +17,7 @@ from repro.nvm.device import NVMDevice
 from repro.sim.machine import Machine
 from repro.sim.trace import TraceBuilder
 from repro.workloads.base import WorkloadParams
+from tests.state_walker import assert_same_state
 
 
 def run_simple(design="sca", lines=4):
@@ -119,8 +120,8 @@ class TestBulkImageBuild:
             for adr, budget in ((True, None), (False, None), (True, 1)):
                 image = injector.crash_at(crash_ns, adr=adr, adr_budget=budget)
                 device, store, root, tags = per_line_image(result, crash_ns, adr, budget)
-                assert image.device.get_state() == device.get_state()
-                assert image.counter_store.get_state() == store.get_state()
+                assert_same_state(image.device, device)
+                assert_same_state(image.counter_store, store)
                 assert (image.secure_root, image.line_tags) == (root, tags)
 
     def test_nested_image_copies_the_base_image(self):
@@ -136,8 +137,8 @@ class TestBulkImageBuild:
             stored = image.device.read_line(address)
             device.persist_line(address, stored.payload, stored.encrypted_with)
         device.line_writes = 0
-        assert nested.device.get_state() == device.get_state()
-        assert nested.counter_store.get_state() == image.counter_store.get_state()
+        assert_same_state(nested.device, device)
+        assert_same_state(nested.counter_store, image.counter_store)
         assert nested.secure_root == image.secure_root
 
 

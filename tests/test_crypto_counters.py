@@ -12,6 +12,7 @@ from repro.crypto.counters import (
     counter_slot,
 )
 from repro.errors import AddressError, CounterOverflowError
+from tests.state_walker import assert_same_state
 
 BASE = 1 << 20  # counter region base for these tests
 SIZE = 2 << 20
@@ -124,7 +125,7 @@ class TestBulkInstall:
             store.write(0x40, 5)  # pre-existing slot
         bulk.install(counters)
         per_slot(reference, counters)
-        assert bulk.get_state() == reference.get_state()
+        assert_same_state(bulk, reference)
         assert list(bulk.snapshot()) == list(reference.snapshot())
 
     @pytest.mark.parametrize(
@@ -145,4 +146,4 @@ class TestBulkInstall:
         with pytest.raises(error) as expected:
             per_slot(reference, counters)
         assert str(raised.value) == str(expected.value)
-        assert bulk.get_state() == reference.get_state()
+        assert_same_state(bulk, reference)

@@ -1,5 +1,6 @@
 """Unit tests for the Bonsai tree engine and the tree-node cache."""
 
+import pickle
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from repro.errors import AddressError, ConfigurationError
 from repro.integrity import IntegrityTreeEngine, TreeNodeCache, derive_tree_key
 from repro.integrity import tree as tree_module
 from repro.nvm.address import AddressMap
+from tests.state_walker import walk
 
 MAX_COUNTER = (1 << 48) - 1
 
@@ -101,8 +103,7 @@ class TestTreeEngine:
     def test_state_roundtrip_preserves_root_and_verification(self):
         engine = make_engine()
         counters = populate(engine, groups=4)
-        clone = make_engine()
-        clone.set_state(engine.get_state())
+        clone = pickle.loads(pickle.dumps(engine, protocol=4))
         assert clone.root == engine.root
         assert clone.root == clone.root_over(counters)
 
@@ -273,16 +274,6 @@ class EagerReferenceTree:
     def node_digest(self, node):
         return self.nodes.get(node, self.defaults[node[0]])
 
-    def get_state(self):
-        return {
-            "nodes": [(level, index, digest) for (level, index), digest in self.nodes.items()],
-            "root": self.root,
-        }
-
-    def set_state(self, state):
-        self.nodes = {(level, index): digest for level, index, digest in state["nodes"]}
-        self.root = state["root"]
-
     def rebuild(self, counters):
         """The eager rebuild: drop every node, then one update per group."""
         self.nodes.clear()
@@ -329,8 +320,8 @@ def counter_line(rng):
 
 
 def assert_same_tree(engine, reference):
-    assert engine.get_state() == reference.get_state()  # node order included
-    assert engine.root == reference.root
+    assert engine.root == reference.root  # settles the engine's interior nodes
+    assert walk(engine._nodes) == walk(reference.nodes)  # node order included
 
 
 def read_and_compare(engine, reference, rng, leaf):
@@ -353,7 +344,7 @@ class TestSettleOnRead:
 
     The reference is the eager ``update_group`` above; every sequence
     compares the returned paths, and reads of the root, of interior
-    ``node_digest`` and of ``get_state()`` (node order included).
+    ``node_digest`` and of the settled node map (node order included).
     """
 
     @pytest.mark.parametrize("arity", [2, COUNTERS_PER_LINE])
@@ -387,11 +378,12 @@ class TestSettleOnRead:
         engine.root
         assert len(calls) == len(interior)
         engine.root
-        engine.get_state()
+        for node in interior:
+            engine.node_digest(node)
         assert len(calls) == len(interior)
 
     @pytest.mark.parametrize("pending", [False, True])
-    def test_set_state_then_updates(self, pending):
+    def test_pickled_state_then_updates(self, pending):
         rng = random.Random(11)
         source = make_engine(memory_kb=1024)
         reference = EagerReferenceTree(source)
@@ -399,12 +391,11 @@ class TestSettleOnRead:
             counters = counter_line(rng)
             source.update_group(leaf * GROUP_SPAN, counters)
             reference.update_group(leaf * GROUP_SPAN, counters)
-        state = source.get_state()
-        engine = make_engine(memory_kb=1024)
-        if pending:
-            # Updates the loaded state must replace, never settle into it.
-            populate(engine, groups=6, salt=3)
-        engine.set_state(state)
+        if not pending:
+            source.root  # settle before pickling
+        assert bool(source._stale) == pending
+        # Pending updates travel unsettled; the first read settles them.
+        engine = pickle.loads(pickle.dumps(source, protocol=4))
         assert_same_tree(engine, reference)
         for leaf in leaf_walk(engine.num_leaves, rng, 30):
             counters = counter_line(rng)
@@ -433,7 +424,8 @@ class TestSettleOnRead:
         engine = make_engine()
         populate(engine, groups=3)  # pending, never read
         assert engine.rebuild({}) == engine.root_over({})
-        assert engine.get_state() == {"nodes": [], "root": engine.root_over({})}
+        assert engine.root == engine.root_over({})
+        assert engine._nodes == {}
 
     def test_verify_leaf_needs_no_root_read(self):
         rng = random.Random(7)
@@ -523,8 +515,7 @@ class TestTreeNodeCache:
         cache = TreeNodeCache(2)
         cache.insert((0, 0), dirty=True)
         cache.insert((0, 1), dirty=False)
-        clone = TreeNodeCache(2)
-        clone.set_state(cache.get_state())
+        clone = pickle.loads(pickle.dumps(cache, protocol=4))
         assert clone.dirty_count() == 1
         # LRU order survived: (0, 0) is still the dirty victim.
         assert clone.insert((0, 2), dirty=False) == (0, 0)

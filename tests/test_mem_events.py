@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -67,9 +68,7 @@ class TestStatsDerivation:
         config = fast_config(num_cores=1, functional=True)
         machine, _result = run_machine(config)
         controller = machine.controller
-        state = controller.get_state()
-        fresh = MemoryController(config, get_design("sca"))
-        fresh.set_state(state)
+        fresh = pickle.loads(pickle.dumps(controller, protocol=4))
         assert dataclasses.asdict(fresh.stats) == dataclasses.asdict(controller.stats)
         # The restored stats object is live — new records must fold
         # into it, not into a stale instance.

@@ -17,6 +17,8 @@ contracts of the coordinator and the cross-shard barrier:
   (:func:`repro.crash.session.run_sharded_session`) reports it.
 """
 
+import pickle
+
 import pytest
 
 from repro.bench.harness import run_workload
@@ -30,6 +32,7 @@ from repro.crash.sharded import (
 )
 from repro.errors import SimulationError
 from repro.workloads.base import WorkloadParams
+from tests.state_walker import assert_same_state
 
 PARAMS = WorkloadParams(operations=10, footprint_bytes=8 * KB)
 
@@ -81,17 +84,14 @@ class TestFacade:
 
     def test_snapshot_round_trip(self, result):
         controller = result.controller
-        state = controller.get_state()
+        clone = pickle.loads(pickle.dumps(controller, protocol=4))
         before = [
             (r.entry_id, r.accept_ns, r.address) for r in controller.journal.records
         ]
-        commits_before = len(controller.journal.commits)
-        controller.set_state(state)
-        after = [
-            (r.entry_id, r.accept_ns, r.address) for r in controller.journal.records
-        ]
+        after = [(r.entry_id, r.accept_ns, r.address) for r in clone.journal.records]
         assert after == before
-        assert len(controller.journal.commits) == commits_before
+        assert len(clone.journal.commits) == len(controller.journal.commits)
+        assert_same_state(clone, controller)
 
 
 class TestCrossShardBarrier:

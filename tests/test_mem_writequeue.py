@@ -4,12 +4,15 @@ rule crash images follow (paper §5.2.2) is pinned on the persist journal
 (tests/test_persist_journal.py: test_record_absent_before_ready,
 test_adr_drains_ready_but_undrained)."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import QueueFullError, SimulationError
 from repro.mem.writequeue import WriteQueue
+from tests.state_walker import assert_same_state
 
 
 def make_entry(queue, address=0x40, t=0.0, ca=False):
@@ -136,9 +139,8 @@ class TestCheckpointState:
         second = make_entry(queue, address=0x80, t=1.0)
         queue.schedule(second, 1.0, 900.0, 1000.0)
         queue.merge(first, b"\x01" * 64, 3)
-        clone = WriteQueue("q", 4)
-        clone.set_state(queue.get_state())
-        assert clone.get_state() == queue.get_state()
+        clone = pickle.loads(pickle.dumps(queue, protocol=4))
+        assert_same_state(clone, queue)
         restored = clone.probe(0x40, 2.0)
         assert restored is not None
         assert (restored.payload, restored.coalesced) == (b"\x01" * 64, 1)
@@ -151,9 +153,10 @@ class TestCheckpointState:
         for t in (0.0, 10.0, 20.0):
             entry = make_entry(queue, address=0x40, t=t)
             queue.schedule(entry, t, t + 5.0, t + 5.0)
-        live = queue.get_state()["live"]
-        assert [state[1] for state in live] == [0x40]
-        assert live[0][0] == entry.entry_id
+        clone = pickle.loads(pickle.dumps(queue, protocol=4))
+        live = list(clone._live_by_address.values())
+        assert [kept.address for kept in live] == [0x40]
+        assert live[0].entry_id == entry.entry_id
 
 
 class TestProperties:

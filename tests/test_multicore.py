@@ -8,6 +8,7 @@ from repro.persist.journal import JournalKind
 from repro.sim.machine import Machine
 from repro.sim.trace import TraceBuilder
 from repro.workloads.base import WorkloadParams
+from tests.state_walker import first_difference, walk
 
 PARAMS = WorkloadParams(operations=10, footprint_bytes=8 * KB)
 
@@ -144,7 +145,7 @@ class TestSchedulerOrder:
         machine.begin(tied_traces(cores))
         # The first op of every core is a tie at 0 ns.
         assert machine.step()
-        indexes = [core["index"] for core in machine.get_state()["cores"]]
+        indexes = [core.index for core in machine._cores]
         assert indexes == [1] + [0] * (cores - 1)
         machine.fast_forward()
         data = [
@@ -161,10 +162,13 @@ class TestSchedulerOrder:
         config = fast_config(num_cores=3)
         reference = Machine(config, design)
         reference.begin(traces)
-        states = [reference.get_state()]
+        # A zero budget runs no event but, like any call, marks the
+        # caches touched: the state every run_events(0) call leaves.
+        reference.run_events(0)
+        states = [walk(reference)]
         while reference.step():
-            states.append(reference.get_state())
-        states.append(reference.get_state())
+            states.append(walk(reference))
+        states.append(walk(reference))
         total = reference.events_executed
         assert total == sum(len(trace) for trace in traces)
         for budget in range(total + 1):
@@ -173,4 +177,5 @@ class TestSchedulerOrder:
             more = machine.run_events(budget)
             assert more == (budget < total)
             assert machine.events_executed == budget
-            assert machine.get_state() == states[budget], budget
+            state = walk(machine)
+            assert state == states[budget], (budget, first_difference(state, states[budget]))

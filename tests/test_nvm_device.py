@@ -8,6 +8,7 @@ from repro.config import CACHE_LINE_SIZE, MB
 from repro.errors import AddressError
 from repro.nvm.address import AddressMap
 from repro.nvm.device import NVMDevice, PersistedLine
+from tests.state_walker import assert_same_state
 
 LINE = bytes(range(64))
 
@@ -123,11 +124,11 @@ class TestBulkInstall:
                 per_line(device, lines)
             devices.append(device)
         bulk, reference = devices
-        assert bulk.get_state() == reference.get_state()
+        assert_same_state(bulk, reference)
 
     def test_empty_mapping_is_a_no_op(self, device):
         device.install({})
-        assert device.get_state() == NVMDevice(AddressMap(memory_size_bytes=64 * MB)).get_state()
+        assert_same_state(device, NVMDevice(AddressMap(memory_size_bytes=64 * MB)))
 
     @pytest.mark.parametrize(
         "bad",
@@ -147,4 +148,4 @@ class TestBulkInstall:
         with pytest.raises(AddressError) as expected:
             per_line(reference, lines)
         assert str(raised.value) == str(expected.value)
-        assert bulk.get_state() == reference.get_state()
+        assert_same_state(bulk, reference)

@@ -192,7 +192,7 @@ class TestDeterminism:
         for _ in range(cut):
             partial.step()
         store = SnapshotStore(str(tmp_path), code="svc")
-        store.save(partial.get_state())
+        store.save(partial)
         resumed = Machine(config, "sca")
         result, stats = run_with_checkpoints(
             resumed, [resumed_run.trace], store=store

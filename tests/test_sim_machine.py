@@ -70,9 +70,8 @@ class TestEventLoopEntryPoints:
             lambda machine: machine.run_events(None),
             lambda machine: machine.fast_forward(),
             lambda machine: machine.finish(),
-            lambda machine: machine.get_state(),
         ],
-        ids=["step", "run_events", "run_events-all", "fast_forward", "finish", "get_state"],
+        ids=["step", "run_events", "run_events-all", "fast_forward", "finish"],
     )
     def test_every_entry_point_raises_before_begin(self, call):
         with pytest.raises(SimulationError, match="called before begin"):

@@ -212,8 +212,8 @@ class TestPickle:
         machine = Machine(config, "sca")
         machine.begin([trace])
         machine.run_events(10)
-        state = pickle.loads(pickle.dumps(machine.get_state(), protocol=4))
-        assert "_cache_passes" not in state["cores"][0]["trace"].__dict__
+        restored = pickle.loads(pickle.dumps(machine, protocol=4))
+        assert "_cache_passes" not in restored._cores[0].trace.__dict__
 
 
 @pytest.fixture
@@ -266,7 +266,7 @@ class TestNoRunPathBuildsOps:
         partial.begin(traces)
         for _ in range(40):
             partial.step()
-        store.save(partial.get_state())
+        store.save(partial)
         result, stats = run_with_checkpoints(
             Machine(config, "sca"),
             traces,

@@ -11,6 +11,7 @@ be recorded only where the run can take it.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from repro.sim.snapshot import result_fingerprint
 from repro.sim.trace import TraceBuilder
 from repro.workloads.base import WorkloadParams
 from tests.equivalence_harness import SCENARIOS, single_core_config, single_core_traces
+from tests.state_walker import walk
 
 DESIGNS = list_designs(include_unsafe=True, include_integrity=True)
 
@@ -42,7 +44,7 @@ def _observables(machine, result):
         dataclasses.asdict(result.controller.stats),
         dataclasses.asdict(result.stats),
         result.txn_end_times,
-        machine.get_state(),
+        walk(machine),
     )
 
 
@@ -94,7 +96,7 @@ def test_dirty_evictions_match_the_stepped_run():
     traces = [_eviction_trace()]
     for design in DESIGNS:
         _assert_split_matches_stepped(config, design, traces)
-    (entries, _l1, _l2), = _passes(traces[0]).values()
+    (entries, _caches), = _passes(traces[0]).values()
     writebacks = [entry for entry in entries if entry is not None and len(entry) > 2]
     assert any(entry[0] == -1 for entry in writebacks)
     assert any(entry[0] != -1 for entry in writebacks)
@@ -156,17 +158,28 @@ def test_budgeted_run_records_no_pass():
     assert not _passes(traces[0])
 
 
-def test_restored_machine_keeps_the_live_hierarchy():
+def test_pickled_machine_finishes_as_the_uninterrupted_run():
     config = fast_config(functional=False)
     traces = _hash_traces(config)
+    stepped = _stepped(config, "sca", traces)
+    expected = _observables(*stepped)
+    # Pickled right after begin(), the machine still knows its caches
+    # are untouched, so it replays the trace's CPU pass as the original
+    # would.
     machine = Machine(config, "sca")
     machine.begin(traces)
-    restored = Machine.from_state(machine.get_state())
+    restored = pickle.loads(pickle.dumps(machine, protocol=4))
     restored.run_events(None)
-    assert not _passes(traces[0])
-    assert result_fingerprint(restored.finish()) == result_fingerprint(
-        _stepped(config, "sca", traces)[1]
-    )
+    assert _passes(restored._cores[0].trace)
+    assert _observables(restored, restored.finish()) == expected
+    # Pickled mid-run, it continues on the live hierarchy.
+    machine = Machine(config, "sca")
+    machine.begin(traces)
+    machine.run_events(stepped[0].events_executed // 2)
+    restored = pickle.loads(pickle.dumps(machine, protocol=4))
+    restored.run_events(None)
+    assert not _passes(restored._cores[0].trace)
+    assert _observables(restored, restored.finish()) == expected
 
 
 def test_line_crossing_store_raises_before_any_request():
@@ -189,8 +202,8 @@ def test_pass_that_disagrees_with_the_trace_raises(change):
     Machine(config, "sca").run(traces)
     passes = _passes(traces[0])
     key = (config.l1, config.l2)
-    entries, final_l1, final_l2 = passes[key]
+    entries, final_caches = passes[key]
     entries = entries[:-1] if change == "drop" else entries + [None]
-    passes[key] = (entries, final_l1, final_l2)
+    passes[key] = (entries, final_caches)
     with pytest.raises(SimulationError):
         Machine(config, "fca").run(traces)

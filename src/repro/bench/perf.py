@@ -31,13 +31,14 @@ from ..config import CounterCacheConfig, EncryptionConfig
 from ..crypto import aes as aes_module
 from ..crypto.counter_cache import CounterCache
 from ..crypto.integrity import IntegrityEngine
-from ..crypto.otp import OTPCipher, _xor, _xor_reference, make_block_cipher
+from ..crypto.otp import OTPCipher, _xor, make_block_cipher
 from ..crypto.prf import SplitMixPRF
 from ..errors import ConfigurationError
 from ..integrity.tree import IntegrityTreeEngine
 from ..mem.writequeue import WriteQueue
 from ..nvm.address import AddressMap
 from ..utils.accel import HAVE_NUMPY
+from .oracles import encrypt_block_reference, xor_reference
 
 #: Iteration counts per scale: (fast-path ops, reference-path ops).
 _SCALE_OPS = {
@@ -93,7 +94,7 @@ def bench_kernels(scale: str = "quick") -> Dict[str, Dict[str, float]]:
     xor_fast_n = 20000 * mult
     xor_ref_n = 2000 * mult
     fast_s = _best_of(lambda: [_xor(line, other) for _ in range(xor_fast_n)])
-    ref_s = _best_of(lambda: [_xor_reference(line, other) for _ in range(xor_ref_n)])
+    ref_s = _best_of(lambda: [xor_reference(line, other) for _ in range(xor_ref_n)])
     results["xor_line64"] = _kernel(fast_s, xor_fast_n, ref_s, xor_ref_n)
 
     # -- AES block encryption: T-tables vs textbook rounds ---------------
@@ -102,12 +103,13 @@ def bench_kernels(scale: str = "quick") -> Dict[str, Dict[str, float]]:
     aes_fast_n = 2000 * mult
     aes_ref_n = 200 * mult
     fast_s = _best_of(lambda: [aes.encrypt_block(block) for _ in range(aes_fast_n)])
-    ref_s = _best_of(lambda: [aes._encrypt_block_slow(block) for _ in range(aes_ref_n)])
+    ref_s = _best_of(
+        lambda: [encrypt_block_reference(aes, block) for _ in range(aes_ref_n)]
+    )
     results["aes_block"] = _kernel(fast_s, aes_fast_n, ref_s, aes_ref_n)
 
     # -- OTP line encrypt/decrypt with the AES backend -------------------
-    # Unique (address, counter) pairs defeat the pad cache, so this
-    # times real pad generation + XOR; the reference path is the
+    # Real pad generation + XOR; the reference path is the
     # pre-optimization construction (textbook AES + per-byte XOR).
     cipher = OTPCipher(make_block_cipher(EncryptionConfig(cipher="aes")))
     otp_fast_n = 300 * mult
@@ -116,17 +118,16 @@ def bench_kernels(scale: str = "quick") -> Dict[str, Dict[str, float]]:
     def run_otp_fast() -> None:
         for index in range(otp_fast_n):
             cipher.encrypt(index * 64, index + 1, line)
-        cipher._pad_cache.clear()
 
     def run_otp_reference() -> None:
         for index in range(otp_ref_n):
             pad = b"".join(
-                aes._encrypt_block_slow(
-                    _seed_block(index * 64, index + 1, block_index)
+                encrypt_block_reference(
+                    aes, _seed_block(index * 64, index + 1, block_index)
                 )
                 for block_index in range(4)
             )
-            _xor_reference(pad, line)
+            xor_reference(pad, line)
 
     fast_s = _best_of(run_otp_fast)
     ref_s = _best_of(run_otp_reference)
@@ -140,7 +141,6 @@ def bench_kernels(scale: str = "quick") -> Dict[str, Dict[str, float]]:
     def run_prf_fast() -> None:
         for index in range(prf_fast_n):
             prf_cipher.encrypt(index * 64, index + 1, line)
-        prf_cipher._pad_cache.clear()
 
     prf_block = prf_cipher._cipher
 
@@ -150,7 +150,7 @@ def bench_kernels(scale: str = "quick") -> Dict[str, Dict[str, float]]:
                 prf_block.encrypt_block(_seed_block(index * 64, index + 1, b))
                 for b in range(4)
             )
-            _xor_reference(pad, line)
+            xor_reference(pad, line)
 
     fast_s = _best_of(run_prf_fast)
     ref_s = _best_of(run_prf_reference)
@@ -269,13 +269,11 @@ def bench_kernels(scale: str = "quick") -> Dict[str, Dict[str, float]]:
     def run_otp_batch() -> None:
         for _ in range(otp_batch_rounds):
             batch_cipher.encrypt_lines(line_items)
-            batch_cipher._pad_cache.clear()
 
     def run_otp_batch_reference() -> None:
         for _ in range(otp_batch_rounds):
             for address, counter, text in line_items:
                 batch_cipher.encrypt(address, counter, text)
-            batch_cipher._pad_cache.clear()
 
     fast_s = _best_of(run_otp_batch)
     ref_s = _best_of(run_otp_batch_reference)

@@ -9,7 +9,10 @@ A crash at time T has these effects (paper Sections 2-5):
 * The NVM array keeps whatever had drained before T.
 
 The persist journal encodes all three rules, so building a crash image
-is a single reconstruction call.  The injector also enumerates the
+is a single reconstruction call.  The journal holds plaintext with each
+line's counter; an image of an encrypted design holds the ciphertext
+NVM would, enciphered in one batch as the image is built (each journal
+record version at most once per run).  The injector also enumerates the
 interesting crash instants of a finished run — every boundary where the
 durable state can change.
 """
@@ -66,6 +69,12 @@ class CrashInjector:
         self._magic_counters = result.policy.magic_counter_persistence
         self._integrity = result.policy.integrity_tree
         self._config = result.config
+        #: Enciphers images of encrypted designs (None: stored in the clear).
+        self._cipher = (
+            OTPCipher(make_block_cipher(result.config.encryption))
+            if result.policy.encrypts
+            else None
+        )
         self._tag_engine: Optional[IntegrityEngine] = None
         self._tree_engine = None
 
@@ -80,10 +89,11 @@ class CrashInjector:
         ``adr=False`` models a system without the ADR guarantee (only
         array-drained writes survive) — used by ablation benches.
         ``adr_budget`` limits how many ready-but-undrained entries the
-        ADR reserve can fund (see ``PersistJournal.reconstruct``).
+        ADR reserve can fund (see ``PersistJournal.persisted_at``).
+        Data lines of encrypted designs hold their ciphertext.
         """
         data_lines, counters = self._journal.reconstruct(
-            crash_ns, adr=adr, adr_budget=adr_budget
+            crash_ns, adr=adr, adr_budget=adr_budget, cipher=self._cipher
         )
         device = NVMDevice(self._address_map, track_wear=False)
         device.install(data_lines)
@@ -132,7 +142,7 @@ class CrashInjector:
         if adr and adr_budget is None:
             covered = image.counter_store.snapshot()
         else:
-            _, covered = self._journal.reconstruct(crash_ns, adr=True, adr_budget=None)
+            _, covered = self._journal.persisted_at(crash_ns)
         image.secure_root = self._tree_engine.root_over(covered)
         image.line_tags = tag_data_lines(image.device, self._tag_engine)
 

@@ -124,7 +124,7 @@ class RecoveryManager:
         For unencrypted designs pass ``encrypted=False``: payloads are
         stored in the clear and counters are irrelevant.  Encrypted
         images decrypt in one :meth:`~repro.crypto.otp.OTPCipher.decrypt_lines`
-        batch, byte- and pad-cache-identical to per-line ``decrypt``.
+        batch, byte-identical to per-line ``decrypt``.
         """
         plaintext: Dict[int, bytes] = {}
         garbage: Set[int] = set()

@@ -34,9 +34,10 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..crypto.counters import CounterStore
 from ..crypto.integrity import IntegrityEngine
+from ..crypto.otp import OTPCipher, make_block_cipher
 from ..errors import SimulationError
 from ..nvm.device import NVMDevice
-from ..persist.journal import CommitRecord, PersistJournal
+from ..persist.journal import CommitRecord, LineVersion, PersistJournal, line_images
 from ..sim.machine import SimulationResult
 from .injector import CrashImage, CrashInjector, tag_data_lines, uniform_sample
 
@@ -71,6 +72,9 @@ def shard_crash_image(
     :meth:`CrashInjector._capture_integrity`: each shard's secure
     register acknowledged ready counters before power died, so counters
     its failed drain then dropped surface as a root mismatch.
+
+    Data lines of encrypted designs hold their ciphertext, enciphered
+    at global addresses in one batch over every shard's lines.
     """
     controller = result.controller
     journals = _shard_journals(result)
@@ -79,26 +83,35 @@ def shard_crash_image(
         if not 0 <= shard < len(journals):
             raise SimulationError("failed shard %d out of range" % shard)
     address_map = controller.address_map
-    device = NVMDevice(address_map, track_wear=False)
     store = CounterStore(
         counter_region_base=address_map.counter_region_base,
         memory_size_bytes=address_map.memory_size_bytes,
     )
     adr_pending = 0
+    versions: Dict[int, LineVersion] = {}
     covered: Dict[int, int] = {}
     for shard, journal in enumerate(journals):
         if shard in failed:
-            data_lines, counters = journal.reconstruct(
+            persisted, counters = journal.persisted_at(
                 crash_ns, adr=adr_budget is not None, adr_budget=adr_budget
             )
         else:
-            data_lines, counters = journal.reconstruct(crash_ns, adr=True)
+            persisted, counters = journal.persisted_at(crash_ns)
             adr_pending += journal.adr_pending(crash_ns)
-        device.install(data_lines)
+        versions.update(persisted)
         store.install(counters)
         if result.policy.integrity_tree:
-            _, acked = journal.reconstruct(crash_ns, adr=True)
-            covered.update(acked)
+            # A healthy shard's counters are already its ADR image.
+            covered.update(
+                journal.persisted_at(crash_ns)[1] if shard in failed else counters
+            )
+    cipher = (
+        OTPCipher(make_block_cipher(result.config.encryption))
+        if result.policy.encrypts
+        else None
+    )
+    device = NVMDevice(address_map, track_wear=False)
+    device.install(line_images(versions, cipher))
     device.line_writes = 0
     image = CrashImage(
         crash_ns=crash_ns,

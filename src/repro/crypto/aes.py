@@ -5,14 +5,11 @@ both encrypts and decrypts by XORing with ``En(address || counter)``, so
 no inverse cipher is required (we still implement decryption for
 completeness and for tests against the published FIPS-197 vectors).
 
-Two forward implementations coexist:
-
-* :meth:`AES128.encrypt_block` — a T-table fast path that folds
-  SubBytes, ShiftRows and MixColumns into four 256-entry word tables
-  (the classic software formulation from the Rijndael reference code);
-* :meth:`AES128._encrypt_block_slow` — the textbook round-function
-  version, kept as the bit-for-bit reference the fast path is tested
-  against.
+:meth:`AES128.encrypt_block` is a T-table implementation that folds
+SubBytes, ShiftRows and MixColumns into four 256-entry word tables (the
+classic software formulation from the Rijndael reference code).  Its
+bit-for-bit reference, the textbook round functions, lives with the
+other oracles in :mod:`repro.bench.oracles`.
 
 Even the fast path is far slower than hardware AES; large simulations
 use :class:`repro.crypto.prf.SplitMixPRF` instead (selected by
@@ -188,23 +185,9 @@ class AES128:
             state[index] ^= round_key[index]
 
     @staticmethod
-    def _sub_bytes(state: List[int]) -> None:
-        for index in range(16):
-            state[index] = _SBOX[state[index]]
-
-    @staticmethod
     def _inv_sub_bytes(state: List[int]) -> None:
         for index in range(16):
             state[index] = _INV_SBOX[state[index]]
-
-    @staticmethod
-    def _shift_rows(state: List[int]) -> List[int]:
-        # State is column-major: state[4*col + row].
-        shifted = state[:]
-        for row in range(1, 4):
-            for col in range(4):
-                shifted[4 * col + row] = state[4 * ((col + row) % 4) + row]
-        return shifted
 
     @staticmethod
     def _inv_shift_rows(state: List[int]) -> List[int]:
@@ -213,16 +196,6 @@ class AES128:
             for col in range(4):
                 shifted[4 * ((col + row) % 4) + row] = state[4 * col + row]
         return shifted
-
-    @staticmethod
-    def _mix_columns(state: List[int]) -> None:
-        for col in range(4):
-            base = 4 * col
-            a = state[base : base + 4]
-            state[base + 0] = _xtime(a[0]) ^ _xtime(a[1]) ^ a[1] ^ a[2] ^ a[3]
-            state[base + 1] = a[0] ^ _xtime(a[1]) ^ _xtime(a[2]) ^ a[2] ^ a[3]
-            state[base + 2] = a[0] ^ a[1] ^ _xtime(a[2]) ^ _xtime(a[3]) ^ a[3]
-            state[base + 3] = _xtime(a[0]) ^ a[0] ^ a[1] ^ a[2] ^ _xtime(a[3])
 
     @staticmethod
     def _inv_mix_columns(state: List[int]) -> None:
@@ -360,26 +333,6 @@ class AES128:
         ) ^ _np.uint32(k3)
         raw = out.astype(">u4").tobytes()
         return [raw[offset : offset + 16] for offset in range(0, 16 * count, 16)]
-
-    def _encrypt_block_slow(self, block: bytes) -> bytes:
-        """Textbook round-function encryption (reference implementation).
-
-        Kept as the oracle the T-table path is verified against; also
-        exercised directly by the perf harness to measure the speedup.
-        """
-        if len(block) != 16:
-            raise CryptoError("AES block must be 16 bytes")
-        state = list(block)
-        self._add_round_key(state, self._round_keys[0])
-        for round_index in range(1, self.ROUNDS):
-            self._sub_bytes(state)
-            state = self._shift_rows(state)
-            self._mix_columns(state)
-            self._add_round_key(state, self._round_keys[round_index])
-        self._sub_bytes(state)
-        state = self._shift_rows(state)
-        self._add_round_key(state, self._round_keys[self.ROUNDS])
-        return bytes(state)
 
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt one 16-byte block (inverse cipher)."""

@@ -1,13 +1,22 @@
 """The encryption engine in the memory controller.
 
-Combines the OTP cipher, the counter cache and the architectural counter
-store, and exposes the operations the NVM coordinator needs:
+Combines the counter cache and the architectural counter store, and
+exposes the counter flow the NVM coordinator needs:
 
-* ``encrypt_for_write``: pick the next counter, update the counter
-  cache, produce ciphertext;
-* ``decrypt_for_read``: generate the pad (from the cached counter when
-  possible) and XOR with the fetched line;
+* ``encrypt_for_write``: pick the next counter and update the counter
+  cache (the counter the line is encrypted under);
+* ``decrypt_for_read``: find the counter a read decrypts with, from the
+  counter cache when possible, else by filling its counter line;
 * ``counter fill / writeback`` plumbing with precise miss accounting.
+
+The engine makes no ciphertext.  Counter mode's line is ``En(address ||
+counter) XOR plaintext``, a pure function of the address, the counter
+and the plaintext, so the live device and the persist journal keep the
+plaintext with the counter it is encrypted under, and ciphertext is
+built only where it is observed: crash images and the final image
+(:meth:`repro.persist.journal.PersistJournal.reconstruct`).  Every
+encrypted design keeps the counter a read finds equal to the one the
+line was written under, so a live read returns the bytes last written.
 
 Latency (the 40 ns of Table 2) is *modeled*, not spent: the engine
 returns the information the timing model needs (was the counter cached?)
@@ -19,20 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..config import CACHE_LINE_SIZE, EncryptionConfig, CounterCacheConfig
+from ..config import EncryptionConfig, CounterCacheConfig
 from ..errors import CryptoError
 from .counter_cache import CounterCache
 from .counters import CounterStore
-from .otp import OTPCipher, make_block_cipher
 
 
 @dataclass(slots=True)
 class WriteEncryption:
-    """Result of encrypting one line for writeback."""
+    """The counter one line is written back under."""
 
     address: int
     counter: int
-    ciphertext: Optional[bytes]
     #: True if the counter lookup hit the counter cache (no fill needed).
     counter_cache_hit: bool
     #: Dirty counter line evicted by a fill, to be written back: maps to
@@ -42,11 +49,10 @@ class WriteEncryption:
 
 @dataclass(slots=True)
 class ReadDecryption:
-    """Result of decrypting one line on a read fill."""
+    """The counter one line is decrypted with on a read fill."""
 
     address: int
     counter: int
-    plaintext: Optional[bytes]
     counter_cache_hit: bool
     evicted_counter_line: Optional[Tuple[int, Tuple[int, ...]]]
 
@@ -64,13 +70,10 @@ class EncryptionEngine:
         config: EncryptionConfig,
         cache_config: CounterCacheConfig,
         counter_store: CounterStore,
-        functional: bool = True,
     ) -> None:
         self.config = config
-        self.cipher = OTPCipher(make_block_cipher(config))
         self.counter_cache = CounterCache(cache_config)
         self.counter_store = counter_store
-        self.functional = functional
         self._global_counter = 0
         self.latency_ns = config.latency_ns
 
@@ -89,37 +92,28 @@ class EncryptionEngine:
 
     # -- write path -----------------------------------------------------------
 
-    def encrypt_for_write(
-        self, address: int, plaintext: Optional[bytes]
-    ) -> WriteEncryption:
-        """Encrypt a line being written back to NVM.
+    def encrypt_for_write(self, address: int) -> WriteEncryption:
+        """Pick the counter a line being written back is encrypted under.
 
         Follows Section 5.2.1: generate a new counter from the global
-        counter, update the counter cache (allocating on miss), build
-        the OTP and XOR.  In timing-only mode ``plaintext`` may be None
-        and no ciphertext is produced.
+        counter and update the counter cache (allocating on miss).  The
+        pad and the XOR are left to whoever observes the ciphertext.
         """
-        if plaintext is not None and len(plaintext) != CACHE_LINE_SIZE:
-            raise CryptoError("write payload must be one %d B line" % CACHE_LINE_SIZE)
         new_counter = self._global_counter + 1
         self._global_counter = new_counter
         hit, evicted = self.counter_cache.write(address, new_counter, self.counter_store)
-        ciphertext = None
-        if self.functional and plaintext is not None:
-            ciphertext = self.cipher.encrypt(address, new_counter, plaintext)
-        return WriteEncryption(address, new_counter, ciphertext, hit, evicted)
+        return WriteEncryption(address, new_counter, hit, evicted)
 
     # -- read path ------------------------------------------------------------
 
-    def decrypt_for_read(
-        self, address: int, ciphertext: Optional[bytes]
-    ) -> ReadDecryption:
-        """Decrypt a line fetched from NVM.
+    def decrypt_for_read(self, address: int) -> ReadDecryption:
+        """Find the counter a line fetched from NVM decrypts with.
 
         On a counter-cache hit the OTP generation overlaps the memory
         read (the timing model checks ``counter_cache_hit``); on a miss
         the covering counter line is fetched from the architectural
-        store first.
+        store first.  The counter found is the one the line was written
+        under, so the fetched bytes are already the plaintext.
         """
         counter = self.counter_cache.lookup_for_read(address)
         hit = counter is not None
@@ -132,10 +126,7 @@ class EncryptionEngine:
             # The retry lookup double-counted one access; undo it so
             # miss-rate statistics reflect one logical access per read.
             self.counter_cache.stats.read_hits -= 1
-        plaintext = None
-        if self.functional and ciphertext is not None:
-            plaintext = self.cipher.decrypt(address, counter, ciphertext)
-        return ReadDecryption(address, counter, plaintext, hit, evicted)
+        return ReadDecryption(address, counter, hit, evicted)
 
     # -- persistence helpers ----------------------------------------------------
 

@@ -3,13 +3,19 @@
 A 64 B cache line needs four 16 B pad blocks.  Each pad block is
 ``En(address || counter || block_index, key)`` so that every block of
 every line version gets a unique pad (paper Eq. 1-3).
+
+The live machine makes no pads: its device and persist journal keep
+plaintext with each line's counter.  Pads are made where ciphertext is
+observed, a whole image at a time: crash and final images encipher
+their lines in one :meth:`OTPCipher.encrypt_lines` batch, and recovery
+decrypts an image in one :meth:`OTPCipher.decrypt_lines` batch.  Each
+pad is computed when asked for; nothing is cached.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
-from typing import Dict, List, Protocol, Sequence, Tuple, Union
+from typing import List, Protocol, Sequence, Tuple, Union
 
 from ..config import CACHE_LINE_SIZE, EncryptionConfig
 from ..errors import CryptoError
@@ -67,43 +73,10 @@ class OTPCipher:
         self._block_words = [
             index << _BLOCK_INDEX_SHIFT for index in range(self._blocks_per_line)
         ]
-        # Pad cache: (address, counter) -> pad, LRU-bounded.  Counter-mode
-        # reuses the same pad for encrypt and decrypt, so this is a pure
-        # memoization; eviction drops only the least recently used pad
-        # instead of the whole cache.
-        self._pad_cache: "OrderedDict[tuple, bytes]" = OrderedDict()
-        self._pad_cache_limit = 4096
-        self.pad_hits = 0
-        self.pad_misses = 0
-        self.pad_evictions = 0
-
-    @property
-    def pad_cache_stats(self) -> Dict[str, int]:
-        """Hit/miss/eviction counters of the pad memoization cache."""
-        return {
-            "hits": self.pad_hits,
-            "misses": self.pad_misses,
-            "evictions": self.pad_evictions,
-            "entries": len(self._pad_cache),
-            "limit": self._pad_cache_limit,
-        }
 
     def pad(self, address: int, counter: int) -> bytes:
         """Generate the one-time pad for (address, counter)."""
-        key = (address, counter)
-        cache = self._pad_cache
-        cached = cache.get(key)
-        if cached is not None:
-            self.pad_hits += 1
-            cache.move_to_end(key)
-            return cached
-        self.pad_misses += 1
-        pad = self._fresh_pads((key,))[0]
-        while len(cache) >= self._pad_cache_limit:
-            cache.popitem(last=False)
-            self.pad_evictions += 1
-        cache[key] = pad
-        return pad
+        return self._fresh_pads(((address, counter),))[0]
 
     def encrypt(self, address: int, counter: int, plaintext: bytes) -> bytes:
         """Encrypt one line: ``pad(address, counter) XOR plaintext``.
@@ -139,53 +112,10 @@ class OTPCipher:
         """Pads for many (address, counter) pairs in one cipher batch.
 
         Equivalent to ``[self.pad(a, c) for a, c in keys]`` — same
-        bytes, same pad-cache hit/miss/eviction accounting (duplicate
-        misses within a batch count one miss then hits, exactly as
-        sequential calls would) — but all missing pad blocks go through
-        the cipher as one batch (:meth:`_fresh_pads`).
+        bytes — but all pad blocks go through the cipher as one batch
+        (:meth:`_fresh_pads`).
         """
-        cache = self._pad_cache
-        limit = self._pad_cache_limit
-        # The cache mutation sequence (hit touches, evictions, insert
-        # order) depends only on the keys, never on the pad bytes — so
-        # the probe pass applies it exactly as sequential pad() calls
-        # would, inserting a placeholder (a one-element list, never a
-        # bytes) per miss that the post-batch fill overwrites in place.
-        # Result slots hold bytes (resolved), None (miss pending), or
-        # an int naming the slot a duplicate occurrence resolves to.
-        results: List[Union[bytes, int, None]] = []
-        missing: List[Tuple[int, Tuple[int, int], list]] = []
-        for key in keys:
-            cached = cache.get(key)
-            if cached is not None:
-                self.pad_hits += 1
-                cache.move_to_end(key)
-                if type(cached) is list:
-                    results.append(cached[0])  # duplicate of a pending miss
-                else:
-                    results.append(cached)
-                continue
-            self.pad_misses += 1
-            slot = len(results)
-            placeholder = [slot]
-            while len(cache) >= limit:
-                cache.popitem(last=False)
-                self.pad_evictions += 1
-            cache[key] = placeholder
-            missing.append((slot, key, placeholder))
-            results.append(None)
-        if missing:
-            pads = self._fresh_pads([key for _slot, key, _placeholder in missing])
-            for (slot, key, placeholder), pad in zip(missing, pads):
-                if cache.get(key) is placeholder:
-                    # In-place overwrite keeps the insertion-time LRU
-                    # position; an evicted placeholder stays evicted.
-                    cache[key] = pad
-                results[slot] = pad
-        # Resolve duplicate-miss placeholders (ints referencing slots).
-        return [
-            results[item] if isinstance(item, int) else item for item in results
-        ]
+        return self._fresh_pads(keys)
 
     def _fresh_pads(self, keys: Sequence[Tuple[int, int]]) -> List[bytes]:
         """The pads of ``keys``, all blocks through the cipher in one batch.
@@ -311,11 +241,6 @@ def _xor(left: bytes, right: bytes) -> bytes:
     return (
         int.from_bytes(left, "little") ^ int.from_bytes(right, "little")
     ).to_bytes(len(left), "little")
-
-
-def _xor_reference(left: bytes, right: bytes) -> bytes:
-    """Per-byte reference XOR (oracle for tests and the perf harness)."""
-    return bytes(a ^ b for a, b in zip(left, right))
 
 
 def encrypt_line(

@@ -100,7 +100,6 @@ class MemoryController:
                 config=config.encryption,
                 cache_config=config.counter_cache,
                 counter_store=self.counter_store,
-                functional=config.functional,
             )
         # One id space shared by every queue keeps journal entry ids
         # unique; owning the allocator (instead of a module global)
@@ -132,7 +131,6 @@ class MemoryController:
         if not config.controller.crash_bookkeeping:
             self.journal.enabled = False
             self.device.crash_bookkeeping = False
-        self._functional = config.functional
         # The three composed strategy layers (see the module docstring).
         self.atomicity: UnpairedAtomicity = build_atomicity(self, config, policy)
         self.integrity: NoIntegrity = build_integrity(self, config, policy)
@@ -295,16 +293,11 @@ class MemoryController:
     def peek_line(self, line_address: int) -> bytes:
         """Functional peek at one line's current plaintext (no timing).
 
-        Used by debug/checker paths (``CacheHierarchy.read_current``):
-        reads the stored line image and decrypts it with its ground-truth
-        counter when the design encrypts.
+        Used by debug/checker paths (``CacheHierarchy.read_current``).
+        The device keeps plaintext (ciphertext is built only in crash
+        and final images), so this is the stored line.
         """
-        stored = self.device.read_line(line_address)
-        if self.engine is not None and self._functional:
-            return self.engine.cipher.decrypt(
-                line_address, stored.encrypted_with, stored.payload
-            )
-        return stored.payload
+        return self.device.read_line(line_address).payload
 
     @property
     def counter_cache_stats(self) -> Optional["CounterCacheStats"]:

@@ -15,7 +15,10 @@ the paper evaluates:
 The shared read prologue (read-queue slot, bank + bus scheduling) stays
 in the controller; a layout turns the arrived bytes into a
 :class:`ReadResult` (``complete_read``) and routes writes
-(``write_line``).
+(``write_line``).  The encrypted layouts run the encryption engine's
+counter flow for its timing and statistics, but move plaintext: the
+device keeps each line's plaintext with the counter it is encrypted
+under, and ciphertext is built only in crash and final images.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ class ReadResult:
     address: int
     #: When decrypted plaintext is available to the cache hierarchy.
     complete_ns: float
+    #: The line's bytes (None in timing-only mode).
     plaintext: Optional[bytes]
     counter_cache_hit: bool
     #: Raw memory latency before decryption overlap (diagnostics).
@@ -109,11 +113,13 @@ class ColocatedLayout(PlainLayout):
         else:
             # Figure 5(a)/6(a): always serialized.
             complete = data_arrival + latency
-        counter = ctrl.counter_store.read(line)
-        plaintext = None
-        if self._functional:
-            plaintext = engine.cipher.decrypt(line, counter, stored)
-        return ReadResult(line, complete, plaintext, hit, data_arrival - request_ns)
+        return ReadResult(
+            line,
+            complete,
+            stored if self._functional else None,
+            hit,
+            data_arrival - request_ns,
+        )
 
     def write_line(
         self, line: int, payload: Optional[bytes], request_ns: float, counter_atomic: bool
@@ -125,9 +131,7 @@ class ColocatedLayout(PlainLayout):
         """
         ctrl = self.ctrl
         assert ctrl.engine is not None
-        encryption = ctrl.engine.encrypt_for_write(
-            line, payload if self._functional else None
-        )
+        encryption = ctrl.engine.encrypt_for_write(line)
         if (
             encryption.evicted_counter_line is not None
             and self.policy.counter_evict_writes
@@ -137,7 +141,11 @@ class ColocatedLayout(PlainLayout):
             )
         counter = encryption.counter
         ticket = ctrl.atomicity.write_unpaired(
-            line, encryption.ciphertext, request_ns, counter, COLOCATED_PAYLOAD
+            line,
+            payload if self._functional else None,
+            request_ns,
+            counter,
+            COLOCATED_PAYLOAD,
         )
         ctrl.counter_store.write(line, counter)
         if ctrl.journal.enabled:
@@ -166,9 +174,7 @@ class SplitCounterLayout(PlainLayout):
         engine = ctrl.engine
         assert engine is not None
         latency = engine.latency_ns
-        decryption = engine.decrypt_for_read(
-            line, stored if self._functional else None
-        )
+        decryption = engine.decrypt_for_read(line)
         if decryption.counter_cache_hit:
             # OTP generation overlaps the array read (Figure 6(c)).
             complete = max(data_arrival, request_ns + latency)
@@ -187,7 +193,7 @@ class SplitCounterLayout(PlainLayout):
         return ReadResult(
             line,
             complete,
-            decryption.plaintext,
+            stored if self._functional else None,
             decryption.counter_cache_hit,
             data_arrival - request_ns,
         )
@@ -215,9 +221,7 @@ class SplitCounterLayout(PlainLayout):
     ) -> WriteTicket:
         ctrl = self.ctrl
         assert ctrl.engine is not None
-        encryption = ctrl.engine.encrypt_for_write(
-            line, payload if self._functional else None
-        )
+        encryption = ctrl.engine.encrypt_for_write(line)
         if (
             encryption.evicted_counter_line is not None
             and self.policy.counter_evict_writes
@@ -230,7 +234,11 @@ class SplitCounterLayout(PlainLayout):
             # does not stall, but the fill's read traffic is real.
             self.fetch_counter_line(line, request_ns)
         return ctrl.atomicity.accept_write(
-            line, encryption.ciphertext, request_ns, encryption.counter, counter_atomic
+            line,
+            payload if self._functional else None,
+            request_ns,
+            encryption.counter,
+            counter_atomic,
         )
 
 

@@ -15,14 +15,17 @@ snapshot layer and the crash tooling:
 
 * **Addressing** — data addresses are translated global → shard-local
   on entry; shard-local results are translated back on exit.
-* **Ciphertext stays globally addressed** — each shard's OTP cipher is
-  wrapped in a :class:`TranslatingCipher` that seeds pads with the
-  *global* line address, so crash images (always in the global space)
-  decrypt with the stock recovery/verification stack.
+* **Ciphertext is globally addressed** — shards keep plaintext, like
+  the singleton controller, and ciphertext is made only from the
+  journals translated to the global space, so crash images (always in
+  the global space) carry pads seeded with the *global* line address
+  and decrypt with the stock recovery/verification stack.
 * **One logical journal** — ``.journal`` merges the per-shard persist
   journals back into the global address space (entry ids remapped
   injectively, records ordered by acceptance time), so
-  :class:`repro.crash.injector.CrashInjector` works unchanged.
+  :class:`repro.crash.injector.CrashInjector` works unchanged.  The
+  translated records are cached and shared by ``.journal`` and
+  ``shard_journal``, so each record version is enciphered once.
 * **Cross-shard commits** — the coordinator tracks per-shard
   acceptance watermarks and runs the two-phase
   :class:`repro.txn.manager.CrossShardBarrier` at every transaction
@@ -42,7 +45,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..config import CACHE_LINE_SIZE, SystemConfig
 from ..core.designs import DesignPolicy
 from ..crypto.counter_cache import CounterCacheStats
-from ..crypto.otp import OTPCipher
 from ..errors import ConfigurationError
 from ..nvm.address import AddressMap, ShardMap
 from ..persist.journal import JournalKind, JournalRecord, PersistJournal, _Amendment
@@ -52,58 +54,9 @@ from .events import ControllerStats
 from .layout import ReadResult
 from .writequeue import WriteQueue
 
-__all__ = ["ShardedMemorySystem", "TranslatingCipher"]
+__all__ = ["ShardedMemorySystem"]
 
 _LINE_MASK = ~(CACHE_LINE_SIZE - 1)
-
-
-class TranslatingCipher:
-    """OTP cipher proxy that seeds pads with *global* line addresses.
-
-    A shard's controller encrypts at shard-local addresses, but the OTP
-    pad is a function of ``(address, counter)`` — if pads were seeded
-    locally, a crash image assembled in the global address space would
-    not decrypt.  This proxy translates local → global before every pad
-    derivation, making all at-rest ciphertext globally addressed while
-    the shard's timing model stays oblivious.
-    """
-
-    def __init__(self, inner: OTPCipher, shard: int, shard_map: ShardMap) -> None:
-        self._inner = inner
-        self._shard = shard
-        self._map = shard_map
-
-    def _global(self, local_address: int) -> int:
-        return self._map.to_global(self._shard, local_address & _LINE_MASK) + (
-            local_address & ~_LINE_MASK
-        )
-
-    def pad(self, address: int, counter: int) -> bytes:
-        return self._inner.pad(self._global(address), counter)
-
-    def encrypt(self, address: int, counter: int, plaintext: bytes) -> bytes:
-        return self._inner.encrypt(self._global(address), counter, plaintext)
-
-    def decrypt(self, address: int, counter: int, ciphertext: bytes) -> bytes:
-        return self._inner.decrypt(self._global(address), counter, ciphertext)
-
-    def pads_many(self, keys: Sequence[Tuple[int, int]]) -> List[bytes]:
-        return self._inner.pads_many(
-            [(self._global(address), counter) for address, counter in keys]
-        )
-
-    def encrypt_lines(
-        self, items: Sequence[Tuple[int, int, bytes]]
-    ) -> List[bytes]:
-        return self._inner.encrypt_lines(
-            [(self._global(address), counter, data) for address, counter, data in items]
-        )
-
-    decrypt_lines = encrypt_lines
-
-    @property
-    def pad_cache_stats(self) -> Dict[str, int]:
-        return self._inner.pad_cache_stats
 
 
 class _QueueView:
@@ -190,12 +143,7 @@ class ShardedMemorySystem:
                         % (shard_config.controller.event_trace_path, shard),
                     ),
                 )
-            controller = MemoryController(cfg, policy)
-            if controller.engine is not None:
-                controller.engine.cipher = TranslatingCipher(  # type: ignore[assignment]
-                    controller.engine.cipher, shard, self.shard_map
-                )
-            self.controllers.append(controller)
+            self.controllers.append(MemoryController(cfg, policy))
         #: Per-shard acceptance watermarks (latest queue-acceptance time
         #: each shard handed out) — phase one of the commit barrier.
         self._watermarks: Dict[int, float] = {s: 0.0 for s in range(self.shards)}
@@ -210,9 +158,11 @@ class ShardedMemorySystem:
         from ..txn.manager import CrossShardBarrier
 
         self._barrier = CrossShardBarrier(self._commit_log, self.shards)
+        #: Each shard's journal translated to the global space, built on
+        #: first use and extended as the shard's journal grows.
+        self._translated: Optional[List[PersistJournal]] = None
         self._merged_journal: Optional[PersistJournal] = None
         self._merged_key: Tuple[int, ...] = ()
-        self._functional = config.functional
 
     # ------------------------------------------------------------------
     # Address routing
@@ -278,7 +228,7 @@ class ShardedMemorySystem:
 
     def shard_journal(self, shard: int) -> PersistJournal:
         """Shard ``shard``'s journal, translated to the global space."""
-        return self._translate_journal(shard)
+        return self._translated_journals()[shard]
 
     def _translate_id(self, entry_id: int, shard: int) -> int:
         # Injective across shards for both queue-entry ids (>= 0) and
@@ -286,6 +236,20 @@ class ShardedMemorySystem:
         if entry_id >= 0:
             return entry_id * self.shards + shard
         return entry_id * self.shards - shard
+
+    def _translate_amendment(self, amendment: _Amendment, shard: int) -> _Amendment:
+        group_base = amendment.group_base
+        return _Amendment(
+            effective_ns=amendment.effective_ns,
+            payload=amendment.payload,
+            encrypted_with=amendment.encrypted_with,
+            group_base=(
+                self.shard_map.to_global(shard, group_base)
+                if group_base is not None
+                else None
+            ),
+            counters=amendment.counters,
+        )
 
     def _translate_record(self, record: JournalRecord, shard: int) -> JournalRecord:
         to_global = self.shard_map.to_global
@@ -295,18 +259,6 @@ class ShardedMemorySystem:
         else:
             group_base = to_global(shard, record.group_base or 0)
             address = self.address_map.counter_line_address_of(group_base)
-        amendments = [
-            _Amendment(
-                effective_ns=a.effective_ns,
-                payload=a.payload,
-                encrypted_with=a.encrypted_with,
-                group_base=(
-                    to_global(shard, a.group_base) if a.group_base is not None else None
-                ),
-                counters=a.counters,
-            )
-            for a in record.amendments
-        ]
         return JournalRecord(
             kind=record.kind,
             entry_id=self._translate_id(record.entry_id, shard),
@@ -324,18 +276,37 @@ class ShardedMemorySystem:
                 if record.partner_id is not None
                 else None
             ),
-            amendments=amendments,
+            amendments=[self._translate_amendment(a, shard) for a in record.amendments],
         )
 
-    def _translate_journal(self, shard: int) -> PersistJournal:
-        journal = PersistJournal()
-        source = self.controllers[shard].journal
-        journal.enabled = source.enabled
-        journal.records = [
-            self._translate_record(record, shard) for record in source.records
-        ]
-        journal._by_entry_id = {r.entry_id: r for r in journal.records}
-        return journal
+    def _translated_journals(self) -> List[PersistJournal]:
+        """Every shard's journal in the global space, brought up to date.
+
+        A translated record is built once, the first time a call sees
+        its source record; amendments the source gained since are
+        translated onto it.  Callers therefore always get the same
+        record objects, and the ciphertext a crash image memoizes on a
+        version (:func:`repro.persist.journal.line_images`) serves every
+        later image, merged or per shard.
+        """
+        journals = self._translated
+        if journals is None:
+            journals = self._translated = [PersistJournal() for _ in self.controllers]
+        for shard, (controller, journal) in enumerate(zip(self.controllers, journals)):
+            source = controller.journal
+            journal.enabled = source.enabled
+            translated = journal.records
+            for record, copy in zip(source.records, translated):
+                done = len(copy.amendments)
+                if done != len(record.amendments):
+                    copy.amendments.extend(
+                        self._translate_amendment(a, shard) for a in record.amendments[done:]
+                    )
+            for record in source.records[len(translated):]:
+                copy = self._translate_record(record, shard)
+                translated.append(copy)
+                journal._by_entry_id[copy.entry_id] = copy
+        return journals
 
     @property
     def journal(self) -> PersistJournal:
@@ -346,20 +317,19 @@ class ShardedMemorySystem:
         replay discipline: records touching the same address always come
         from one shard, so cross-shard order only fixes determinism.
         """
-        key = tuple(len(c.journal.records) for c in self.controllers) + (
+        journals = self._translated_journals()
+        key = tuple(len(journal.records) for journal in journals) + (
             len(self._commit_log.commits),
         )
         if self._merged_journal is not None and key == self._merged_key:
             return self._merged_journal
         tagged: List[Tuple[float, int, int, JournalRecord]] = []
-        for shard in range(self.shards):
-            for index, record in enumerate(self.controllers[shard].journal.records):
-                tagged.append(
-                    (record.accept_ns, shard, index, self._translate_record(record, shard))
-                )
+        for shard, journal in enumerate(journals):
+            for index, record in enumerate(journal.records):
+                tagged.append((record.accept_ns, shard, index, record))
         tagged.sort(key=lambda item: (item[0], item[1], item[2]))
         merged = PersistJournal()
-        merged.enabled = all(c.journal.enabled for c in self.controllers)
+        merged.enabled = all(journal.enabled for journal in journals)
         merged.records = [item[3] for item in tagged]
         merged._by_entry_id = {r.entry_id: r for r in merged.records}
         merged.commits = list(self._commit_log.commits)

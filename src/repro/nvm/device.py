@@ -1,15 +1,21 @@
 """The persistent byte store of the NVM DIMM.
 
-Functionally, the device is a sparse map from line address to the 64 B
-of *ciphertext* most recently persisted there (plaintext when the design
-does not encrypt).  Alongside each line we keep the counter value it was
-encrypted with — not as architectural state (the architectural counters
-live in :class:`repro.crypto.counters.CounterStore`) but as ground truth
-so experiments can verify whether a post-crash image is decryptable.
+Functionally, the device is a sparse map from line address to 64 B of
+payload.  Alongside each line we keep the counter value it is encrypted
+with — not as architectural state (the architectural counters live in
+:class:`repro.crypto.counters.CounterStore`) but as ground truth so
+experiments can verify whether a post-crash image is decryptable.
 
-A crash image is a deep snapshot of this store plus the architectural
-counter store; recovery decrypts the image with the *architectural*
-counters and compares against ground truth to detect Eq.-4 failures.
+The live controller's device holds each line's *plaintext*: counter
+mode's ciphertext is ``En(address || counter) XOR plaintext``, a pure
+function of what is stored here, and no live read needs it (a read
+decrypts with the counter the line was written under).  A crash image
+is a device of its own whose payloads are the *ciphertext* NVM would
+hold, enciphered as the image is built from the persist journal
+(:class:`repro.crash.injector.CrashInjector`); recovery decrypts it
+with the *architectural* counters and compares against ground truth to
+detect Eq.-4 failures.  Lines of unencrypted designs, and lines with
+counter 0, are stored in the clear either way.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ class PersistedLine:
     """One line as stored in NVM: payload plus encryption ground truth."""
 
     payload: bytes
-    #: Counter used to encrypt ``payload`` (0 = stored in the clear).
+    #: Counter the line is encrypted under (0 = stored in the clear).
     encrypted_with: int
 
     def __init__(self, payload: bytes, encrypted_with: int) -> None:

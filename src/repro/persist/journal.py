@@ -19,6 +19,13 @@ Crash semantics (paper, "Steps During a System Failure"): at failure
 time T, a record persists iff ``drain_ns <= T`` (already in the array)
 or ``ready_ns <= T`` (ADR drains ready queue entries).  Unready entries
 are dropped — both halves of an incomplete pair vanish together.
+
+Data records hold each line's plaintext and the counter it is encrypted
+under (``encrypted_with``).  Ciphertext is built only where it is
+observed: :meth:`PersistJournal.reconstruct` given a cipher enciphers
+the image's lines in one batch, and each record version keeps its
+ciphertext, so a version is enciphered at most once however many
+images hold it.
 """
 
 from __future__ import annotations
@@ -26,9 +33,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..config import CACHE_LINE_SIZE
+from ..crypto.otp import OTPCipher
 from ..errors import SimulationError
 
 
@@ -44,6 +52,9 @@ class _Amendment:
     encrypted_with: int
     group_base: Optional[int] = None
     counters: Optional[Tuple[int, ...]] = None
+    #: ``payload`` enciphered under ``encrypted_with``, once an image
+    #: has needed it (see :func:`line_images`).
+    ciphertext: Optional[bytes] = None
 
 
 @dataclass(slots=True)
@@ -66,6 +77,13 @@ class JournalRecord:
     single_slot: bool = False
     partner_id: Optional[int] = None
     amendments: List[_Amendment] = field(default_factory=list)
+    #: ``payload`` enciphered under ``encrypted_with``, once an image
+    #: has needed it (see :func:`line_images`).
+    ciphertext: Optional[bytes] = None
+
+
+#: A data line's persisted version: its record, or the amendment in effect.
+LineVersion = Union[JournalRecord, _Amendment]
 
 
 @dataclass(slots=True)
@@ -232,14 +250,33 @@ class PersistJournal:
     # -- reconstruction -------------------------------------------------------
 
     def reconstruct(
-        self, crash_ns: float, adr: bool = True, adr_budget: Optional[int] = None
+        self,
+        crash_ns: float,
+        adr: bool = True,
+        adr_budget: Optional[int] = None,
+        cipher: Optional[OTPCipher] = None,
     ) -> Tuple[Dict[int, Tuple[Optional[bytes], int]], Dict[int, int]]:
         """NVM image at ``crash_ns``.
 
         Returns ``(data_lines, counter_lines)`` where ``data_lines``
         maps line address -> (payload, encrypted_with) and
         ``counter_lines`` maps data line address -> architectural
-        counter value.  Records are replayed in acceptance order.
+        counter value.  Payloads are the plaintext the device holds;
+        with ``cipher`` they are the ciphertext NVM holds (see
+        :func:`line_images`).  Which writes survive is
+        :meth:`persisted_at`'s rule.
+        """
+        versions, counters = self.persisted_at(crash_ns, adr, adr_budget)
+        return line_images(versions, cipher), counters
+
+    def persisted_at(
+        self, crash_ns: float, adr: bool = True, adr_budget: Optional[int] = None
+    ) -> Tuple[Dict[int, LineVersion], Dict[int, int]]:
+        """The data-line versions and counters durable at ``crash_ns``.
+
+        Returns ``(versions, counter_lines)``: ``versions`` maps line
+        address -> the record or amendment whose payload persisted.
+        Records are replayed in acceptance order.
 
         ``adr_budget`` models an ADR energy reserve that dies after
         draining that many ready-but-undrained entries (in acceptance
@@ -248,11 +285,11 @@ class PersistJournal:
         assumption).  Note this can split a counter-atomic pair: the
         budget is an *energy* property, blind to ready-bit pairing.
         """
-        data_lines: Dict[int, Tuple[Optional[bytes], int]] = {}
+        versions: Dict[int, LineVersion] = {}
         counters: Dict[int, int] = {}
         adr_drained = 0
         data_kind = JournalKind.DATA
-        values: Union[JournalRecord, _Amendment]
+        values: LineVersion
         # One pass with the persist rule inline: this runs for every
         # record of every crash image a campaign or recovery builds.
         for record in self.records:
@@ -271,7 +308,7 @@ class PersistJournal:
                 if amendment.effective_ns <= crash_ns:
                     values = amendment
             if record.kind is data_kind:
-                data_lines[record.address] = (values.payload, values.encrypted_with)
+                versions[record.address] = values
                 continue
             group_base = values.group_base
             line_counters = values.counters
@@ -281,7 +318,7 @@ class PersistJournal:
                 counters[group_base] = line_counters[0]
             else:
                 counters.update(zip(count(group_base, CACHE_LINE_SIZE), line_counters))
-        return data_lines, counters
+        return versions, counters
 
     def adr_pending(self, crash_ns: float) -> int:
         """Entries that survive a crash at ``crash_ns`` only thanks to ADR.
@@ -297,9 +334,48 @@ class PersistJournal:
 
     # -- introspection -----------------------------------------------------------
 
-    def final_image(self) -> Tuple[Dict[int, Tuple[Optional[bytes], int]], Dict[int, int]]:
+    def final_image(
+        self, cipher: Optional[OTPCipher] = None
+    ) -> Tuple[Dict[int, Tuple[Optional[bytes], int]], Dict[int, int]]:
         """The crash-free end state (replay at T = infinity)."""
-        return self.reconstruct(float("inf"))
+        return self.reconstruct(float("inf"), cipher=cipher)
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+def line_images(
+    versions: Mapping[int, LineVersion], cipher: Optional[OTPCipher] = None
+) -> Dict[int, Tuple[Optional[bytes], int]]:
+    """``address -> (payload, encrypted_with)`` for persisted versions.
+
+    Without ``cipher`` the payload is the plaintext.  With it, each
+    version's payload is enciphered under its ``encrypted_with``: the
+    versions no image has needed yet go through one
+    :meth:`~repro.crypto.otp.OTPCipher.encrypt_lines` batch and keep
+    the result in ``ciphertext``.  A version's ciphertext therefore
+    belongs to the key it was first enciphered with: pass every journal
+    the cipher of its own run's encryption config.  A ``None`` payload
+    (timing-only runs) stays ``None``, the zero line, and counter 0
+    stays in the clear.
+    """
+    if cipher is None:
+        return {
+            address: (version.payload, version.encrypted_with)
+            for address, version in versions.items()
+        }
+    fresh = [
+        (address, version)
+        for address, version in versions.items()
+        if version.ciphertext is None and version.payload is not None
+    ]
+    if fresh:
+        texts = cipher.encrypt_lines(
+            [(address, version.encrypted_with, version.payload) for address, version in fresh]
+        )
+        for (_address, version), text in zip(fresh, texts):
+            version.ciphertext = text
+    return {
+        address: (version.ciphertext, version.encrypted_with)
+        for address, version in versions.items()
+    }

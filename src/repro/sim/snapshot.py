@@ -42,6 +42,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..crypto.otp import OTPCipher, make_block_cipher
 from ..errors import SnapshotCorruptError, SnapshotError, SnapshotVersionError
 from .machine import Machine, SimulationResult
 from .trace import Trace
@@ -396,11 +397,17 @@ def result_fingerprint(result: SimulationResult) -> str:
 
     Two runs with equal fingerprints agree on timing (exact float
     values, not approximations), traffic, per-core accounting, the
-    persist journal's final image and the transaction commit times —
-    the definition of "bit-identical" used by the resume guarantees.
+    persist journal's final image (as ciphertext, for encrypted
+    designs) and the transaction commit times — the definition of
+    "bit-identical" used by the resume guarantees.
     """
     journal = result.controller.journal
-    data_lines, counter_lines = journal.final_image()
+    cipher = (
+        OTPCipher(make_block_cipher(result.config.encryption))
+        if result.policy.encrypts
+        else None
+    )
+    data_lines, counter_lines = journal.final_image(cipher)
     canonical = (
         result.stats.design,
         result.stats.num_cores,

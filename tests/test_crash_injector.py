@@ -12,6 +12,7 @@ from repro.crash.injector import (
 )
 from repro.crypto.counters import CounterStore
 from repro.crypto.integrity import IntegrityEngine
+from repro.crypto.otp import OTPCipher, make_block_cipher
 from repro.integrity.tree import IntegrityTreeEngine
 from repro.nvm.device import NVMDevice
 from repro.sim.machine import Machine
@@ -79,14 +80,19 @@ class TestCrashImages:
 def per_line_image(result, crash_ns, adr=True, adr_budget=None):
     """The image ``crash_at`` builds, installed one line and slot at a time.
 
+    Each persisted plaintext line is enciphered on its own with
+    ``OTPCipher.encrypt`` under its counter (encrypted designs only).
     Returns ``(device, store, secure_root, line_tags)``; the last two are
     None unless the design keeps an integrity tree.
     """
     journal = result.controller.journal
     address_map = result.controller.address_map
+    cipher = OTPCipher(make_block_cipher(result.config.encryption))
     data_lines, counters = journal.reconstruct(crash_ns, adr=adr, adr_budget=adr_budget)
     device = NVMDevice(address_map, track_wear=False)
     for address, (payload, encrypted_with) in data_lines.items():
+        if result.policy.encrypts and payload is not None:
+            payload = cipher.encrypt(address, encrypted_with, payload)
         device.persist_line(address, payload, encrypted_with)
     device.line_writes = 0
     store = CounterStore(

@@ -129,7 +129,7 @@ def reference_recover(image, encryption, encrypted=True):
         plaintext[line] = cipher.decrypt(line, architectural, stored.payload)
         if architectural != stored.encrypted_with:
             garbage.add(line)
-    return plaintext, garbage, cipher.pad_cache_stats
+    return plaintext, garbage
 
 
 class TestBatchedRecovery:
@@ -146,13 +146,10 @@ class TestBatchedRecovery:
             image, _events = injector.crash_with_faults(crash_ns, [fault], seed=seed)
             manager = RecoveryManager(result.config.encryption)
             recovered = manager.recover(image)
-            plaintext, garbage, pad_stats = reference_recover(
-                image, result.config.encryption
-            )
+            plaintext, garbage = reference_recover(image, result.config.encryption)
             assert recovered.plaintext_lines == plaintext
             assert list(recovered.plaintext_lines) == list(plaintext)
             assert recovered.garbage_lines == garbage
-            assert manager._cipher.pad_cache_stats == pad_stats
             garbage_seen += len(garbage)
         assert garbage_seen, "no flipped counter produced a garbage line"
 
@@ -164,7 +161,7 @@ class TestBatchedRecovery:
             recovered = RecoveryManager(result.config.encryption).recover(
                 image, encrypted=False
             )
-            plaintext, garbage, _ = reference_recover(
+            plaintext, garbage = reference_recover(
                 image, result.config.encryption, encrypted=False
             )
             assert recovered.plaintext_lines == plaintext

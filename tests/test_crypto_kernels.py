@@ -1,7 +1,8 @@
-"""Hot-path kernel correctness: T-table AES, big-int XOR, pad LRU.
+"""Hot-path kernel correctness: T-table AES and big-int XOR.
 
-The fast paths must be bit-for-bit equivalent to the retained reference
-implementations — the perf harness measures them, these tests pin them.
+The fast paths must be bit-for-bit equivalent to the reference
+implementations in :mod:`repro.bench.oracles` — the perf harness
+measures them, these tests pin them.
 """
 
 import random
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import EncryptionConfig
+from repro.bench.oracles import encrypt_block_reference, xor_reference
 from repro.crypto.aes import AES128
-from repro.crypto.otp import OTPCipher, _xor, _xor_reference, make_block_cipher
+from repro.crypto.otp import _xor
 
 LINE = st.binary(min_size=64, max_size=64)
 BLOCK = st.binary(min_size=16, max_size=16)
@@ -32,13 +33,13 @@ class TestTTableAES:
         expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
         aes = AES128(key)
         assert aes.encrypt_block(plaintext) == expected
-        assert aes._encrypt_block_slow(plaintext) == expected
+        assert encrypt_block_reference(aes, plaintext) == expected
 
     @given(KEY, BLOCK)
     @settings(max_examples=60)
     def test_fast_path_matches_slow_path(self, key, block):
         aes = AES128(key)
-        assert aes.encrypt_block(block) == aes._encrypt_block_slow(block)
+        assert aes.encrypt_block(block) == encrypt_block_reference(aes, block)
 
     @given(KEY, BLOCK)
     @settings(max_examples=30)
@@ -57,14 +58,14 @@ class TestTTableAES:
             key = bytes(rng.randrange(256) for _ in range(16))
             block = bytes(rng.randrange(256) for _ in range(16))
             aes = AES128(key)
-            assert aes.encrypt_block(block) == aes._encrypt_block_slow(block)
+            assert aes.encrypt_block(block) == encrypt_block_reference(aes, block)
 
 
 class TestFastXor:
     @given(LINE, LINE)
     @settings(max_examples=100)
     def test_matches_reference_on_64_byte_lines(self, left, right):
-        assert _xor(left, right) == _xor_reference(left, right)
+        assert _xor(left, right) == xor_reference(left, right)
 
     @given(LINE, LINE)
     @settings(max_examples=50)
@@ -80,53 +81,4 @@ class TestFastXor:
         for size in (1, 8, 16, 63, 64, 65, 128):
             left = bytes(range(size % 256))[:size].ljust(size, b"\x55")
             right = bytes([0xA7] * size)
-            assert _xor(left, right) == _xor_reference(left, right)
-
-
-class TestPadLRUCache:
-    def _cipher(self, limit=None):
-        cipher = OTPCipher(make_block_cipher(EncryptionConfig()))
-        if limit is not None:
-            cipher._pad_cache_limit = limit
-        return cipher
-
-    def test_hit_and_miss_counters(self):
-        cipher = self._cipher()
-        cipher.pad(0x40, 1)
-        cipher.pad(0x40, 1)
-        cipher.pad(0x80, 1)
-        stats = cipher.pad_cache_stats
-        assert stats["misses"] == 2
-        assert stats["hits"] == 1
-        assert stats["entries"] == 2
-
-    def test_eviction_is_lru_not_clear_all(self):
-        cipher = self._cipher(limit=4)
-        pads = {i: cipher.pad(i * 64, 1) for i in range(4)}
-        cipher.pad(0 * 64, 1)  # touch 0 so 1 becomes the LRU victim
-        cipher.pad(4 * 64, 1)  # evicts exactly one entry
-        stats = cipher.pad_cache_stats
-        assert stats["evictions"] == 1
-        assert stats["entries"] == 4
-        hits_before = cipher.pad_hits
-        assert cipher.pad(0, 1) == pads[0]  # still cached
-        assert cipher.pad_hits == hits_before + 1
-        cipher.pad(64, 1)  # the evicted entry: a fresh miss
-        assert cipher.pad_cache_stats["evictions"] == 2
-
-    def test_eviction_never_changes_pad_values(self):
-        cipher = self._cipher(limit=3)
-        reference = {}
-        for i in range(12):
-            reference[(i * 64, i)] = cipher.pad(i * 64, i)
-        for (address, counter), expected in reference.items():
-            assert cipher.pad(address, counter) == expected
-
-    def test_encrypt_decrypt_roundtrip_across_evictions(self):
-        cipher = self._cipher(limit=2)
-        line = bytes(i % 256 for i in range(64))
-        encrypted = {}
-        for i in range(10):
-            encrypted[i] = cipher.encrypt(i * 64, i + 1, line)
-        for i in range(10):
-            assert cipher.decrypt(i * 64, i + 1, encrypted[i]) == line
+            assert _xor(left, right) == xor_reference(left, right)

@@ -1,7 +1,6 @@
 """Counter-mode OTP construction tests (paper Eq. 1-4)."""
 
 import struct
-from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +47,10 @@ class TestRoundTrip:
 class TestPadProperties:
     def test_pad_deterministic(self, cipher):
         assert cipher.pad(0x40, 3) == cipher.pad(0x40, 3)
+        keys = [(i * 64, i) for i in range(12)]
+        first = [cipher.pad(a, c) for a, c in keys]
+        assert [cipher.pad(a, c) for a, c in keys] == first
+        assert cipher.pads_many(keys) == first
 
     def test_pad_counter_unique(self, cipher):
         pads = {cipher.pad(0x40, c) for c in range(64)}
@@ -62,14 +65,6 @@ class TestPadProperties:
         pad = cipher.pad(0x40, 1)
         blocks = [pad[i : i + 16] for i in range(0, 64, 16)]
         assert len(set(blocks)) == 4
-
-    def test_pad_cache_eviction_does_not_change_results(self):
-        small = OTPCipher(make_block_cipher(EncryptionConfig()))
-        small._pad_cache_limit = 4
-        reference = small.pad(0, 1)
-        for i in range(20):
-            small.pad(i * 64, i)
-        assert small.pad(0, 1) == reference
 
 
 class TestAESBackend:
@@ -116,27 +111,6 @@ def packed_seed_pad(block_cipher, address, counter):
     )
 
 
-def reference_pads(block_cipher, keys, limit):
-    """Sequential pads through an LRU of ``limit`` entries, with its stats."""
-    cache = OrderedDict()
-    hits = misses = evictions = 0
-    pads = []
-    for key in keys:
-        if key in cache:
-            hits += 1
-            cache.move_to_end(key)
-        else:
-            misses += 1
-            pad = packed_seed_pad(block_cipher, *key)
-            while len(cache) >= limit:
-                cache.popitem(last=False)
-                evictions += 1
-            cache[key] = pad
-        pads.append(cache[key])
-    stats = {"hits": hits, "misses": misses, "evictions": evictions}
-    return pads, dict(stats, entries=len(cache), limit=limit)
-
-
 EDGE_ADDRESSES = (0, 64, 2**64 - 64)
 EDGE_COUNTERS = (0, 1, 2**32 - 1, 2**32, 2**48 - 1, 2**48, 2**64 - 1)
 
@@ -144,15 +118,22 @@ EDGE_COUNTERS = (0, 1, 2**32 - 1, 2**32, 2**48 - 1, 2**48, 2**64 - 1)
 class TestOnePassPad:
     """The PRF's one-pass pad equals the packed-seed ``encrypt_block`` pad."""
 
-    @pytest.mark.parametrize("limit", [4096, 5])
-    def test_pad_matches_packed_seeds(self, limit):
+    @pytest.mark.parametrize("batch", [4096, 5])
+    def test_pad_matches_packed_seeds(self, batch):
+        """One key at a time, and in ``pads_many`` batches of ``batch``
+        keys: 4096 takes every key at once as uint64 lanes, 5 keys (20
+        PRF blocks) stay below NP_BATCH_MIN."""
         cipher = OTPCipher(make_block_cipher(EncryptionConfig(cipher="prf")))
-        cipher._pad_cache_limit = limit
         keys = [(a, c) for a in EDGE_ADDRESSES for c in EDGE_COUNTERS]
-        keys += keys[::3]  # warm hits, or misses again after eviction
-        expected, stats = reference_pads(cipher._cipher, keys, limit)
+        keys += keys[::3]  # repeated keys
+        expected = [packed_seed_pad(cipher._cipher, a, c) for a, c in keys]
         assert [cipher.pad(a, c) for a, c in keys] == expected
-        assert cipher.pad_cache_stats == stats
+        batched = [
+            pad
+            for start in range(0, len(keys), batch)
+            for pad in cipher.pads_many(keys[start : start + batch])
+        ]
+        assert batched == expected
 
     def test_counters_keep_their_low_48_bits(self):
         cipher = OTPCipher(make_block_cipher(EncryptionConfig(cipher="prf")))
@@ -166,10 +147,7 @@ class TestOnePassPad:
         keys[-1] = keys[0]  # a duplicate within the batch
         batch = OTPCipher(make_block_cipher(EncryptionConfig(cipher="prf")))
         single = OTPCipher(make_block_cipher(EncryptionConfig(cipher="prf")))
-        batch.pad(*keys[count // 2])  # one warm hit
-        single.pad(*keys[count // 2])
         assert batch.pads_many(keys) == [single.pad(a, c) for a, c in keys]
-        assert batch.pad_cache_stats == single.pad_cache_stats
         assert batch.pads_many(keys) == [packed_seed_pad(batch._cipher, a, c) for a, c in keys]
 
     @pytest.mark.parametrize("address", [-64, 2**64])

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import CACHE_LINE_SIZE, fast_config
 from repro.core.designs import get_design
+from repro.crypto.otp import OTPCipher, make_block_cipher
 from repro.mem.controller import COLOCATED_PAYLOAD, MemoryController
 
 LINE = bytes(i % 256 for i in range(64))
@@ -45,9 +46,20 @@ class TestSeparateCounterDesigns:
         assert result.plaintext == LINE
 
     def test_device_stores_ciphertext(self):
+        """NVM holds the line enciphered under its counter, as the final
+        image shows it; the live device keeps the written bytes under
+        that counter, and nothing is enciphered until an image is built."""
         ctl = controller("sca")
         ctl.write_line(0x40, LINE, 0.0)
-        assert ctl.device.read_line(0x40).payload != LINE
+        stored = ctl.device.read_line(0x40)
+        assert stored.payload == LINE
+        assert stored.encrypted_with > 0
+        cipher = OTPCipher(make_block_cipher(ctl.config.encryption))
+        data_lines, _counters = ctl.journal.final_image(cipher)
+        ciphertext, counter = data_lines[0x40]
+        assert counter == stored.encrypted_with
+        assert ciphertext != LINE
+        assert cipher.decrypt(0x40, counter, ciphertext) == LINE
 
     def test_counter_hit_read_overlaps_decrypt(self):
         ctl = controller("sca")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import CACHE_LINE_SIZE, fast_config
 from repro.core.designs import get_design
+from repro.crypto.otp import OTPCipher, make_block_cipher
 from repro.errors import AddressError
 from repro.mem.controller import MemoryController
 from repro.mem.hierarchy import CacheHierarchy
@@ -169,11 +170,16 @@ class TestClwb:
         hierarchy.store(0, 0x1000, b"\xcc" * 8, 8, 0.0)
         accept = hierarchy.clwb(0, 0x1000, 100.0)
         assert accept is not None
+        # The device keeps the plaintext under the line's counter ...
         stored = controller.device.read_line(0x1000)
-        plaintext = controller.engine.cipher.decrypt(
-            0x1000, stored.encrypted_with, stored.payload
-        )
-        assert plaintext[:8] == b"\xcc" * 8
+        assert stored.payload[:8] == b"\xcc" * 8
+        # ... and the image of NVM holds it enciphered under that counter.
+        cipher = OTPCipher(make_block_cipher(controller.config.encryption))
+        data_lines, _counters = controller.journal.reconstruct(accept, cipher=cipher)
+        ciphertext, counter = data_lines[0x1000]
+        assert counter == stored.encrypted_with
+        assert ciphertext != stored.payload
+        assert cipher.decrypt(0x1000, counter, ciphertext) == stored.payload
 
     def test_clwb_keeps_line_cached(self):
         hierarchy, controller = make_hierarchy()

@@ -211,3 +211,32 @@ class TestSubsetFailures:
         if outcome.status == "consistent":
             required = int(marks[-1].split("=")[1])
             assert outcome.verdict.matched_prefix >= required
+
+
+class TestShardImages:
+    """Shard crash images hold what NVM holds, so they recover.
+
+    With no shard failed, a shard-subset image is an ordinary crash
+    image: every sampled instant recovers to a consistent state.  The
+    subset sweep above accepts a detected outcome, which an image of
+    wrong bytes (plaintext read as ciphertext, pads seeded with the
+    wrong address) also produces; this test does not.
+    """
+
+    @pytest.mark.parametrize("design", ["sca", "fca", "co-located-cc", "fca+bmt"])
+    def test_images_with_no_failed_shard_recover_consistently(self, design):
+        outcome = run_workload(design, "array", config=fast_config(shards=4), params=PARAMS)
+        report = sweep_shard_failures(
+            outcome.result, outcome.runs[0], subsets=[()], max_points=16
+        )
+        assert report.total == 16
+        broken = [
+            "%.3f ns: %s" % (o.crash_ns, "; ".join(o.problems))
+            for o in report.outcomes
+            if not o.consistent
+        ]
+        assert not broken, "%s, 4 shards: %d/16 images inconsistent: %s" % (
+            design,
+            len(broken),
+            broken,
+        )

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..config import CACHE_LINE_SIZE, EncryptionConfig
 from ..crypto.integrity import IntegrityEngine, TaggedLine
-from ..crypto.otp import OTPCipher, make_block_cipher
 from .injector import CrashImage, tag_data_lines
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (session imports us)
@@ -59,7 +58,6 @@ class CounterRecoverer:
             raise ValueError("counter search needs a positive lag bound")
         self.max_lag = max_lag
         self.integrity = IntegrityEngine(encryption)
-        self.cipher = OTPCipher(make_block_cipher(encryption))
 
     def recover_line(
         self, line: TaggedLine, stored_counter: int

@@ -69,12 +69,7 @@ class CrashInjector:
         self._magic_counters = result.policy.magic_counter_persistence
         self._integrity = result.policy.integrity_tree
         self._config = result.config
-        #: Enciphers images of encrypted designs (None: stored in the clear).
-        self._cipher = (
-            OTPCipher(make_block_cipher(result.config.encryption))
-            if result.policy.encrypts
-            else None
-        )
+        self._cipher = result.image_cipher()
         self._tag_engine: Optional[IntegrityEngine] = None
         self._tree_engine = None
 

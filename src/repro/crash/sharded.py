@@ -34,7 +34,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..crypto.counters import CounterStore
 from ..crypto.integrity import IntegrityEngine
-from ..crypto.otp import OTPCipher, make_block_cipher
 from ..errors import SimulationError
 from ..nvm.device import NVMDevice
 from ..persist.journal import CommitRecord, LineVersion, PersistJournal, line_images
@@ -105,13 +104,8 @@ def shard_crash_image(
             covered.update(
                 journal.persisted_at(crash_ns)[1] if shard in failed else counters
             )
-    cipher = (
-        OTPCipher(make_block_cipher(result.config.encryption))
-        if result.policy.encrypts
-        else None
-    )
     device = NVMDevice(address_map, track_wear=False)
-    device.install(line_images(versions, cipher))
+    device.install(line_images(versions, result.image_cipher()))
     device.line_writes = 0
     image = CrashImage(
         crash_ns=crash_ns,

@@ -35,8 +35,8 @@ from .counters import CounterStore
 
 
 @dataclass(slots=True)
-class WriteEncryption:
-    """The counter one line is written back under."""
+class CounterAccess:
+    """The counter a write is encrypted under, or a read decrypts with."""
 
     address: int
     counter: int
@@ -44,16 +44,6 @@ class WriteEncryption:
     counter_cache_hit: bool
     #: Dirty counter line evicted by a fill, to be written back: maps to
     #: (group base data address, eight counters), or None.
-    evicted_counter_line: Optional[Tuple[int, Tuple[int, ...]]]
-
-
-@dataclass(slots=True)
-class ReadDecryption:
-    """The counter one line is decrypted with on a read fill."""
-
-    address: int
-    counter: int
-    counter_cache_hit: bool
     evicted_counter_line: Optional[Tuple[int, Tuple[int, ...]]]
 
 
@@ -92,7 +82,7 @@ class EncryptionEngine:
 
     # -- write path -----------------------------------------------------------
 
-    def encrypt_for_write(self, address: int) -> WriteEncryption:
+    def encrypt_for_write(self, address: int) -> CounterAccess:
         """Pick the counter a line being written back is encrypted under.
 
         Follows Section 5.2.1: generate a new counter from the global
@@ -102,11 +92,11 @@ class EncryptionEngine:
         new_counter = self._global_counter + 1
         self._global_counter = new_counter
         hit, evicted = self.counter_cache.write(address, new_counter, self.counter_store)
-        return WriteEncryption(address, new_counter, hit, evicted)
+        return CounterAccess(address, new_counter, hit, evicted)
 
     # -- read path ------------------------------------------------------------
 
-    def decrypt_for_read(self, address: int) -> ReadDecryption:
+    def decrypt_for_read(self, address: int) -> CounterAccess:
         """Find the counter a line fetched from NVM decrypts with.
 
         On a counter-cache hit the OTP generation overlaps the memory
@@ -126,7 +116,7 @@ class EncryptionEngine:
             # The retry lookup double-counted one access; undo it so
             # miss-rate statistics reflect one logical access per read.
             self.counter_cache.stats.read_hits -= 1
-        return ReadDecryption(address, counter, hit, evicted)
+        return CounterAccess(address, counter, hit, evicted)
 
     # -- persistence helpers ----------------------------------------------------
 

@@ -113,13 +113,8 @@ class ColocatedLayout(PlainLayout):
         else:
             # Figure 5(a)/6(a): always serialized.
             complete = data_arrival + latency
-        return ReadResult(
-            line,
-            complete,
-            stored if self._functional else None,
-            hit,
-            data_arrival - request_ns,
-        )
+        plaintext = stored if self._functional else None
+        return ReadResult(line, complete, plaintext, hit, data_arrival - request_ns)
 
     def write_line(
         self, line: int, payload: Optional[bytes], request_ns: float, counter_atomic: bool
@@ -140,12 +135,9 @@ class ColocatedLayout(PlainLayout):
                 encryption.evicted_counter_line, request_ns
             )
         counter = encryption.counter
+        payload = payload if self._functional else None
         ticket = ctrl.atomicity.write_unpaired(
-            line,
-            payload if self._functional else None,
-            request_ns,
-            counter,
-            COLOCATED_PAYLOAD,
+            line, payload, request_ns, counter, COLOCATED_PAYLOAD
         )
         ctrl.counter_store.write(line, counter)
         if ctrl.journal.enabled:
@@ -190,13 +182,9 @@ class SplitCounterLayout(PlainLayout):
             ctrl.atomicity.writeback_counter_line(
                 decryption.evicted_counter_line, request_ns
             )
-        return ReadResult(
-            line,
-            complete,
-            stored if self._functional else None,
-            decryption.counter_cache_hit,
-            data_arrival - request_ns,
-        )
+        plaintext = stored if self._functional else None
+        hit = decryption.counter_cache_hit
+        return ReadResult(line, complete, plaintext, hit, data_arrival - request_ns)
 
     def fetch_counter_line(self, data_address: int, request_ns: float) -> float:
         """Read the covering counter line from NVM."""
@@ -233,12 +221,9 @@ class SplitCounterLayout(PlainLayout):
             # Background fill of the covering counter line: the write
             # does not stall, but the fill's read traffic is real.
             self.fetch_counter_line(line, request_ns)
+        payload = payload if self._functional else None
         return ctrl.atomicity.accept_write(
-            line,
-            payload if self._functional else None,
-            request_ns,
-            encryption.counter,
-            counter_atomic,
+            line, payload, request_ns, encryption.counter, counter_atomic
         )
 
 

@@ -31,6 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..config import SystemConfig
 from ..core.designs import DesignPolicy, get_design, sharded_design_name
+from ..crypto.otp import OTPCipher, make_block_cipher
 from ..errors import SimulationError, TraceError
 from ..mem.controller import MemoryController
 from ..mem.hierarchy import CacheHierarchy
@@ -61,6 +62,13 @@ class SimulationResult:
     @property
     def journal(self):
         return self.controller.journal
+
+    def image_cipher(self) -> Optional[OTPCipher]:
+        """The cipher this run's crash and final images are enciphered
+        with; None when the design stores lines in the clear."""
+        if not self.policy.encrypts:
+            return None
+        return OTPCipher(make_block_cipher(self.config.encryption))
 
 
 class _CoreState:

@@ -42,7 +42,6 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..crypto.otp import OTPCipher, make_block_cipher
 from ..errors import SnapshotCorruptError, SnapshotError, SnapshotVersionError
 from .machine import Machine, SimulationResult
 from .trace import Trace
@@ -402,12 +401,7 @@ def result_fingerprint(result: SimulationResult) -> str:
     "bit-identical" used by the resume guarantees.
     """
     journal = result.controller.journal
-    cipher = (
-        OTPCipher(make_block_cipher(result.config.encryption))
-        if result.policy.encrypts
-        else None
-    )
-    data_lines, counter_lines = journal.final_image(cipher)
+    data_lines, counter_lines = journal.final_image(result.image_cipher())
     canonical = (
         result.stats.design,
         result.stats.num_cores,

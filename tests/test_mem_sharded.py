@@ -73,6 +73,36 @@ class TestFacade:
         ids = [r.entry_id for r in merged.records]
         assert len(set(ids)) == len(ids)
 
+    def test_journal_read_mid_run_sees_later_amendments(self):
+        """The global-space journal stays current while the run goes on:
+        a write coalescing into a queued entry amends a record without
+        adding one, and the next read shows the amendment."""
+        from repro.bench.harness import build_traces
+        from repro.sim.machine import Machine
+
+        config = fast_config(num_cores=2, shards=2)
+        traces, _runs, _layout = build_traces(
+            "hash", config, "undo", WorkloadParams(operations=20)
+        )
+        machine = Machine(config, "sca")
+        machine.begin(traces)
+        controller = machine.controller
+        amended = 0
+        for _ in range(400):
+            machine.run_events(1)
+            merged = controller.journal.records
+            for shard, shard_controller in enumerate(controller.controllers):
+                source = [len(r.amendments) for r in shard_controller.journal.records]
+                translated = controller.shard_journal(shard).records
+                assert [len(r.amendments) for r in translated] == source, (
+                    "shard %d after %d events" % (shard, machine.events_executed)
+                )
+                amended += sum(source)
+            assert sum(len(r.amendments) for r in merged) == sum(
+                len(r.amendments) for c in controller.controllers for r in c.journal.records
+            ), "after %d events" % machine.events_executed
+        assert amended > 0
+
     def test_stats_fold_over_the_shards(self, result):
         controller = result.controller
         folded = controller.stats

@@ -75,8 +75,10 @@ def demonstrate_garbage(
 ) -> Dict[str, bytes]:
     """Decrypt one line with both the correct and the stored counter.
 
-    Returns ``{"with_true_counter": ..., "with_stored_counter": ...}``
-    so callers (examples, tests) can show that a stale counter really
+    ``device`` holds ciphertext, as a crash image's device does (the
+    live controller's device holds plaintext).  Returns
+    ``{"with_true_counter": ..., "with_stored_counter": ...}`` so
+    callers (examples, tests) can show that a stale counter really
     produces different — garbage — plaintext, not a detectable error.
     """
     stored = device.read_line(line_address)

@@ -365,15 +365,13 @@ def line_images(
             for address, version in versions.items()
         }
     fresh = [
-        (address, version)
+        (version, (address, version.encrypted_with, version.payload))
         for address, version in versions.items()
         if version.ciphertext is None and version.payload is not None
     ]
     if fresh:
-        texts = cipher.encrypt_lines(
-            [(address, version.encrypted_with, version.payload) for address, version in fresh]
-        )
-        for (_address, version), text in zip(fresh, texts):
+        texts = cipher.encrypt_lines([line for _version, line in fresh])
+        for (version, _line), text in zip(fresh, texts):
             version.ciphertext = text
     return {
         address: (version.ciphertext, version.encrypted_with)

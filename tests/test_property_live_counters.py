@@ -13,7 +13,8 @@ each counter with its data.
 Hypothesis drives random write, read and ccwb sequences through a
 counter cache small enough to evict, on the singleton controller and on
 a 2-shard system, and after every op checks every data line on the live
-device.  A failure names the design and the op sequence.
+device, then reads every written line back.  A failure names the design
+and the op sequence.
 """
 
 import pytest
@@ -102,6 +103,15 @@ def drive(design: str, shards: int, ops):
         else:
             system.counter_cache_writeback(address, clock)
         check_live_lines(system, design, ops, done)
+    # Then read every written line back, each read filling (and maybe
+    # evicting) counter lines in turn.
+    for address, payload in sorted(expected.items()):
+        clock += 7.0
+        assert system.read_line(address, clock).plaintext == payload, (
+            "%s: final read of 0x%x returned other bytes than last written, after ops %r"
+            % (design, address, ops)
+        )
+        check_live_lines(system, design, ops, len(ops))
 
 
 @pytest.mark.parametrize("shards", [1, 2], ids=["singleton", "2shards"])

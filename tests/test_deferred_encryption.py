@@ -14,7 +14,8 @@ Every registered design, with the PRF and with AES, on one core and on
 four cores with two shards, at post-event and midpoint instants, under
 an ADR budget, and without ADR; sharded cells also compare shard-subset
 failure images, and every cell the final image ``result_fingerprint``
-hashes.
+hashes.  Deferring is sound only while the journal's payloads are
+immutable copies; the last test pins that.
 """
 
 import dataclasses
@@ -163,3 +164,23 @@ def test_shard_images_equal_the_eager_encryptor(design, cipher):
             for journal in eager:
                 covered.update(reference_reconstruct(journal, crash_ns)[1])
             assert_same_image(image, reference_image(result, images, covered), where)
+
+
+@pytest.mark.parametrize("shape, cores, shards", SHAPES, ids=[s[0] for s in SHAPES])
+def test_journal_and_device_hold_immutable_payloads(shape, cores, shards):
+    """The journal keeps the written payload objects themselves, so each
+    must be an immutable ``bytes`` copy, never a cache line's live
+    ``bytearray`` that later stores would change under a finished record."""
+    result = run_cell("sca", "prf", cores, shards)
+    controllers = getattr(result.controller, "controllers", [result.controller])
+    for controller in controllers:
+        versions = [
+            version
+            for record in controller.journal.records
+            for version in [record, *record.amendments]
+            if version.payload is not None
+        ]
+        assert versions
+        assert all(type(version.payload) is bytes for version in versions), shape
+        lines = [controller.device.read_line(a) for a in controller.device.touched_lines()]
+        assert all(type(line.payload) is bytes for line in lines), shape

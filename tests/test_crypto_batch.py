@@ -170,6 +170,19 @@ class TestBatchedOTP:
         assert batched.pads_many(keys) == [sequential.pad(a, c) for a, c in keys]
 
     @pytest.mark.parametrize("cipher_name", ["aes", "prf"])
+    @given(keys=st.lists(st.tuples(ADDRESSES, st.integers(min_value=1, max_value=5)), max_size=24))
+    @settings(max_examples=25, deadline=None)
+    def test_pads_many_matches_sequential_under_eviction(self, cipher_name, keys):
+        """A cipher that has already made pads for every other key, singly
+        and in a batch, gives a fresh cipher's sequential pads."""
+        batched = make_otp(cipher_name)
+        sequential = make_otp(cipher_name)
+        for address, counter in keys[::2]:
+            batched.pad(address, counter)
+        batched.pads_many(keys[1::2])
+        assert batched.pads_many(keys) == [sequential.pad(a, c) for a, c in keys]
+
+    @pytest.mark.parametrize("cipher_name", ["aes", "prf"])
     @pytest.mark.parametrize("duplicates", [False, True])
     @pytest.mark.parametrize("misses", [7, 8, 9])
     def test_pads_many_either_side_of_the_lane_threshold(self, cipher_name, misses, duplicates):

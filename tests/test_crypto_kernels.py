@@ -1,4 +1,4 @@
-"""Hot-path kernel correctness: T-table AES and big-int XOR.
+"""Hot-path kernel correctness: T-table AES, big-int XOR, stateless pads.
 
 The fast paths must be bit-for-bit equivalent to the reference
 implementations in :mod:`repro.bench.oracles` — the perf harness
@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.oracles import encrypt_block_reference, xor_reference
+from repro.config import EncryptionConfig
 from repro.crypto.aes import AES128
-from repro.crypto.otp import _xor
+from repro.crypto.otp import OTPCipher, _xor, make_block_cipher
 
 LINE = st.binary(min_size=64, max_size=64)
 BLOCK = st.binary(min_size=16, max_size=16)
@@ -82,3 +83,30 @@ class TestFastXor:
             left = bytes(range(size % 256))[:size].ljust(size, b"\x55")
             right = bytes([0xA7] * size)
             assert _xor(left, right) == xor_reference(left, right)
+
+
+class TestPadLRUCache:
+    """Pads once went through a bounded LRU cache; now every pad is made
+    afresh.  Either way a pad depends on its key alone, never on how
+    many other pads the cipher has made since."""
+
+    def _cipher(self):
+        return OTPCipher(make_block_cipher(EncryptionConfig()))
+
+    def test_eviction_never_changes_pad_values(self):
+        cipher = self._cipher()
+        reference = {}
+        for i in range(12):
+            reference[(i * 64, i)] = cipher.pad(i * 64, i)
+        for (address, counter), expected in reference.items():
+            assert cipher.pad(address, counter) == expected
+        assert cipher.pads_many(list(reference)) == list(reference.values())
+
+    def test_encrypt_decrypt_roundtrip_across_evictions(self):
+        cipher = self._cipher()
+        line = bytes(i % 256 for i in range(64))
+        encrypted = {}
+        for i in range(10):
+            encrypted[i] = cipher.encrypt(i * 64, i + 1, line)
+        for i in range(10):
+            assert cipher.decrypt(i * 64, i + 1, encrypted[i]) == line

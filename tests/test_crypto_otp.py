@@ -47,10 +47,6 @@ class TestRoundTrip:
 class TestPadProperties:
     def test_pad_deterministic(self, cipher):
         assert cipher.pad(0x40, 3) == cipher.pad(0x40, 3)
-        keys = [(i * 64, i) for i in range(12)]
-        first = [cipher.pad(a, c) for a, c in keys]
-        assert [cipher.pad(a, c) for a, c in keys] == first
-        assert cipher.pads_many(keys) == first
 
     def test_pad_counter_unique(self, cipher):
         pads = {cipher.pad(0x40, c) for c in range(64)}
@@ -65,6 +61,14 @@ class TestPadProperties:
         pad = cipher.pad(0x40, 1)
         blocks = [pad[i : i + 16] for i in range(0, 64, 16)]
         assert len(set(blocks)) == 4
+
+    def test_pad_cache_eviction_does_not_change_results(self):
+        """Twenty pads made in between leave the first key's pad as it was."""
+        cipher = OTPCipher(make_block_cipher(EncryptionConfig()))
+        reference = cipher.pad(0, 1)
+        for i in range(20):
+            cipher.pad(i * 64, i)
+        assert cipher.pad(0, 1) == reference
 
 
 class TestAESBackend:

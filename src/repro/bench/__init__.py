@@ -8,7 +8,7 @@ artifact (Figures 12-17, Tables 1-2);
 them.
 """
 
-from .harness import WorkloadRunOutcome, run_workload, run_workload_multicore
+from .harness import WorkloadRunOutcome, run_workload
 from .experiments import (
     EXPERIMENTS,
     Fig12SingleCore,
@@ -25,7 +25,6 @@ from .experiments import (
 __all__ = [
     "WorkloadRunOutcome",
     "run_workload",
-    "run_workload_multicore",
     "EXPERIMENTS",
     "Fig12SingleCore",
     "Fig13MultiCore",

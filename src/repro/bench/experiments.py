@@ -12,8 +12,11 @@ Each sweep-style experiment decomposes into independent
 a :class:`~repro.bench.parallel.SweepExecutor`, which may run them in a
 process pool (``--workers N``) and/or serve them from the on-disk
 result cache.  ``executor=None`` means serial, uncached, in-process —
-bit-identical to the pre-engine behaviour.  Experiments that inspect
-live simulation state (Table 1's crash sweeps) always run in-process.
+bit-identical to the pre-engine behaviour.  A job yields only
+:class:`~repro.sim.stats.MachineStats`, so it runs timing-only whatever
+its config says (:func:`~repro.bench.harness.run_workload_stats`).
+Experiments that inspect live simulation state (Table 1's crash
+sweeps) always run in-process.
 
 Absolute numbers differ from the gem5 testbed; the *shape* claims the
 paper makes are re-checked programmatically and reported per experiment
@@ -32,7 +35,7 @@ from ..crash.checker import sweep_crash_points
 from ..errors import ConfigurationError
 from ..workloads.base import WorkloadParams
 from ..workloads.registry import list_workloads
-from .harness import run_workload, run_workload_multicore
+from .harness import run_workload
 from .parallel import SweepExecutor, SweepJob
 from .report import ExperimentResult, Series
 
@@ -89,11 +92,7 @@ class Fig12SingleCore(Experiment):
         _check_scale(scale)
         executor = self._executor(executor)
         params = _quick_params(scale)
-        # Timing-only mode: the runtime comparison only needs addresses,
-        # and no crash is ever injected, so skip crash bookkeeping too.
-        config = bench_config().scaled(functional=False).with_controller(
-            crash_bookkeeping=False
-        )
+        config = bench_config()
         workloads = list_workloads()
         designs = ("no-encryption",) + FIG12_DESIGNS
         jobs = [
@@ -385,11 +384,6 @@ class Fig15CounterCache(Experiment):
             params = WorkloadParams(operations=operations, footprint_bytes=footprint)
             for cache_size in cache_sizes:
                 config = bench_config().with_counter_cache(cache_size)
-                # Timing-only mode: these sweeps only need addresses,
-                # and never inject crashes.
-                config = config.scaled(functional=False).with_controller(
-                    crash_bookkeeping=False
-                )
                 jobs.append(SweepJob("sca", "hash", config=config, params=params))
                 job_keys.append((footprint, cache_size))
         lookup = dict(zip(job_keys, executor.map_stats(jobs)))

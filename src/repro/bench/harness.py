@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..config import SystemConfig, fast_config
 from ..sim.machine import Machine, SimulationResult
@@ -94,14 +94,16 @@ def run_workload(
 
 
 #: Memoized traces for the stats-only sweep path.  Trace generation is
-#: pure given ``(workload, config, mechanism, params)`` — workloads seed
-#: their own ``random.Random`` from ``params.seed`` — and the figure
-#: sweeps replay the *same* traces under five designs, so regenerating
-#: per design point is pure waste.  Safe to share because nothing
-#: edits a trace once its builder is done: the machine only reads its
-#: columns, ``Trace.ops`` hands out a fresh tuple, and the stats path
-#: discards the per-run bookkeeping.  A single-core timing-only run
-#: also keeps its caches' recorded pass on the trace (see
+#: pure given the workload, mechanism and params and the four config
+#: fields :func:`build_traces` reads, which key the memo — workloads
+#: seed their own ``random.Random`` from ``params.seed`` — and the
+#: figure sweeps replay the *same* traces under several designs, NVM
+#: latencies and counter-cache sizes, so regenerating per design point
+#: is pure waste.  Safe to share because nothing edits a trace once its
+#: builder is done: the machine only reads its columns, ``Trace.ops``
+#: hands out a fresh tuple, and the stats path discards the per-run
+#: bookkeeping.  A single-core timing-only run also keeps its caches'
+#: recorded pass on the trace, keyed by cache geometry (see
 #: ``repro.sim.machine``), so the memo's limit bounds those passes too,
 #: and clearing the memo drops them with their traces.
 _TRACE_MEMO: "OrderedDict[Tuple, tuple]" = OrderedDict()
@@ -114,7 +116,16 @@ def _memoized_traces(
     mechanism: str,
     params: Optional[WorkloadParams],
 ) -> List[Trace]:
-    key = (workload_name, config, mechanism, params or WorkloadParams())
+    # The config fields build_traces reads; the rest may differ.
+    key = (
+        workload_name,
+        mechanism,
+        params or WorkloadParams(),
+        config.memory_size_bytes,
+        config.nvm.num_banks,
+        config.num_cores,
+        config.functional,
+    )
     cached = _TRACE_MEMO.get(key)
     if cached is None:
         cached = build_traces(workload_name, config, mechanism, params)
@@ -138,29 +149,15 @@ def run_workload_stats(
     This is the worker-friendly entry point of the parallel sweep
     engine (:mod:`repro.bench.parallel`): stats are small, picklable
     and JSON-serializable, unlike the live controller/hierarchy held by
-    a full :class:`WorkloadRunOutcome`.  Traces are memoized across
-    calls (per worker process) since only the stats escape.
+    a full :class:`WorkloadRunOutcome`.  Since only the stats escape,
+    the run is timing-only whatever ``config.functional`` says: no
+    timing decision reads a byte, so the stats equal the functional
+    run's (``tests/test_timing_only_guard.py``) without moving bytes or
+    keeping crash state.  Traces are memoized across calls (per worker
+    process).
     """
     if config is None:
         config = fast_config()
+    config = config.scaled(functional=False)
     traces = _memoized_traces(workload_name, config, mechanism, params)
     return Machine(config, design).run(traces).stats
-
-
-def run_workload_multicore(
-    design: str,
-    workload_name: str,
-    core_counts: Sequence[int],
-    base_config: Optional[SystemConfig] = None,
-    mechanism: str = "undo",
-    params: Optional[WorkloadParams] = None,
-) -> Dict[int, WorkloadRunOutcome]:
-    """Run the same workload at several core counts (Figure 13)."""
-    outcomes: Dict[int, WorkloadRunOutcome] = {}
-    for cores in core_counts:
-        if base_config is None:
-            config = fast_config(num_cores=cores)
-        else:
-            config = base_config.scaled(num_cores=cores)
-        outcomes[cores] = run_workload(design, workload_name, config, mechanism, params)
-    return outcomes

@@ -197,11 +197,6 @@ class MemoryControllerConfig:
     #: output, not simulation state: a checkpoint keeps its path, not
     #: its contents, and a resumed run appends to it.
     event_trace_path: Optional[str] = None
-    #: Record crash-reconstruction state (persist journal, device line
-    #: images, wear map).  Timing-only figure sweeps that never inject
-    #: crashes turn this off to skip the per-write bookkeeping; crash
-    #: campaigns and checkpointing must leave it on.
-    crash_bookkeeping: bool = True
 
     def __post_init__(self) -> None:
         _require(self.read_queue_entries > 0, "read queue must have entries")
@@ -291,8 +286,12 @@ class SystemConfig:
     encryption: EncryptionConfig = field(default_factory=EncryptionConfig)
     integrity: IntegrityConfig = field(default_factory=IntegrityConfig)
     memory_size_bytes: int = 8 * GB
-    #: When True the simulator moves and encrypts real bytes; when False
-    #: it tracks only addresses and timing (for large sweeps).
+    #: When True the simulator moves real bytes and keeps the crash
+    #: state: the persist journal, the device's line image, its wear map
+    #: and the sharded commit log.  When False it tracks only addresses
+    #: and timing, with the same statistics, and no crash image can be
+    #: built from the run.  Every figure sweep job runs with it off, set
+    #: in one place: :func:`repro.bench.harness.run_workload_stats`.
     functional: bool = True
     #: Memory controllers the physical address space is interleaved
     #: across (:class:`repro.nvm.address.ShardMap`).  1 keeps the

@@ -4,17 +4,15 @@ A post-crash NVM image is *decryptable* at a line if the counter stored
 in the architectural counter region equals the counter that was used to
 encrypt the ciphertext resident at that line.  The simulator records the
 encryption counter as ground truth alongside each persisted line, so the
-checker can decide decryptability exactly — and, in functional mode,
-demonstrate it by actually decrypting with both counters and comparing.
+checker can decide decryptability exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..crypto.counters import CounterStore
-from ..crypto.otp import OTPCipher
 from ..nvm.device import NVMDevice
 
 
@@ -65,24 +63,3 @@ def check_counter_atomicity(
                 )
             )
     return violations
-
-
-def demonstrate_garbage(
-    cipher: OTPCipher,
-    device: NVMDevice,
-    counter_store: CounterStore,
-    line_address: int,
-) -> Dict[str, bytes]:
-    """Decrypt one line with both the correct and the stored counter.
-
-    ``device`` holds ciphertext, as a crash image's device does (the
-    live controller's device holds plaintext).  Returns
-    ``{"with_true_counter": ..., "with_stored_counter": ...}`` so
-    callers (examples, tests) can show that a stale counter really
-    produces different — garbage — plaintext, not a detectable error.
-    """
-    stored = device.read_line(line_address)
-    true_plain = cipher.decrypt(line_address, stored.encrypted_with, stored.payload)
-    arch_counter = counter_store.read(line_address)
-    seen_plain = cipher.decrypt(line_address, arch_counter, stored.payload)
-    return {"with_true_counter": true_plain, "with_stored_counter": seen_plain}

@@ -14,7 +14,8 @@ line's counter; an image of an encrypted design holds the ciphertext
 NVM would, enciphered in one batch as the image is built (each journal
 record version at most once per run).  The injector also enumerates the
 interesting crash instants of a finished run — every boundary where the
-durable state can change.
+durable state can change.  A timing-only run (``config.functional``
+False) keeps no journal, so the injector refuses it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from ..config import CACHE_LINE_SIZE, SystemConfig
 from ..crypto.counters import CounterStore
 from ..crypto.integrity import IntegrityEngine
 from ..crypto.otp import OTPCipher, make_block_cipher
+from ..errors import ConfigurationError
 from ..faults.base import FaultEvent, FaultModel, apply_fault_models
 from ..nvm.address import AddressMap
 from ..nvm.device import NVMDevice
@@ -57,10 +59,20 @@ class CrashImage:
         return self.device.address_map
 
 
+def require_crash_state(result: SimulationResult) -> None:
+    """Raise unless ``result`` kept the journal crash images are built from."""
+    if not result.config.functional:
+        raise ConfigurationError(
+            "%s: a timing-only run (config.functional False) keeps no crash "
+            "state; crash images need a functional config" % result.policy.name
+        )
+
+
 class CrashInjector:
     """Builds crash images from a finished simulation."""
 
     def __init__(self, result: SimulationResult) -> None:
+        require_crash_state(result)
         self.result = result
         self._journal = result.controller.journal
         self._address_map = result.controller.address_map

@@ -38,7 +38,13 @@ from ..errors import SimulationError
 from ..nvm.device import NVMDevice
 from ..persist.journal import CommitRecord, LineVersion, PersistJournal, line_images
 from ..sim.machine import SimulationResult
-from .injector import CrashImage, CrashInjector, tag_data_lines, uniform_sample
+from .injector import (
+    CrashImage,
+    CrashInjector,
+    require_crash_state,
+    tag_data_lines,
+    uniform_sample,
+)
 
 
 def _shard_journals(result: SimulationResult) -> List[PersistJournal]:
@@ -75,6 +81,7 @@ def shard_crash_image(
     Data lines of encrypted designs hold their ciphertext, enciphered
     at global addresses in one batch over every shard's lines.
     """
+    require_crash_state(result)
     controller = result.controller
     journals = _shard_journals(result)
     failed = frozenset(failed_shards)

@@ -24,7 +24,7 @@ from .counter_cache import CounterCache, CounterCacheStats
 from .integrity import IntegrityEngine, TaggedLine
 from .counters import CounterStore, counter_line_address
 from .engine import EncryptionEngine
-from .otp import OTPCipher, decrypt_line, encrypt_line, make_block_cipher
+from .otp import OTPCipher, make_block_cipher
 from .prf import SplitMixPRF
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "SplitMixPRF",
     "OTPCipher",
     "make_block_cipher",
-    "encrypt_line",
-    "decrypt_line",
     "CounterStore",
     "counter_line_address",
     "CounterCache",

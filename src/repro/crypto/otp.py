@@ -15,7 +15,7 @@ pad is computed when asked for; nothing is cached.
 from __future__ import annotations
 
 import struct
-from typing import List, Protocol, Sequence, Tuple, Union
+from typing import List, Protocol, Sequence, Tuple
 
 from ..config import CACHE_LINE_SIZE, EncryptionConfig
 from ..errors import CryptoError
@@ -241,31 +241,3 @@ def _xor(left: bytes, right: bytes) -> bytes:
     return (
         int.from_bytes(left, "little") ^ int.from_bytes(right, "little")
     ).to_bytes(len(left), "little")
-
-
-def encrypt_line(
-    config_or_cipher: Union[EncryptionConfig, OTPCipher],
-    address: int,
-    counter: int,
-    plaintext: bytes,
-) -> bytes:
-    """Convenience wrapper: encrypt one line with a config or cipher."""
-    cipher = _coerce(config_or_cipher)
-    return cipher.encrypt(address, counter, plaintext)
-
-
-def decrypt_line(
-    config_or_cipher: Union[EncryptionConfig, OTPCipher],
-    address: int,
-    counter: int,
-    ciphertext: bytes,
-) -> bytes:
-    """Convenience wrapper: decrypt one line with a config or cipher."""
-    cipher = _coerce(config_or_cipher)
-    return cipher.decrypt(address, counter, ciphertext)
-
-
-def _coerce(config_or_cipher: Union[EncryptionConfig, OTPCipher]) -> OTPCipher:
-    if isinstance(config_or_cipher, OTPCipher):
-        return config_or_cipher
-    return OTPCipher(make_block_cipher(config_or_cipher))

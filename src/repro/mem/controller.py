@@ -128,9 +128,9 @@ class MemoryController:
         self.read_queue_peak = 0
         self.total_read_queue_wait_ns = 0.0
         self.journal = PersistJournal()
-        if not config.controller.crash_bookkeeping:
+        if not config.functional:
             self.journal.enabled = False
-            self.device.crash_bookkeeping = False
+            self.device.functional = False
         # The three composed strategy layers (see the module docstring).
         self.atomicity: UnpairedAtomicity = build_atomicity(self, config, policy)
         self.integrity: NoIntegrity = build_integrity(self, config, policy)

@@ -150,7 +150,7 @@ class ShardedMemorySystem:
         #: Commit records live in their own journal so the merged view
         #: can adopt them without copying write records.
         self._commit_log = PersistJournal()
-        if not config.controller.crash_bookkeeping:
+        if not config.functional:
             self._commit_log.enabled = False
         # Deferred import: repro.txn pulls in the crash package, which
         # imports the machine — importing it at module scope would close

@@ -65,11 +65,11 @@ class NVMDevice:
         self.wear: Optional[WearTracker] = WearTracker() if track_wear else None
         self.line_writes = 0
         self.line_reads = 0
-        #: Cleared when the controller runs with crash bookkeeping off
-        #: (timing-only figure sweeps): persists still count traffic but
-        #: skip the line image and wear map, so crash reconstruction and
-        #: lifetime reports are unavailable.
-        self.crash_bookkeeping = True
+        #: Cleared on a timing-only controller (``config.functional``
+        #: False): persists still count traffic but skip the line image
+        #: and wear map, so crash reconstruction and lifetime reports
+        #: are unavailable.
+        self.functional = True
 
     # -- persistence -----------------------------------------------------------
 
@@ -78,15 +78,15 @@ class NVMDevice:
     ) -> None:
         """Durably store one line.
 
-        ``payload`` may be None in timing-only mode; the write is still
-        counted for traffic/wear statistics and the counter ground
-        truth is still recorded so atomicity checks work.
+        ``payload`` None stores the zero line.  A timing-only device
+        (:attr:`functional` cleared) counts the write and keeps nothing
+        else: no line image, no counter ground truth, no wear.
         """
         line = address & _LINE_MASK
         if line < 0 or line >= self._size:
             raise AddressError("address 0x%x outside the device" % address)
         self.line_writes += 1
-        if not self.crash_bookkeeping:
+        if not self.functional:
             return
         data = payload if payload is not None else _ZERO_LINE
         self._lines[line] = PersistedLine(data, encrypted_with)
@@ -116,7 +116,7 @@ class NVMDevice:
                 self.persist_line(address, payload, encrypted_with)
             return
         self.line_writes += len(addresses)
-        if not self.crash_bookkeeping:
+        if not self.functional:
             return
         encrypted = [encrypted_with for _, encrypted_with in lines.values()]
         self._lines.update(zip(addresses, map(PersistedLine, payloads, encrypted)))

@@ -121,9 +121,9 @@ class PersistJournal:
         #: the sharded coordinator), so unsharded snapshots and golden
         #: fixtures never see the field.
         self.commits: List[CommitRecord] = []
-        #: Cleared when ``crash_bookkeeping`` is off (timing-only figure
-        #: sweeps): record/amend become no-ops and reconstruction is
-        #: unavailable.
+        #: Cleared on a timing-only run (``config.functional`` False, as
+        #: every figure sweep job runs): record/amend become no-ops and
+        #: reconstruction is unavailable.
         self.enabled = True
 
     def _next_auto_id(self) -> int:
@@ -356,8 +356,7 @@ def line_images(
     the result in ``ciphertext``.  A version's ciphertext therefore
     belongs to the key it was first enciphered with: pass every journal
     the cipher of its own run's encryption config.  A ``None`` payload
-    (timing-only runs) stays ``None``, the zero line, and counter 0
-    stays in the clear.
+    stays ``None``, the zero line, and counter 0 stays in the clear.
     """
     if cipher is None:
         return {

@@ -26,11 +26,6 @@ def config() -> SystemConfig:
     """Small functional configuration for unit tests."""
     return fast_config()
 
-@pytest.fixture
-def timing_config() -> SystemConfig:
-    """Timing-only configuration (no byte movement)."""
-    return fast_config(functional=False)
-
 
 @pytest.fixture
 def controller_factory(config):

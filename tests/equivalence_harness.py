@@ -27,14 +27,14 @@ replays it against whatever the controller is now.
 
 Those cells all run the default controller configuration, so they never
 take the ablation branches: FIFO drain, a counter-line drain hold,
-coalescing off, and fig12's timing-only mode (no functional payloads,
-no persist journal).  ``--capture-ablations`` records each of those
+coalescing off, and the timing-only mode every figure sweep job runs
+in (no functional payloads, no persist journal).  ``--capture-ablations`` records each of those
 configurations under five designs on one scenario into
 ``tests/fixtures/golden_ablations.json``, replayed by
 ``tests/test_ablation_equivalence.py``.
 
 Every cell above runs two cores.  ``--capture-single-core`` records
-fig12's configuration on one core (timing-only, no crash bookkeeping)
+fig12's configuration on one core (timing-only, as its jobs run)
 under every design on both scenarios into
 ``tests/fixtures/golden_single_core.json``, replayed by
 ``tests/test_single_core_equivalence.py``.  Each scenario's traces are
@@ -109,12 +109,12 @@ SCENARIOS: Tuple[Tuple[str, str, int, int], ...] = (
 
 
 #: Controller ablations: name -> (controller overrides, functional).
-#: ``timing-only`` is fig12's setting.
+#: ``timing-only`` is how every figure sweep job runs.
 ABLATIONS: Dict[str, Tuple[Dict[str, object], bool]] = {
     "fifo": ({"drain_policy": "fifo"}, True),
     "counter-hold": ({"counter_drain_hold_ns": 50.0}, True),
     "no-coalesce": ({"coalesce_writes": False}, True),
-    "timing-only": ({"crash_bookkeeping": False}, False),
+    "timing-only": ({}, False),
 }
 
 #: One design per write path: SCA (unpaired + annotated pairs), FCA
@@ -135,8 +135,8 @@ TRACE_SCENARIOS: Tuple[Tuple[str, str, int, int, SystemConfig], ...] = (
 
 
 def single_core_config() -> SystemConfig:
-    """fig12's configuration: one core, timing-only, no crash bookkeeping."""
-    return bench_config().scaled(functional=False).with_controller(crash_bookkeeping=False)
+    """fig12's configuration as its jobs run: one core, timing-only."""
+    return bench_config(functional=False)
 
 
 def scenario_key(design: str, workload: str, mechanism: str, operations: int, seed: int) -> str:

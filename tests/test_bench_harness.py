@@ -1,10 +1,13 @@
 """Tests for the benchmark harness and reporting."""
 
+import dataclasses
+
 import pytest
 
-from repro.bench.harness import build_traces, run_workload, run_workload_multicore
+from repro.bench import harness
+from repro.bench.harness import build_traces, run_workload, run_workload_stats
 from repro.bench.report import ExperimentResult, Series
-from repro.config import KB, fast_config
+from repro.config import KB, MB, bench_config, fast_config
 from repro.workloads.base import WorkloadParams
 
 PARAMS = WorkloadParams(operations=8, footprint_bytes=8 * KB)
@@ -35,10 +38,57 @@ class TestHarness:
         assert len(traces) == 2
         assert len(runs) == 2
 
-    def test_run_workload_multicore(self):
-        outcomes = run_workload_multicore("sca", "array", (1, 2), params=PARAMS)
-        assert set(outcomes) == {1, 2}
-        assert outcomes[2].stats.num_cores == 2
+
+class TestStatsPath:
+    """``run_workload_stats``: timing-only runs over memoized traces."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        harness._TRACE_MEMO.clear()
+        yield
+        harness._TRACE_MEMO.clear()
+
+    @staticmethod
+    def traces(config):
+        return harness._memoized_traces("array", config, "undo", PARAMS)
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            bench_config().with_nvm(read_latency_scale=0.25),
+            bench_config().with_nvm(write_latency_scale=10.0),
+            bench_config().with_counter_cache(2 * KB),
+        ],
+        ids=["read-latency", "write-latency", "counter-cache"],
+    )
+    def test_fields_build_traces_ignores_share_one_set(self, variant):
+        # Figure 17's latency points and Figure 15's cache sizes.
+        assert self.traces(variant) is self.traces(bench_config())
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            bench_config().scaled(memory_size_bytes=64 * MB),
+            bench_config().with_nvm(num_banks=4),
+            bench_config().scaled(num_cores=2),
+            bench_config(functional=False),
+        ],
+        ids=["memory-size", "banks", "cores", "functional"],
+    )
+    def test_fields_build_traces_reads_build_a_fresh_set(self, variant):
+        shared = set(map(id, self.traces(bench_config())))
+        assert not shared & set(map(id, self.traces(variant)))
+
+    @pytest.mark.parametrize("design", ["sca", "fca+bmt"])
+    @pytest.mark.parametrize("cores, shards", [(1, 1), (2, 2)], ids=["1core", "2shards"])
+    def test_functional_config_gives_the_functional_stats(self, design, cores, shards):
+        config = fast_config(num_cores=cores, shards=shards)
+        expected = run_workload(design, "array", config=config, params=PARAMS).stats
+        actual = run_workload_stats(design, "array", config=config, params=PARAMS)
+        assert dataclasses.asdict(actual) == dataclasses.asdict(expected)
+        # ... from a timing-only run: its traces carry no payloads.
+        ((traces, _runs, _layout),) = harness._TRACE_MEMO.values()
+        assert all(payload is None for trace in traces for payload in trace.payloads)
 
 
 class TestReport:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import CACHE_LINE_SIZE, MB, EncryptionConfig
-from repro.core.invariants import check_counter_atomicity, demonstrate_garbage
+from repro.core.invariants import check_counter_atomicity
 from repro.crypto.counters import CounterStore
 from repro.crypto.otp import OTPCipher, make_block_cipher
 from repro.nvm.address import AddressMap
@@ -69,6 +69,6 @@ class TestGarbageDemonstration:
         device, store, cipher = setup
         device.persist_line(0x40, cipher.encrypt(0x40, 9, LINE), encrypted_with=9)
         store.write(0x40, 3)
-        result = demonstrate_garbage(cipher, device, store, 0x40)
-        assert result["with_true_counter"] == LINE
-        assert result["with_stored_counter"] != LINE
+        stored = device.read_line(0x40)
+        assert cipher.decrypt(0x40, stored.encrypted_with, stored.payload) == LINE
+        assert cipher.decrypt(0x40, store.read(0x40), stored.payload) != LINE

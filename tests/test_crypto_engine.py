@@ -14,6 +14,8 @@ from repro.crash.injector import CrashInjector
 from repro.crypto.counters import CounterStore
 from repro.crypto.engine import EncryptionEngine
 from repro.crypto.otp import OTPCipher, make_block_cipher
+from repro.errors import ConfigurationError
+from repro.sim.snapshot import result_fingerprint
 from repro.workloads.base import WorkloadParams
 
 BASE = 1 << 20
@@ -66,20 +68,17 @@ class TestWritePath:
         assert engine.counter_cache.lookup_for_read(0x40) == result.counter
 
     def test_timing_only_mode_produces_no_ciphertext(self):
-        """A timing-only run moves no bytes: its crash images hold the
-        zero line, not an enciphered one, under each line's counter."""
-        config = fast_config(functional=False)
+        """A timing-only run moves no bytes and keeps no journal: its
+        final image is empty, and crash images refuse the run, on one
+        controller and on two shards."""
         params = WorkloadParams(operations=6, footprint_bytes=4096)
-        result = run_workload("sca", "array", config=config, params=params).result
-        image = CrashInjector(result).crash_at(result.stats.runtime_ns + 1.0)
-        lines = [
-            image.device.read_line(address)
-            for address in image.device.touched_lines()
-            if image.address_map.is_data_address(address)
-        ]
-        assert lines
-        assert all(line.payload == bytes(CACHE_LINE_SIZE) for line in lines)
-        assert all(line.encrypted_with > 0 for line in lines)
+        for shards in (1, 2):
+            config = fast_config(num_cores=shards, functional=False, shards=shards)
+            result = run_workload("sca", "array", config=config, params=params).result
+            assert result.controller.journal.final_image(result.image_cipher()) == ({}, {})
+            assert result_fingerprint(result)
+            with pytest.raises(ConfigurationError, match="sca: a timing-only run"):
+                CrashInjector(result)
 
 
 class TestReadPath:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.config import CACHE_LINE_SIZE, EncryptionConfig
 from repro.crypto.aes import AES128
-from repro.crypto.otp import OTPCipher, decrypt_line, encrypt_line, make_block_cipher
+from repro.crypto.otp import OTPCipher, make_block_cipher
 from repro.crypto.prf import NP_BATCH_MIN
 from repro.errors import CryptoError
 
@@ -81,9 +81,9 @@ class TestAESBackend:
     def test_aes_and_prf_pads_differ(self):
         """Different ciphers are different OTP generators, same interface."""
         line = bytes(64)
-        aes = encrypt_line(EncryptionConfig(cipher="aes"), 0, 1, line)
-        prf = encrypt_line(EncryptionConfig(cipher="prf"), 0, 1, line)
-        assert aes != prf
+        aes = OTPCipher(make_block_cipher(EncryptionConfig(cipher="aes")))
+        prf = OTPCipher(make_block_cipher(EncryptionConfig(cipher="prf")))
+        assert aes.encrypt(0, 1, line) != prf.encrypt(0, 1, line)
 
 
 class TestValidation:
@@ -98,11 +98,6 @@ class TestValidation:
     def test_rejects_misaligned_line_size(self):
         with pytest.raises(CryptoError):
             OTPCipher(AES128(bytes(16)), line_size=50)
-
-    def test_convenience_wrappers_round_trip(self):
-        config = EncryptionConfig()
-        line = bytes(i % 256 for i in range(64))
-        assert decrypt_line(config, 0x40, 9, encrypt_line(config, 0x40, 9, line)) == line
 
 
 def packed_seed_pad(block_cipher, address, counter):

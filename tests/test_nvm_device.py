@@ -108,15 +108,15 @@ class TestBulkInstall:
     """``install`` against a ``persist_line`` per entry."""
 
     @pytest.mark.parametrize("track_wear", [False, True])
-    @pytest.mark.parametrize("bookkeeping", [True, False])
+    @pytest.mark.parametrize("functional", [True, False])
     @pytest.mark.parametrize("seed", range(4))
-    def test_matches_per_line_persists(self, seed, track_wear, bookkeeping):
+    def test_matches_per_line_persists(self, seed, track_wear, functional):
         # Addresses inside one line (offsets 8, 63) share it: the later wins.
         lines = random_image(seed)
         devices = []
         for install in (True, False):
             device = NVMDevice(AddressMap(memory_size_bytes=64 * MB), track_wear=track_wear)
-            device.crash_bookkeeping = bookkeeping
+            device.functional = functional
             device.persist_line(0x40, LINE, encrypted_with=9)  # pre-existing line
             if install:
                 device.install(lines)

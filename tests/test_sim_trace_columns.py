@@ -228,9 +228,7 @@ def no_op_objects(monkeypatch):
 
 class TestNoRunPathBuildsOps:
     def test_timing_only_single_core_sweep(self, no_op_objects):
-        config = bench_config().scaled(functional=False).with_controller(
-            crash_bookkeeping=False
-        )
+        config = bench_config()
         params = WorkloadParams(operations=6, seed=3)
         first = run_workload_stats("sca", "array", config, "redo", params)
         # The second design replays the first run's recorded cache pass.

@@ -2,7 +2,7 @@
 
 ``tests/fixtures/golden_single_core.json`` (see
 ``tests/equivalence_harness.py``) records fig12's configuration on one
-core — timing-only, no crash bookkeeping — under every registered
+core — timing-only, as its jobs run — under every registered
 design on both seed scenarios.  Each scenario's traces are built once
 and every design runs on the same ``Trace`` objects, the way a figure
 sweep replays them, so every design after the first reuses the caches'

@@ -105,7 +105,7 @@ def test_dirty_evictions_match_the_stepped_run():
 def test_each_cache_geometry_records_its_own_pass():
     configs = [
         fast_config(functional=False),
-        bench_config(functional=False).with_controller(crash_bookkeeping=False),
+        bench_config(functional=False),
     ]
     assert configs[0].l1 != configs[1].l1
     traces = single_core_traces(*SCENARIOS[0])

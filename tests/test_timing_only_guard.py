@@ -1,12 +1,13 @@
 """Guard: timing-only runs report the functional run's statistics.
 
-Figure sweeps that read only :class:`~repro.sim.stats.MachineStats` may
-run with no payloads and no crash bookkeeping
-(``config.scaled(functional=False).with_controller(crash_bookkeeping=False)``),
-and the functional machine may stop moving ciphertext, only because no
-timing decision reads a byte of plaintext or ciphertext.  This file pins
-that for every registered design, every workload and three machine
-shapes; a failing cell names its design, workload and shape.
+Every figure sweep job runs with no payloads and no crash state
+(``config.scaled(functional=False)``, the one switch, which
+:func:`repro.bench.harness.run_workload_stats` sets), and the
+functional machine may stop moving ciphertext, only because no timing
+decision reads a byte of plaintext or ciphertext.  This file pins that
+for every registered design, every workload and four machine shapes,
+among them Figure 13's 4-core shard points; a failing cell names its
+design, workload and shape.
 """
 
 import dataclasses
@@ -22,7 +23,12 @@ from repro.workloads.registry import list_workloads
 PARAMS = WorkloadParams(operations=5, footprint_bytes=4096)
 DESIGNS = list_designs(include_unsafe=True, include_integrity=True)
 #: (label, cores, shards)
-SHAPES = [("1core", 1, 1), ("2cores", 2, 1), ("2cores-2shards", 2, 2)]
+SHAPES = [
+    ("1core", 1, 1),
+    ("2cores", 2, 1),
+    ("2cores-2shards", 2, 2),
+    ("4cores-2shards", 4, 2),
+]
 
 
 @pytest.mark.parametrize("shape, cores, shards", SHAPES, ids=[s[0] for s in SHAPES])
@@ -30,7 +36,7 @@ SHAPES = [("1core", 1, 1), ("2cores", 2, 1), ("2cores-2shards", 2, 2)]
 @pytest.mark.parametrize("design", DESIGNS)
 def test_timing_only_stats_equal_functional_stats(design, workload, shape, cores, shards):
     functional = fast_config(num_cores=cores, shards=shards)
-    timing = functional.scaled(functional=False).with_controller(crash_bookkeeping=False)
+    timing = functional.scaled(functional=False)
     expected = run_workload(design, workload, config=functional, params=PARAMS).stats
     actual = run_workload(design, workload, config=timing, params=PARAMS).stats
     differs = [

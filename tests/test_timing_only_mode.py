@@ -1,15 +1,20 @@
 """Timing-only mode: address/timing behaviour without byte movement.
 
-The Figure 15 sweeps run with ``functional=False`` for speed; these
-tests pin down that timing-only runs (a) work end to end, (b) agree
-with functional runs on every timing-relevant statistic, and (c) skip
-payload materialization.
+Every figure sweep job runs with ``functional=False`` for speed
+(:func:`repro.bench.harness.run_workload_stats`); these tests pin down
+that timing-only runs (a) work end to end, (b) agree with functional
+runs on every timing-relevant statistic, (c) skip payload
+materialization, and (d) refuse crash images, having kept no crash
+state.
 """
 
 import pytest
 
 from repro.bench.harness import build_traces, run_workload
 from repro.config import KB, fast_config
+from repro.crash.injector import CrashInjector
+from repro.crash.sharded import shard_crash_image
+from repro.errors import ConfigurationError
 from repro.sim.machine import Machine
 from repro.workloads.base import WorkloadParams
 
@@ -44,21 +49,21 @@ class TestEndToEnd:
         traces, _runs, _layout = build_traces("array", config, params=PARAMS)
         machine = Machine(config, "sca")
         result = machine.run(traces)
-        # Device lines exist (for counter ground truth) but caches hold
-        # no byte payloads.
+        # Caches hold lines, but no byte payloads.
         l1 = result.hierarchy.l1s[0]
         lines = [line for s in l1._sets for line in s.values()]
         assert lines
         assert all(line.payload is None for line in lines)
 
-    def test_crash_reconstruction_still_tracks_counters(self):
-        """Even without payloads, crash images preserve the
-        counter-sync ground truth (Eq. 4 checks still work)."""
-        from repro.core.invariants import check_counter_atomicity
-        from repro.crash.injector import CrashInjector
-
-        config = fast_config(functional=False)
-        outcome = run_workload("fca", "array", config=config, params=PARAMS)
-        injector = CrashInjector(outcome.result)
-        image = injector.crash_at(outcome.stats.runtime_ns / 2)
-        assert check_counter_atomicity(image.device, image.counter_store) == []
+    def test_crash_images_refuse_a_timing_only_run(self):
+        """A timing-only run keeps no journal, so no image can be built
+        from it: the injector says so instead of returning empty images."""
+        for cores, shards in ((1, 1), (2, 2)):
+            config = fast_config(num_cores=cores, functional=False, shards=shards)
+            result = run_workload("fca", "array", config=config, params=PARAMS).result
+            assert len(result.controller.journal) == 0
+            with pytest.raises(ConfigurationError, match="fca: a timing-only run"):
+                CrashInjector(result)
+            if shards > 1:
+                with pytest.raises(ConfigurationError, match="fca: a timing-only run"):
+                    shard_crash_image(result, result.stats.runtime_ns, [0])

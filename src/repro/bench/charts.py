@@ -8,9 +8,9 @@ terminal, with no plotting dependencies.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from .report import ExperimentResult, Series
+from .report import ExperimentResult
 
 _BAR = "█"
 _HALF = "▌"

@@ -26,10 +26,9 @@ paper makes are re-checked programmatically and reported per experiment
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-from ..config import KB, MB, SystemConfig, bench_config
+from ..config import KB, MB, bench_config
 from ..core.atomicity import TABLE1, required_counter_atomic_fraction
 from ..crash.checker import sweep_crash_points
 from ..errors import ConfigurationError

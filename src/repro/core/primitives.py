@@ -17,7 +17,6 @@ operations the simulated memory controller interprets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..config import CACHE_LINE_SIZE
 from ..errors import AddressError

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from ..sim.machine import SimulationResult
-from .injector import CrashImage, CrashInjector
+from .injector import CrashInjector
 from .recovery import RecoveredMemory, RecoveryManager
 
 #: A validator inspects a recovered memory and returns a list of

@@ -19,9 +19,9 @@ counter lag matters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from ..config import CACHE_LINE_SIZE, EncryptionConfig
+from ..config import EncryptionConfig
 from ..crypto.integrity import IntegrityEngine, TaggedLine
 from .injector import CrashImage, tag_data_lines
 

@@ -8,10 +8,16 @@ A crash at time T has these effects (paper Sections 2-5):
   persist even though they had not reached the NVM array.
 * The NVM array keeps whatever had drained before T.
 
-The persist journal encodes all three rules, so building a crash image
-is a single reconstruction call.  The journal holds plaintext with each
-line's counter; an image of an encrypted design holds the ciphertext
-NVM would, enciphered in one batch as the image is built (each journal
+The persist journal encodes all three rules.  The injector keeps one
+:class:`~repro.persist.journal.PersistCursor` per ADR mode, so images
+at ascending instants come from one forward sweep of the journal, each
+applying only what changed since the previous instant; an earlier
+instant restarts the sweep.  Images under an ``adr_budget`` depend on a
+drain count, not only on the instant, and keep the journal's one-pass
+replay.  Every image is a fresh device and counter store, filled in
+ascending address order.  The journal holds plaintext with each line's
+counter; an image of an encrypted design holds the ciphertext NVM
+would, enciphered in one batch as the image is built (each journal
 record version at most once per run).  The injector also enumerates the
 interesting crash instants of a finished run — every boundary where the
 durable state can change.  A timing-only run (``config.functional``
@@ -23,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..config import CACHE_LINE_SIZE, SystemConfig
+from ..config import SystemConfig
 from ..crypto.counters import CounterStore
 from ..crypto.integrity import IntegrityEngine
 from ..crypto.otp import OTPCipher, make_block_cipher
@@ -31,6 +37,7 @@ from ..errors import ConfigurationError
 from ..faults.base import FaultEvent, FaultModel, apply_fault_models
 from ..nvm.address import AddressMap
 from ..nvm.device import NVMDevice
+from ..persist.journal import PersistCursor, ascending, line_images
 from ..sim.machine import SimulationResult
 
 
@@ -84,6 +91,10 @@ class CrashInjector:
         self._cipher = result.image_cipher()
         self._tag_engine: Optional[IntegrityEngine] = None
         self._tree_engine = None
+        #: One forward sweep of the journal per ADR mode.
+        self._cursors = {
+            adr: PersistCursor(self._journal, adr) for adr in (True, False)
+        }
 
     def crash_at(
         self,
@@ -96,14 +107,20 @@ class CrashInjector:
         ``adr=False`` models a system without the ADR guarantee (only
         array-drained writes survive) — used by ablation benches.
         ``adr_budget`` limits how many ready-but-undrained entries the
-        ADR reserve can fund (see ``PersistJournal.persisted_at``).
-        Data lines of encrypted designs hold their ciphertext.
+        ADR reserve can fund (see ``PersistJournal.persisted_at``); such
+        images come from that replay, every other from the cursor of
+        its ADR mode.  Data lines of encrypted designs hold their
+        ciphertext.
         """
-        data_lines, counters = self._journal.reconstruct(
-            crash_ns, adr=adr, adr_budget=adr_budget, cipher=self._cipher
-        )
+        # Lines and counter slots come in ascending address order.
+        if adr_budget is None:
+            versions, counters, pending = self._cursors[adr].state_at(crash_ns)
+        else:
+            persisted, slots = self._journal.persisted_at(crash_ns, adr, adr_budget)
+            versions, counters = ascending(persisted), ascending(slots)
+            pending = self._cursors[True].state_at(crash_ns)[2] if adr else 0
         device = NVMDevice(self._address_map, track_wear=False)
-        device.install(data_lines)
+        device.install(line_images(versions, self._cipher))
         # Reconstruction inflates write counters; report reads instead.
         device.line_writes = 0
         store = CounterStore(
@@ -116,7 +133,7 @@ class CrashInjector:
             device=device,
             counter_store=store,
             design=self.result.policy.name,
-            adr_pending=self._journal.adr_pending(crash_ns) if adr else 0,
+            adr_pending=pending,
         )
         if self._integrity:
             self._capture_integrity(image, crash_ns, adr, adr_budget)
@@ -149,7 +166,7 @@ class CrashInjector:
         if adr and adr_budget is None:
             covered = image.counter_store.snapshot()
         else:
-            _, covered = self._journal.persisted_at(crash_ns)
+            covered = self._cursors[True].state_at(crash_ns)[1]
         image.secure_root = self._tree_engine.root_over(covered)
         image.line_tags = tag_data_lines(image.device, self._tag_engine)
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..config import CACHE_LINE_SIZE, EncryptionConfig
 from ..core.invariants import AtomicityViolation, check_counter_atomicity

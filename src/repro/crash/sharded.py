@@ -30,13 +30,19 @@ sweep shards transparently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..crypto.counters import CounterStore
 from ..crypto.integrity import IntegrityEngine
 from ..errors import SimulationError
 from ..nvm.device import NVMDevice
-from ..persist.journal import CommitRecord, LineVersion, PersistJournal, line_images
+from ..persist.journal import (
+    CommitRecord,
+    LineVersion,
+    PersistJournal,
+    ascending,
+    line_images,
+)
 from ..sim.machine import SimulationResult
 from .injector import (
     CrashImage,
@@ -89,12 +95,9 @@ def shard_crash_image(
         if not 0 <= shard < len(journals):
             raise SimulationError("failed shard %d out of range" % shard)
     address_map = controller.address_map
-    store = CounterStore(
-        counter_region_base=address_map.counter_region_base,
-        memory_size_bytes=address_map.memory_size_bytes,
-    )
     adr_pending = 0
     versions: Dict[int, LineVersion] = {}
+    persisted_counters: Dict[int, int] = {}
     covered: Dict[int, int] = {}
     for shard, journal in enumerate(journals):
         if shard in failed:
@@ -105,15 +108,21 @@ def shard_crash_image(
             persisted, counters = journal.persisted_at(crash_ns)
             adr_pending += journal.adr_pending(crash_ns)
         versions.update(persisted)
-        store.install(counters)
+        persisted_counters.update(counters)
         if result.policy.integrity_tree:
             # A healthy shard's counters are already its ADR image.
             covered.update(
                 journal.persisted_at(crash_ns)[1] if shard in failed else counters
             )
+    # Installed in ascending address order, as every crash image is.
     device = NVMDevice(address_map, track_wear=False)
-    device.install(line_images(versions, result.image_cipher()))
+    device.install(line_images(ascending(versions), result.image_cipher()))
     device.line_writes = 0
+    store = CounterStore(
+        counter_region_base=address_map.counter_region_base,
+        memory_size_bytes=address_map.memory_size_bytes,
+    )
+    store.install(ascending(persisted_counters))
     image = CrashImage(
         crash_ns=crash_ns,
         device=device,

@@ -21,7 +21,6 @@ from typing import Dict, List
 from ..config import CACHE_LINE_SIZE
 from ..crypto.counters import COUNTER_LIMIT
 from .base import (
-    COUNTER_GROUP_BYTES,
     FaultEvent,
     FaultModel,
     require,

@@ -20,6 +20,13 @@ time T, a record persists iff ``drain_ns <= T`` (already in the array)
 or ``ready_ns <= T`` (ADR drains ready queue entries).  Unready entries
 are dropped — both halves of an incomplete pair vanish together.
 
+Two readers apply that rule.  :meth:`PersistJournal.persisted_at`
+replays every record for one instant; it is the reference, and the only
+reader that models an ADR budget.  :class:`PersistCursor` sweeps a
+finished journal forward: a later instant applies only the records that
+entered or settled since the previous one, so a run's crash images at
+ascending instants cost one pass over the journal, not one per image.
+
 Data records hold each line's plaintext and the counter it is encrypted
 under (``encrypted_with``).  Ciphertext is built only where it is
 observed: :meth:`PersistJournal.reconstruct` given a cipher enciphers
@@ -31,9 +38,10 @@ images hold it.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import count
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from itertools import chain, count
+from typing import Dict, List, Mapping, Optional, Tuple, TypeVar, Union
 
 from ..config import CACHE_LINE_SIZE
 from ..crypto.otp import OTPCipher
@@ -84,6 +92,8 @@ class JournalRecord:
 
 #: A data line's persisted version: its record, or the amendment in effect.
 LineVersion = Union[JournalRecord, _Amendment]
+
+V = TypeVar("V")
 
 
 @dataclass(slots=True)
@@ -237,6 +247,13 @@ class PersistJournal:
         record = self._by_entry_id.get(entry_id)
         if record is None or record.kind is not JournalKind.COUNTER:
             raise SimulationError("amending unknown counter journal record %d" % entry_id)
+        # A record covers the same slots whatever amendment is in
+        # effect, which is what lets PersistCursor settle it in place.
+        width = len(record.counters or ())
+        if group_base != record.group_base or len(counters) != width:
+            raise SimulationError(
+                "amendment moves counter journal record %d to other slots" % entry_id
+            )
         record.amendments.append(
             _Amendment(
                 effective_ns=effective_ns,
@@ -342,6 +359,152 @@ class PersistJournal:
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+class PersistCursor:
+    """A finished journal's persisted state, swept forward in time.
+
+    Answers what :meth:`PersistJournal.persisted_at` (unbudgeted) and
+    :meth:`PersistJournal.adr_pending` answer, for one ADR mode, without
+    replaying every record per instant.  It keeps the versions and
+    counters persisted at the last instant asked and the records still
+    *open* there: entered but not yet drained, or still waiting for an
+    amendment.  A record enters once the instant reaches the earliest of
+    its accept, ready and drain times, so any record order works.
+
+    A later or equal instant enters the records due since and settles
+    the open ones; an earlier instant restarts from the empty image.  A
+    line or counter slot takes the persisted record of highest list
+    index, with that record's fired amendment of highest list index in
+    effect (not the latest ``effective_ns``: amendments can fire out of
+    time order), exactly as the replay does.
+
+    The first instant a cursor is asked is answered by the replay, so a
+    single image costs what it always did; the sweep starts at the
+    second.  The journal must not change once a cursor has been asked.
+    """
+
+    def __init__(self, journal: PersistJournal, adr: bool = True) -> None:
+        self._journal = journal
+        self._adr = adr
+        self._asked = False
+        #: Record indices in entry order, and their entry instants (sorted).
+        self._order: List[int] = []
+        self._keys: List[float] = []
+        self._restart()
+
+    def state_at(
+        self, crash_ns: float
+    ) -> Tuple[Dict[int, LineVersion], Dict[int, int], int]:
+        """``(versions, counters, pending)`` durable at ``crash_ns``.
+
+        ``versions`` and ``counters`` are :meth:`PersistJournal.persisted_at`'s,
+        as fresh dicts in ascending address order (see :func:`ascending`)
+        that the caller may keep and mutate; ``pending`` counts the
+        entries that survive only thanks to the ADR drain (ready but
+        undrained), and is 0 without ADR.
+        """
+        journal = self._journal
+        if not self._asked:
+            self._asked = True
+            versions, counters = journal.persisted_at(crash_ns, self._adr)
+            pending = journal.adr_pending(crash_ns) if self._adr else 0
+            return ascending(versions), ascending(counters), pending
+        if len(self._order) != len(journal.records):
+            keys = [
+                min(record.accept_ns, record.ready_ns, record.drain_ns)
+                for record in journal.records
+            ]
+            self._order = sorted(range(len(keys)), key=keys.__getitem__)
+            self._keys = sorted(keys)
+            self._restart()
+        elif self._at is not None and crash_ns < self._at:
+            self._restart()
+        pending = self._advance(crash_ns)
+        return ascending(self._versions), ascending(self._counters), pending
+
+    def _restart(self) -> None:
+        """Back to the empty image, before any instant."""
+        self._at: Optional[float] = None
+        #: How many records of ``_order`` have entered.
+        self._entered = 0
+        self._open: List[int] = []
+        self._versions: Dict[int, LineVersion] = {}
+        self._counters: Dict[int, int] = {}
+        #: Line or counter slot -> list index of the record holding it.
+        self._line_holder: Dict[int, int] = {}
+        self._slot_holder: Dict[int, int] = {}
+
+    def _advance(self, crash_ns: float) -> int:
+        """Enter the records due by ``crash_ns`` and settle the open ones.
+
+        Returns how many open records are ready but undrained (counted
+        under ADR only).
+        """
+        records = self._journal.records
+        adr = self._adr
+        versions = self._versions
+        counters = self._counters
+        line_holder = self._line_holder
+        slot_holder = self._slot_holder
+        line_of = line_holder.get
+        slot_of = slot_holder.get
+        data_kind = JournalKind.DATA
+        entered = self._entered
+        due = bisect_right(self._keys, crash_ns, entered)
+        still_open: List[int] = []
+        keep = still_open.append
+        pending = 0
+        values: LineVersion
+        for index in chain(self._open, self._order[entered:due]):
+            record = records[index]
+            drain_ns = record.drain_ns
+            if drain_ns > crash_ns:
+                keep(index)
+                # Not in the array: only the ADR drain can save it.
+                if not adr or record.ready_ns > crash_ns:
+                    continue
+                pending += 1
+            values = record
+            amendments = record.amendments
+            if amendments:
+                for amendment in amendments:
+                    if amendment.effective_ns <= crash_ns:
+                        values = amendment
+                if values is not amendments[-1] and drain_ns <= crash_ns:
+                    keep(index)
+            if record.kind is data_kind:
+                address = record.address
+                if line_of(address, -1) <= index:
+                    versions[address] = values
+                    line_holder[address] = index
+                continue
+            group_base = values.group_base
+            line_counters = values.counters
+            if group_base is None or line_counters is None:
+                raise SimulationError("counter record without counter values")
+            if record.single_slot:
+                if slot_of(group_base, -1) <= index:
+                    counters[group_base] = line_counters[0]
+                    slot_holder[group_base] = index
+                continue
+            for slot, value in zip(count(group_base, CACHE_LINE_SIZE), line_counters):
+                if slot_of(slot, -1) <= index:
+                    counters[slot] = value
+                    slot_holder[slot] = index
+        self._open = still_open
+        self._entered = due
+        self._at = crash_ns
+        return pending
+
+
+def ascending(mapping: Mapping[int, V]) -> Dict[int, V]:
+    """A copy of ``mapping`` in ascending address order.
+
+    Crash images install their lines and counter slots in this order,
+    so an image's state does not depend on the path that built it.
+    """
+    return {address: mapping[address] for address in sorted(mapping)}
 
 
 def line_images(

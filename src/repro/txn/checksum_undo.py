@@ -39,10 +39,10 @@ ablation bench quantifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..config import CACHE_LINE_SIZE
-from ..core.primitives import CounterAtomic, PersistentVar, Plain
+from ..core.primitives import CounterAtomic, PersistentVar
 from ..crash.recovery import RecoveredMemory
 from ..crash.session import RecoveryContext
 from ..errors import TransactionError

@@ -10,7 +10,7 @@ reserve their fixed metadata up front (transaction record, log area).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..config import CACHE_LINE_SIZE, SystemConfig

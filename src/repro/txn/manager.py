@@ -14,7 +14,7 @@ multi-controller drain into one durable commit record.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from ..errors import TransactionError
 from ..persist.journal import PersistJournal

@@ -23,7 +23,7 @@ with the payload holding the *new* value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..config import CACHE_LINE_SIZE
 from ..core.primitives import CounterAtomic, PersistentVar, Plain

@@ -10,7 +10,6 @@ the knob Figure 16 turns to grow transaction size.
 from __future__ import annotations
 
 import random
-from typing import List
 
 from ..config import CACHE_LINE_SIZE
 from ..errors import WorkloadError

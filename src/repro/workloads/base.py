@@ -26,7 +26,7 @@ from ..txn.heap import CoreArena
 from ..txn.manager import LineTransactions, apply_line_writes
 from ..txn.checksum_undo import recover_checksummed_undo
 from ..txn.redolog import recover_redo_log
-from ..txn.undolog import UndoLogTransactions, recover_undo_log
+from ..txn.undolog import recover_undo_log
 from ..utils.bitops import align_down, bytes_to_u64, u64_to_bytes
 
 _ZERO_LINE = bytes(CACHE_LINE_SIZE)

@@ -19,7 +19,7 @@ exactly the write pattern that makes trees interesting in Figure 12.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from ..config import CACHE_LINE_SIZE
 from ..errors import WorkloadError

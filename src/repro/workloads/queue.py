@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 
-from ..config import CACHE_LINE_SIZE
 from ..errors import WorkloadError
 from .base import TxnRecorder, Workload, WorkloadParams
 

@@ -15,7 +15,7 @@ scalability discussion (§6.3.2).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..config import CACHE_LINE_SIZE
 from ..errors import WorkloadError

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.harness import run_workload
-from repro.config import KB, fast_config
+from repro.config import KB, MB, fast_config
 from repro.crash.injector import (
     CrashInjector,
     nested_crash_image,
@@ -13,12 +13,14 @@ from repro.crash.injector import (
 from repro.crypto.counters import CounterStore
 from repro.crypto.integrity import IntegrityEngine
 from repro.crypto.otp import OTPCipher, make_block_cipher
+from repro.faults import make_fault_model
 from repro.integrity.tree import IntegrityTreeEngine
 from repro.nvm.device import NVMDevice
 from repro.sim.machine import Machine
 from repro.sim.trace import TraceBuilder
 from repro.workloads.base import WorkloadParams
 from tests.state_walker import assert_same_state
+from tests.test_persist_journal import replay_injector
 
 
 def run_simple(design="sca", lines=4):
@@ -82,15 +84,17 @@ def per_line_image(result, crash_ns, adr=True, adr_budget=None):
 
     Each persisted plaintext line is enciphered on its own with
     ``OTPCipher.encrypt`` under its counter (encrypted designs only).
-    Returns ``(device, store, secure_root, line_tags)``; the last two are
-    None unless the design keeps an integrity tree.
+    Lines and slots are installed in ascending address order, as in
+    every crash image.  Returns ``(device, store, secure_root,
+    line_tags)``; the last two are None unless the design keeps an
+    integrity tree.
     """
     journal = result.controller.journal
     address_map = result.controller.address_map
     cipher = OTPCipher(make_block_cipher(result.config.encryption))
     data_lines, counters = journal.reconstruct(crash_ns, adr=adr, adr_budget=adr_budget)
     device = NVMDevice(address_map, track_wear=False)
-    for address, (payload, encrypted_with) in data_lines.items():
+    for address, (payload, encrypted_with) in sorted(data_lines.items()):
         if result.policy.encrypts and payload is not None:
             payload = cipher.encrypt(address, encrypted_with, payload)
         device.persist_line(address, payload, encrypted_with)
@@ -99,7 +103,7 @@ def per_line_image(result, crash_ns, adr=True, adr_budget=None):
         counter_region_base=address_map.counter_region_base,
         memory_size_bytes=address_map.memory_size_bytes,
     )
-    for address, value in counters.items():
+    for address, value in sorted(counters.items()):
         store.write(address, value)
     if not result.policy.integrity_tree:
         return device, store, None, None
@@ -146,6 +150,28 @@ class TestBulkImageBuild:
         assert_same_state(nested.device, device)
         assert_same_state(nested.counter_store, image.counter_store)
         assert nested.secure_root == image.secure_root
+
+
+@pytest.mark.parametrize("design", ["sca", "fca", "co-located-cc", "sca+bmt"])
+def test_recovery_images_equal_the_replay(design, monkeypatch):
+    """The e2e ``recovery`` workload's images at seed 42: 40 ascending
+    instants per design, a flipped counter bit, two passes.  Each equals
+    the image built from the replay: device, counter store, secure root,
+    tags, ADR-pending count and fault events."""
+    params = WorkloadParams(operations=400, footprint_bytes=1 * MB, seed=42)
+    result = run_workload(design, "hash", params=params).result
+    injector = CrashInjector(result)
+    reference = replay_injector(result, monkeypatch)
+    candidates = set(injector.interesting_times(limit=20))
+    candidates |= set(injector.midpoint_times(limit=20))
+    times = uniform_sample(sorted(candidates), 40)
+    faults = [make_fault_model("bitflip-counter")]
+    for _ in range(2):
+        for crash_ns in times:
+            image, events = injector.crash_with_faults(crash_ns, faults, seed=42)
+            ref_image, ref_events = reference.crash_with_faults(crash_ns, faults, seed=42)
+            assert_same_state(image, ref_image)
+            assert_same_state(events, ref_events)
 
 
 class TestCrashPointEnumeration:

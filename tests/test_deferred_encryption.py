@@ -76,8 +76,10 @@ def eager_journal(result, journal):
 def reference_image(result, images, covered):
     """Install ``images`` (``(data, counters)`` pairs) line by line.
 
-    Returns ``(device, store, secure_root, line_tags)``; the last two
-    are None unless the design keeps an integrity tree.
+    Lines and slots are installed in ascending address order, as in
+    every crash image.  Returns ``(device, store, secure_root,
+    line_tags)``; the last two are None unless the design keeps an
+    integrity tree.
     """
     address_map = result.controller.address_map
     device = NVMDevice(address_map, track_wear=False)
@@ -85,11 +87,14 @@ def reference_image(result, images, covered):
         counter_region_base=address_map.counter_region_base,
         memory_size_bytes=address_map.memory_size_bytes,
     )
+    lines, slots = {}, {}
     for data, counters in images:
-        for address, (payload, encrypted_with) in data.items():
-            device.persist_line(address, payload, encrypted_with)
-        for address, value in counters.items():
-            store.write(address, value)
+        lines.update(data)
+        slots.update(counters)
+    for address, (payload, encrypted_with) in sorted(lines.items()):
+        device.persist_line(address, payload, encrypted_with)
+    for address, value in sorted(slots.items()):
+        store.write(address, value)
     device.line_writes = 0
     if not result.policy.integrity_tree:
         return device, store, None, None

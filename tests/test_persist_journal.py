@@ -4,9 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import CACHE_LINE_SIZE
+from repro.bench.harness import run_workload
+from repro.config import CACHE_LINE_SIZE, KB, fast_config
+from repro.core.designs import list_designs
+from repro.crash import injector as injector_module
+from repro.crash.injector import CrashInjector
 from repro.errors import SimulationError
-from repro.persist.journal import JournalKind, PersistJournal
+from repro.persist.journal import JournalKind, PersistCursor, PersistJournal, ascending
+from repro.workloads.base import WorkloadParams
+from tests.state_walker import assert_same_state
 
 LINE = bytes(range(64))
 LINE2 = bytes(64)
@@ -115,6 +121,16 @@ class TestCounterRecords:
         assert before[0] == 0
         assert after[0] == 10
 
+    @pytest.mark.parametrize("group_base, width", [(8 * CACHE_LINE_SIZE, 8), (0, 7)])
+    def test_amendment_keeps_the_record_slots(self, group_base, width):
+        journal = PersistJournal()
+        record = journal.record_counter(
+            address=0x1000, counters=tuple(range(8)), group_base=0,
+            accept_ns=0, ready_ns=0, drain_ns=100,
+        )
+        with pytest.raises(SimulationError):
+            journal.amend_counter(record.entry_id, group_base, (1,) * width, effective_ns=5.0)
+
 
 class TestPairSemantics:
     def test_pair_persists_or_vanishes_together(self):
@@ -186,6 +202,26 @@ def reference_adr_pending(journal, crash_ns):
     return sum(
         1 for record in journal.records if record.ready_ns <= crash_ns < record.drain_ns
     )
+
+
+class ReplayCursor:
+    """:class:`PersistCursor`'s answers, each from a full one-pass replay."""
+
+    def __init__(self, journal, adr=True):
+        self.journal = journal
+        self.adr = adr
+
+    def state_at(self, crash_ns):
+        versions, counters = self.journal.persisted_at(crash_ns, self.adr)
+        pending = self.journal.adr_pending(crash_ns) if self.adr else 0
+        return ascending(versions), ascending(counters), pending
+
+
+def replay_injector(result, monkeypatch):
+    """A ``CrashInjector`` whose every image is built from the replay."""
+    with monkeypatch.context() as patch:
+        patch.setattr(injector_module, "PersistCursor", ReplayCursor)
+        return CrashInjector(result)
 
 
 #: One journal write: (is_counter, line, accept, ready delta, drain
@@ -287,3 +323,128 @@ class TestReconstructionProperties:
         earlier, _ = journal.reconstruct(crash)
         later, _ = journal.reconstruct(crash + 100.0)
         assert set(earlier) <= set(later)
+
+
+def assert_cursor_matches_reference(journal, cursor, crash, adr):
+    """One cursor answer against the reference replay.
+
+    A version must be the very record or amendment the reference takes
+    its payload from (payload identity), not just an equal one.
+    """
+    versions, counters, pending = cursor.state_at(crash)
+    ref_data, ref_counters = reference_reconstruct(journal, crash, adr=adr)
+    assert sorted(versions) == sorted(ref_data), crash
+    for address, version in versions.items():
+        payload, encrypted_with = ref_data[address]
+        assert version.payload is payload and version.encrypted_with == encrypted_with
+    assert counters == ref_counters, crash
+    assert pending == (reference_adr_pending(journal, crash) if adr else 0), crash
+    # Handed-out dicts are in ascending address order.
+    assert list(versions) == sorted(versions) and list(counters) == sorted(counters)
+
+
+#: Crash instants in runs: each run ascends (repeats allowed), and each
+#: new run may jump back.  Integral instants land on record events.
+INSTANTS = st.lists(
+    st.lists(
+        st.one_of(st.integers(0, 300).map(float), st.floats(min_value=0, max_value=400)),
+        min_size=1,
+        max_size=8,
+    ).map(sorted),
+    min_size=1,
+    max_size=4,
+).map(lambda runs: [instant for run in runs for instant in run])
+
+
+class TestPersistCursor:
+    @given(WRITES, INSTANTS, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_reference_replay(self, writes, instants, adr):
+        """Ascending runs, repeats and backward jumps, with and without
+        ADR, on journals in no particular record order: every answer is
+        the reference replay's."""
+        journal = build_journal(writes)
+        cursor = PersistCursor(journal, adr)
+        for crash in instants:
+            assert_cursor_matches_reference(journal, cursor, crash, adr)
+
+    def test_amendments_fire_out_of_time_order(self):
+        """The later-listed amendment wins once it has fired, even when
+        an earlier-listed one fires after it."""
+        journal = PersistJournal()
+        journal.record_data(1, 0x40, LINE, 1, accept_ns=0, ready_ns=0, drain_ns=5)
+        journal.amend_data(1, LINE2, 2, effective_ns=30.0)
+        journal.amend_data(1, bytes([7]) * 64, 3, effective_ns=20.0)
+        cursor = PersistCursor(journal)
+        # 35 follows 10: both amendments fire within one step.
+        for crash in (1.0, 10.0, 35.0, 25.0, 40.0):
+            assert_cursor_matches_reference(journal, cursor, crash, True)
+        assert cursor.state_at(10.0)[0][0x40].encrypted_with == 1
+        assert cursor.state_at(35.0)[0][0x40].encrypted_with == 3
+
+    def test_an_earlier_instant_restarts_the_sweep(self):
+        journal = PersistJournal()
+        journal.record_data(1, 0x40, LINE, 1, accept_ns=0, ready_ns=8, drain_ns=10)
+        cursor = PersistCursor(journal)
+        for crash in (20.0, 30.0, 5.0):
+            assert_cursor_matches_reference(journal, cursor, crash, True)
+        assert cursor.state_at(5.0)[0] == {}
+
+    def test_ready_entries_stay_open_until_drained(self):
+        """A ready, undrained entry counts as ADR-pending at every
+        instant before its drain, and takes amendments made meanwhile."""
+        journal = PersistJournal()
+        journal.record_data(1, 0x40, LINE, 1, accept_ns=0, ready_ns=2, drain_ns=100)
+        journal.amend_data(1, LINE2, 2, effective_ns=50.0)
+        cursor = PersistCursor(journal)
+        for crash in (1.0, 3.0, 10.0, 60.0, 99.0, 100.0):
+            assert_cursor_matches_reference(journal, cursor, crash, True)
+
+
+def run_cell(design, cores, shards):
+    config = fast_config(num_cores=cores, shards=shards)
+    params = WorkloadParams(operations=8, footprint_bytes=16 * KB)
+    return run_workload(design, "hash", config=config, params=params).result
+
+
+@pytest.mark.parametrize("cores, shards", [(1, 1), (4, 2)], ids=["1core", "4cores-2shards"])
+@pytest.mark.parametrize("design", list_designs(include_unsafe=True, include_integrity=True))
+def test_cursor_equals_the_replay_on_real_journals(design, cores, shards):
+    """Every interesting and midpoint instant, in ascending order, with
+    and without ADR: the cursor answers what ``persisted_at`` and
+    ``adr_pending`` do."""
+    result = run_cell(design, cores, shards)
+    injector = CrashInjector(result)
+    journal = result.controller.journal
+    instants = sorted(set(injector.interesting_times()) | set(injector.midpoint_times()))
+    assert len(instants) > 20
+    for adr in (True, False):
+        cursor = PersistCursor(journal, adr)
+        for crash in instants:
+            versions, counters, pending = cursor.state_at(crash)
+            ref_versions, ref_counters = journal.persisted_at(crash, adr)
+            assert versions.keys() == ref_versions.keys(), crash
+            assert all(versions[a] is ref_versions[a] for a in versions), crash
+            assert counters == ref_counters, crash
+            assert pending == (journal.adr_pending(crash) if adr else 0), crash
+
+
+def test_images_are_independent_of_each_other(monkeypatch):
+    """Mutating one image's device and counter store, or the dicts the
+    cursor handed out, leaves the next image equal to the replay's."""
+    result = run_cell("sca+bmt", 1, 1)
+    journal = result.controller.journal
+    injector = CrashInjector(result)
+    reference = replay_injector(result, monkeypatch)
+    cursor = PersistCursor(journal)
+    for crash in injector.midpoint_times(limit=8):
+        image = injector.crash_at(crash)
+        assert_same_state(image, reference.crash_at(crash))
+        versions, counters, _ = cursor.state_at(crash)
+        ref_versions, ref_counters = journal.persisted_at(crash)
+        assert versions == ref_versions and counters == ref_counters
+        for address in list(image.device.touched_lines())[:4]:
+            image.device.persist_line(address, bytes([0xA5]) * CACHE_LINE_SIZE, 99)
+            image.counter_store.write(address, 12345)
+            versions.pop(address)
+            counters[address] = 12345

@@ -103,17 +103,26 @@ class CounterRecoverer:
         if tags is None:
             tags = collect_tags(image, self)
         report = CounterRecoveryReport()
+        # One bulk read of the lines and counters: the sweep writes a
+        # counter only at the line it has just read.
+        lines = image.device.snapshot()
+        counters = image.counter_store.snapshot()
+        is_data = image.address_map.is_data_address
         for address, tag in sorted(tags.items()):
-            if not image.address_map.is_data_address(address):
+            if not is_data(address):
                 continue
-            stored = image.device.read_line(address)
-            line = TaggedLine(address=address, ciphertext=stored.payload, tag=tag)
-            architectural = image.counter_store.read(address)
+            stored = lines.get(address)
+            if stored is not None:
+                architectural = counters.get(address, 0)
+            else:  # not a stored line's address: read it through
+                stored = image.device.read_line(address)
+                architectural = image.counter_store.read(address)
             report.lines_checked += 1
             if architectural == stored.encrypted_with:
                 report.already_consistent += 1
                 context.step()
                 continue
+            line = TaggedLine(address=address, ciphertext=stored.payload, tag=tag)
             found = self.recover_line(line, architectural)
             report.candidates_tried += (
                 (found - architectural + 1)

@@ -17,11 +17,16 @@ drain count, not only on the instant, and keep the journal's one-pass
 replay.  Every image is a fresh device and counter store, filled in
 ascending address order.  The journal holds plaintext with each line's
 counter; an image of an encrypted design holds the ciphertext NVM
-would, enciphered in one batch as the image is built (each journal
-record version at most once per run).  The injector also enumerates the
-interesting crash instants of a finished run — every boundary where the
-durable state can change.  A timing-only run (``config.functional``
-False) keeps no journal, so the injector refuses it.
+would.  Each journal record version has one image line
+(:func:`~repro.persist.journal.image_lines`), enciphered at most once
+per run and shared by every image that holds the version, and one
+ECC-lane tag, computed at most once per run.  The image records which
+version each line came from, so recovery can take an untouched line's
+plaintext from its version instead of decrypting it.  The injector also
+enumerates the interesting crash instants of a finished run — every
+boundary where the durable state can change.  A timing-only run
+(``config.functional`` False) keeps no journal, so the injector refuses
+it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..config import SystemConfig
+from ..config import EncryptionConfig, SystemConfig
 from ..crypto.counters import CounterStore
 from ..crypto.integrity import IntegrityEngine
 from ..crypto.otp import OTPCipher, make_block_cipher
@@ -37,7 +42,7 @@ from ..errors import ConfigurationError
 from ..faults.base import FaultEvent, FaultModel, apply_fault_models
 from ..nvm.address import AddressMap
 from ..nvm.device import NVMDevice
-from ..persist.journal import PersistCursor, ascending, line_images
+from ..persist.journal import LineVersion, PersistCursor, ascending, image_lines
 from ..sim.machine import SimulationResult
 
 
@@ -60,6 +65,14 @@ class CrashImage:
     #: ECC-lane MACs of the persisted data lines, captured before any
     #: fault model mutates the image (tags ride atomically with data).
     line_tags: Optional[Dict[int, bytes]] = None
+    #: The journal version each line was built from (line address ->
+    #: record or amendment, whose ``line`` the device holds), and the
+    #: encryption config those lines are enciphered under (None: in the
+    #: clear).  Recovery takes the plaintext of a line still holding its
+    #: version's own object from the version.  Both are None on an image
+    #: not built from the journal (a nested crash image).
+    versions: Optional[Dict[int, LineVersion]] = None
+    enciphered_with: Optional[EncryptionConfig] = None
 
     @property
     def address_map(self) -> AddressMap:
@@ -89,6 +102,7 @@ class CrashInjector:
         self._integrity = result.policy.integrity_tree
         self._config = result.config
         self._cipher = result.image_cipher()
+        self._enciphered_with = result.config.encryption if self._cipher else None
         self._tag_engine: Optional[IntegrityEngine] = None
         self._tree_engine = None
         #: One forward sweep of the journal per ADR mode.
@@ -120,27 +134,32 @@ class CrashInjector:
             versions, counters = ascending(persisted), ascending(slots)
             pending = self._cursors[True].state_at(crash_ns)[2] if adr else 0
         device = NVMDevice(self._address_map, track_wear=False)
-        device.install(line_images(versions, self._cipher))
-        # Reconstruction inflates write counters; report reads instead.
-        device.line_writes = 0
+        device.restore(image_lines(versions, self._cipher))
         store = CounterStore(
             counter_region_base=self._address_map.counter_region_base,
             memory_size_bytes=self._address_map.memory_size_bytes,
         )
-        store.install(counters)
+        store.restore(counters)
         image = CrashImage(
             crash_ns=crash_ns,
             device=device,
             counter_store=store,
             design=self.result.policy.name,
             adr_pending=pending,
+            versions=versions,
+            enciphered_with=self._enciphered_with,
         )
         if self._integrity:
-            self._capture_integrity(image, crash_ns, adr, adr_budget)
+            self._capture_integrity(image, versions, crash_ns, adr, adr_budget)
         return image
 
     def _capture_integrity(
-        self, image: CrashImage, crash_ns: float, adr: bool, adr_budget: Optional[int]
+        self,
+        image: CrashImage,
+        versions: Mapping[int, LineVersion],
+        crash_ns: float,
+        adr: bool,
+        adr_budget: Optional[int],
     ) -> None:
         """Stamp the image with the secure root and the ECC-lane tags.
 
@@ -148,9 +167,10 @@ class CrashInjector:
         the register is updated as the controller persists counters, so
         it covers ready entries even when a failing ADR reserve later
         drops them — the resulting root mismatch is the detection.
-        Tags are captured from the (budgeted) image itself; fault
-        models mutate the image only after this capture, so mutations
-        surface as tag mismatches.
+        Tags are those of the (budgeted) image's own lines, each from
+        its version's memo (:func:`version_tags`); fault models mutate
+        the image only after this capture, so mutations surface as tag
+        mismatches.
         """
         if self._tree_engine is None:
             # Deferred import: repro.integrity.verifier imports this
@@ -168,7 +188,7 @@ class CrashInjector:
         else:
             covered = self._cursors[True].state_at(crash_ns)[1]
         image.secure_root = self._tree_engine.root_over(covered)
-        image.line_tags = tag_data_lines(image.device, self._tag_engine)
+        image.line_tags = version_tags(versions, self._address_map, self._tag_engine)
 
     def crash_with_faults(
         self,
@@ -236,13 +256,42 @@ def tag_data_lines(device: NVMDevice, engine: IntegrityEngine) -> Dict[int, byte
     data write.  All lines are tagged in one
     :meth:`~repro.crypto.integrity.IntegrityEngine.tag_many` batch.
     """
+    lines = device.snapshot()
     is_data = device.address_map.is_data_address
-    items: List[Tuple[int, int, bytes]] = []
-    for address in device.touched_lines():
-        if is_data(address):
-            stored = device.read_line(address)
-            items.append((address, stored.encrypted_with, stored.payload))
+    items = [
+        (address, lines[address].encrypted_with, lines[address].payload)
+        for address in sorted(lines)
+        if is_data(address)
+    ]
     return dict(zip([address for address, _, _ in items], engine.tag_many(items)))
+
+
+def version_tags(
+    versions: Mapping[int, LineVersion], address_map: AddressMap, engine: IntegrityEngine
+) -> Dict[int, bytes]:
+    """:func:`tag_data_lines` of an image whose lines are ``versions``' own.
+
+    Until a fault model runs, an image's line is its version's ``line``
+    object, so its tag depends on the version alone: each version keeps
+    the tag the first image that needed it computed (one
+    :meth:`~repro.crypto.integrity.IntegrityEngine.tag_many` batch over
+    the untagged versions).  A tag belongs to the engine that first
+    computed it: pass only an engine built from the run's own
+    ``config.encryption``.
+    """
+    is_data = address_map.is_data_address
+    data = [(address, version) for address, version in versions.items() if is_data(address)]
+    fresh = [(address, version) for address, version in data if version.tag is None]
+    if fresh:
+        tags = engine.tag_many(
+            [
+                (address, version.encrypted_with, version.line.payload)  # type: ignore[union-attr]
+                for address, version in fresh
+            ]
+        )
+        for (_address, version), tag in zip(fresh, tags):
+            version.tag = tag
+    return {address: version.tag for address, version in data}  # type: ignore[misc]
 
 
 def nested_crash_image(

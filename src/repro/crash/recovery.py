@@ -6,6 +6,11 @@ controller would do.  The simulator additionally knows the counter each
 line was *actually* encrypted with, so it can report (rather than
 silently return garbage for) every line where the two disagree.
 
+Only those lines come out garbage (Eq. 4).  A line whose counters agree
+and which still holds its journal version's own ciphertext decrypts to
+that version's plaintext, so recovery takes it from the version and
+pads only the other lines, byte-identically to decrypting every line.
+
 :class:`RecoveredMemory` is the byte-level view that transaction-level
 recovery (:mod:`repro.txn`) runs on.
 """
@@ -14,9 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import CACHE_LINE_SIZE, EncryptionConfig
 from ..core.invariants import AtomicityViolation, check_counter_atomicity
@@ -119,35 +125,63 @@ class RecoveryManager:
         self._cipher = OTPCipher(make_block_cipher(encryption))
 
     def recover(self, image: CrashImage, encrypted: bool = True) -> RecoveredMemory:
-        """Decrypt every touched data line of ``image``.
+        """Decrypt every touched data line of ``image``, in address order.
 
         For unencrypted designs pass ``encrypted=False``: payloads are
-        stored in the clear and counters are irrelevant.  Encrypted
-        images decrypt in one :meth:`~repro.crypto.otp.OTPCipher.decrypt_lines`
-        batch, byte-identical to per-line ``decrypt``.
+        stored in the clear and counters are irrelevant.  A line of an
+        encrypted image takes its plaintext straight from its journal
+        version (``image.versions``) when its architectural counter
+        equals ``encrypted_with``, the device still holds the version's
+        own line object (no fault model replaced it), the version's
+        payload is not ``None`` and the image was enciphered under this
+        manager's config.  Every other line (garbage, fault-touched,
+        zero, nested-image) decrypts in one
+        :meth:`~repro.crypto.otp.OTPCipher.decrypt_lines` batch; the
+        result is byte-identical to per-line ``decrypt``.
         """
-        plaintext: Dict[int, bytes] = {}
-        garbage: Set[int] = set()
-        address_map = image.address_map
-        device = image.device
-        read_counter = image.counter_store.read
+        lines = image.device.snapshot()
+        limit = image.address_map.counter_region_base
+        # Device lines are never negative, so the data lines are the
+        # ascending addresses below the counter region.
+        addresses = sorted(lines)
+        del addresses[bisect_left(addresses, limit) :]
+        if not encrypted:
+            return RecoveredMemory(
+                image=image,
+                plaintext_lines={address: lines[address].payload for address in addresses},
+                garbage_lines=set(),
+            )
+        counters = image.counter_store.snapshot()
+        # A version's line is its payload enciphered under the image's
+        # config: only under this manager's does decryption give it back.
+        versions = image.versions if image.enciphered_with == self.encryption else None
+        version_of = (versions or {}).get
+        texts: List[Optional[bytes]] = []
+        pending: List[int] = []
         items: List[Tuple[int, int, bytes]] = []
-        for line in device.touched_lines():
-            if not address_map.is_data_address(line):
-                continue
-            stored = device.read_line(line)
-            if not encrypted:
-                plaintext[line] = stored.payload
-                continue
-            architectural = read_counter(line)
-            items.append((line, architectural, stored.payload))
+        garbage: Set[int] = set()
+        for address in addresses:
+            stored = lines[address]
+            architectural = counters.get(address, 0)
             if architectural != stored.encrypted_with:
                 # Eq. 4: wrong pad -> garbage plaintext.
-                garbage.add(line)
-        decrypted = self._cipher.decrypt_lines(items)
-        plaintext.update(zip([line for line, _, _ in items], decrypted))
+                garbage.add(address)
+            else:
+                version = version_of(address)
+                if version is not None and version.line is stored:
+                    payload = version.payload
+                    if payload is not None:
+                        texts.append(payload)
+                        continue
+            pending.append(len(texts))
+            texts.append(None)
+            items.append((address, architectural, stored.payload))
+        for index, text in zip(pending, self._cipher.decrypt_lines(items)):
+            texts[index] = text
         return RecoveredMemory(
-            image=image, plaintext_lines=plaintext, garbage_lines=garbage
+            image=image,
+            plaintext_lines=dict(zip(addresses, texts)),  # type: ignore[arg-type]
+            garbage_lines=garbage,
         )
 
     def violations(self, image: CrashImage) -> List[AtomicityViolation]:

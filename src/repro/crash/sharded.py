@@ -41,15 +41,15 @@ from ..persist.journal import (
     LineVersion,
     PersistJournal,
     ascending,
-    line_images,
+    image_lines,
 )
 from ..sim.machine import SimulationResult
 from .injector import (
     CrashImage,
     CrashInjector,
     require_crash_state,
-    tag_data_lines,
     uniform_sample,
+    version_tags,
 )
 
 
@@ -85,7 +85,10 @@ def shard_crash_image(
     its failed drain then dropped surface as a root mismatch.
 
     Data lines of encrypted designs hold their ciphertext, enciphered
-    at global addresses in one batch over every shard's lines.
+    at global addresses in one batch over every shard's versions that
+    no image has needed yet.  Shard journals share their records with
+    the merged journal, so a version's line and tag serve every image,
+    merged or per shard.
     """
     require_crash_state(result)
     controller = result.controller
@@ -115,20 +118,23 @@ def shard_crash_image(
                 journal.persisted_at(crash_ns)[1] if shard in failed else counters
             )
     # Installed in ascending address order, as every crash image is.
+    versions = ascending(versions)
+    cipher = result.image_cipher()
     device = NVMDevice(address_map, track_wear=False)
-    device.install(line_images(ascending(versions), result.image_cipher()))
-    device.line_writes = 0
+    device.restore(image_lines(versions, cipher))
     store = CounterStore(
         counter_region_base=address_map.counter_region_base,
         memory_size_bytes=address_map.memory_size_bytes,
     )
-    store.install(ascending(persisted_counters))
+    store.restore(ascending(persisted_counters))
     image = CrashImage(
         crash_ns=crash_ns,
         device=device,
         counter_store=store,
         design=result.policy.name,
         adr_pending=adr_pending,
+        versions=versions,
+        enciphered_with=result.config.encryption if cipher else None,
     )
     if result.policy.integrity_tree:
         # Deferred import: repro.integrity.verifier imports this package.
@@ -140,8 +146,8 @@ def shard_crash_image(
             arity=result.config.integrity.arity,
         )
         image.secure_root = tree.root_over(covered)
-        image.line_tags = tag_data_lines(
-            device, IntegrityEngine(result.config.encryption)
+        image.line_tags = version_tags(
+            versions, address_map, IntegrityEngine(result.config.encryption)
         )
     return image
 

@@ -78,6 +78,12 @@ class FaultModel(abc.ABC):
 
         Models must tolerate images with nothing to corrupt (e.g. a
         crash before any write persisted) by returning an empty list.
+
+        A model that changes a line replaces it through
+        :meth:`~repro.nvm.device.NVMDevice.persist_line` and never
+        mutates a :class:`~repro.nvm.device.PersistedLine` in place:
+        images share each journal version's line object, and recovery
+        takes an untouched line's plaintext from its version.
         """
 
     def params(self) -> Dict[str, object]:

@@ -285,8 +285,8 @@ class ShardedMemorySystem:
         A translated record is built once, the first time a call sees
         its source record; amendments the source gained since are
         translated onto it.  Callers therefore always get the same
-        record objects, and the ciphertext a crash image memoizes on a
-        version (:func:`repro.persist.journal.line_images`) serves every
+        record objects, and the line and tag a crash image memoizes on a
+        version (:func:`repro.persist.journal.image_lines`) serve every
         later image, merged or per shard.
         """
         journals = self._translated

@@ -12,9 +12,10 @@ function of what is stored here, and no live read needs it (a read
 decrypts with the counter the line was written under).  A crash image
 is a device of its own whose payloads are the *ciphertext* NVM would
 hold, enciphered as the image is built from the persist journal
-(:class:`repro.crash.injector.CrashInjector`); recovery decrypts it
-with the *architectural* counters and compares against ground truth to
-detect Eq.-4 failures.  Lines of unencrypted designs, and lines with
+(:class:`repro.crash.injector.CrashInjector`), whose line objects it
+shares with other images; recovery decrypts it with the
+*architectural* counters and compares against ground truth to detect
+Eq.-4 failures.  Lines of unencrypted designs, and lines with
 counter 0, are stored in the clear either way.
 """
 
@@ -64,7 +65,6 @@ class NVMDevice:
         self._lines: Dict[int, PersistedLine] = {}
         self.wear: Optional[WearTracker] = WearTracker() if track_wear else None
         self.line_writes = 0
-        self.line_reads = 0
         #: Cleared on a timing-only controller (``config.functional``
         #: False): persists still count traffic but skip the line image
         #: and wear map, so crash reconstruction and lifetime reports
@@ -129,7 +129,6 @@ class NVMDevice:
         line = address & _LINE_MASK
         if line < 0 or line >= self._size:
             raise AddressError("address 0x%x outside the device" % address)
-        self.line_reads += 1
         return self._lines.get(line, _ZERO_PERSISTED)
 
     def contains_line(self, address: int) -> bool:
@@ -141,10 +140,19 @@ class NVMDevice:
     # -- crash support -------------------------------------------------------------
 
     def snapshot(self) -> Dict[int, PersistedLine]:
-        """Deep-enough copy for crash images (payloads are immutable)."""
+        """Every stored line, ``address -> PersistedLine``, in one copy.
+
+        Deep enough for crash images and for bulk reads: lines are never
+        mutated in place.
+        """
         return dict(self._lines)
 
-    def restore(self, snapshot: Dict[int, PersistedLine]) -> None:
+    def restore(self, snapshot: Mapping[int, PersistedLine]) -> None:
+        """Make ``snapshot`` (as :meth:`snapshot` returns) the stored lines.
+
+        Counts no writes and no wear.  Crash images are built this way
+        from their journal versions' shared line objects.
+        """
         self._lines = dict(snapshot)
 
     # -- statistics ---------------------------------------------------------------

@@ -29,10 +29,11 @@ ascending instants cost one pass over the journal, not one per image.
 
 Data records hold each line's plaintext and the counter it is encrypted
 under (``encrypted_with``).  Ciphertext is built only where it is
-observed: :meth:`PersistJournal.reconstruct` given a cipher enciphers
-the image's lines in one batch, and each record version keeps its
-ciphertext, so a version is enciphered at most once however many
-images hold it.
+observed: a crash image's lines come from :func:`image_lines`, which
+gives each record version one :class:`~repro.nvm.device.PersistedLine`,
+enciphered in one batch with the versions no image has needed yet and
+kept on the version.  A version is therefore enciphered at most once,
+and every image that holds it shares its line object.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ from typing import Dict, List, Mapping, Optional, Tuple, TypeVar, Union
 from ..config import CACHE_LINE_SIZE
 from ..crypto.otp import OTPCipher
 from ..errors import SimulationError
+from ..nvm.device import PersistedLine
+
+_ZERO_LINE = bytes(CACHE_LINE_SIZE)
 
 
 class JournalKind(enum.Enum):
@@ -60,9 +64,10 @@ class _Amendment:
     encrypted_with: int
     group_base: Optional[int] = None
     counters: Optional[Tuple[int, ...]] = None
-    #: ``payload`` enciphered under ``encrypted_with``, once an image
-    #: has needed it (see :func:`line_images`).
-    ciphertext: Optional[bytes] = None
+    #: The line crash images hold for this version, once one has needed
+    #: it (see :func:`image_lines`), and that line's ECC-lane tag.
+    line: Optional[PersistedLine] = None
+    tag: Optional[bytes] = None
 
 
 @dataclass(slots=True)
@@ -85,9 +90,10 @@ class JournalRecord:
     single_slot: bool = False
     partner_id: Optional[int] = None
     amendments: List[_Amendment] = field(default_factory=list)
-    #: ``payload`` enciphered under ``encrypted_with``, once an image
-    #: has needed it (see :func:`line_images`).
-    ciphertext: Optional[bytes] = None
+    #: The line crash images hold for this version, once one has needed
+    #: it (see :func:`image_lines`), and that line's ECC-lane tag.
+    line: Optional[PersistedLine] = None
+    tag: Optional[bytes] = None
 
 
 #: A data line's persisted version: its record, or the amendment in effect.
@@ -507,35 +513,64 @@ def ascending(mapping: Mapping[int, V]) -> Dict[int, V]:
     return {address: mapping[address] for address in sorted(mapping)}
 
 
+def image_lines(
+    versions: Mapping[int, LineVersion], cipher: Optional[OTPCipher] = None
+) -> Dict[int, PersistedLine]:
+    """``address -> PersistedLine`` for persisted versions, one object per version.
+
+    A version's line is built the first time an image needs it and kept
+    in its ``line``: the payload enciphered under ``encrypted_with``
+    (the versions no image has needed yet go through one
+    :meth:`~repro.crypto.otp.OTPCipher.encrypt_lines` batch), or the
+    plaintext without ``cipher``.  A ``None`` payload is the zero line,
+    and counter 0 stays in the clear.  Images share these objects, so
+    nothing may mutate a ``PersistedLine`` in place.  A line belongs to
+    the cipher it was first built with: pass every journal its own run's
+    :meth:`~repro.sim.machine.SimulationResult.image_cipher`.
+    """
+    fresh = [
+        (address, version) for address, version in versions.items() if version.line is None
+    ]
+    if fresh:
+        texts = [version.payload for _address, version in fresh]
+        if cipher is not None:
+            sealed = iter(
+                cipher.encrypt_lines(
+                    [
+                        (address, version.encrypted_with, version.payload)
+                        for address, version in fresh
+                        if version.payload is not None
+                    ]
+                )
+            )
+            texts = [None if text is None else next(sealed) for text in texts]
+        for (_address, version), text in zip(fresh, texts):
+            version.line = PersistedLine(
+                _ZERO_LINE if text is None else text, version.encrypted_with
+            )
+    return {address: version.line for address, version in versions.items()}  # type: ignore[misc]
+
+
 def line_images(
     versions: Mapping[int, LineVersion], cipher: Optional[OTPCipher] = None
 ) -> Dict[int, Tuple[Optional[bytes], int]]:
     """``address -> (payload, encrypted_with)`` for persisted versions.
 
     Without ``cipher`` the payload is the plaintext.  With it, each
-    version's payload is enciphered under its ``encrypted_with``: the
-    versions no image has needed yet go through one
-    :meth:`~repro.crypto.otp.OTPCipher.encrypt_lines` batch and keep
-    the result in ``ciphertext``.  A version's ciphertext therefore
-    belongs to the key it was first enciphered with: pass every journal
-    the cipher of its own run's encryption config.  A ``None`` payload
-    stays ``None``, the zero line, and counter 0 stays in the clear.
+    version's payload is the ciphertext of its :func:`image_lines` line,
+    under that function's rule: pass every journal the cipher of its own
+    run's encryption config.  A ``None`` payload stays ``None``.
     """
     if cipher is None:
         return {
             address: (version.payload, version.encrypted_with)
             for address, version in versions.items()
         }
-    fresh = [
-        (version, (address, version.encrypted_with, version.payload))
-        for address, version in versions.items()
-        if version.ciphertext is None and version.payload is not None
-    ]
-    if fresh:
-        texts = cipher.encrypt_lines([line for _version, line in fresh])
-        for (version, _line), text in zip(fresh, texts):
-            version.ciphertext = text
+    lines = image_lines(versions, cipher)
     return {
-        address: (version.ciphertext, version.encrypted_with)
+        address: (
+            None if version.payload is None else lines[address].payload,
+            version.encrypted_with,
+        )
         for address, version in versions.items()
     }

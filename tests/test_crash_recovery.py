@@ -6,12 +6,16 @@ from functools import lru_cache
 import pytest
 
 from repro.bench.harness import run_workload
-from repro.config import KB, fast_config
-from repro.crash.injector import CrashInjector
+from repro.config import CACHE_LINE_SIZE, KB, fast_config
+from repro.core.designs import list_designs
+from repro.crash.injector import CrashInjector, nested_crash_image
 from repro.crash.recovery import RecoveredMemory, RecoveryManager
+from repro.crash.sharded import shard_crash_image
 from repro.crypto.otp import OTPCipher, make_block_cipher
 from repro.errors import DecryptionFailure
-from repro.faults.registry import make_fault_model
+from repro.faults.base import apply_fault_models
+from repro.faults.registry import list_fault_models, make_fault_model
+from repro.persist.journal import JournalKind
 from repro.sim.machine import Machine
 from repro.sim.trace import TraceBuilder
 from repro.utils.bitops import u64_to_bytes
@@ -166,6 +170,123 @@ class TestBatchedRecovery:
             )
             assert recovered.plaintext_lines == plaintext
             assert recovered.garbage_lines == garbage == set()
+
+
+ALL_DESIGNS = list_designs(include_unsafe=True, include_integrity=True)
+FAULTS = list_fault_models()
+
+
+@lru_cache(maxsize=None)
+def oracle_run(design, cores=1, shards=1):
+    """A small hash run with a ``None`` payload on every fifth data version.
+
+    A functional run journals every data write with its bytes, but the
+    journal also takes ``None``, the zero line: recovery must decrypt
+    such a line, not take it from its version.  The payloads are set
+    before any image is built.
+    """
+    result = run_workload(
+        design,
+        "hash",
+        config=fast_config(num_cores=cores, shards=shards),
+        params=WorkloadParams(operations=12, seed=5, footprint_bytes=16 * KB),
+    ).result
+    versions = [
+        version
+        for record in result.controller.journal.records
+        if record.kind is JournalKind.DATA
+        for version in (record, *record.amendments)
+    ]
+    for version in versions[::5]:
+        version.payload = None
+    return result
+
+
+def assert_recovers_like_the_oracle(result, image):
+    """``recover`` equals :func:`reference_recover`, which decrypts every line.
+
+    Checked with the design's own ``encrypted`` flag and with decryption
+    forced on.  Returns how many lines could take their plaintext from
+    their journal version, so callers can check that both paths ran.
+    """
+    manager = RecoveryManager(result.config.encryption)
+    for encrypted in sorted({result.policy.encrypts, True}):
+        recovered = manager.recover(image, encrypted=encrypted)
+        plaintext, garbage = reference_recover(image, result.config.encryption, encrypted)
+        assert list(recovered.plaintext_lines.items()) == list(plaintext.items())
+        assert recovered.garbage_lines == garbage
+        reference = RecoveredMemory(image=image, plaintext_lines=plaintext, garbage_lines=garbage)
+        assert recovered.fingerprint() == reference.fingerprint()
+    if image.versions is None or not result.policy.encrypts:
+        return 0
+    lines = image.device.snapshot()
+    return sum(
+        1
+        for address, version in image.versions.items()
+        if version.line is lines[address]
+        and version.payload is not None
+        and image.counter_store.read(address) == version.encrypted_with
+    )
+
+
+class TestRecoveryOracle:
+    """The shortcut ``recover`` takes equals decrypting every line.
+
+    Every design and every registered fault model, on one core, on four
+    cores with a failed shard, and on nested crash images.
+    """
+
+    @pytest.mark.parametrize("design", ALL_DESIGNS)
+    def test_one_core_images_under_every_fault_model(self, design):
+        result = oracle_run(design)
+        injector = CrashInjector(result)
+        times = injector.interesting_times(limit=4) + injector.midpoint_times(limit=4)
+        taken = lines = 0
+        for name in FAULTS:
+            for seed, crash_ns in enumerate(times):
+                image, _events = injector.crash_with_faults(
+                    crash_ns, [make_fault_model(name)], seed=seed
+                )
+                taken += assert_recovers_like_the_oracle(result, image)
+                lines += len(image.device.snapshot())
+        # Both paths ran (unsafe persists no counter: all its lines are garbage).
+        if result.policy.encrypts and design != "unsafe":
+            assert 0 < taken < lines, (taken, lines)
+
+    @pytest.mark.parametrize("design", ALL_DESIGNS)
+    def test_four_cores_with_a_failed_shard(self, design):
+        result = oracle_run(design, cores=4, shards=2)
+        times = CrashInjector(result).midpoint_times(limit=4)
+        taken = 0
+        for index, name in enumerate(FAULTS):
+            model = make_fault_model(name)
+            for crash_ns in times:
+                image = shard_crash_image(
+                    result, crash_ns, (index % 2,), adr_budget=model.adr_budget
+                )
+                apply_fault_models(image, [model], seed=index, scope=(crash_ns,))
+                taken += assert_recovers_like_the_oracle(result, image)
+        if result.policy.encrypts and design != "unsafe":
+            assert taken
+
+    @pytest.mark.parametrize("design", ALL_DESIGNS)
+    def test_nested_crash_images(self, design):
+        result = oracle_run(design)
+        injector = CrashInjector(result)
+        fault = make_fault_model("bitflip-counter")
+        for seed, crash_ns in enumerate(injector.midpoint_times(limit=3)):
+            image, _events = injector.crash_with_faults(crash_ns, [fault], seed=seed)
+            # Recovery rewrote two stored lines and one line never persisted.
+            addresses = sorted(image.device.snapshot())[:2] + [0x3FC0]
+            persisted = {
+                address: bytes([index + 1]) * CACHE_LINE_SIZE
+                for index, address in enumerate(addresses)
+            }
+            nested = nested_crash_image(
+                image, persisted, result.config, encrypted=result.policy.encrypts
+            )
+            assert nested.versions is None
+            assert_recovers_like_the_oracle(result, nested)
 
 
 class TestCrashTiming:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.config import CACHE_LINE_SIZE, fast_config
+from repro.bench.harness import run_workload
+from repro.config import CACHE_LINE_SIZE, KB, fast_config
 from repro.crash.injector import CrashInjector
 from repro.crash.recovery import RecoveryManager
 from repro.crypto.counters import COUNTER_LIMIT
@@ -25,6 +26,9 @@ from repro.faults import (
 )
 from repro.sim.machine import Machine
 from repro.sim.trace import TraceBuilder
+from repro.workloads.base import WorkloadParams
+from tests.state_walker import assert_same_state
+from tests.test_crash_injector import per_line_image
 
 
 def run_simple(design="sca", lines=6):
@@ -240,3 +244,38 @@ class TestModelEffects:
         for name in DEFAULT_SUITE:
             image = injector.crash_at(0.0)
             assert apply_fault_models(image, [make_fault_model(name)], seed=2) == []
+
+
+def test_models_replace_the_lines_they_change():
+    """Images of a sweep share each journal version's line object, so a
+    model must replace a line it changes, never edit it in place.  Each
+    registered model hits one image of a sweep; every line it changed is
+    a new object, no line object changed under the image, and the next
+    image still equals the per-line build from the journal's replay."""
+    result = run_workload(
+        "sca+bmt", "hash", params=WorkloadParams(operations=12, footprint_bytes=16 * KB)
+    ).result
+    injector = CrashInjector(result)
+    times = injector.midpoint_times(limit=len(DEFAULT_SUITE) + 1)
+    changed = {}
+    for index, name in enumerate(DEFAULT_SUITE):
+        crash_ns, next_ns = times[index], times[index + 1]
+        image = injector.crash_at(crash_ns)
+        before = {
+            address: (line, line.payload, line.encrypted_with)
+            for address, line in image.device.snapshot().items()
+        }
+        apply_fault_models(image, [make_fault_model(name)], seed=index, scope=(crash_ns,))
+        after = image.device.snapshot()
+        changed[name] = 0
+        for address, (line, payload, encrypted_with) in before.items():
+            assert (line.payload, line.encrypted_with) == (payload, encrypted_with), name
+            if (after[address].payload, after[address].encrypted_with) != (payload, encrypted_with):
+                assert after[address] is not line, (name, address)
+                changed[name] += 1
+        following = injector.crash_at(next_ns)
+        device, store, root, tags = per_line_image(result, next_ns)
+        assert_same_state(following.device, device)
+        assert_same_state(following.counter_store, store)
+        assert (following.secure_root, following.line_tags) == (root, tags), name
+    assert changed["torn-data"] and changed["bitflip-data"], changed

@@ -32,7 +32,7 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, cast
 
 from ..config import EncryptionConfig, SystemConfig
 from ..crypto.counters import CounterStore
@@ -291,7 +291,7 @@ def version_tags(
         )
         for (_address, version), tag in zip(fresh, tags):
             version.tag = tag
-    return {address: version.tag for address, version in data}  # type: ignore[misc]
+    return cast(Dict[int, bytes], {address: version.tag for address, version in data})
 
 
 def nested_crash_image(

@@ -22,7 +22,7 @@ import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..config import CACHE_LINE_SIZE, EncryptionConfig
 from ..core.invariants import AtomicityViolation, check_counter_atomicity
@@ -156,7 +156,7 @@ class RecoveryManager:
         # config: only under this manager's does decryption give it back.
         versions = image.versions if image.enciphered_with == self.encryption else None
         version_of = (versions or {}).get
-        texts: List[Optional[bytes]] = []
+        texts: List[bytes] = []
         pending: List[int] = []
         items: List[Tuple[int, int, bytes]] = []
         garbage: Set[int] = set()
@@ -174,13 +174,13 @@ class RecoveryManager:
                         texts.append(payload)
                         continue
             pending.append(len(texts))
-            texts.append(None)
+            texts.append(b"")  # filled from the batch below
             items.append((address, architectural, stored.payload))
         for index, text in zip(pending, self._cipher.decrypt_lines(items)):
             texts[index] = text
         return RecoveredMemory(
             image=image,
-            plaintext_lines=dict(zip(addresses, texts)),  # type: ignore[arg-type]
+            plaintext_lines=dict(zip(addresses, texts)),
             garbage_lines=garbage,
         )
 

@@ -42,7 +42,7 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, count
-from typing import Dict, List, Mapping, Optional, Tuple, TypeVar, Union
+from typing import Dict, List, Mapping, Optional, Tuple, TypeVar, Union, cast
 
 from ..config import CACHE_LINE_SIZE
 from ..crypto.otp import OTPCipher
@@ -548,7 +548,10 @@ def image_lines(
             version.line = PersistedLine(
                 _ZERO_LINE if text is None else text, version.encrypted_with
             )
-    return {address: version.line for address, version in versions.items()}  # type: ignore[misc]
+    return cast(
+        Dict[int, PersistedLine],
+        {address: version.line for address, version in versions.items()},
+    )
 
 
 def line_images(

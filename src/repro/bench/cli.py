@@ -1,26 +1,348 @@
 """Command-line entry point: ``repro-bench``.
 
-Runs one or all experiments and prints the paper-style tables::
+One subcommand per experiment, plus ``all``, ``perf``, ``campaign``,
+``serve`` and ``designs``, each with a parser of its own::
 
     repro-bench --list
     repro-bench fig12
     repro-bench all --scale full --workers 4
     repro-bench perf --json BENCH_PR1.json
+    repro-bench campaign --designs sca,fca --crash-points 8
 
-Sweeps fan out over ``--workers`` processes and memoize finished design
-points in an on-disk cache (see ``repro.bench.parallel``), so repeated
-invocations are incremental; ``--no-cache`` forces fresh runs.
+With no command (or only options), ``repro-bench`` runs ``all``.  Sweeps
+fan out over ``--workers`` processes and store each finished design
+point in an on-disk cache (see ``repro.bench.parallel``), so repeated
+invocations are incremental; ``--no-cache`` forces fresh runs.  A
+``campaign`` or ``serve`` flag that is not given leaves its
+:class:`CampaignSpec`, :class:`TrafficSpec` or :class:`ServiceJob` field
+at the dataclass default, and those dataclasses check every value.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
+import os
+import shutil
 import sys
 import time
-from typing import List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ..core.designs import get_design, integrity_variant, list_designs
+from ..crash.campaign import CampaignRunner, CampaignSpec
+from ..errors import CampaignError, ReproError
+from ..service.scenario import ServiceJob, ServiceRunner
+from ..service.traffic import ARRIVAL_MODELS, MODES, TrafficSpec
+from ..utils.store import JsonStore
 from .experiments import EXPERIMENTS, get_experiment
-from .parallel import ResultCache, SweepExecutor, default_cache_dir
+from .parallel import SweepExecutor, default_cache_dir
+
+#: The commands that are not experiments, with their --list summaries.
+TOOLS = {
+    "perf": "Kernel and sweep regression benchmarks (BENCH_*.json)",
+    "campaign": "Fault-injection crash campaign with triage report",
+    "serve": "Multi-tenant KV service traffic with per-tenant SLO report",
+    "designs": "Print the composed design matrix (valid --designs values)",
+}
+
+
+def _summary(name: str) -> str:
+    return TOOLS.get(name) or (EXPERIMENTS[name].__doc__ or "").strip().splitlines()[0]
+
+
+# ---------------------------------------------------------------------------
+# Parsers
+
+
+def _names(text: str) -> Tuple[str, ...]:
+    return tuple(text.split(","))
+
+
+def _one_mechanism(text: str) -> str:
+    if "," in text:
+        raise argparse.ArgumentTypeError("serve runs one mechanism, got %r" % text)
+    return text
+
+
+def _field_flag(
+    parser: argparse.ArgumentParser,
+    flag: str,
+    spec: Any,
+    name: str,
+    text: str,
+    **kwargs: Any,
+) -> None:
+    """A flag that sets field ``name`` of ``spec``.
+
+    Unset, the field keeps its default, which the help text shows; the
+    default's type also gives the flag's (a bool field is a switch, a
+    tuple field a comma-separated list).
+    """
+    default = {f.name: f.default for f in dataclasses.fields(spec)}[name]
+    if isinstance(default, bool):
+        kwargs["action"] = "store_true"
+    elif isinstance(default, tuple):
+        kwargs.setdefault("metavar", "A,B")
+        kwargs.setdefault("type", _names)
+        text += " (default: %s)" % ",".join(default)
+    else:
+        if isinstance(default, int):
+            kwargs.setdefault("metavar", "N")
+        kwargs.setdefault("type", str if default is None else type(default))
+        text += " (default: %s)" % default
+    parser.add_argument(flag, dest=name, default=argparse.SUPPRESS, help=text, **kwargs)
+
+
+def _given(args: argparse.Namespace, spec: Any) -> Dict[str, Any]:
+    """The fields of ``spec`` the command line set."""
+    fields = dataclasses.fields(spec)
+    return {f.name: getattr(args, f.name) for f in fields if hasattr(args, f.name)}
+
+
+def _add_json(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--json", metavar="PATH", default=None,
+        help="also write the results as a JSON document to PATH ('-' = stdout)",
+    )
+
+
+def _add_scale(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--scale", choices=("quick", "full"), default="quick",
+        help="quick = small CI-sized runs; full = closer to paper working sets",
+    )
+
+
+def _add_workers(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="fan %s out over N worker processes (default 1 = in-process "
+        "serial execution)" % what,
+    )
+
+
+def _add_job_flags(parser: argparse.ArgumentParser, spec: Any, what: str) -> None:
+    """The flags campaigns and service jobs share: recovery and execution."""
+    _field_flag(
+        parser, "--with-counter-recovery", spec, "with_counter_recovery",
+        "retry detected failures with the Osiris-style counter search; "
+        "repaired points count as 'recovered-by-search'",
+    )
+    _field_flag(
+        parser, "--nested-crash", spec, "nested_crash",
+        "inject a second power failure (or torn recovery write) mid-recovery; "
+        "the resumed recovery must converge ('recovered-after-nested-crash') "
+        "or stay loud ('detected-after-nested-crash')",
+    )
+    _field_flag(
+        parser, "--nested-steps", spec, "nested_steps",
+        "recovery steps per phase covered by the nested-crash grid",
+    )
+    _add_workers(parser, what)
+    parser.add_argument(
+        "--job-timeout", type=float, default=None, metavar="SECONDS",
+        help="kill and retry any job exceeding this wall time (jobs then run "
+        "in worker processes, even at --workers 1)",
+    )
+    parser.add_argument(
+        "--retries", type=int, default=2, metavar="N",
+        help="retry a failed or hung job up to N times",
+    )
+    _add_json(parser)
+
+
+def _figure_parser(parser: argparse.ArgumentParser) -> None:
+    _add_scale(parser)
+    parser.add_argument(
+        "--chart", action="store_true",
+        help="render each result as an ASCII chart in addition to the table",
+    )
+    _add_json(parser)
+    _add_workers(parser, "sweep design points")
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="disable the on-disk result cache (every design point reruns)",
+    )
+    parser.add_argument(
+        "--cache-dir", metavar="DIR", default=default_cache_dir(),
+        help="result cache location (default: $REPRO_CACHE_DIR or %(default)s)",
+    )
+    parser.add_argument(
+        "--clear-cache", action="store_true",
+        help="remove all cached sweep results, then proceed",
+    )
+    parser.set_defaults(run=_run_figures)
+
+
+def _perf_parser(parser: argparse.ArgumentParser) -> None:
+    _add_scale(parser)
+    _add_json(parser)
+    parser.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="worker processes of the parallel sweep timing (at least 4)",
+    )
+    parser.add_argument(
+        "--compare", metavar="BASELINE.json", default=None,
+        help="compare the fresh perf run against a recorded BENCH_*.json "
+        "document, printing per-kernel ns/op deltas; exits nonzero if any "
+        "kernel regresses beyond --regression-threshold",
+    )
+    parser.add_argument(
+        "--regression-threshold", type=float, default=3.0, metavar="RATIO",
+        help="ns/op ratio vs the --compare baseline above which a kernel "
+        "counts as a hard regression (default 3.0; absolute timings are "
+        "machine-dependent, so keep this generous)",
+    )
+    parser.set_defaults(run=_run_perf)
+
+
+def _campaign_parser(parser: argparse.ArgumentParser) -> None:
+    spec = CampaignSpec
+    _field_flag(parser, "--workloads", spec, "workloads", "comma-separated")
+    _field_flag(parser, "--designs", spec, "designs", "comma-separated")
+    _field_flag(parser, "--mechanisms", spec, "mechanisms", "comma-separated")
+    _field_flag(parser, "--faults", spec, "faults", "comma-separated fault models")
+    _field_flag(
+        parser, "--crash-points", spec, "crash_points",
+        "crash points swept per (workload, design, mechanism, fault) cell",
+    )
+    _field_flag(parser, "--seed", spec, "seed", "workload seed")
+    _field_flag(parser, "--operations", spec, "operations", "operations per run")
+    _field_flag(
+        parser, "--shards", spec, "shards",
+        "memory-controller shards per simulated machine; above 1 each job "
+        "also sweeps shard-subset ADR failures and reconciles the cross-shard "
+        "commit log (--strict then also fails on any lost durable commit)",
+    )
+    parser.add_argument(
+        "--integrity", action="store_true",
+        help="run every encrypted design with its Bonsai-Merkle-tree variant "
+        "(fca -> fca+bmt, ...); post-crash tree verification reclassifies "
+        "silent corruption as 'detected-by-tree'",
+    )
+    parser.add_argument(
+        "--integrity-mode", choices=("eager", "lazy"), default=None, metavar="MODE",
+        help="tree persistence mode for --integrity: 'eager' drains the whole "
+        "root path at every counter persist (strict, Freij-style), 'lazy' "
+        "coalesces dirty nodes in the tree cache (Phoenix-style); default: "
+        "each design's own default",
+    )
+    parser.add_argument(
+        "--campaign-dir", metavar="DIR", default=None,
+        help="result directory; a rerun pointed here resumes instead of "
+        "re-executing finished jobs (default: no store, no resume)",
+    )
+    parser.add_argument(
+        "--resume-from", metavar="DIR", default=None,
+        help="resume the campaign stored in DIR (shorthand for --campaign-dir "
+        "DIR that insists the directory already exists)",
+    )
+    parser.add_argument(
+        "--fresh", action="store_true",
+        help="discard the results stored in --campaign-dir and rerun everything",
+    )
+    parser.add_argument(
+        "--retry-crashed", action="store_true",
+        help="re-run stored jobs that recorded recovery-crashed cells instead "
+        "of resuming them; the fresh result replaces the old one",
+    )
+    parser.add_argument(
+        "--checkpoint-every", type=int, default=None, metavar="EVENTS",
+        help="checkpoint each job's simulation every N simulated events; a "
+        "killed run resumes from its newest valid snapshot",
+    )
+    parser.add_argument(
+        "--checkpoint-dir", metavar="DIR", default=None,
+        help="where per-job snapshots live (default: <campaign-dir>/checkpoints "
+        "when checkpointing is on)",
+    )
+    parser.add_argument(
+        "--heartbeat-timeout", type=float, default=None, metavar="SECONDS",
+        help="declare a worker stalled (and retry its job) when its heartbeat "
+        "file goes this stale; needs --checkpoint-every with --campaign-dir, "
+        "or --checkpoint-dir",
+    )
+    parser.add_argument(
+        "--strict", action="store_true",
+        help="also exit nonzero when any crash point is silent corruption",
+    )
+    _add_job_flags(parser, spec, "campaign jobs")
+    parser.set_defaults(run=_run_campaign)
+
+
+def _serve_parser(parser: argparse.ArgumentParser) -> None:
+    job, traffic = ServiceJob, TrafficSpec
+    parser.add_argument(
+        "--designs", type=_names, default=("sca", "unsafe"), metavar="A,B",
+        help="comma-separated; one service job per design (default: sca,unsafe)",
+    )
+    _field_flag(
+        parser, "--mechanisms", job, "mechanism",
+        "the transaction mechanism, exactly one", type=_one_mechanism, metavar="M",
+    )
+    parser.add_argument(
+        "--crash-mid-traffic", dest="crash", action="store_true",
+        help="cut power mid-traffic, recover every tenant arena, and add the "
+        "durability triage (acked-but-lost vs recovered) to the SLO report; "
+        "without it the report is the crash-free latency baseline",
+    )
+    _field_flag(
+        parser, "--crash-fraction", job, "crash_fraction",
+        "where in the run the crash lands, as a fraction of the simulated "
+        "runtime, snapped to the nearest durability-interesting instant",
+        metavar="F",
+    )
+    _field_flag(
+        parser, "--fault", job, "fault",
+        "also corrupt the crash image with this fault model (see the campaign "
+        "fault registry) before recovery",
+        metavar="MODEL",
+    )
+    _field_flag(
+        parser, "--tenants", traffic, "tenants",
+        "tenant namespaces, each with an isolated arena",
+    )
+    _field_flag(
+        parser, "--ops", traffic, "operations",
+        "operations in the generated traffic stream",
+    )
+    _field_flag(parser, "--seed", traffic, "seed", "traffic seed")
+    _field_flag(
+        parser, "--traffic-mode", traffic, "mode",
+        "open = rate-driven arrivals (internet-facing traffic); closed = fixed "
+        "client pool with think time",
+        choices=MODES,
+    )
+    _field_flag(
+        parser, "--arrival", traffic, "arrival",
+        "open-loop arrival process (bursty = ON/OFF-modulated Poisson)",
+        choices=ARRIVAL_MODELS,
+    )
+    _field_flag(
+        parser, "--rate", traffic, "rate_ops_per_us",
+        "open-loop mean arrival rate in ops per modeled microsecond",
+        metavar="OPS_PER_US",
+    )
+    _field_flag(parser, "--clients", traffic, "clients", "closed-loop clients")
+    _field_flag(
+        parser, "--think-ns", traffic, "think_ns",
+        "closed-loop per-client think time", metavar="NS",
+    )
+    _field_flag(
+        parser, "--zipf", traffic, "zipf_alpha",
+        "key-popularity skew (0 = uniform)", metavar="ALPHA",
+    )
+    _field_flag(
+        parser, "--keyspace", traffic, "keyspace", "distinct keys per tenant namespace"
+    )
+    parser.add_argument(
+        "--serve-dir", metavar="DIR", default=None,
+        help="result directory; a rerun pointed here resumes finished design "
+        "reports instead of re-running them",
+    )
+    _add_job_flags(parser, job, "service jobs")
+    parser.set_defaults(run=_run_serve)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,314 +353,77 @@ def build_parser() -> argparse.ArgumentParser:
             "Encrypted Non-Volatile Main Memory Systems' (HPCA 2018)."
         ),
     )
-    parser.add_argument(
-        "experiment",
-        nargs="?",
-        default="all",
-        help="experiment name (%s), 'all', 'perf' (kernel/sweep regression "
-        "benchmarks), 'campaign' (fault-injection crash campaign), 'serve' "
-        "(multi-tenant KV service traffic with per-tenant SLO report), or "
-        "'designs' (print the composed design matrix)"
-        % ", ".join(EXPERIMENTS),
+    parser.add_argument("--list", action="store_true", help="list commands and exit")
+    commands = parser.add_subparsers(
+        dest="command", metavar="COMMAND", help="what to run (default: all)"
     )
-    parser.add_argument(
-        "--scale",
-        choices=("quick", "full"),
-        default="quick",
-        help="quick = small CI-sized runs; full = closer to paper working sets",
-    )
-    parser.add_argument("--list", action="store_true", help="list experiments and exit")
-    parser.add_argument(
-        "--chart",
-        action="store_true",
-        help="render each result as an ASCII chart in addition to the table",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write all results as a JSON document to PATH ('-' = stdout)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan sweep design points out over N worker processes "
-        "(default 1 = in-process serial execution)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk result cache (every design point reruns)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="result cache location (default: $REPRO_CACHE_DIR or %s)"
-        % default_cache_dir(),
-    )
-    parser.add_argument(
-        "--clear-cache",
-        action="store_true",
-        help="remove all cached sweep results, then proceed",
-    )
-    perf = parser.add_argument_group("perf options (experiment = 'perf')")
-    perf.add_argument(
-        "--compare",
-        metavar="BASELINE.json",
-        default=None,
-        help="compare the fresh perf run against a recorded BENCH_*.json "
-        "document, printing per-kernel ns/op deltas; exits nonzero if any "
-        "kernel regresses beyond --regression-threshold",
-    )
-    perf.add_argument(
-        "--regression-threshold",
-        type=float,
-        default=3.0,
-        metavar="RATIO",
-        help="ns/op ratio vs the --compare baseline above which a kernel "
-        "counts as a hard regression (default 3.0; absolute timings are "
-        "machine-dependent, so keep this generous)",
-    )
-    campaign = parser.add_argument_group(
-        "campaign options (experiment = 'campaign')"
-    )
-    campaign.add_argument(
-        "--campaign-dir",
-        metavar="DIR",
-        default=None,
-        help="journal directory; a rerun pointed here resumes instead of "
-        "re-executing finished jobs (default: no journal, no resume)",
-    )
-    campaign.add_argument("--seed", type=int, default=42, metavar="N")
-    campaign.add_argument(
-        "--crash-points",
-        type=int,
-        default=20,
-        metavar="N",
-        help="crash points swept per (workload, design, mechanism, fault) cell",
-    )
-    campaign.add_argument(
-        "--workloads", default="array", metavar="A,B", help="comma-separated"
-    )
-    campaign.add_argument(
-        "--designs", default="sca,unsafe", metavar="A,B", help="comma-separated"
-    )
-    campaign.add_argument(
-        "--mechanisms", default="undo", metavar="A,B", help="comma-separated"
-    )
-    campaign.add_argument(
-        "--faults",
-        default=None,
-        metavar="A,B",
-        help="comma-separated fault-model names (default: the full suite)",
-    )
-    campaign.add_argument(
-        "--operations", type=int, default=8, metavar="N",
-        help="workload operations per run",
-    )
-    campaign.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill and retry any campaign job exceeding this wall time "
-        "(jobs then run in worker processes, even at --workers 1)",
-    )
-    campaign.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="retry a failed or hung campaign job up to N times",
-    )
-    campaign.add_argument(
-        "--fresh",
-        action="store_true",
-        help="ignore any existing campaign journal and rerun everything",
-    )
-    campaign.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="EVENTS",
-        help="checkpoint each job's simulation every N simulated events; "
-        "a killed run resumes from its newest valid snapshot",
-    )
-    campaign.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="where per-job snapshots live (default: "
-        "<campaign-dir>/checkpoints when checkpointing is on)",
-    )
-    campaign.add_argument(
-        "--resume-from",
-        metavar="DIR",
-        default=None,
-        help="resume the campaign journaled in DIR (shorthand for "
-        "--campaign-dir DIR that insists the directory already exists)",
-    )
-    campaign.add_argument(
-        "--heartbeat-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="declare a worker stalled (and retry its job) when its "
-        "heartbeat file goes this stale; needs --checkpoint-every with "
-        "--campaign-dir, or --checkpoint-dir",
-    )
-    campaign.add_argument(
-        "--strict",
-        action="store_true",
-        help="also exit nonzero when any crash point is silent corruption",
-    )
-    campaign.add_argument(
-        "--with-counter-recovery",
-        action="store_true",
-        help="retry detected failures with the Osiris-style counter "
-        "search; repaired points count as 'recovered-by-search'",
-    )
-    campaign.add_argument(
-        "--nested-crash",
-        action="store_true",
-        help="sweep nested crashes: recover every crash point under "
-        "each schedule of the crash-point x recovery-step grid, "
-        "injecting a second power failure (or torn recovery write) "
-        "mid-recovery; the resumed recovery must converge "
-        "('recovered-after-nested-crash') or stay loud "
-        "('detected-after-nested-crash')",
-    )
-    campaign.add_argument(
-        "--nested-steps",
-        type=int,
-        default=2,
-        metavar="N",
-        help="recovery steps per phase covered by the nested-crash "
-        "grid (default: 2)",
-    )
-    campaign.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="memory-controller shards per simulated machine; above 1 "
-        "each job also sweeps shard-subset ADR failures and reconciles "
-        "the cross-shard commit log (--strict then also fails on any "
-        "lost durable commit)",
-    )
-    campaign.add_argument(
-        "--retry-crashed",
-        action="store_true",
-        help="re-run journaled jobs that recorded recovery-crashed "
-        "cells instead of resuming them; the fresh record supersedes "
-        "the old one in the journal",
-    )
-    campaign.add_argument(
-        "--integrity",
-        action="store_true",
-        help="run every encrypted design with its Bonsai-Merkle-tree "
-        "variant (fca -> fca+bmt, ...); post-crash tree verification "
-        "reclassifies silent corruption as 'detected-by-tree'",
-    )
-    campaign.add_argument(
-        "--integrity-mode",
-        choices=("eager", "lazy"),
-        default=None,
-        metavar="MODE",
-        help="tree persistence mode for --integrity: 'eager' drains "
-        "the whole root path at every counter persist (strict, "
-        "Freij-style), 'lazy' coalesces dirty nodes in the tree cache "
-        "(Phoenix-style); default: each design's own default",
-    )
-    serve = parser.add_argument_group(
-        "serve options (experiment = 'serve'; also honors --designs, "
-        "--seed, --mechanisms, --nested-crash, --with-counter-recovery, "
-        "--workers and --json)"
-    )
-    serve.add_argument(
-        "--tenants", type=int, default=4, metavar="N",
-        help="tenant namespaces, each with an isolated arena (default 4)",
-    )
-    serve.add_argument(
-        "--ops", type=int, default=200, metavar="N",
-        help="operations in the generated traffic stream (default 200)",
-    )
-    serve.add_argument(
-        "--crash-mid-traffic",
-        action="store_true",
-        help="cut power mid-traffic, recover every tenant arena, and add "
-        "the durability triage (acked-but-lost vs recovered) to the SLO "
-        "report; without it the report is the crash-free latency baseline",
-    )
-    serve.add_argument(
-        "--crash-fraction", type=float, default=0.5, metavar="F",
-        help="where in the run the crash lands, as a fraction of the "
-        "simulated runtime (default 0.5; snapped to the nearest "
-        "durability-interesting instant)",
-    )
-    serve.add_argument(
-        "--traffic-mode", choices=("open", "closed"), default="open",
-        help="open = rate-driven arrivals (internet-facing traffic); "
-        "closed = fixed client pool with think time",
-    )
-    serve.add_argument(
-        "--arrival", choices=("poisson", "bursty"), default="poisson",
-        help="open-loop arrival process (bursty = ON/OFF-modulated Poisson)",
-    )
-    serve.add_argument(
-        "--rate", type=float, default=0.25, metavar="OPS_PER_US",
-        help="open-loop mean arrival rate in ops per modeled microsecond",
-    )
-    serve.add_argument(
-        "--clients", type=int, default=8, metavar="N",
-        help="closed-loop concurrent clients (default 8)",
-    )
-    serve.add_argument(
-        "--think-ns", type=float, default=1500.0, metavar="NS",
-        help="closed-loop per-client think time (default 1500 ns)",
-    )
-    serve.add_argument(
-        "--zipf", type=float, default=0.9, metavar="ALPHA",
-        help="key-popularity skew (0 = uniform; default 0.9)",
-    )
-    serve.add_argument(
-        "--keyspace", type=int, default=256, metavar="N",
-        help="distinct keys per tenant namespace (default 256)",
-    )
-    serve.add_argument(
-        "--fault",
-        default=None,
-        metavar="MODEL",
-        help="also corrupt the crash image with this fault model "
-        "(see the campaign fault registry) before recovery",
-    )
-    serve.add_argument(
-        "--serve-dir",
-        metavar="DIR",
-        default=None,
-        help="journal directory; a rerun pointed here resumes finished "
-        "design reports instead of re-running them",
-    )
+    for name in EXPERIMENTS:
+        _figure_parser(commands.add_parser(name, help=_summary(name)))
+    _figure_parser(commands.add_parser("all", help="every experiment above"))
+    _perf_parser(commands.add_parser("perf", help=_summary("perf")))
+    _campaign_parser(commands.add_parser("campaign", help=_summary("campaign")))
+    _serve_parser(commands.add_parser("serve", help=_summary("serve")))
+    designs = commands.add_parser("designs", help=_summary("designs"))
+    _add_json(designs)
+    designs.set_defaults(run=_run_designs)
     return parser
 
 
-def _make_executor(args: argparse.Namespace) -> SweepExecutor:
+# ---------------------------------------------------------------------------
+# Commands
+
+
+def _write_json(path: str, document: object) -> None:
+    payload = json.dumps(document, indent=2, sort_keys=True)
+    if path == "-":
+        print(payload)
+        return
+    with open(path, "w", encoding="utf-8") as stream:
+        stream.write(payload + "\n")
+    print("wrote %s" % path)
+
+
+def _run_figures(args: argparse.Namespace) -> int:
     if args.clear_cache:
-        scrubbed = ResultCache(args.cache_dir)
-        removed = scrubbed.clear()
-        print("cleared %d cached result(s) from %s" % (removed, scrubbed.directory))
-    cache: Optional[ResultCache] = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir)
-    return SweepExecutor(workers=args.workers, cache=cache)
+        removed = JsonStore(args.cache_dir).clear()
+        print("cleared %d cached result(s) from %s" % (removed, args.cache_dir))
+    cache = None if args.no_cache else JsonStore(args.cache_dir)
+    executor = SweepExecutor(workers=args.workers, cache=cache)
+    names = list(EXPERIMENTS) if args.command == "all" else [args.command]
+    failed_claims = 0
+    documents = []
+    for name in names:
+        experiment = get_experiment(name)
+        started = time.time()
+        result = experiment.run(scale=args.scale, executor=executor)
+        elapsed = time.time() - started
+        print(result.render())
+        if args.chart:
+            from .charts import render_chart
+
+            print()
+            print(render_chart(result))
+        print("  (%.1f s)" % elapsed)
+        print()
+        document = result.as_dict()
+        document["elapsed_s"] = round(elapsed, 3)
+        document["scale"] = args.scale
+        documents.append(document)
+        failed_claims += sum(1 for ok in result.claims.values() if not ok)
+    if cache is not None and (executor.cache_hits or executor.cache_misses):
+        print(
+            "result cache: %d hit(s), %d miss(es) (%s)"
+            % (executor.cache_hits, executor.cache_misses, cache.directory)
+        )
+    if args.json is not None:
+        _write_json(args.json, {"results": documents})
+    if failed_claims:
+        print("%d claim(s) did not hold" % failed_claims, file=sys.stderr)
+        return 1
+    return 0
 
 
 def _run_perf(args: argparse.Namespace) -> int:
-    import json
-
     from .perf import (
         compare_documents,
         render_comparison,
@@ -349,13 +434,7 @@ def _run_perf(args: argparse.Namespace) -> int:
     document = run_perf(scale=args.scale, workers=max(args.workers, 4))
     print(render_perf_report(document))
     if args.json is not None:
-        payload = json.dumps(document, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as stream:
-                stream.write(payload + "\n")
-            print("wrote %s" % args.json)
+        _write_json(args.json, document)
     if args.compare is not None:
         with open(args.compare, "r", encoding="utf-8") as stream:
             baseline = json.load(stream)
@@ -368,27 +447,18 @@ def _run_perf(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse(command: str, message: object) -> int:
+    print("repro-bench %s: %s" % (command, message), file=sys.stderr)
+    return 2
+
+
 def _run_campaign(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from ..errors import CampaignError
-    from ..crash.campaign import CampaignRunner, CampaignSpec
-
     if args.resume_from is not None:
         if not os.path.isdir(args.resume_from):
-            print(
-                "repro-bench campaign: --resume-from %s: no such directory"
-                % args.resume_from,
-                file=sys.stderr,
-            )
-            return 2
+            missing = "--resume-from %s: no such directory" % args.resume_from
+            return _refuse("campaign", missing)
         if args.campaign_dir is not None and args.campaign_dir != args.resume_from:
-            print(
-                "repro-bench campaign: --resume-from and --campaign-dir disagree",
-                file=sys.stderr,
-            )
-            return 2
+            return _refuse("campaign", "--resume-from and --campaign-dir disagree")
         args.campaign_dir = args.resume_from
     checkpoint_dir = args.checkpoint_dir
     if (
@@ -399,58 +469,33 @@ def _run_campaign(args: argparse.Namespace) -> int:
         checkpoint_dir = os.path.join(args.campaign_dir, "checkpoints")
     if args.heartbeat_timeout is not None and checkpoint_dir is None:
         # Jobs beat their heartbeat file only under checkpointing.
-        print(
-            "repro-bench campaign: --heartbeat-timeout needs --checkpoint-every "
-            "with --campaign-dir, or --checkpoint-dir",
-            file=sys.stderr,
+        return _refuse(
+            "campaign",
+            "--heartbeat-timeout needs --checkpoint-every with --campaign-dir, "
+            "or --checkpoint-dir",
         )
-        return 2
-    if args.fresh and args.campaign_dir is not None:
-        journal = os.path.join(args.campaign_dir, CampaignRunner.JOURNAL_NAME)
-        if os.path.exists(journal):
-            os.remove(journal)
-        if checkpoint_dir is not None and os.path.isdir(checkpoint_dir):
-            import shutil
-
-            shutil.rmtree(checkpoint_dir, ignore_errors=True)
-    faults = args.faults.split(",") if args.faults else None
-    designs = tuple(args.designs.split(","))
-    if args.integrity:
-        from ..core.designs import get_design, integrity_variant
-        from ..errors import ConfigurationError
-
-        # Map each encrypted design onto its +bmt variant; designs with
-        # nothing to hash (no counters) pass through unchanged.
-        try:
-            designs = tuple(
-                integrity_variant(name, args.integrity_mode)
-                if get_design(name).encrypts
-                else name
-                for name in designs
+    if args.integrity_mode is not None and not args.integrity:
+        return _refuse("campaign", "--integrity-mode needs --integrity")
+    try:
+        spec = CampaignSpec(**_given(args, CampaignSpec))
+        if args.integrity:
+            # Map each encrypted design onto its +bmt variant; designs
+            # with nothing to hash (no counters) pass through unchanged.
+            spec = dataclasses.replace(
+                spec,
+                designs=tuple(
+                    integrity_variant(name, args.integrity_mode)
+                    if get_design(name).encrypts
+                    else name
+                    for name in spec.designs
+                ),
             )
-        except ConfigurationError as exc:
-            print("repro-bench campaign: %s" % exc, file=sys.stderr)
-            return 2
-    elif args.integrity_mode is not None:
-        print(
-            "repro-bench campaign: --integrity-mode needs --integrity",
-            file=sys.stderr,
-        )
-        return 2
-    spec = CampaignSpec(
-        workloads=tuple(args.workloads.split(",")),
-        designs=designs,
-        mechanisms=tuple(args.mechanisms.split(",")),
-        crash_points=args.crash_points,
-        seed=args.seed,
-        operations=args.operations,
-        with_counter_recovery=args.with_counter_recovery,
-        nested_crash=args.nested_crash,
-        nested_steps=args.nested_steps,
-        shards=args.shards,
-    )
-    if faults is not None:
-        spec.faults = tuple(faults)
+    except ReproError as exc:
+        return _refuse("campaign", exc)
+    if args.fresh and args.campaign_dir is not None:
+        JsonStore(args.campaign_dir).clear()
+        if checkpoint_dir is not None:
+            shutil.rmtree(checkpoint_dir, ignore_errors=True)
     executor = SweepExecutor(
         workers=args.workers,
         job_timeout_s=args.job_timeout,
@@ -460,7 +505,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
     runner = CampaignRunner(
         spec,
         executor=executor,
-        journal_dir=args.campaign_dir,
+        store_dir=args.campaign_dir,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         retry_crashed=args.retry_crashed,
@@ -468,13 +513,12 @@ def _run_campaign(args: argparse.Namespace) -> int:
     try:
         report = runner.run()
     except CampaignError as exc:
-        print("repro-bench campaign: %s" % exc, file=sys.stderr)
-        return 2
+        return _refuse("campaign", exc)
     print(report.render())
     stats = executor.stats()
     print(
         "executor[%s]: %d job(s) run, %d retried, %d timed out, %d stalled, "
-        "%d pool fallback(s), %d corrupt cache entr(ies) quarantined"
+        "%d pool fallback(s)"
         % (
             stats["backend"],
             stats["jobs_executed"],
@@ -482,17 +526,10 @@ def _run_campaign(args: argparse.Namespace) -> int:
             stats["timeouts"],
             stats["stalls"],
             stats["pool_fallbacks"],
-            stats["cache_corruption_events"],
         )
     )
     if args.json is not None:
-        payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as stream:
-                stream.write(payload + "\n")
-            print("wrote %s" % args.json)
+        _write_json(args.json, report.as_dict())
     if report.crashed:
         print(
             "%d crash point(s) made recovery itself crash" % report.crashed,
@@ -524,58 +561,23 @@ def _run_campaign(args: argparse.Namespace) -> int:
 
 def _run_serve(args: argparse.Namespace) -> int:
     """The KV service scenario: traffic -> (crash ->) recover -> SLO report."""
-    import json
-
-    from ..errors import ReproError
-    from ..service.scenario import ServiceJob, ServiceRunner
-    from ..service.traffic import TrafficSpec
-
     try:
-        spec = TrafficSpec(
-            tenants=args.tenants,
-            operations=args.ops,
-            seed=args.seed,
-            mode=args.traffic_mode,
-            arrival=args.arrival,
-            rate_ops_per_us=args.rate,
-            clients=args.clients,
-            think_ns=args.think_ns,
-            zipf_alpha=args.zipf,
-            keyspace=args.keyspace,
-        )
+        traffic = TrafficSpec(**_given(args, TrafficSpec))
         jobs = [
-            ServiceJob(
-                design=design,
-                traffic=spec,
-                mechanism=args.mechanisms.split(",")[0],
-                crash=args.crash_mid_traffic,
-                crash_fraction=args.crash_fraction,
-                fault=args.fault,
-                nested_crash=args.nested_crash,
-                nested_steps=args.nested_steps,
-                with_counter_recovery=args.with_counter_recovery,
-            )
-            for design in args.designs.split(",")
+            ServiceJob(design=design, traffic=traffic, **_given(args, ServiceJob))
+            for design in args.designs
         ]
         executor = SweepExecutor(
             workers=args.workers,
             job_timeout_s=args.job_timeout,
             max_retries=args.retries,
         )
-        runner = ServiceRunner(jobs, executor=executor, journal_dir=args.serve_dir)
-        report = runner.run()
+        report = ServiceRunner(jobs, executor=executor, store_dir=args.serve_dir).run()
     except ReproError as exc:
-        print("repro-bench serve: %s" % exc, file=sys.stderr)
-        return 2
+        return _refuse("serve", exc)
     print(report.render())
     if args.json is not None:
-        payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as stream:
-                stream.write(payload + "\n")
-            print("wrote %s" % args.json)
+        _write_json(args.json, report.as_dict())
     if report.crashed:
         print(
             "%d design(s): recovery itself crashed" % report.crashed,
@@ -601,8 +603,6 @@ def _run_designs(args: argparse.Namespace) -> int:
     crash-consistency verdict — so campaign/sweep users don't have to
     read ``designs.py`` to find valid names.
     """
-    from ..core.designs import get_design, list_designs
-
     names = list_designs(include_unsafe=True, include_integrity=True)
     rows = []
     for name in names:
@@ -620,16 +620,7 @@ def _run_designs(args: argparse.Namespace) -> int:
             }
         )
     if args.json is not None:
-        import json
-
-        payload = json.dumps({"designs": rows}, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as stream:
-                stream.write(payload + "\n")
-            print("wrote %s" % args.json)
-            return 0
+        _write_json(args.json, {"designs": rows})
         return 0
     header = ("design", "layout", "atomicity", "integrity", "bus", "crash-consistent")
     widths = [len(column) for column in header]
@@ -654,70 +645,24 @@ def _run_designs(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.list:
-        for name, cls in EXPERIMENTS.items():
-            print("%-8s %s" % (name, (cls.__doc__ or "").strip().splitlines()[0]))
-        print("%-8s %s" % ("perf", "Kernel and sweep regression benchmarks (BENCH_*.json)"))
-        print("%-8s %s" % ("campaign", "Fault-injection crash campaign with triage report"))
-        print("%-8s %s" % ("serve", "Multi-tenant KV service traffic with per-tenant SLO report"))
-        print("%-8s %s" % ("designs", "Print the composed design matrix (valid --designs values)"))
-        return 0
-    if args.experiment == "perf":
-        return _run_perf(args)
-    if args.experiment == "campaign":
-        return _run_campaign(args)
-    if args.experiment == "serve":
-        return _run_serve(args)
-    if args.experiment == "designs":
-        return _run_designs(args)
-    executor = _make_executor(args)
-    if args.experiment != "all" and args.experiment not in EXPERIMENTS:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    first = argv[0] if argv else "-"
+    if first.startswith("-") and first not in ("--list", "-h", "--help"):
+        argv.insert(0, "all")  # no command, only options: every experiment
+    commands = list(EXPERIMENTS) + ["all"] + list(TOOLS)
+    if not argv[0].startswith("-") and argv[0] not in commands:
         print(
-            "repro-bench: unknown experiment %r; available: %s, all, perf, "
-            "campaign, serve, designs" % (args.experiment, ", ".join(EXPERIMENTS)),
+            "repro-bench: unknown experiment %r; available: %s"
+            % (argv[0], ", ".join(commands)),
             file=sys.stderr,
         )
         return 2
-    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    failed_claims = 0
-    documents = []
-    for name in names:
-        experiment = get_experiment(name)
-        started = time.time()
-        result = experiment.run(scale=args.scale, executor=executor)
-        elapsed = time.time() - started
-        print(result.render())
-        if args.chart:
-            from .charts import render_chart
-
-            print()
-            print(render_chart(result))
-        print("  (%.1f s)" % elapsed)
-        print()
-        document = result.as_dict()
-        document["elapsed_s"] = round(elapsed, 3)
-        document["scale"] = args.scale
-        documents.append(document)
-        failed_claims += sum(1 for ok in result.claims.values() if not ok)
-    if executor.cache is not None and (executor.cache_hits or executor.cache_misses):
-        print(
-            "result cache: %d hit(s), %d miss(es) (%s)"
-            % (executor.cache_hits, executor.cache_misses, executor.cache.directory)
-        )
-    if args.json is not None:
-        import json
-
-        payload = json.dumps({"results": documents}, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as stream:
-                stream.write(payload + "\n")
-    if failed_claims:
-        print("%d claim(s) did not hold" % failed_claims, file=sys.stderr)
-        return 1
-    return 0
+    args = build_parser().parse_args(argv)
+    if args.list:
+        for name in list(EXPERIMENTS) + list(TOOLS):
+            print("%-8s %s" % (name, _summary(name)))
+        return 0
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -11,10 +11,12 @@ and executes them through a :class:`SweepExecutor`, which
 * preserves deterministic result ordering — ``map_stats`` returns one
   :class:`~repro.sim.stats.MachineStats` per job, in job order, with
   values identical to a serial run, and
-* memoizes finished jobs in an on-disk :class:`ResultCache` keyed by a
-  stable hash of (design, workload, mechanism, config, params, code
-  version), so repeated sweeps are incremental and any code or config
-  change invalidates exactly the affected points.
+* memoizes finished jobs in a :class:`~repro.utils.store.JsonStore`
+  keyed by :func:`~repro.utils.store.content_key` of the job's document
+  (design, workload, mechanism, config, params) and the code version,
+  so repeated sweeps are incremental and any code or config change
+  invalidates exactly the affected points.  Each result is stored as it
+  lands, so a sweep killed midway keeps what it finished.
 
 Workers return only the :class:`MachineStats` summary — never the live
 controller/hierarchy objects — so job results are cheap to pickle and
@@ -25,28 +27,23 @@ to persist as JSON.  Experiments that need the full simulation state
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import logging
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, cast
 
 from ..config import SystemConfig, fast_config
 from ..errors import JobExecutionError
 from ..sim.stats import CoreStats, MachineStats
-from ..utils.versioning import code_version
+from ..utils.store import JsonStore, content_key
 from ..workloads.base import WorkloadParams
 
 __all__ = [
     "SweepJob",
     "SweepExecutor",
-    "ResultCache",
     "execute_job",
-    "job_cache_key",
     "default_cache_dir",
-    "code_version",
     "stats_to_dict",
     "stats_from_dict",
 ]
@@ -72,6 +69,18 @@ class SweepJob:
     config: Optional[SystemConfig] = None
     mechanism: str = "undo"
     params: Optional[WorkloadParams] = None
+
+    def document(self) -> Dict[str, object]:
+        """What the job's result depends on: its cache identity."""
+        config = self.config if self.config is not None else fast_config()
+        params = self.params if self.params is not None else WorkloadParams()
+        return {
+            "design": self.design,
+            "workload": self.workload,
+            "mechanism": self.mechanism,
+            "config": dataclasses.asdict(config),
+            "params": dataclasses.asdict(params),
+        }
 
 
 def execute_job(job: SweepJob) -> MachineStats:
@@ -107,133 +116,12 @@ def stats_from_dict(payload: Dict[str, object]) -> MachineStats:
     return MachineStats(per_core=per_core, **data)
 
 
-# ---------------------------------------------------------------------------
-# Cache keys
-
-
-def _canonical(value: object) -> object:
-    """Make a value JSON-serializable in a stable way (bytes -> hex)."""
-    if isinstance(value, bytes):
-        return value.hex()
-    if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    return value
-
-
-# Re-exported for backwards compatibility; the implementation moved to
-# repro.utils.versioning so the crash/sim layers can fingerprint code
-# without depending on the bench layer.
-
-
-def job_cache_key(job: SweepJob) -> str:
-    """Stable content hash identifying a job's result."""
-    config = job.config if job.config is not None else fast_config()
-    params = job.params if job.params is not None else WorkloadParams()
-    document = {
-        "design": job.design,
-        "workload": job.workload,
-        "mechanism": job.mechanism,
-        "config": _canonical(dataclasses.asdict(config)),
-        "params": _canonical(dataclasses.asdict(params)),
-        "code": code_version(),
-    }
-    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# On-disk result cache
-
-
 def default_cache_dir() -> str:
     """``$REPRO_CACHE_DIR`` or ``~/.cache/repro-bench``."""
     override = os.environ.get("REPRO_CACHE_DIR")
     if override:
         return override
     return os.path.join(os.path.expanduser("~"), ".cache", "repro-bench")
-
-
-class ResultCache:
-    """One JSON file per finished job under ``directory``.
-
-    File name is the job's cache key, so lookups are a single ``open``.
-    A missing file is a plain miss; a file that exists but does not
-    parse back into stats is *corruption* — it is quarantined (renamed
-    to ``<key>.json.corrupt`` for inspection), counted in
-    ``corruption_events`` and logged, never silently recomputed over.
-    """
-
-    def __init__(self, directory: Optional[str] = None) -> None:
-        self.directory = directory if directory is not None else default_cache_dir()
-        self.corruption_events = 0
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, key + ".json")
-
-    def get(self, key: str) -> Optional[MachineStats]:
-        path = self._path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as stream:
-                payload = json.load(stream)
-            return stats_from_dict(payload["stats"])
-        except FileNotFoundError:
-            return None
-        except OSError:
-            # Unreadable (permissions, I/O): a miss, but not corrupt data.
-            return None
-        except (ValueError, KeyError, TypeError) as exc:
-            self._quarantine(path, exc)
-            return None
-
-    def _quarantine(self, path: str, exc: Exception) -> None:
-        self.corruption_events += 1
-        quarantine_path = path + ".corrupt"
-        try:
-            os.replace(path, quarantine_path)
-            where = "quarantined to %s" % quarantine_path
-        except OSError:
-            where = "could not be quarantined"
-        logger.warning(
-            "corrupt result-cache entry %s (%s: %s); %s",
-            path,
-            type(exc).__name__,
-            exc,
-            where,
-        )
-
-    def put(self, key: str, stats: MachineStats) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        path = self._path(key)
-        tmp_path = path + ".tmp.%d" % os.getpid()
-        payload = {"key": key, "stats": stats_to_dict(stats)}
-        try:
-            with open(tmp_path, "w", encoding="utf-8") as stream:
-                json.dump(payload, stream, sort_keys=True)
-            os.replace(tmp_path, path)
-        except OSError:
-            # A read-only cache directory degrades to no caching.
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-
-    def clear(self) -> int:
-        """Remove all cached results (quarantined ones included)."""
-        removed = 0
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return 0
-        for name in names:
-            if name.endswith(".json") or name.endswith(".json.corrupt"):
-                try:
-                    os.unlink(os.path.join(self.directory, name))
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +174,13 @@ class SweepExecutor:
       beat, which avoids false stalls for jobs queued behind a busy
       pool.
     * Corrupt result-cache entries are quarantined and counted by the
-      cache (``cache.corruption_events``), never silently recomputed.
+      cache (``cache.quarantined``), never silently recomputed.
     """
 
     def __init__(
         self,
         workers: int = 1,
-        cache: Optional[ResultCache] = None,
+        cache: Optional[JsonStore] = None,
         job_timeout_s: Optional[float] = None,
         max_retries: int = 2,
         retry_backoff_s: float = 0.1,
@@ -324,7 +212,7 @@ class SweepExecutor:
 
     @property
     def cache_corruption_events(self) -> int:
-        return self.cache.corruption_events if self.cache is not None else 0
+        return self.cache.quarantined if self.cache is not None else 0
 
     def stats(self) -> Dict[str, object]:
         """Executor health counters, for reports and the CLI."""
@@ -346,30 +234,72 @@ class SweepExecutor:
 
     def map_stats(self, jobs: Sequence[SweepJob]) -> List[MachineStats]:
         """Execute all jobs; result ``i`` belongs to ``jobs[i]``."""
-        results: List[Optional[MachineStats]] = [None] * len(jobs)
+        if self.cache is None:
+            return cast(List[MachineStats], self.map(execute_job, jobs))
+        results, hits = self.map_resumable(
+            execute_job,
+            jobs,
+            [content_key(job.document()) for job in jobs],
+            self.cache,
+            load=lambda document: stats_from_dict(document["stats"]),
+            dump=lambda key, stats: {"key": key, "stats": stats_to_dict(stats)},
+        )
+        self.cache_hits += hits
+        self.cache_misses += len(jobs) - hits
+        return cast(List[MachineStats], results)
+
+    def map_resumable(
+        self,
+        fn: Callable,
+        items: Sequence[object],
+        keys: Sequence[str],
+        store: Optional[JsonStore],
+        load: Callable[[dict], object],
+        dump: Optional[Callable[[str, Any], Dict[str, object]]] = None,
+        on_result: Optional[ResultCallback] = None,
+        heartbeats: Optional[Sequence[Optional[str]]] = None,
+    ) -> Tuple[List[object], int]:
+        """:meth:`map` that reuses the results ``store`` already holds.
+
+        ``keys[i]`` names the result of ``items[i]``.  A stored document
+        counts once ``load`` accepts it (see :meth:`JsonStore.get`); the
+        other items run through :meth:`map`, and each result is stored,
+        as ``dump(key, value)`` or as the value itself, the moment it
+        lands and before ``on_result`` hears of it.  Returns the results
+        in item order and how many came from the store.
+        """
+        results: List[object] = [None] * len(items)
         pending: List[int] = []
-        keys: List[Optional[str]] = [None] * len(jobs)
-        if self.cache is not None:
-            for index, job in enumerate(jobs):
-                key = job_cache_key(job)
-                keys[index] = key
-                cached = self.cache.get(key)
-                if cached is not None:
-                    self.cache_hits += 1
-                    results[index] = cached
-                else:
-                    self.cache_misses += 1
-                    pending.append(index)
-        else:
-            pending = list(range(len(jobs)))
-        if pending:
-            fresh = self.map(execute_job, [jobs[i] for i in pending])
-            for index, stats in zip(pending, fresh):
-                results[index] = stats
+        for index, key in enumerate(keys):
+            value = store.get(key, load) if store is not None else None
+            if value is None:
+                pending.append(index)
+            else:
+                results[index] = value
+
+        def landed(position: int, value: object) -> None:
+            index = pending[position]
+            if store is not None:
                 key = keys[index]
-                if self.cache is not None and key is not None:
-                    self.cache.put(key, stats)
-        return results  # type: ignore[return-value]
+                document = dump(key, value) if dump is not None else value
+                store.put(key, cast(Dict[str, object], document))
+            if on_result is not None:
+                on_result(index, value)
+
+        if pending:
+            fresh = self.map(
+                fn,
+                [items[index] for index in pending],
+                on_result=landed,
+                heartbeats=(
+                    [heartbeats[index] for index in pending]
+                    if heartbeats is not None
+                    else None
+                ),
+            )
+            for index, value in zip(pending, fresh):
+                results[index] = value
+        return results, len(items) - len(pending)
 
     def _engine(self, item_count: int) -> str:
         """The engine a map of ``item_count`` items runs on."""

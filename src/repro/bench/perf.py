@@ -405,7 +405,8 @@ def bench_sweep(
     import tempfile
 
     from .experiments import get_experiment
-    from .parallel import ResultCache, SweepExecutor
+    from ..utils.store import JsonStore
+    from .parallel import SweepExecutor
 
     exp = get_experiment(experiment)
     serial_s = _best_of(lambda: exp.run(scale), repeats=2)
@@ -418,7 +419,7 @@ def bench_sweep(
 
     cache_dir = tempfile.mkdtemp(prefix="repro-perf-cache-")
     try:
-        cache = ResultCache(cache_dir)
+        cache = JsonStore(cache_dir)
         cold_executor = SweepExecutor(workers=1, cache=cache)
         started = time.perf_counter()
         exp.run(scale, executor=cold_executor)

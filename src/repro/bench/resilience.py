@@ -5,9 +5,10 @@ Two cooperating halves:
 * :class:`Heartbeat` is the worker side of the executor's watchdog
   (``SweepExecutor(heartbeat_timeout_s=...)``).  A worker beats while
   it makes progress; the parent declares it stalled when the beat file
-  goes stale and recycles the pool.  Beats are rate-limited and
-  published with the same atomic-rename discipline as snapshots, so a
-  half-written beat can never look like progress.
+  goes stale and recycles the pool.  Beats are rate-limited and renamed
+  into place, so a half-written beat can never look like progress; they
+  skip the fsync durable results pay, because the watchdog reads only
+  the file's mtime and a beat lost to a power cut costs nothing.
 * :func:`run_workload_resilient` runs one workload simulation under
   periodic durable checkpoints (:mod:`repro.sim.snapshot`).  Traces are
   regenerated deterministically from the workload description, so only
@@ -25,7 +26,7 @@ from typing import Dict, Optional, Tuple
 
 from ..config import SystemConfig, fast_config
 from ..sim.machine import Machine
-from ..sim.snapshot import CheckpointPolicy, SnapshotStore, run_with_checkpoints
+from ..sim.snapshot import SnapshotStore, run_with_checkpoints
 from ..utils.versioning import code_version
 from ..workloads.base import WorkloadParams
 from .harness import WorkloadRunOutcome, build_traces
@@ -118,13 +119,12 @@ def run_workload_resilient(
             code=code if code is not None else code_version(),
             keep=keep,
         )
-    policy = CheckpointPolicy(every_events=every_events)
     on_event = None
     if heartbeat is not None:
         on_event = heartbeat.beat
     machine = Machine(config, design)
     result, stats = run_with_checkpoints(
-        machine, traces, store=store, policy=policy, on_event=on_event
+        machine, traces, store=store, every_events=every_events, on_event=on_event
     )
     outcome = WorkloadRunOutcome(
         design=design,

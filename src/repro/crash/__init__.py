@@ -24,7 +24,6 @@ from .campaign import (
     CampaignRunner,
     CampaignSpec,
     Outcome,
-    job_key,
     run_campaign_job,
 )
 
@@ -50,6 +49,5 @@ __all__ = [
     "CampaignRunner",
     "CampaignSpec",
     "Outcome",
-    "job_key",
     "run_campaign_job",
 ]

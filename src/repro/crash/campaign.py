@@ -27,33 +27,39 @@ converged (``recovered-after-nested-crash``) or at least stayed loud
 (``detected-after-nested-crash``).
 
 Campaigns are deterministic (same seed, same spec -> same outcome
-table) and resumable: every finished job is journaled to
-``<dir>/journal.jsonl`` as it completes, and a rerun skips journaled
-jobs whose key (spec + seed + code version) still matches.
+table) and resumable: every finished job's result is stored as
+``<dir>/<key>.json`` the moment it lands (:mod:`repro.utils.store`), and
+a rerun skips jobs whose key (job document + code version) is stored.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
-import json
-import logging
 import os
 import shutil
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    cast,
+)
 
 from ..config import KB
-from ..errors import CampaignError, CampaignJournalError
+from ..errors import CampaignError
 from ..faults import make_fault_model
 from ..faults.registry import DEFAULT_SUITE
+from ..utils.store import JsonStore, content_key
 from .injector import CrashInjector, uniform_sample
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (bench -> txn -> crash)
     from ..bench.parallel import SweepExecutor
-
-logger = logging.getLogger(__name__)
 
 #: Cap on non-clean outcome examples kept per job for the triage report.
 EXAMPLES_PER_JOB = 3
@@ -126,20 +132,6 @@ class CampaignJob:
             "nested_crash": self.nested_crash,
             "nested_steps": self.nested_steps,
         }
-
-
-def job_key(job: CampaignJob) -> str:
-    """Content hash identifying one job's result.
-
-    The code version is part of the key: resuming a campaign across a
-    simulator change re-runs everything rather than mixing semantics.
-    """
-    from ..utils.versioning import code_version
-
-    document = job.document()
-    document["code"] = code_version()
-    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
 def _classify_session(result, nested_swept: bool) -> Tuple[Outcome, str]:
@@ -308,7 +300,7 @@ def run_campaign_job(job: CampaignJob) -> Dict[str, object]:
     if heartbeat is not None:
         heartbeat.clear()
     document: Dict[str, object] = {
-        "key": job_key(job),
+        "key": content_key(job.document()),
         "job": job.document(),
         "points": cells,
         "crash_times": len(times),
@@ -342,9 +334,9 @@ def run_campaign_job(job: CampaignJob) -> Dict[str, object]:
     return document
 
 
-@dataclass
+@dataclass(frozen=True)
 class CampaignSpec:
-    """What a campaign sweeps.
+    """What a campaign sweeps; a bad value is refused on construction.
 
     ``faults`` entries are fault specs: a registry name or a mapping
     like ``{"model": "dropped-adr", "budget": 2}``.
@@ -386,7 +378,7 @@ class CampaignSpec:
             normalized.append((name, tuple(sorted(params.items()))))
         return normalized
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Fail fast on misconfiguration, before any worker runs."""
         from ..core.designs import get_design
         from ..errors import ConfigurationError, FaultInjectionError
@@ -428,7 +420,6 @@ class CampaignSpec:
 
     def jobs(self) -> List[CampaignJob]:
         """The full cross product, in deterministic order."""
-        self.validate()
         jobs = []
         for workload in self.workloads:
             for design in self.designs:
@@ -481,15 +472,11 @@ class CampaignReport:
     resumed_jobs: int = 0
     executor_stats: Dict[str, object] = field(default_factory=dict)
     resilience: Dict[str, int] = field(default_factory=dict)
-    #: Torn trailing journal lines moved aside during resume.
-    journal_quarantined: int = 0
-    #: Older duplicate journal records dropped during resume (a retried
-    #: job appends a second record; only the newest counts).
-    journal_superseded: int = 0
+    #: Damaged result files quarantined during resume (their jobs re-ran).
+    quarantined: int = 0
 
     def total(self, outcome: Outcome) -> int:
-        # .get: journal entries written before an outcome class existed
-        # simply count zero for it.
+        # .get: a result without an outcome class counts zero for it.
         return sum(r["outcomes"].get(outcome.value, 0) for r in self.results)
 
     @property
@@ -513,8 +500,7 @@ class CampaignReport:
             "points": self.points,
             "executor": dict(self.executor_stats),
             "resilience": dict(self.resilience),
-            "journal_quarantined": self.journal_quarantined,
-            "journal_superseded": self.journal_superseded,
+            "quarantined": self.quarantined,
         }
 
     def render(self) -> str:
@@ -568,16 +554,13 @@ class CampaignReport:
             )
         )
         if self.resumed_jobs:
-            lines.append("resumed: %d job(s) restored from the journal" % self.resumed_jobs)
-        if self.journal_quarantined:
             lines.append(
-                "journal: %d torn line(s) quarantined; those jobs re-ran"
-                % self.journal_quarantined
+                "resumed: %d job(s) restored from the store" % self.resumed_jobs
             )
-        if self.journal_superseded:
+        if self.quarantined:
             lines.append(
-                "journal: %d superseded record(s) deduped (retried jobs count once)"
-                % self.journal_superseded
+                "store: %d damaged result file(s) quarantined; those jobs re-ran"
+                % self.quarantined
             )
         if any(self.resilience.values()):
             lines.append(
@@ -615,182 +598,22 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-class JobJournal:
-    """Append-only, crash-safe jsonl journal of finished job documents.
-
-    Shared by every resumable runner (crash campaigns, the KV service
-    scenarios): each record is one JSON object carrying at least a
-    ``key`` plus whatever ``require`` fields the owner shape-checks.
-    Records are fsynced line-by-line, deduped last-record-wins on load,
-    and torn trailing lines (a mid-write kill) are quarantined to a
-    side file instead of failing the resume.
-    """
-
-    def __init__(
-        self,
-        journal_dir: Optional[str],
-        name: str = "journal.jsonl",
-        require: Sequence[str] = ("key",),
-    ) -> None:
-        self.journal_dir = journal_dir
-        self.path = (
-            os.path.join(journal_dir, name) if journal_dir is not None else None
-        )
-        self.require = tuple(require)
-        #: Torn lines moved aside by the last :meth:`load`.
-        self.quarantined = 0
-        #: Older duplicate records dropped by the last :meth:`load`.
-        self.superseded = 0
-
-    def load(self) -> Dict[str, Dict[str, object]]:
-        if self.path is None or not os.path.exists(self.path):
-            return {}
-        completed: Dict[str, Dict[str, object]] = {}
-        # Dedupe by job key, last record wins.  A retried job (e.g. a
-        # worker killed after journaling, or a ``retry_crashed`` re-run)
-        # appends a *second* record for the same key; keeping both would
-        # double-count its points in any journal-derived tally, so older
-        # records are superseded and dropped from the rewritten journal.
-        line_by_key: Dict[str, str] = {}
-        order: List[str] = []
-        torn_lines: List[str] = []
-        superseded = 0
-        try:
-            with open(self.path, "r", encoding="utf-8") as stream:
-                for raw in stream:
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    try:
-                        document = json.loads(line)
-                        key = document["key"]
-                        for required in self.require:
-                            document[required]  # shape check
-                    except (ValueError, KeyError, TypeError):
-                        # A line torn by a mid-write kill (typically the
-                        # trailing one): quarantine it and re-run that
-                        # job rather than failing the whole resume.
-                        torn_lines.append(line)
-                        continue
-                    if key in completed:
-                        superseded += 1
-                    else:
-                        order.append(key)
-                    completed[key] = document
-                    line_by_key[key] = line
-        except OSError as exc:
-            raise CampaignJournalError(
-                "cannot read job journal %s: %s" % (self.path, exc)
-            ) from None
-        good_lines = [line_by_key[key] for key in order]
-        self.superseded += superseded
-        if torn_lines:
-            self.quarantined += len(torn_lines)
-            self._quarantine_lines(good_lines, torn_lines)
-        elif superseded:
-            self._rewrite(good_lines)
-        return completed
-
-    def _rewrite(self, good_lines: List[str]) -> None:
-        """Atomically rewrite the journal with only the surviving lines."""
-        path = self.path
-        if path is None:
-            return
-        try:
-            tmp_path = "%s.tmp.%d" % (path, os.getpid())
-            with open(tmp_path, "w", encoding="utf-8") as stream:
-                for line in good_lines:
-                    stream.write(line + "\n")
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(tmp_path, path)
-        except OSError as exc:
-            # Best-effort: a read-only journal degrades to in-memory
-            # deduplication, never to a failed resume.
-            logger.warning(
-                "job journal %s: could not rewrite deduped journal (%s)",
-                path,
-                exc,
-            )
-
-    def _quarantine_lines(
-        self, good_lines: List[str], torn_lines: List[str]
-    ) -> None:
-        """Move torn records to a side file; rewrite the journal clean.
-
-        Both writes are best-effort: a read-only journal directory
-        degrades to in-memory skipping (the historical behaviour), it
-        never turns a recoverable resume into a hard failure.
-        """
-        path = self.path
-        if path is None:
-            return
-        quarantine_path = path + ".quarantine"
-        try:
-            with open(quarantine_path, "a", encoding="utf-8") as stream:
-                for line in torn_lines:
-                    stream.write(line + "\n")
-                stream.flush()
-                os.fsync(stream.fileno())
-            tmp_path = "%s.tmp.%d" % (path, os.getpid())
-            with open(tmp_path, "w", encoding="utf-8") as stream:
-                for line in good_lines:
-                    stream.write(line + "\n")
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(tmp_path, path)
-        except OSError as exc:
-            logger.warning(
-                "job journal %s: could not quarantine %d torn line(s) (%s); "
-                "they will be skipped in memory instead",
-                path,
-                len(torn_lines),
-                exc,
-            )
-            return
-        logger.warning(
-            "job journal %s: quarantined %d torn line(s) to %s",
-            path,
-            len(torn_lines),
-            quarantine_path,
-        )
-
-    def append(self, result: Dict[str, object]) -> None:
-        if self.path is None:
-            return
-        assert self.journal_dir is not None
-        os.makedirs(self.journal_dir, exist_ok=True)
-        try:
-            with open(self.path, "a", encoding="utf-8") as stream:
-                stream.write(json.dumps(result, sort_keys=True) + "\n")
-                # flush+fsync per record: a power cut or SIGKILL can
-                # tear at most the line being written, and that line is
-                # quarantined (not fatal) on the next resume.
-                stream.flush()
-                os.fsync(stream.fileno())
-        except OSError as exc:
-            raise CampaignJournalError(
-                "cannot append to job journal %s: %s" % (self.path, exc)
-            ) from None
-
-
 class CampaignRunner:
-    """Plans, executes, journals and resumes a campaign.
+    """Plans, executes, stores and resumes a campaign.
 
-    With ``checkpoint_dir`` set, every pending job checkpoints its
-    simulation under ``<checkpoint_dir>/<job_key>`` and resumes from
-    there after a kill; finished jobs' checkpoint state is deleted as
-    soon as their result is journaled (the journal is the durable
-    record, the snapshots are only scaffolding).
+    With ``store_dir`` set, each finished job's result is stored there
+    as it lands and a rerun resumes from it.  With ``checkpoint_dir``
+    set, every pending job checkpoints its simulation under
+    ``<checkpoint_dir>/<key>`` and resumes from there after a kill; a
+    job's checkpoint state is deleted as soon as its result is stored
+    (the result is the durable record, the snapshots only scaffolding).
     """
-
-    JOURNAL_NAME = "journal.jsonl"
 
     def __init__(
         self,
         spec: CampaignSpec,
         executor: Optional[SweepExecutor] = None,
-        journal_dir: Optional[str] = None,
+        store_dir: Optional[str] = None,
         checkpoint_dir: Optional[str] = None,
         checkpoint_every: Optional[int] = None,
         retry_crashed: bool = False,
@@ -799,25 +622,12 @@ class CampaignRunner:
 
         self.spec = spec
         self.executor = executor if executor is not None else SweepExecutor()
-        self.journal = JobJournal(
-            journal_dir, name=self.JOURNAL_NAME, require=("key", "outcomes")
-        )
-        self.journal_dir = journal_dir
-        self.journal_path = self.journal.path
+        self.store = JsonStore(store_dir) if store_dir is not None else None
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
-        #: Re-run journaled jobs whose record shows recovery-crashed
-        #: cells instead of resuming them (their retry record supersedes
-        #: the old one in the journal).
+        #: Re-run stored jobs whose result shows recovery-crashed cells
+        #: instead of resuming them; the fresh result replaces the old.
         self.retry_crashed = retry_crashed
-
-    @property
-    def journal_quarantined(self) -> int:
-        return self.journal.quarantined
-
-    @property
-    def journal_superseded(self) -> int:
-        return self.journal.superseded
 
     # -- execution --------------------------------------------------------
 
@@ -834,57 +644,35 @@ class CampaignRunner:
         )
 
     def _cleanup_job_state(self, key: str) -> None:
-        """Drop a journaled job's checkpoint scaffolding."""
+        """Drop a finished job's checkpoint scaffolding."""
         if self.checkpoint_dir is None:
             return
         shutil.rmtree(os.path.join(self.checkpoint_dir, key), ignore_errors=True)
 
+    def _resumable(self, result: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        """A stored result, or None when ``retry_crashed`` re-runs it."""
+        crashed = result["outcomes"][Outcome.CRASHED.value]
+        return None if crashed and self.retry_crashed else result
+
     def run(self) -> CampaignReport:
         """Run (or resume) the campaign and return the triage report."""
         jobs = self.spec.jobs()
-        completed = self.journal.load()
-        if self.retry_crashed:
-            # Treat journaled jobs with recovery-crashed cells as
-            # pending again; their fresh record supersedes the old one
-            # at the next resume (last-record-wins dedupe above).
-            retried = [
-                key
-                for key, record in completed.items()
-                if record["outcomes"].get(Outcome.CRASHED.value, 0)
-            ]
-            for key in retried:
-                del completed[key]
-            if retried:
-                logger.info(
-                    "campaign retry: re-running %d job(s) with crashed cells",
-                    len(retried),
-                )
-        keys = [job_key(job) for job in jobs]
-        results: List[Optional[Dict[str, object]]] = [
-            completed.get(key) for key in keys
-        ]
-        pending = [index for index, result in enumerate(results) if result is None]
-        resumed = len(jobs) - len(pending)
-        if resumed:
-            logger.info("campaign resume: %d/%d job(s) journaled", resumed, len(jobs))
-        for index, result in enumerate(results):
-            if result is not None:
-                self._cleanup_job_state(keys[index])
-        if pending:
-            prepared = [self._prepare_job(jobs[index], keys[index]) for index in pending]
-
-            def _journal_and_cleanup(_index: int, value: Dict[str, object]) -> None:
-                self.journal.append(value)
-                self._cleanup_job_state(value["key"])
-
-            fresh = self.executor.map(
-                run_campaign_job,
-                prepared,
-                on_result=_journal_and_cleanup,
-                heartbeats=[job.heartbeat_path for job in prepared],
-            )
-            for index, value in zip(pending, fresh):
-                results[index] = value
+        keys = [content_key(job.document()) for job in jobs]
+        prepared = [self._prepare_job(job, key) for job, key in zip(jobs, keys)]
+        values, resumed = self.executor.map_resumable(
+            run_campaign_job,
+            prepared,
+            keys,
+            self.store,
+            load=self._resumable,
+            on_result=lambda index, _value: self._cleanup_job_state(keys[index]),
+            heartbeats=[job.heartbeat_path for job in prepared],
+        )
+        # A run killed between storing a result and cleaning up leaves
+        # scaffolding behind for jobs this run resumed.
+        for key in keys:
+            self._cleanup_job_state(key)
+        results = cast(List[Dict[str, Any]], values)
         resilience: Dict[str, int] = {
             "saved": 0, "restored": 0, "quarantined": 0, "invalidated": 0,
         }
@@ -894,10 +682,9 @@ class CampaignRunner:
                 resilience[counter] += int(job_resilience.get(counter, 0))
         return CampaignReport(
             spec=self.spec.as_dict(),
-            results=results,  # type: ignore[arg-type]
+            results=results,
             resumed_jobs=resumed,
             executor_stats=self.executor.stats(),
             resilience=resilience,
-            journal_quarantined=self.journal_quarantined,
-            journal_superseded=self.journal_superseded,
+            quarantined=self.store.quarantined if self.store is not None else 0,
         )

@@ -133,10 +133,6 @@ class CampaignError(ReproError):
     """A crash campaign could not be planned, executed, or resumed."""
 
 
-class CampaignJournalError(CampaignError):
-    """The on-disk campaign journal is unreadable or inconsistent."""
-
-
 class JobExecutionError(CampaignError):
     """A sweep/campaign job failed permanently after bounded retries.
 

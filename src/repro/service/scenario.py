@@ -18,24 +18,25 @@ One :class:`ServiceJob` runs the full story for one design point:
 
 :class:`ServiceRunner` sweeps jobs across designs with the shared
 :class:`~repro.bench.parallel.SweepExecutor` (inline or process pool)
-and the same journal/resume discipline campaigns use — a killed
-``repro-bench serve`` pointed at the same ``--serve-dir`` resumes
-instead of re-running finished designs.
+and the same result store campaigns use (:mod:`repro.utils.store`) — a
+killed ``repro-bench serve`` pointed at the same ``--serve-dir``
+resumes instead of re-running finished designs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, cast
 
 from ..config import fast_config
 from ..core.designs import get_design
-from ..crash.campaign import JobJournal, job_key
 from ..crash.injector import CrashInjector
 from ..crash.session import RecoverySession
-from ..errors import ServiceError
+from ..errors import ConfigurationError, FaultInjectionError, ServiceError
 from ..faults import make_fault_model
 from ..sim.machine import Machine
+from ..txn.manager import TransactionMechanism
+from ..utils.store import JsonStore, content_key
 from .kv import ServiceValidator, ServiceWorkload
 from .slo import TenantSLO, attribute_latencies, summarize_tenants
 from .traffic import TrafficSpec, generate_operations, stream_fingerprint
@@ -43,12 +44,13 @@ from .traffic import TrafficSpec, generate_operations, stream_fingerprint
 if TYPE_CHECKING:  # pragma: no cover - import cycle (bench -> crash)
     from ..bench.parallel import SweepExecutor
 
-JOURNAL_NAME = "journal.jsonl"
-
 
 @dataclass(frozen=True)
 class ServiceJob:
-    """One (design, traffic, crash plan) service cell; picklable."""
+    """One (design, traffic, crash plan) service cell; picklable.
+
+    A bad value is refused on construction, before any job runs.
+    """
 
     design: str
     traffic: TrafficSpec = field(default_factory=TrafficSpec)
@@ -67,6 +69,25 @@ class ServiceJob:
     with_counter_recovery: bool = False
     #: Log entries per tenant arena (bounds lines per transaction).
     log_capacity: int = 48
+
+    def __post_init__(self) -> None:
+        try:
+            get_design(self.design)
+        except ConfigurationError as exc:
+            raise ServiceError(str(exc)) from None
+        try:
+            TransactionMechanism(self.mechanism)
+        except ValueError:
+            raise ServiceError(
+                "unknown transaction mechanism %r" % self.mechanism
+            ) from None
+        if not 0.0 < self.crash_fraction < 1.0:
+            raise ServiceError("crash_fraction must be in (0, 1)")
+        if self.fault is not None:
+            try:
+                make_fault_model(self.fault, **dict(self.fault_params))
+            except FaultInjectionError as exc:
+                raise ServiceError(str(exc)) from None
 
     def document(self) -> Dict[str, object]:
         return {
@@ -106,10 +127,8 @@ def run_service_job(job: ServiceJob) -> Dict[str, object]:
 
     Returns a JSON-ready report document: per-tenant SLOs, the crash
     triage, and enough identity (job key + stream fingerprint) for
-    journaled resume and determinism checks.
+    resume and determinism checks.
     """
-    if not 0.0 < job.crash_fraction < 1.0:
-        raise ServiceError("crash_fraction must be in (0, 1)")
     policy = get_design(job.design)
     config = fast_config()
     spec = job.traffic
@@ -128,7 +147,7 @@ def run_service_job(job: ServiceJob) -> Dict[str, object]:
     splits = sum(store.splits for store in workload.stores)
 
     document: Dict[str, object] = {
-        "key": job_key(job),
+        "key": content_key(job.document()),
         "job": job.document(),
         "design": job.design,
         "mechanism": job.mechanism,
@@ -270,8 +289,8 @@ class ServiceReport:
     results: List[Dict[str, object]]
     resumed_jobs: int = 0
     executor_stats: Dict[str, object] = field(default_factory=dict)
-    journal_quarantined: int = 0
-    journal_superseded: int = 0
+    #: Damaged result files quarantined during resume (their jobs re-ran).
+    quarantined: int = 0
 
     @property
     def acked_lost(self) -> int:
@@ -316,8 +335,7 @@ class ServiceReport:
             "results": self.results,
             "resumed_jobs": self.resumed_jobs,
             "executor": dict(self.executor_stats),
-            "journal_quarantined": self.journal_quarantined,
-            "journal_superseded": self.journal_superseded,
+            "quarantined": self.quarantined,
         }
 
     def render(self) -> str:
@@ -375,25 +393,25 @@ class ServiceReport:
             lines.append("-" * len(header))
         if self.resumed_jobs:
             lines.append(
-                "resumed: %d design report(s) restored from the journal"
+                "resumed: %d design report(s) restored from the store"
                 % self.resumed_jobs
             )
-        if self.journal_quarantined:
+        if self.quarantined:
             lines.append(
-                "journal: %d torn line(s) quarantined; those jobs re-ran"
-                % self.journal_quarantined
+                "store: %d damaged result file(s) quarantined; those jobs re-ran"
+                % self.quarantined
             )
         return "\n".join(lines)
 
 
 class ServiceRunner:
-    """Executes service jobs across designs with journal/resume."""
+    """Executes service jobs across designs, resuming from ``store_dir``."""
 
     def __init__(
         self,
         jobs: Sequence[ServiceJob],
         executor: Optional["SweepExecutor"] = None,
-        journal_dir: Optional[str] = None,
+        store_dir: Optional[str] = None,
     ) -> None:
         from ..bench.parallel import SweepExecutor
 
@@ -401,31 +419,27 @@ class ServiceRunner:
             raise ServiceError("the service runner needs at least one job")
         self.jobs = list(jobs)
         self.executor = executor if executor is not None else SweepExecutor()
-        self.journal = JobJournal(
-            journal_dir, name=JOURNAL_NAME, require=("key", "totals")
-        )
+        self.store = JsonStore(store_dir) if store_dir is not None else None
 
     def run(self) -> ServiceReport:
         """Run (or resume) every job; returns the combined report."""
-        keys = [job_key(job) for job in self.jobs]
-        completed = self.journal.load()
-        results: List[Optional[Dict[str, object]]] = [
-            completed.get(key) for key in keys
-        ]
-        pending = [index for index, result in enumerate(results) if result is None]
-        resumed = len(self.jobs) - len(pending)
-        if pending:
-            fresh = self.executor.map(
-                run_service_job,
-                [self.jobs[index] for index in pending],
-                on_result=lambda _index, value: self.journal.append(value),
-            )
-            for index, value in zip(pending, fresh):
-                results[index] = value
+        results, resumed = self.executor.map_resumable(
+            run_service_job,
+            self.jobs,
+            [content_key(job.document()) for job in self.jobs],
+            self.store,
+            load=_stored_report,
+        )
         return ServiceReport(
-            results=results,  # type: ignore[arg-type]
+            results=cast(List[Dict[str, Any]], results),
             resumed_jobs=resumed,
             executor_stats=self.executor.stats(),
-            journal_quarantined=self.journal.quarantined,
-            journal_superseded=self.journal.superseded,
+            quarantined=self.store.quarantined if self.store is not None else 0,
         )
+
+
+def _stored_report(document: Dict[str, Any]) -> Dict[str, Any]:
+    """A stored report; one without its totals is damaged."""
+    if not isinstance(document["totals"], dict):
+        raise TypeError("a report's totals must be a mapping")
+    return document

@@ -10,7 +10,6 @@ in time order.
 
 from .machine import Machine, SimulationResult
 from .snapshot import (
-    CheckpointPolicy,
     SnapshotStore,
     read_snapshot,
     result_fingerprint,
@@ -40,7 +39,6 @@ __all__ = [
     "loads_trace",
     "save_traces",
     "load_traces",
-    "CheckpointPolicy",
     "SnapshotStore",
     "read_snapshot",
     "result_fingerprint",

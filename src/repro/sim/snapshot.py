@@ -7,21 +7,21 @@ boundary.  This module keeps such pickles in generation-numbered
 snapshot files using the same discipline the paper demands of NVM
 software:
 
-* **Atomicity** — a snapshot is written to a temporary file in the same
-  directory, flushed and ``fsync``'d, then published with an atomic
-  ``os.replace``; a crash mid-write leaves the previous generation
-  untouched and at worst an orphan ``*.tmp``.
+* **Atomicity** — a snapshot is published through
+  :func:`repro.utils.store.publish` (temporary file, fsync, atomic
+  rename, directory fsync); a crash mid-write leaves the
+  previous generation untouched and at worst an orphan temporary file.
 * **Detection** — the header carries a CRC-32 of the body, so a torn or
   bit-flipped snapshot is detected on load and quarantined (renamed to
-  ``*.corrupt``) rather than trusted.
+  ``*.corrupt`` by :func:`repro.utils.store.quarantine`) rather than
+  trusted.
 * **Versioning** — the header records the repository code hash
   (``repro.utils.versioning.code_version``); a snapshot written by
   different sources is invalidated instead of restored, because resumed
   timing would silently diverge from a fresh run.
 * **Recovery** — :meth:`SnapshotStore.load_latest` falls back
   generation by generation past damaged or stale files before giving
-  up, mirroring how the campaign engine falls back past corrupt result
-  cache entries.
+  up, as result stores fall back to re-running a damaged result.
 
 Resume is deterministic: everything a running machine reads is
 reachable from it, so a machine unpickled at event N continues to a
@@ -39,10 +39,10 @@ import json
 import os
 import pickle
 import struct
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SnapshotCorruptError, SnapshotError, SnapshotVersionError
+from ..utils.store import publish, quarantine
 from .machine import Machine, SimulationResult
 from .trace import Trace
 
@@ -85,32 +85,8 @@ def write_snapshot(
         "meta": meta or {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(_HEADER_LEN.pack(len(header_bytes)))
-        handle.write(header_bytes)
-        handle.write(body)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
-    _fsync_directory(directory)
+    publish(path, MAGIC + _HEADER_LEN.pack(len(header_bytes)) + header_bytes + body)
     return path
-
-
-def _fsync_directory(directory: str) -> None:
-    """Best-effort directory fsync so the rename itself is durable."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
 
 
 def read_snapshot(
@@ -235,12 +211,8 @@ class SnapshotStore:
             except OSError:
                 pass
 
-    def _quarantine(self, generation: int) -> None:
-        path = self._path(generation)
-        try:
-            os.replace(path, path + ".corrupt")
-        except OSError:
-            pass
+    def _quarantine(self, generation: int, exc: SnapshotCorruptError) -> None:
+        quarantine(self._path(generation), str(exc))
         self.quarantined += 1
 
     def _invalidate(self, generation: int) -> None:
@@ -260,8 +232,8 @@ class SnapshotStore:
             path = self._path(generation)
             try:
                 return read_snapshot(path, expected_code=self.code or None)
-            except SnapshotCorruptError:
-                self._quarantine(generation)
+            except SnapshotCorruptError as exc:
+                self._quarantine(generation, exc)
             except SnapshotVersionError:
                 self._invalidate(generation)
         return None
@@ -279,30 +251,16 @@ class SnapshotStore:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CheckpointPolicy:
-    """When to checkpoint: every N simulated events."""
-
-    every_events: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.every_events is not None and self.every_events < 1:
-            raise SnapshotError("checkpoint cadence must be at least one event")
-
-    @property
-    def enabled(self) -> bool:
-        return self.every_events is not None
-
-
 def run_with_checkpoints(
     machine: Machine,
     traces: Sequence[Trace],
     store: Optional[SnapshotStore] = None,
-    policy: Optional[CheckpointPolicy] = None,
+    every_events: Optional[int] = None,
     resume: bool = True,
     on_event: Optional[Callable[[int], None]] = None,
 ) -> Tuple[SimulationResult, Dict[str, int]]:
-    """Run ``machine`` over ``traces`` with periodic durable checkpoints.
+    """Run ``machine`` over ``traces``, checkpointing to ``store`` every
+    ``every_events`` simulated events (never when either is None).
 
     With ``resume`` and an existing valid snapshot in ``store``, the
     snapshot's machine continues from its checkpointed event in place of
@@ -317,7 +275,8 @@ def run_with_checkpoints(
     Returns ``(result, stats)`` with ``stats`` covering saves,
     restores, quarantines and invalidations.
     """
-    policy = policy or CheckpointPolicy()
+    if every_events is not None and every_events < 1:
+        raise SnapshotError("checkpoint cadence must be at least one event")
     restored_events = 0
     restored = 0
     if store is not None and resume:
@@ -331,7 +290,7 @@ def run_with_checkpoints(
     if not restored:
         machine.begin(traces)
 
-    every = policy.every_events if store is not None else None
+    every = every_events if store is not None else None
     next_mark = machine.events_executed + every if every is not None else None
     more = True
     while more:

@@ -1,4 +1,5 @@
-"""Small shared utilities: bit manipulation, formatting, code versions."""
+"""Small shared utilities: bit manipulation, formatting, code versions,
+and the on-disk result store (:mod:`repro.utils.store`)."""
 
 from .bitops import (
     align_down,

@@ -149,6 +149,44 @@ class TestCli:
         assert main(["fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    def test_unknown_experiment_leaves_the_cache_alone(self, tmp_path, capsys):
+        from repro.bench.cli import main
+
+        entry = tmp_path / ("0" * 64 + ".json")
+        entry.write_text("{}", encoding="utf-8")
+        assert main(["fig99", "--clear-cache", "--cache-dir", str(tmp_path)]) == 2
+        assert "cleared" not in capsys.readouterr().out
+        assert entry.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["designs", "--crash-points", "5"],
+            ["table2", "--tenants", "3"],
+            ["serve", "--designs", "sca", "--tenants", "2", "--ops", "20", "--crash-points", "3"],
+            ["campaign", "--designs", "sca", "--faults", "none", "--crash-points", "2",
+             "--operations", "4", "--tenants", "2"],
+        ],
+    )
+    def test_flag_of_another_command_exits_2(self, argv, capsys):
+        from repro.bench.cli import main
+
+        with pytest.raises(SystemExit) as exit:
+            main(argv)
+        assert exit.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_no_command_runs_all(self, monkeypatch):
+        from repro.bench import cli
+
+        ran = []
+        monkeypatch.setattr(
+            cli, "_run_figures", lambda args: ran.append((args.command, args.scale)) or 0
+        )
+        assert cli.main([]) == 0
+        assert cli.main(["--scale", "full"]) == 0
+        assert ran == [("all", "quick"), ("all", "full")]
+
 
 class TestJsonExport:
     def test_result_as_dict(self):

@@ -6,15 +6,15 @@ import pytest
 
 from repro.bench.experiments import Fig13MultiCore, get_experiment
 from repro.bench.parallel import (
-    ResultCache,
     SweepExecutor,
     SweepJob,
     execute_job,
-    job_cache_key,
     stats_from_dict,
     stats_to_dict,
 )
 from repro.config import fast_config
+from repro.errors import ConfigurationError
+from repro.utils.store import JsonStore, content_key
 from repro.workloads.base import WorkloadParams
 
 PARAMS = WorkloadParams(operations=12, footprint_bytes=16 * 1024)
@@ -61,10 +61,18 @@ class TestDeterministicExecution:
         assert stats_to_dict(execute_job(job)) == stats_to_dict(direct)
 
 
+def job_cache_key(job):
+    return content_key(job.document())
+
+
+def cached_stats(cache, job):
+    return cache.get(job_cache_key(job), lambda document: document["stats"])
+
+
 class TestResultCache:
     def test_second_run_hits_cache_with_identical_values(self, tmp_path):
         jobs = small_jobs()
-        cache = ResultCache(str(tmp_path))
+        cache = JsonStore(str(tmp_path))
         first_executor = SweepExecutor(workers=1, cache=cache)
         first = first_executor.map_stats(jobs)
         assert first_executor.cache_hits == 0
@@ -78,7 +86,7 @@ class TestResultCache:
             assert stats_to_dict(left) == stats_to_dict(right)
 
     def test_config_change_invalidates_cache(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = JsonStore(str(tmp_path))
         base = SweepJob("sca", "array", config=fast_config(), params=PARAMS)
         executor = SweepExecutor(workers=1, cache=cache)
         executor.map_stats([base])
@@ -102,22 +110,35 @@ class TestResultCache:
         assert job_cache_key(left) == job_cache_key(right)
 
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = JsonStore(str(tmp_path))
         job = SweepJob("sca", "array", config=fast_config(), params=PARAMS)
         key = job_cache_key(job)
         (tmp_path / (key + ".json")).write_text("{not json", encoding="utf-8")
-        assert cache.get(key) is None
+        assert cached_stats(cache, job) is None
         executor = SweepExecutor(workers=1, cache=cache)
         executor.map_stats([job])
         assert executor.cache_misses == 1
-        assert cache.get(key) is not None  # rewritten with a good entry
+        assert cached_stats(cache, job) is not None  # rewritten with a good entry
 
     def test_clear_removes_entries(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = JsonStore(str(tmp_path))
         job = SweepJob("sca", "array", config=fast_config(), params=PARAMS)
         SweepExecutor(workers=1, cache=cache).map_stats([job])
         assert cache.clear() == 1
-        assert cache.get(job_cache_key(job)) is None
+        assert cached_stats(cache, job) is None
+
+    def test_each_point_is_stored_as_it_lands(self, tmp_path):
+        cache = JsonStore(str(tmp_path))
+        jobs = small_jobs()[:2]
+        broken = SweepJob("no-such-design", "array", config=fast_config(), params=PARAMS)
+        with pytest.raises(ConfigurationError):
+            SweepExecutor(backend="inline", cache=cache).map_stats(jobs + [broken])
+        for job in jobs:
+            assert cached_stats(cache, job) is not None
+        rerun = SweepExecutor(workers=1, cache=cache)
+        rerun.map_stats(jobs)
+        assert (rerun.cache_hits, rerun.cache_misses) == (2, 0)
+        assert rerun.jobs_executed == 0
 
 
 class TestStatsSerialization:

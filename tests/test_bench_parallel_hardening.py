@@ -7,10 +7,11 @@ import time
 
 import pytest
 
-from repro.bench.parallel import ResultCache, SweepExecutor, SweepJob, job_cache_key
+from repro.bench.parallel import SweepExecutor, SweepJob
 from repro.config import fast_config
 from repro.crash.campaign import CampaignRunner, CampaignSpec
 from repro.errors import JobExecutionError
+from repro.utils.store import JsonStore, content_key
 from repro.workloads.base import WorkloadParams
 
 PARAMS = WorkloadParams(operations=8, footprint_bytes=8 * 1024)
@@ -203,32 +204,41 @@ class TestCampaignOracle:
 
 class TestCacheQuarantine:
     def test_corrupt_entry_is_quarantined_counted_and_logged(self, tmp_path, caplog):
-        cache = ResultCache(str(tmp_path))
+        cache = JsonStore(str(tmp_path))
         job = SweepJob("sca", "array", config=fast_config(), params=PARAMS)
-        key = job_cache_key(job)
-        (tmp_path / (key + ".json")).write_text("{not json", encoding="utf-8")
-        with caplog.at_level(logging.WARNING, logger="repro.bench.parallel"):
-            assert cache.get(key) is None
-        assert cache.corruption_events == 1
-        assert (tmp_path / (key + ".json.corrupt")).exists()
-        assert not (tmp_path / (key + ".json")).exists()
-        assert any("corrupt result-cache entry" in r.message for r in caplog.records)
+        SweepExecutor(workers=1, cache=cache).map_stats([job])
+        entry = tmp_path / (content_key(job.document()) + ".json")
+        good = entry.read_text(encoding="utf-8")
+        for count, damaged in enumerate((good[: len(good) // 2], '{"stats": 42}'), 1):
+            entry.write_text(damaged, encoding="utf-8")
+            executor = SweepExecutor(workers=1, cache=cache)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="repro.utils.store"):
+                executor.map_stats([job])
+            assert cache.quarantined == count
+            assert (executor.cache_misses, executor.jobs_executed) == (1, 1)
+            assert (tmp_path / (entry.name + ".corrupt")).read_text(encoding="utf-8") == damaged
+            assert any("corrupt file" in r.message for r in caplog.records)
+            # The job re-ran and its result replaced the quarantined entry.
+            assert entry.read_text(encoding="utf-8") == good
 
     def test_executor_surfaces_corruption_in_stats(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = JsonStore(str(tmp_path))
         job = SweepJob("sca", "array", config=fast_config(), params=PARAMS)
-        key = job_cache_key(job)
+        key = content_key(job.document())
         (tmp_path / (key + ".json")).write_text('{"stats": 42}', encoding="utf-8")
         executor = SweepExecutor(workers=1, cache=cache)
         executor.map_stats([job])
         assert executor.cache_corruption_events == 1
         assert executor.stats()["cache_corruption_events"] == 1
         # The recomputed result replaced the quarantined entry.
-        assert cache.get(key) is not None
+        assert (tmp_path / (key + ".json")).exists()
 
     def test_clear_sweeps_quarantined_files_too(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        (tmp_path / "dead.json.corrupt").write_text("x", encoding="utf-8")
-        (tmp_path / "live.json").write_text("x", encoding="utf-8")
+        cache = JsonStore(str(tmp_path))
+        (tmp_path / ("d" * 64 + ".json.corrupt")).write_text("x", encoding="utf-8")
+        (tmp_path / ("1" * 64 + ".json")).write_text("x", encoding="utf-8")
+        (tmp_path / "report.json").write_text("x", encoding="utf-8")
         assert cache.clear() == 2
-        assert list(tmp_path.iterdir()) == []
+        # Only the store's own files go: a user's file in the directory stays.
+        assert [path.name for path in tmp_path.iterdir()] == ["report.json"]

@@ -10,7 +10,7 @@ import pytest
 
 from repro.bench.cli import main
 from repro.bench.harness import build_traces
-from repro.bench.parallel import SweepExecutor, code_version
+from repro.bench.parallel import SweepExecutor
 from repro.bench.resilience import Heartbeat, run_workload_resilient
 from repro.config import fast_config
 from repro.crash.campaign import (
@@ -18,11 +18,12 @@ from repro.crash.campaign import (
     CampaignRunner,
     CampaignSpec,
     Outcome,
-    job_key,
     run_campaign_job,
 )
 from repro.sim.machine import Machine
 from repro.sim.snapshot import SnapshotStore, result_fingerprint
+from repro.utils.store import content_key
+from repro.utils.versioning import code_version
 from repro.workloads.base import WorkloadParams
 
 
@@ -166,7 +167,7 @@ class TestCampaignCheckpointing:
         checkpoint_dir = tmp_path / "checkpoints"
         report = CampaignRunner(
             small_spec(),
-            journal_dir=str(tmp_path / "journal"),
+            store_dir=str(tmp_path / "results"),
             checkpoint_dir=str(checkpoint_dir),
             checkpoint_every=40,
         ).run()
@@ -174,8 +175,8 @@ class TestCampaignCheckpointing:
         assert report.resilience["restored"] == 0
         assert "checkpointing:" in report.render()
         assert "resilience" in report.as_dict()
-        # Journaled jobs drop their snapshot scaffolding; the journal is
-        # the durable record.
+        # Stored jobs drop their snapshot scaffolding; the stored result
+        # is the durable record.
         assert not checkpoint_dir.exists() or os.listdir(str(checkpoint_dir)) == []
 
     def test_job_resumes_from_partial_snapshot(self, tmp_path):
@@ -207,7 +208,7 @@ class TestCampaignCheckpointing:
     def test_counter_recovery_flag_changes_key_and_only_upgrades(self):
         job = small_spec().jobs()[0]
         flagged = dataclasses.replace(job, with_counter_recovery=True)
-        assert job_key(flagged) != job_key(job)
+        assert content_key(flagged.document()) != content_key(job.document())
         assert flagged.document()["with_counter_recovery"] is True
         base = run_campaign_job(job)
         searched = run_campaign_job(flagged)

@@ -1,6 +1,8 @@
 """The crash-campaign engine: determinism, resume, triage classification."""
 
 import json
+import logging
+import shutil
 
 import pytest
 
@@ -10,11 +12,11 @@ from repro.crash.campaign import (
     CampaignRunner,
     CampaignSpec,
     Outcome,
-    job_key,
     run_campaign_job,
 )
 from repro.errors import CampaignError
 from repro.faults.registry import DEFAULT_SUITE
+from repro.utils.store import content_key
 
 SPEC = dict(
     workloads=("array",),
@@ -42,9 +44,9 @@ class TestJobs:
 
     def test_job_key_stable_and_seed_sensitive(self):
         job = small_spec().jobs()[0]
-        assert job_key(job) == job_key(job)
+        assert content_key(job.document()) == content_key(job.document())
         reseeded = CampaignJob(**{**job.document(), "seed": 8, "fault_params": ()})
-        assert job_key(reseeded) != job_key(job)
+        assert content_key(reseeded.document()) != content_key(job.document())
 
     def test_fault_spec_mappings_accepted(self):
         spec = small_spec(faults=({"model": "dropped-adr", "budget": 2},))
@@ -70,6 +72,10 @@ class TestSpecValidation:
         with pytest.raises(CampaignError):
             small_spec(**overrides).jobs()
 
+    def test_bad_spec_refused_on_construction(self):
+        with pytest.raises(CampaignError, match="crash point"):
+            small_spec(crash_points=0)
+
 
 class TestDeterminism:
     def test_same_seed_same_outcome_table(self):
@@ -83,68 +89,74 @@ class TestDeterminism:
             assert sum(result["outcomes"].values()) == result["points"] > 0
 
 
+def result_files(directory):
+    return sorted(directory.glob("*.json"))
+
+
 class TestResume:
     def test_resume_runs_only_missing_jobs(self, tmp_path):
         full_dir = tmp_path / "full"
-        full = CampaignRunner(small_spec(), journal_dir=str(full_dir)).run()
-        journal_lines = (
-            (full_dir / CampaignRunner.JOURNAL_NAME).read_text().splitlines(True)
-        )
-        assert len(journal_lines) == 3
-        # A campaign killed after two jobs left a two-line journal.
+        full = CampaignRunner(small_spec(), store_dir=str(full_dir)).run()
+        stored = result_files(full_dir)
+        assert len(stored) == 3
+        # A campaign killed after two jobs left two result files.
         partial_dir = tmp_path / "partial"
         partial_dir.mkdir()
-        (partial_dir / CampaignRunner.JOURNAL_NAME).write_text(
-            "".join(journal_lines[:2])
-        )
+        for path in stored[:2]:
+            shutil.copy(str(path), str(partial_dir / path.name))
         executor = SweepExecutor()
         resumed = CampaignRunner(
-            small_spec(), executor=executor, journal_dir=str(partial_dir)
+            small_spec(), executor=executor, store_dir=str(partial_dir)
         ).run()
         assert executor.jobs_executed == 1
         assert resumed.resumed_jobs == 2
         assert resumed.as_dict()["results"] == full.as_dict()["results"]
 
-    def test_malformed_journal_line_reruns_that_job(self, tmp_path):
+    def test_truncated_result_file_reruns_that_job(self, tmp_path):
         directory = tmp_path / "campaign"
-        CampaignRunner(small_spec(), journal_dir=str(directory)).run()
-        journal = directory / CampaignRunner.JOURNAL_NAME
-        lines = journal.read_text().splitlines(True)
-        # Simulate a mid-write kill tearing the last journal line.
-        journal.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+        CampaignRunner(small_spec(), store_dir=str(directory)).run()
+        path = result_files(directory)[-1]
+        text = path.read_text()
+        # Simulate a result torn by a writer that skipped the atomic publish.
+        path.write_text(text[: len(text) // 2])
         executor = SweepExecutor()
         report = CampaignRunner(
-            small_spec(), executor=executor, journal_dir=str(directory)
+            small_spec(), executor=executor, store_dir=str(directory)
         ).run()
         assert executor.jobs_executed == 1
         assert report.resumed_jobs == 2
+        assert path.read_text() == text
 
-    def test_torn_journal_line_is_quarantined(self, tmp_path):
+    def test_damaged_result_file_is_quarantined(self, tmp_path, caplog):
         directory = tmp_path / "campaign"
-        CampaignRunner(small_spec(), journal_dir=str(directory)).run()
-        journal = directory / CampaignRunner.JOURNAL_NAME
-        lines = journal.read_text().splitlines(True)
-        torn = lines[-1][: len(lines[-1]) // 2]
-        journal.write_text("".join(lines[:-1]) + torn)
-        report = CampaignRunner(small_spec(), journal_dir=str(directory)).run()
-        assert report.journal_quarantined == 1
-        assert "1 torn line(s) quarantined" in report.render()
-        assert report.as_dict()["journal_quarantined"] == 1
-        # The fragment moved to the quarantine side-file and the
-        # rewritten journal parses cleanly end to end.
-        quarantine = directory / (CampaignRunner.JOURNAL_NAME + ".quarantine")
-        assert torn.strip() in quarantine.read_text()
-        import json
-
-        for line in journal.read_text().splitlines():
-            json.loads(line)
+        first = CampaignRunner(small_spec(), store_dir=str(directory)).run()
+        paths = result_files(directory)
+        damage = {paths[0]: "{\"key\": ", paths[1]: '{"key": "k", "outcomes": 7}'}
+        for path, damaged in damage.items():
+            path.write_text(damaged)
+        executor = SweepExecutor()
+        with caplog.at_level(logging.WARNING, logger="repro.utils.store"):
+            report = CampaignRunner(
+                small_spec(), executor=executor, store_dir=str(directory)
+            ).run()
+        assert executor.jobs_executed == 2
+        assert report.quarantined == 2
+        assert report.as_dict()["quarantined"] == 2
+        assert "2 damaged result file(s) quarantined" in report.render()
+        assert sum("corrupt file" in record.message for record in caplog.records) == 2
+        # The damage moved aside to *.corrupt; the re-run results took
+        # its place and equal the first run's.
+        for path, damaged in damage.items():
+            assert (directory / (path.name + ".corrupt")).read_text() == damaged
+            json.loads(path.read_text())
+        assert report.as_dict()["results"] == first.as_dict()["results"]
 
     def test_seed_change_invalidates_journal(self, tmp_path):
         directory = str(tmp_path / "campaign")
-        CampaignRunner(small_spec(), journal_dir=directory).run()
+        CampaignRunner(small_spec(), store_dir=directory).run()
         executor = SweepExecutor()
         report = CampaignRunner(
-            small_spec(seed=8), executor=executor, journal_dir=directory
+            small_spec(seed=8), executor=executor, store_dir=directory
         ).run()
         assert report.resumed_jobs == 0
         assert executor.jobs_executed == 3

@@ -30,7 +30,6 @@ from repro.config import EncryptionConfig
 from repro.errors import CryptoError
 from repro.sim.machine import Machine
 from repro.sim.snapshot import (
-    CheckpointPolicy,
     SnapshotStore,
     result_fingerprint,
     run_with_checkpoints,
@@ -259,7 +258,7 @@ class TestFastForward:
             Machine(config, "sca"),
             traces,
             store=store,
-            policy=CheckpointPolicy(every_events=cadence),
+            every_events=cadence,
         )
         assert result_fingerprint(result) == expected
         assert stats["saved"] >= 1

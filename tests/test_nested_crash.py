@@ -12,7 +12,7 @@ The properties this suite pins down:
   recovery never converts a clean crash into silent corruption (or a
   stuck recovery): the session ends consistent, or loudly detected.
 * **Campaign integration** — the ``--nested-crash`` axis tallies the
-  two nested outcome buckets and the journal dedupes retried jobs.
+  two nested outcome buckets and a retried job replaces its stored result.
 """
 
 import dataclasses
@@ -396,9 +396,9 @@ class TestNestedCampaign:
     def test_nested_axis_changes_job_identity(self):
         plain = nested_spec(nested_crash=False).jobs()[0]
         nested = nested_spec().jobs()[0]
-        from repro.crash.campaign import job_key
+        from repro.utils.store import content_key
 
-        assert job_key(plain) != job_key(nested)
+        assert content_key(plain.document()) != content_key(nested.document())
         assert nested.document()["nested_crash"] is True
 
     def test_nested_steps_validated(self):
@@ -447,49 +447,32 @@ class TestJournalDedupe:
         runner = CampaignRunner(
             nested_spec(nested_crash=False, designs=("sca",), faults=("none",)),
             executor=executor,
-            journal_dir=str(directory),
+            store_dir=str(directory),
             **runner_kwargs
         )
         return runner.run(), executor
 
-    def test_duplicate_records_counted_once(self, tmp_path):
-        directory = tmp_path / "campaign"
-        first, _ = self._run(directory)
-        journal = directory / CampaignRunner.JOURNAL_NAME
-        lines = journal.read_text().splitlines()
-        assert len(lines) == 1
-        # A retried job (worker killed after journaling, or a
-        # --retry-crashed re-run) appends a second record for the same
-        # key.  Resume must count the job exactly once.
-        stale = json.loads(lines[0])
-        stale["outcomes"] = {k: 0 for k in stale["outcomes"]}
-        stale["points"] = 0
-        journal.write_text(json.dumps(stale, sort_keys=True) + "\n" + lines[0] + "\n")
-        resumed, executor = self._run(directory)
-        assert executor.jobs_executed == 0  # still resumes, no rerun
-        assert resumed.journal_superseded == 1
-        assert "1 superseded record(s) deduped" in resumed.render()
-        # Last record wins: the real tallies, not the stale zeros.
-        assert resumed.points == first.points > 0
-        assert resumed.as_dict()["results"] == first.as_dict()["results"]
-        # The journal was rewritten without the superseded line.
-        rewritten = journal.read_text().splitlines()
-        assert len(rewritten) == 1
-        assert json.loads(rewritten[0])["points"] == first.points
-
     def test_retry_crashed_reruns_only_crashed_jobs(self, tmp_path):
         directory = tmp_path / "campaign"
         first, _ = self._run(directory)
-        journal = directory / CampaignRunner.JOURNAL_NAME
-        record = json.loads(journal.read_text())
-        # Forge a journaled record claiming recovery crashed somewhere.
+        (path,) = directory.glob("*.json")
+        record = json.loads(path.read_text())
+        # Forge a stored result claiming recovery crashed somewhere.
         record["outcomes"][Outcome.CRASHED.value] = 1
-        journal.write_text(json.dumps(record, sort_keys=True) + "\n")
+        path.write_text(json.dumps(record, sort_keys=True))
         resumed, executor = self._run(directory)
         assert executor.jobs_executed == 0  # without the flag: resumed
+        assert resumed.crashed == 1
         retried, executor = self._run(directory, retry_crashed=True)
         assert executor.jobs_executed == 1  # with the flag: re-run
         assert retried.as_dict()["results"] == first.as_dict()["results"]
+        # The re-run replaced the forged result: a later resume counts
+        # the job once, with its fresh tallies.
+        assert list(directory.glob("*.json")) == [path]
+        again, executor = self._run(directory)
+        assert executor.jobs_executed == 0
+        assert again.points == first.points > 0
+        assert again.as_dict()["results"] == first.as_dict()["results"]
 
 
 class TestCli:

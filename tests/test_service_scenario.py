@@ -7,10 +7,12 @@ underlying simulation.
 """
 
 import json
+import logging
 
 import pytest
 
 from repro.bench.cli import main as cli_main
+from repro.bench.parallel import SweepExecutor
 from repro.config import fast_config
 from repro.errors import ServiceError
 from repro.service import (
@@ -93,20 +95,55 @@ class TestRunServiceJob:
                 ServiceJob(design="sca", traffic=SPEC, crash_fraction=1.5)
             )
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"design": "nonsense"},
+            {"mechanism": "nonsense"},
+            {"crash_fraction": 0.0},
+            {"fault": "nonsense"},
+            {"fault": "dropped-adr", "fault_params": (("nonsense", 1),)},
+        ],
+    )
+    def test_bad_job_is_refused_on_construction(self, field):
+        with pytest.raises(ServiceError):
+            ServiceJob(**{"design": "sca", "traffic": SPEC, **field})
+
 
 class TestServiceRunner:
     def test_journal_resume_skips_finished_designs(self, tmp_path):
         jobs = [
             ServiceJob(design=design, traffic=SPEC) for design in ("sca", "fca")
         ]
-        first = ServiceRunner(jobs, journal_dir=str(tmp_path)).run()
+        first = ServiceRunner(jobs, store_dir=str(tmp_path)).run()
         assert first.resumed_jobs == 0
         assert len(first.results) == 2
-        second = ServiceRunner(jobs, journal_dir=str(tmp_path)).run()
+        second = ServiceRunner(jobs, store_dir=str(tmp_path)).run()
         assert second.resumed_jobs == 2
         assert [r["key"] for r in second.results] == [
             r["key"] for r in first.results
         ]
+
+    def test_damaged_result_file_is_quarantined(self, tmp_path, caplog):
+        jobs = [
+            ServiceJob(design=design, traffic=SPEC) for design in ("sca", "fca")
+        ]
+        first = ServiceRunner(jobs, store_dir=str(tmp_path)).run()
+        truncated, garbled = sorted(tmp_path.glob("*.json"))
+        truncated.write_text(truncated.read_text()[:40])
+        garbled.write_text('{"key": "k", "totals": null}')
+        executor = SweepExecutor()
+        with caplog.at_level(logging.WARNING, logger="repro.utils.store"):
+            report = ServiceRunner(
+                jobs, executor=executor, store_dir=str(tmp_path)
+            ).run()
+        assert executor.jobs_executed == 2
+        assert report.resumed_jobs == 0
+        assert report.quarantined == report.as_dict()["quarantined"] == 2
+        assert "2 damaged result file(s) quarantined" in report.render()
+        assert sum("corrupt file" in record.message for record in caplog.records) == 2
+        assert len(list(tmp_path.glob("*.json.corrupt"))) == 2
+        assert report.results == first.results
 
     def test_report_renders_every_design_and_tenant(self):
         report = ServiceRunner(
@@ -149,6 +186,24 @@ class TestServeCLI:
         code = cli_main(["serve", "--designs", "nonsense"])
         assert code == 2
         assert "nonsense" in capsys.readouterr().err
+
+    def test_bad_job_is_refused_before_any_runs(self, tmp_path, capsys):
+        serve_dir = tmp_path / "serve"
+        argv = ["serve", "--tenants", "2", "--ops", "20", "--serve-dir", str(serve_dir)]
+        assert cli_main(argv + ["--designs", "sca,nonsense"]) == 2
+        assert "nonsense" in capsys.readouterr().err
+        assert not serve_dir.exists()
+
+    def test_more_than_one_mechanism_exits_two(self, tmp_path, capsys):
+        serve_dir = tmp_path / "serve"
+        with pytest.raises(SystemExit) as exit:
+            cli_main(
+                ["serve", "--designs", "sca", "--mechanisms", "redo,undo",
+                 "--serve-dir", str(serve_dir)]
+            )
+        assert exit.value.code == 2
+        assert "--mechanisms" in capsys.readouterr().err
+        assert not serve_dir.exists()
 
 
 class TestDeterminism:

@@ -20,7 +20,6 @@ from repro.sim.machine import Machine
 from repro.sim.snapshot import (
     FORMAT_VERSION,
     MAGIC,
-    CheckpointPolicy,
     SnapshotStore,
     read_snapshot,
     result_fingerprint,
@@ -345,7 +344,7 @@ class TestRunWithCheckpoints:
             Machine(config, "sca"),
             traces,
             store=store,
-            policy=CheckpointPolicy(every_events=max(1, total // 5)),
+            every_events=max(1, total // 5),
         )
         assert result_fingerprint(result) == expected
         assert stats["saved"] >= 3
@@ -404,11 +403,13 @@ class TestRunWithCheckpoints:
         assert stats["quarantined"] == 1
         assert result_fingerprint(result) == expected
 
-    def test_policy_validation(self):
-        with pytest.raises(SnapshotError):
-            CheckpointPolicy(every_events=0)
-        assert not CheckpointPolicy().enabled
-        assert CheckpointPolicy(every_events=10).enabled
+    def test_policy_validation(self, tmp_path):
+        config, traces, _expected, _total = self._base()
+        for store in (None, SnapshotStore(str(tmp_path))):
+            with pytest.raises(SnapshotError, match="at least one event"):
+                run_with_checkpoints(
+                    Machine(config, "sca"), traces, store=store, every_events=0
+                )
 
     def test_on_event_hears_every_chunk(self, monkeypatch, tmp_path):
         """One observer call per run_events chunk, bounded by the chunk
@@ -428,7 +429,7 @@ class TestRunWithCheckpoints:
             Machine(config, "sca"),
             traces,
             store=store,
-            policy=CheckpointPolicy(every_events=10),
+            every_events=10,
             on_event=counts.append,
         )
         # Each call stops at the chunk, the next checkpoint or the end.

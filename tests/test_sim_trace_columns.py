@@ -22,7 +22,6 @@ from repro.service.scenario import ServiceJob, run_service_job
 from repro.service.traffic import TrafficSpec
 from repro.sim.machine import Machine
 from repro.sim.snapshot import (
-    CheckpointPolicy,
     SnapshotStore,
     result_fingerprint,
     run_with_checkpoints,
@@ -269,7 +268,7 @@ class TestNoRunPathBuildsOps:
             Machine(config, "sca"),
             traces,
             store=store,
-            policy=CheckpointPolicy(every_events=50),
+            every_events=50,
         )
         assert stats["restored"] == 1
         assert result_fingerprint(result) == expected

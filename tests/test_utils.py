@@ -1,4 +1,6 @@
-"""Tests for the utility helpers (bitops, tables)."""
+"""Tests for the utility helpers (bitops, tables, the result store)."""
+
+import logging
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from repro.utils.bitops import (
     u64_to_bytes,
     xor_bytes,
 )
+from repro.utils import store
 from repro.utils.tables import format_table
 
 
@@ -78,3 +81,29 @@ class TestTables:
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
             format_table(["a", "b"], [["only-one"]])
+
+
+class TestStore:
+    def test_content_key_covers_document_and_code(self, monkeypatch):
+        key = store.content_key({"design": "sca", "key_material": b"\x01\x02"})
+        assert len(key) == 64
+        assert key == store.content_key({"key_material": b"\x01\x02", "design": "sca"})
+        assert key != store.content_key({"design": "fca", "key_material": b"\x01\x02"})
+        monkeypatch.setattr(store, "code_version", lambda: "other-sources")
+        assert key != store.content_key({"design": "sca", "key_material": b"\x01\x02"})
+
+    def test_publish_replaces_whole_and_leaves_no_temporary(self, tmp_path):
+        path = str(tmp_path / "result.json")
+        store.publish(path, b"first")
+        store.publish(path, b"second")
+        assert (tmp_path / "result.json").read_bytes() == b"second"
+        assert [p.name for p in tmp_path.iterdir()] == ["result.json"]
+
+    def test_unwritable_store_warns_and_carries_on(self, tmp_path, caplog):
+        (tmp_path / "file").write_text("not a directory")
+        results = store.JsonStore(str(tmp_path / "file" / "results"))
+        with caplog.at_level(logging.WARNING, logger="repro.utils.store"):
+            results.put("0" * 64, {"key": "0" * 64})
+        assert "could not store result" in caplog.text
+        assert results.get("0" * 64, lambda document: document) is None
+        assert results.quarantined == 0

@@ -453,6 +453,9 @@ def _refuse(command: str, message: object) -> int:
 
 
 def _run_campaign(args: argparse.Namespace) -> int:
+    if args.checkpoint_every is not None and args.checkpoint_every < 1:
+        cadence = "--checkpoint-every must be at least 1, got %d" % args.checkpoint_every
+        return _refuse("campaign", cadence)
     if args.resume_from is not None:
         if not os.path.isdir(args.resume_from):
             missing = "--resume-from %s: no such directory" % args.resume_from

@@ -12,7 +12,10 @@ The persist journal encodes all three rules.  The injector keeps one
 :class:`~repro.persist.journal.PersistCursor` per ADR mode, so images
 at ascending instants come from one forward sweep of the journal, each
 applying only what changed since the previous instant; an earlier
-instant restarts the sweep.  Images under an ``adr_budget`` depend on a
+instant restarts the sweep.  On a sharded machine the ADR drain is per
+controller, and a failure in which some shards lose their reserve
+(:meth:`CrashInjector.crash_shards`) comes from one cursor per shard
+journal and ADR mode.  Images under an ``adr_budget`` depend on a
 drain count, not only on the instant, and keep the journal's one-pass
 replay.  Every image is a fresh device and counter store, filled in
 ascending address order.  The journal holds plaintext with each line's
@@ -32,17 +35,24 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, cast
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, cast
 
 from ..config import EncryptionConfig, SystemConfig
 from ..crypto.counters import CounterStore
 from ..crypto.integrity import IntegrityEngine
 from ..crypto.otp import OTPCipher, make_block_cipher
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 from ..faults.base import FaultEvent, FaultModel, apply_fault_models
+from ..mem.sharded import ShardedMemorySystem
 from ..nvm.address import AddressMap
 from ..nvm.device import NVMDevice
-from ..persist.journal import LineVersion, PersistCursor, ascending, image_lines
+from ..persist.journal import (
+    LineVersion,
+    PersistCursor,
+    PersistJournal,
+    ascending,
+    image_lines,
+)
 from ..sim.machine import SimulationResult
 
 
@@ -79,20 +89,15 @@ class CrashImage:
         return self.device.address_map
 
 
-def require_crash_state(result: SimulationResult) -> None:
-    """Raise unless ``result`` kept the journal crash images are built from."""
-    if not result.config.functional:
-        raise ConfigurationError(
-            "%s: a timing-only run (config.functional False) keeps no crash "
-            "state; crash images need a functional config" % result.policy.name
-        )
-
-
 class CrashInjector:
     """Builds crash images from a finished simulation."""
 
     def __init__(self, result: SimulationResult) -> None:
-        require_crash_state(result)
+        if not result.config.functional:
+            raise ConfigurationError(
+                "%s: a timing-only run (config.functional False) keeps no crash "
+                "state; crash images need a functional config" % result.policy.name
+            )
         self.result = result
         self._journal = result.controller.journal
         self._address_map = result.controller.address_map
@@ -109,6 +114,10 @@ class CrashInjector:
         self._cursors = {
             adr: PersistCursor(self._journal, adr) for adr in (True, False)
         }
+        #: Each shard's journal and its sweep per ADR mode, made on the
+        #: first shard-subset image (sharded runs only).
+        self._shards: Optional[List[PersistJournal]] = None
+        self._shard_cursors: List[Dict[bool, PersistCursor]] = []
 
     def crash_at(
         self,
@@ -133,6 +142,107 @@ class CrashInjector:
             persisted, slots = self._journal.persisted_at(crash_ns, adr, adr_budget)
             versions, counters = ascending(persisted), ascending(slots)
             pending = self._cursors[True].state_at(crash_ns)[2] if adr else 0
+        # The secure root covers the unbudgeted ADR counters (see _image).
+        covered = counters
+        if self._integrity and not (adr and adr_budget is None):
+            covered = self._cursors[True].state_at(crash_ns)[1]
+        return self._image(crash_ns, versions, counters, pending, covered)
+
+    def shard_journals(self) -> List[PersistJournal]:
+        """Every shard's journal in the global address space, fetched once.
+
+        Raises :class:`~repro.errors.SimulationError` unless the run had
+        a sharded memory system.
+        """
+        if self._shards is None:
+            controller = self.result.controller
+            if not isinstance(controller, ShardedMemorySystem):
+                raise SimulationError(
+                    "shard-subset crashes need a sharded memory system; "
+                    "run with config.shards >= 2"
+                )
+            self._shards = [controller.shard_journal(s) for s in range(controller.shards)]
+            self._shard_cursors = [
+                {adr: PersistCursor(journal, adr) for adr in (True, False)}
+                for journal in self._shards
+            ]
+        return self._shards
+
+    def crash_shards(
+        self,
+        crash_ns: float,
+        failed_shards: Iterable[int],
+        adr_budget: Optional[int] = None,
+    ) -> CrashImage:
+        """The durable state when ``failed_shards`` die mid-drain at ``crash_ns``.
+
+        On a sharded machine the ADR drain is per controller.  Healthy
+        shards drain with the full ADR guarantee; failed shards keep
+        only array-drained writes, plus at most ``adr_budget`` ready
+        entries if their reserve died partway.  A healthy shard comes
+        from its ADR cursor and a failed one from its no-ADR cursor;
+        only a failed shard under a budget replays its journal.  Shard
+        journals are in the global address space and share their
+        records with the merged journal, so the image feeds the stock
+        recovery stack and shares every version's line and tag.
+
+        The secure root (``+bmt`` designs) covers every shard's
+        unbudgeted ADR counters, as :meth:`crash_at`'s does: each
+        shard's register acknowledged ready counters before power died,
+        so counters a failed drain then dropped surface as a root
+        mismatch.
+        """
+        journals = self.shard_journals()
+        failed = frozenset(failed_shards)
+        for shard in failed:
+            if not 0 <= shard < len(journals):
+                raise SimulationError("failed shard %d out of range" % shard)
+        versions: Dict[int, LineVersion] = {}
+        counters: Dict[int, int] = {}
+        covered: Dict[int, int] = {}
+        pending = 0
+        for shard, cursors in enumerate(self._shard_cursors):
+            if shard not in failed:
+                shard_versions, shard_counters, shard_pending = cursors[True].state_at(
+                    crash_ns
+                )
+                pending += shard_pending
+            elif adr_budget is None:
+                shard_versions, shard_counters, _ = cursors[False].state_at(crash_ns)
+            else:
+                shard_versions, shard_counters = journals[shard].persisted_at(
+                    crash_ns, True, adr_budget
+                )
+            versions.update(shard_versions)
+            counters.update(shard_counters)
+            if self._integrity:
+                covered.update(
+                    cursors[True].state_at(crash_ns)[1] if shard in failed else shard_counters
+                )
+        return self._image(
+            crash_ns, ascending(versions), ascending(counters), pending, covered
+        )
+
+    def _image(
+        self,
+        crash_ns: float,
+        versions: Dict[int, LineVersion],
+        counters: Dict[int, int],
+        pending: int,
+        covered: Mapping[int, int],
+    ) -> CrashImage:
+        """The image holding ``versions`` and ``counters`` (ascending order).
+
+        Every image is a fresh device and counter store, filled in
+        ascending address order.  On ``+bmt`` designs the image gets
+        the secure root over ``covered``, the *unbudgeted* ADR counters:
+        the register is updated as the controller persists counters, so
+        it covers ready entries even when a failing ADR reserve later
+        drops them — the resulting root mismatch is the detection.  Tags
+        are those of the image's own lines, each from its version's memo
+        (:func:`version_tags`); fault models mutate the image only after
+        this, so mutations surface as tag mismatches.
+        """
         device = NVMDevice(self._address_map, track_wear=False)
         device.restore(image_lines(versions, self._cipher))
         store = CounterStore(
@@ -150,45 +260,20 @@ class CrashInjector:
             enciphered_with=self._enciphered_with,
         )
         if self._integrity:
-            self._capture_integrity(image, versions, crash_ns, adr, adr_budget)
+            if self._tree_engine is None:
+                # Deferred import: repro.integrity.verifier imports this
+                # module, so a top-level import would cycle.
+                from ..integrity.tree import IntegrityTreeEngine
+
+                self._tree_engine = IntegrityTreeEngine(
+                    self._config.encryption,
+                    self._address_map,
+                    arity=self._config.integrity.arity,
+                )
+                self._tag_engine = IntegrityEngine(self._config.encryption)
+            image.secure_root = self._tree_engine.root_over(covered)
+            image.line_tags = version_tags(versions, self._address_map, self._tag_engine)
         return image
-
-    def _capture_integrity(
-        self,
-        image: CrashImage,
-        versions: Mapping[int, LineVersion],
-        crash_ns: float,
-        adr: bool,
-        adr_budget: Optional[int],
-    ) -> None:
-        """Stamp the image with the secure root and the ECC-lane tags.
-
-        The root is computed over the *unbudgeted* ADR reconstruction:
-        the register is updated as the controller persists counters, so
-        it covers ready entries even when a failing ADR reserve later
-        drops them — the resulting root mismatch is the detection.
-        Tags are those of the (budgeted) image's own lines, each from
-        its version's memo (:func:`version_tags`); fault models mutate
-        the image only after this capture, so mutations surface as tag
-        mismatches.
-        """
-        if self._tree_engine is None:
-            # Deferred import: repro.integrity.verifier imports this
-            # module, so a top-level import would cycle.
-            from ..integrity.tree import IntegrityTreeEngine
-
-            self._tree_engine = IntegrityTreeEngine(
-                self._config.encryption,
-                self._address_map,
-                arity=self._config.integrity.arity,
-            )
-            self._tag_engine = IntegrityEngine(self._config.encryption)
-        if adr and adr_budget is None:
-            covered = image.counter_store.snapshot()
-        else:
-            covered = self._cursors[True].state_at(crash_ns)[1]
-        image.secure_root = self._tree_engine.root_over(covered)
-        image.line_tags = version_tags(versions, self._address_map, self._tag_engine)
 
     def crash_with_faults(
         self,
@@ -319,19 +404,12 @@ def nested_crash_image(
     """
     address_map = image.address_map
     device = NVMDevice(address_map, track_wear=False)
-    base = image.device.snapshot()
-    device.install(
-        {
-            address: (base[address].payload, base[address].encrypted_with)
-            for address in sorted(base)
-        }
-    )
-    device.line_writes = 0
+    device.restore(ascending(image.device.snapshot()))
     store = CounterStore(
         counter_region_base=address_map.counter_region_base,
         memory_size_bytes=address_map.memory_size_bytes,
     )
-    store.install(image.counter_store.snapshot())
+    store.restore(image.counter_store.snapshot())
     cipher = OTPCipher(make_block_cipher(config.encryption)) if encrypted else None
     tags: Optional[Dict[int, bytes]] = (
         dict(image.line_tags) if image.line_tags is not None else None

@@ -33,7 +33,7 @@ import hashlib
 import os
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
 from ..config import CACHE_LINE_SIZE, SystemConfig
 from ..errors import NestedCrash, RecoveryError
@@ -428,55 +428,3 @@ class RecoverySession:
         result.image = working
         return result
 
-
-def run_sharded_session(
-    session: RecoverySession,
-    result: Any,
-    crash_ns: float,
-    failed_shards: Iterable[int],
-    classify: Classifier,
-    core: int = 0,
-    adr_budget: Optional[int] = None,
-) -> SessionResult:
-    """The escalation ladder over a shard-subset failure, reconciled.
-
-    Builds the mixed crash image (healthy shards fully drained, the
-    ``failed_shards`` stripped to their budget), runs the full ladder —
-    per-shard damage surfaces through the merged journal, so txn
-    replay / counter search / tree repair need no shard awareness —
-    then applies the **cross-shard reconciliation step**: a
-    ``consistent`` verdict whose matched transaction prefix falls below
-    the durable commit prefix the barrier proved
-    (:func:`~repro.crash.sharded.durable_commit_prefix`) is downgraded
-    to ``silent``, because recovery silently discarded a commit the
-    machine acknowledged as durable.  ``result`` is the
-    :class:`~repro.sim.machine.SimulationResult` of a sharded run.
-    """
-    # Deferred import: repro.crash.sharded imports the machine module.
-    from .sharded import (
-        _shard_journals,
-        durable_commit_prefix,
-        required_prefix_for_core,
-        shard_crash_image,
-    )
-
-    failed = tuple(sorted(set(failed_shards)))
-    image = shard_crash_image(result, crash_ns, failed, adr_budget=adr_budget)
-    outcome = session.run(image, classify)
-    prefix = durable_commit_prefix(
-        result.controller.journal.commits,
-        _shard_journals(result),
-        crash_ns,
-        failed,
-        adr_budget=adr_budget,
-    )
-    required = required_prefix_for_core(prefix, core)
-    outcome.ledger.note("reconcile:durable=%d" % required)
-    matched = getattr(outcome.verdict, "matched_prefix", None)
-    if outcome.status == "consistent" and matched is not None and matched < required:
-        outcome.status = "silent"
-        outcome.detail = "recovered prefix %d below durable commit prefix %d" % (
-            matched,
-            required,
-        )
-    return outcome

@@ -8,10 +8,11 @@ models the failure mode the singleton stack cannot express — some
 shards complete their drain while others die mid-drain — and the
 recovery-side reconciliation it forces:
 
-* :func:`shard_crash_image` builds the global crash image for a failure
-  at ``crash_ns`` where ``failed_shards`` lost their ADR reserve
-  (keeping only array-drained writes, optionally a partial
-  ``adr_budget``) while the healthy shards drained normally.
+* :meth:`repro.crash.injector.CrashInjector.crash_shards` builds the
+  global crash image for a failure at ``crash_ns`` where
+  ``failed_shards`` lost their ADR reserve (keeping only array-drained
+  writes, optionally a partial ``adr_budget``) while the healthy shards
+  drained normally.
 * :func:`durable_commit_prefix` replays the cross-shard commit log
   (:class:`repro.persist.journal.CommitRecord`) against what each shard
   actually persisted, returning the longest prefix of commits whose
@@ -23,7 +24,7 @@ recovery-side reconciliation it forces:
   a commit the barrier proved durable would be silent corruption).
 
 Uniform all-shard crashes need none of this: the coordinator's merged
-journal makes the stock :class:`repro.crash.injector.CrashInjector`
+journal makes the stock :meth:`~repro.crash.injector.CrashInjector.crash_at`
 sweep shards transparently.
 """
 
@@ -32,160 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..crypto.counters import CounterStore
-from ..crypto.integrity import IntegrityEngine
-from ..errors import SimulationError
-from ..nvm.device import NVMDevice
-from ..persist.journal import (
-    CommitRecord,
-    LineVersion,
-    PersistJournal,
-    ascending,
-    image_lines,
-)
+from ..persist.journal import CommitRecord, PersistJournal
 from ..sim.machine import SimulationResult
-from .injector import (
-    CrashImage,
-    CrashInjector,
-    require_crash_state,
-    uniform_sample,
-    version_tags,
-)
-
-
-def _shard_journals(result: SimulationResult) -> List[PersistJournal]:
-    controller = result.controller
-    shard_journal = getattr(controller, "shard_journal", None)
-    if shard_journal is None:
-        raise SimulationError(
-            "shard-subset crashes need a sharded memory system; "
-            "run with config.shards >= 2"
-        )
-    return [shard_journal(s) for s in range(controller.shards)]
-
-
-def shard_crash_image(
-    result: SimulationResult,
-    crash_ns: float,
-    failed_shards: Iterable[int],
-    adr_budget: Optional[int] = None,
-) -> CrashImage:
-    """Global crash image when ``failed_shards`` die mid-drain.
-
-    Healthy shards reconstruct with the full ADR guarantee; failed
-    shards keep only array-drained writes (plus at most ``adr_budget``
-    ready entries if their reserve died partway).  Per-shard journals
-    are already translated to the global address space, so the merged
-    image feeds the stock recovery/validation stack unchanged.
-
-    The integrity root (``+bmt`` designs) is computed over the
-    *unbudgeted* ADR reconstruction of every shard, mirroring
-    :meth:`CrashInjector._capture_integrity`: each shard's secure
-    register acknowledged ready counters before power died, so counters
-    its failed drain then dropped surface as a root mismatch.
-
-    Data lines of encrypted designs hold their ciphertext, enciphered
-    at global addresses in one batch over every shard's versions that
-    no image has needed yet.  Shard journals share their records with
-    the merged journal, so a version's line and tag serve every image,
-    merged or per shard.
-    """
-    require_crash_state(result)
-    controller = result.controller
-    journals = _shard_journals(result)
-    failed = frozenset(failed_shards)
-    for shard in failed:
-        if not 0 <= shard < len(journals):
-            raise SimulationError("failed shard %d out of range" % shard)
-    address_map = controller.address_map
-    adr_pending = 0
-    versions: Dict[int, LineVersion] = {}
-    persisted_counters: Dict[int, int] = {}
-    covered: Dict[int, int] = {}
-    for shard, journal in enumerate(journals):
-        if shard in failed:
-            persisted, counters = journal.persisted_at(
-                crash_ns, adr=adr_budget is not None, adr_budget=adr_budget
-            )
-        else:
-            persisted, counters = journal.persisted_at(crash_ns)
-            adr_pending += journal.adr_pending(crash_ns)
-        versions.update(persisted)
-        persisted_counters.update(counters)
-        if result.policy.integrity_tree:
-            # A healthy shard's counters are already its ADR image.
-            covered.update(
-                journal.persisted_at(crash_ns)[1] if shard in failed else counters
-            )
-    # Installed in ascending address order, as every crash image is.
-    versions = ascending(versions)
-    cipher = result.image_cipher()
-    device = NVMDevice(address_map, track_wear=False)
-    device.restore(image_lines(versions, cipher))
-    store = CounterStore(
-        counter_region_base=address_map.counter_region_base,
-        memory_size_bytes=address_map.memory_size_bytes,
-    )
-    store.restore(ascending(persisted_counters))
-    image = CrashImage(
-        crash_ns=crash_ns,
-        device=device,
-        counter_store=store,
-        design=result.policy.name,
-        adr_pending=adr_pending,
-        versions=versions,
-        enciphered_with=result.config.encryption if cipher else None,
-    )
-    if result.policy.integrity_tree:
-        # Deferred import: repro.integrity.verifier imports this package.
-        from ..integrity.tree import IntegrityTreeEngine
-
-        tree = IntegrityTreeEngine(
-            result.config.encryption,
-            address_map,
-            arity=result.config.integrity.arity,
-        )
-        image.secure_root = tree.root_over(covered)
-        image.line_tags = version_tags(
-            versions, address_map, IntegrityEngine(result.config.encryption)
-        )
-    return image
-
-
-def _watermark_durable(
-    journal: PersistJournal,
-    watermark: float,
-    crash_ns: float,
-    adr: bool,
-    adr_budget: Optional[int],
-) -> bool:
-    """Did everything this shard accepted up to ``watermark`` persist?
-
-    Conservative: counts every record accepted by the watermark, even
-    writes of unrelated in-flight transactions, so a ``True`` verdict
-    is always a genuine durability guarantee.
-    """
-    if watermark > crash_ns:
-        return False
-    if adr and adr_budget is None:
-        # Ticket acceptance == architecturally persistent under ADR.
-        return True
-    budget = adr_budget if adr else 0
-    spent = 0
-    for record in journal.records:
-        if record.accept_ns > watermark:
-            continue
-        if record.drain_ns <= crash_ns:
-            continue
-        if budget is not None:
-            if record.ready_ns > crash_ns:
-                return False
-            spent += 1
-            if spent > budget:
-                return False
-        else:
-            return False
-    return True
+from .injector import CrashInjector, uniform_sample
 
 
 def durable_commit_prefix(
@@ -193,7 +43,6 @@ def durable_commit_prefix(
     journals: Sequence[PersistJournal],
     crash_ns: float,
     failed_shards: Iterable[int] = (),
-    adr_budget: Optional[int] = None,
 ) -> List[CommitRecord]:
     """The longest acked prefix of the commit log that survived.
 
@@ -201,22 +50,31 @@ def durable_commit_prefix(
     watermark the barrier recorded for it; the first commit that is not
     ends the prefix (later commits may have persisted by luck, but the
     linearizable contract only lets recovery claim the dense prefix).
+
+    A healthy shard's ADR reserve drains everything it accepted by the
+    crash, so a watermark at or before ``crash_ns`` holds there.  A
+    failed shard keeps only array-drained writes, whatever ADR budget
+    its image has: its watermark holds only below the earliest
+    acceptance of a write still undrained at the crash.  That is
+    conservative — it counts writes of unrelated in-flight transactions
+    too — so a durable verdict is always a genuine guarantee.
     """
-    failed = frozenset(failed_shards)
+    thresholds: Dict[int, float] = {
+        shard: min(
+            (r.accept_ns for r in journals[shard].records if r.drain_ns > crash_ns),
+            default=float("inf"),
+        )
+        for shard in set(failed_shards)
+    }
     prefix: List[CommitRecord] = []
     for commit in commits:
         if commit.commit_ns > crash_ns:
             break
-        durable = True
-        for shard, watermark in commit.shard_watermarks.items():
-            adr = shard not in failed
-            if not _watermark_durable(
-                journals[shard], watermark, crash_ns, adr,
-                adr_budget if not adr else None,
-            ):
-                durable = False
-                break
-        if not durable:
+        if any(
+            watermark > crash_ns
+            or (shard in thresholds and watermark >= thresholds[shard])
+            for shard, watermark in commit.shard_watermarks.items()
+        ):
             break
         prefix.append(commit)
     return prefix
@@ -304,15 +162,14 @@ def sweep_shard_failures(
     core: int = 0,
     subsets: Optional[Sequence[Iterable[int]]] = None,
     max_points: int = 24,
-    adr_budget: Optional[int] = None,
 ) -> ShardFailureReport:
     """Crash every shard subset at sampled instants and reconcile.
 
     ``run`` is the workload's :class:`~repro.workloads.base.WorkloadRun`
     (``outcome.runs[core]``).  For each sampled crash instant and each
-    failed subset the sweep rebuilds the image, runs transaction
-    recovery, classifies the state structurally, and checks the
-    cross-shard reconciliation: the matched transaction prefix must
+    failed subset the sweep builds the image from one injector, runs
+    transaction recovery, classifies the state structurally, and checks
+    the cross-shard reconciliation: the matched transaction prefix must
     cover every commit :func:`durable_commit_prefix` still guarantees.
     Mid-drain ADR loss may cost *unacked* commits (they were never
     durable) and may surface as detected damage — what it must never
@@ -322,13 +179,12 @@ def sweep_shard_failures(
     from ..workloads.base import PrefixValidator
     from .recovery import RecoveryManager
 
-    controller = result.controller
-    journals = _shard_journals(result)
-    shards = controller.shards
+    injector = CrashInjector(result)
+    journals = injector.shard_journals()
+    shards = len(journals)
     if subsets is None:
         subsets = [(s,) for s in range(shards)] + [tuple(range(shards))]
-    commits = controller.journal.commits
-    injector = CrashInjector(result)
+    commits = result.controller.journal.commits
     times = uniform_sample(injector.interesting_times(limit=max_points), max_points)
     manager = RecoveryManager(result.config.encryption)
     validator = PrefixValidator(run)
@@ -337,14 +193,10 @@ def sweep_shard_failures(
     for crash_ns in times:
         for subset in subsets:
             failed = tuple(sorted(set(subset)))
-            image = shard_crash_image(
-                result, crash_ns, failed, adr_budget=adr_budget
-            )
+            image = injector.crash_shards(crash_ns, failed)
             recovered = manager.recover(image, encrypted=encrypted)
             verdict = validator.classify(recovered)
-            prefix = durable_commit_prefix(
-                commits, journals, crash_ns, failed, adr_budget=adr_budget
-            )
+            prefix = durable_commit_prefix(commits, journals, crash_ns, failed)
             outcomes.append(
                 ShardFailureOutcome(
                     crash_ns=crash_ns,

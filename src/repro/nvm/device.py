@@ -22,7 +22,7 @@ counter 0, are stored in the clear either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional
 
 from ..config import CACHE_LINE_SIZE
 from ..errors import AddressError
@@ -92,37 +92,6 @@ class NVMDevice:
         self._lines[line] = PersistedLine(data, encrypted_with)
         if self.wear is not None:
             self.wear.record_write(line)
-
-    def install(self, lines: Mapping[int, Tuple[Optional[bytes], int]]) -> None:
-        """:meth:`persist_line` for every ``address -> (payload, encrypted_with)``.
-
-        Installs a whole reconstructed image in a few passes instead of
-        one call per line, ending in the state and counts the per-line
-        loop leaves.  On bad input it falls back to that loop, so the
-        first offending entry raises what :meth:`persist_line` raises.
-        """
-        if not lines:
-            return
-        addresses = list(map(_LINE_MASK.__and__, lines))
-        payloads = [
-            _ZERO_LINE if payload is None else payload for payload, _ in lines.values()
-        ]
-        if (
-            min(addresses) < 0
-            or max(addresses) >= self._size
-            or set(map(len, payloads)) != {CACHE_LINE_SIZE}
-        ):
-            for address, (payload, encrypted_with) in lines.items():
-                self.persist_line(address, payload, encrypted_with)
-            return
-        self.line_writes += len(addresses)
-        if not self.functional:
-            return
-        encrypted = [encrypted_with for _, encrypted_with in lines.values()]
-        self._lines.update(zip(addresses, map(PersistedLine, payloads, encrypted)))
-        if self.wear is not None:
-            for line in addresses:
-                self.wear.record_write(line)
 
     def read_line(self, address: int) -> PersistedLine:
         """Fetch one line; unwritten lines read as zeroes in the clear."""

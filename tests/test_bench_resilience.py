@@ -284,6 +284,19 @@ class TestCliResilience:
             assert "--heartbeat-timeout needs --checkpoint-every" in err
             assert "--checkpoint-dir" in err
 
+    def test_checkpoint_cadence_below_one_exits_2(self, tmp_path, capsys):
+        # Refused before any job runs or any directory is made.
+        campaign_dir = tmp_path / "campaign"
+        for every in ("0", "-3"):
+            argv = self.CAMPAIGN_ARGS + [
+                "--campaign-dir", str(campaign_dir),
+                "--checkpoint-every", every,
+            ]
+            assert main(argv) == 2
+            assert "--checkpoint-every must be at least 1" in capsys.readouterr().err
+            assert not (campaign_dir / "checkpoints").exists()
+            assert not campaign_dir.exists()
+
     def test_resume_from_picks_up_existing_journal(self, tmp_path, capsys):
         campaign_dir = str(tmp_path / "campaign")
         assert main(self.CAMPAIGN_ARGS + ["--campaign-dir", campaign_dir]) == 0

@@ -10,7 +10,6 @@ from repro.config import CACHE_LINE_SIZE, KB, fast_config
 from repro.core.designs import list_designs
 from repro.crash.injector import CrashInjector, nested_crash_image
 from repro.crash.recovery import RecoveredMemory, RecoveryManager
-from repro.crash.sharded import shard_crash_image
 from repro.crypto.otp import OTPCipher, make_block_cipher
 from repro.errors import DecryptionFailure
 from repro.faults.base import apply_fault_models
@@ -256,13 +255,14 @@ class TestRecoveryOracle:
     @pytest.mark.parametrize("design", ALL_DESIGNS)
     def test_four_cores_with_a_failed_shard(self, design):
         result = oracle_run(design, cores=4, shards=2)
-        times = CrashInjector(result).midpoint_times(limit=4)
+        injector = CrashInjector(result)
+        times = injector.midpoint_times(limit=4)
         taken = 0
         for index, name in enumerate(FAULTS):
             model = make_fault_model(name)
             for crash_ns in times:
-                image = shard_crash_image(
-                    result, crash_ns, (index % 2,), adr_budget=model.adr_budget
+                image = injector.crash_shards(
+                    crash_ns, (index % 2,), adr_budget=model.adr_budget
                 )
                 apply_fault_models(image, [model], seed=index, scope=(crash_ns,))
                 taken += assert_recovers_like_the_oracle(result, image)

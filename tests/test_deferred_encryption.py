@@ -13,9 +13,10 @@ state walker), the secure root and the ECC-lane tags.
 Every registered design, with the PRF and with AES, on one core and on
 four cores with two shards, at post-event and midpoint instants, under
 an ADR budget, and without ADR; sharded cells also compare shard-subset
-failure images, and every cell the final image ``result_fingerprint``
-hashes.  Deferring is sound only while the journal's payloads are
-immutable copies; the last test pins that.
+failure images (one injector per run, every field), and every cell the
+final image ``result_fingerprint`` hashes.  Deferring is sound only
+while the journal's payloads are immutable copies; the last test pins
+that.
 """
 
 import dataclasses
@@ -26,7 +27,6 @@ from repro.bench.harness import run_workload
 from repro.config import KB, fast_config
 from repro.core.designs import list_designs
 from repro.crash.injector import CrashInjector, tag_data_lines
-from repro.crash.sharded import shard_crash_image
 from repro.crypto.counters import CounterStore
 from repro.crypto.integrity import IntegrityEngine
 from repro.crypto.otp import OTPCipher, make_block_cipher
@@ -35,7 +35,7 @@ from repro.nvm.device import NVMDevice
 from repro.persist.journal import PersistJournal
 from repro.workloads.base import WorkloadParams
 from tests.state_walker import assert_same_state
-from tests.test_persist_journal import reference_reconstruct
+from tests.test_persist_journal import reference_adr_pending, reference_reconstruct
 
 PARAMS = WorkloadParams(operations=8, footprint_bytes=16 * KB)
 DESIGNS = list_designs(include_unsafe=True, include_integrity=True)
@@ -148,27 +148,47 @@ def test_images_equal_the_eager_encryptor(design, cipher, shape, cores, shards):
 @pytest.mark.parametrize("cipher", ["prf", "aes"])
 @pytest.mark.parametrize("design", DESIGNS)
 def test_shard_images_equal_the_eager_encryptor(design, cipher):
+    """A run's shard-subset images, all from one injector.
+
+    The instants run ascending and then descending, so every shard
+    cursor also restarts.  Besides the device, counter store, secure
+    root and tags, each image holds the replay's version objects and
+    the reference's cipher config and ADR-pending count, every mapping
+    in ascending address order.
+    """
     result = run_cell(design, cipher, 4, 2)
     controller = result.controller
-    eager = [eager_journal(result, controller.shard_journal(s)) for s in range(2)]
-    times = CrashInjector(result).midpoint_times(limit=3)
-    for crash_ns in times:
-        for failed, budget in (((), None), ((0,), None), ((1,), 1)):
-            where = "%s/%s at %r, shards %s failed (budget=%s)" % (
-                design, cipher, crash_ns, failed, budget
-            )
-            image = shard_crash_image(result, crash_ns, failed, adr_budget=budget)
-            images = [
-                reference_reconstruct(
-                    journal, crash_ns, adr=shard not in failed or budget is not None,
-                    adr_budget=budget if shard in failed else None,
+    journals = [controller.shard_journal(s) for s in range(2)]
+    eager = [eager_journal(result, journal) for journal in journals]
+    injector = CrashInjector(result)
+    enciphered_with = result.config.encryption if result.policy.encrypts else None
+    times = injector.midpoint_times(limit=3)
+    for crash_ns in times + times[::-1]:
+        for failed in ((), (0,), (1,), (0, 1)):
+            for budget in (None, 0, 2):
+                where = "%s/%s at %r, shards %s failed (budget=%s)" % (
+                    design, cipher, crash_ns, failed, budget
                 )
-                for shard, journal in enumerate(eager)
-            ]
-            covered = {}
-            for journal in eager:
-                covered.update(reference_reconstruct(journal, crash_ns)[1])
-            assert_same_image(image, reference_image(result, images, covered), where)
+                image = injector.crash_shards(crash_ns, failed, adr_budget=budget)
+                images, versions, covered, pending = [], {}, {}, 0
+                for shard, journal in enumerate(journals):
+                    adr = shard not in failed or budget is not None
+                    shard_budget = budget if shard in failed else None
+                    images.append(
+                        reference_reconstruct(eager[shard], crash_ns, adr, shard_budget)
+                    )
+                    versions.update(journal.persisted_at(crash_ns, adr, shard_budget)[0])
+                    covered.update(reference_reconstruct(eager[shard], crash_ns)[1])
+                    if shard not in failed:
+                        pending += reference_adr_pending(journal, crash_ns)
+                reference = reference_image(result, images, covered)
+                assert_same_image(image, reference, where)
+                assert list(image.versions) == sorted(versions), where
+                assert all(image.versions[a] is v for a, v in versions.items()), where
+                assert image.enciphered_with == enciphered_with, where
+                assert image.adr_pending == pending, where
+                if image.line_tags is not None:
+                    assert list(image.line_tags) == list(reference[3]), where
 
 
 @pytest.mark.parametrize("shape, cores, shards", SHAPES, ids=[s[0] for s in SHAPES])

@@ -2,19 +2,24 @@
 
 Property coverage (bijection, crash-at-any-instant) lives in
 ``tests/test_property_sharding.py``; golden equivalence at ``shards=1``
-in ``tests/test_refactor_equivalence.py``.  This file pins the concrete
-contracts of the coordinator and the cross-shard barrier:
+in ``tests/test_refactor_equivalence.py``; shard-subset images against
+an eager encryptor in ``tests/test_deferred_encryption.py``.  This file
+pins the concrete contracts of the coordinator and the cross-shard
+barrier:
 
 * the facade folds per-shard stats/journals into the singleton
   controller surface (merged journal ordered and injective, stats sums
   matching the per-shard controllers, snapshot round-trip);
 * the ``CrossShardBarrier`` writes one well-formed ``CommitRecord`` per
   transaction, in commit order;
-* ``durable_commit_prefix`` keeps the whole log when nothing failed and
-  never counts commits past the crash instant;
-* the shard-subset failure sweep never silently loses a durable-acked
-  commit, and the session-level reconciliation
-  (:func:`repro.crash.session.run_sharded_session`) reports it.
+* ``durable_commit_prefix`` keeps the whole log when nothing failed,
+  never counts commits past the crash instant, and equals the
+  per-commit journal walk it replaced at every crash instant and
+  failed subset;
+* the shard-subset failure sweep (images from
+  :meth:`repro.crash.injector.CrashInjector.crash_shards`) never
+  silently loses a durable-acked commit, and its images with no failed
+  shard recover consistently.
 """
 
 import pickle
@@ -23,11 +28,10 @@ import pytest
 
 from repro.bench.harness import run_workload
 from repro.config import KB, fast_config
-from repro.crash.session import RecoverySession, run_sharded_session
+from repro.crash.injector import CrashInjector
 from repro.crash.sharded import (
     durable_commit_prefix,
     required_prefix_for_core,
-    shard_crash_image,
     sweep_shard_failures,
 )
 from repro.errors import SimulationError
@@ -148,6 +152,60 @@ class TestCrossShardBarrier:
         assert singleton.result.controller.journal.commits == []
 
 
+def reference_watermark_durable(journal, watermark, crash_ns, adr, adr_budget):
+    """Did everything this shard accepted up to ``watermark`` persist?
+
+    The per-commit journal walk ``durable_commit_prefix`` used to make,
+    kept verbatim as the reference.
+    """
+    if watermark > crash_ns:
+        return False
+    if adr and adr_budget is None:
+        # Ticket acceptance == architecturally persistent under ADR.
+        return True
+    budget = adr_budget if adr else 0
+    spent = 0
+    for record in journal.records:
+        if record.accept_ns > watermark:
+            continue
+        if record.drain_ns <= crash_ns:
+            continue
+        if budget is not None:
+            if record.ready_ns > crash_ns:
+                return False
+            spent += 1
+            if spent > budget:
+                return False
+        else:
+            return False
+    return True
+
+
+def reference_durable_commit_prefix(
+    commits, journals, crash_ns, failed_shards=(), adr_budget=None
+):
+    """``durable_commit_prefix`` as it walked the journals per commit,
+    kept verbatim as the reference."""
+    failed = frozenset(failed_shards)
+    prefix = []
+    for commit in commits:
+        if commit.commit_ns > crash_ns:
+            break
+        durable = True
+        for shard, watermark in commit.shard_watermarks.items():
+            adr = shard not in failed
+            if not reference_watermark_durable(
+                journals[shard], watermark, crash_ns, adr,
+                adr_budget if not adr else None,
+            ):
+                durable = False
+                break
+        if not durable:
+            break
+        prefix.append(commit)
+    return prefix
+
+
 class TestDurablePrefix:
     def test_no_failure_keeps_the_whole_acked_log(self, result):
         controller = result.controller
@@ -179,17 +237,52 @@ class TestDurablePrefix:
         commits = controller.journal.commits
         end = result.stats.runtime_ns + 1.0
         all_failed = tuple(range(controller.shards))
-        prefix = durable_commit_prefix(
-            commits, journals, end, all_failed, adr_budget=0
-        )
-        assert len(prefix) <= len(commits)
+        prefix = durable_commit_prefix(commits, journals, end, all_failed)
+        # The last writes drain after the run ends, so a failed shard
+        # loses the commits whose watermarks cover them.
+        assert len(prefix) < len(commits)
+
+    @pytest.mark.parametrize(
+        "design, cores, shards", [("sca", 4, 2), ("fca+bmt", 4, 2), ("sca", 4, 4)]
+    )
+    def test_equals_the_per_commit_walk(self, design, cores, shards):
+        """Every interesting and midpoint instant, every failed subset.
+
+        The walk took an ADR budget for failed shards but never spent
+        one (a failed shard reached it with ADR off), so its verdict is
+        the same under every budget.
+        """
+        result = run_workload(
+            design, "hash", config=fast_config(num_cores=cores, shards=shards),
+            params=WorkloadParams(operations=10),
+        ).result
+        injector = CrashInjector(result)
+        journals = injector.shard_journals()
+        commits = result.controller.journal.commits
+        times = injector.interesting_times() + injector.midpoint_times()
+        subsets = [
+            tuple(s for s in range(shards) if mask >> s & 1) for mask in range(1 << shards)
+        ]
+        kept = set()
+        for crash_ns in times:
+            for failed in subsets:
+                prefix = durable_commit_prefix(commits, journals, crash_ns, failed)
+                for budget in (None, 0, 2):
+                    reference = reference_durable_commit_prefix(
+                        commits, journals, crash_ns, failed, adr_budget=budget
+                    )
+                    assert prefix == reference, (design, crash_ns, failed, budget)
+                kept.add((failed == (), len(prefix)))
+        # The cells cover short and long prefixes, with and without failures.
+        assert len({length for healthy, length in kept if healthy}) > 2
+        assert len({length for healthy, length in kept if not healthy}) > 2
 
     def test_singleton_run_rejects_shard_failures(self):
         singleton = run_workload(
             "sca", "array", config=fast_config(shards=1), params=PARAMS
         )
         with pytest.raises(SimulationError):
-            shard_crash_image(singleton.result, 100.0, (0,))
+            CrashInjector(singleton.result).crash_shards(100.0, (0,))
 
 
 class TestSubsetFailures:
@@ -205,42 +298,6 @@ class TestSubsetFailures:
         # loss — see docs/sharding.md).
         for outcome in report.outcomes:
             assert outcome.reconciled
-
-    def test_session_reconciliation(self, sharded_run):
-        result = sharded_run.result
-        validator = sharded_run.validator(0)
-
-        def classify(recovered, context):
-            return validator.classify(recovered, context=context)
-
-        session = RecoverySession(
-            result.config, encrypted=result.policy.encrypts
-        )
-        # Before anything was accepted the failed shard has nothing to
-        # lose: the ladder recovers the empty prefix and reconciliation
-        # demands nothing.
-        outcome = run_sharded_session(
-            session, result, 0.0, failed_shards=(1,), classify=classify
-        )
-        assert outcome.status == "consistent"
-        assert "reconcile:durable=0" in outcome.ledger.path
-        # At end of run a failed shard may tear transactions whose undo
-        # entries it never drained (documented physics) — but the
-        # reconciliation step must run, recovery must not crash, and a
-        # consistent verdict must cover the durable commit prefix.
-        end = result.stats.runtime_ns + 1.0
-        outcome = run_sharded_session(
-            session, result, end, failed_shards=(1,), classify=classify
-        )
-        assert outcome.status != "crashed"
-        marks = [
-            step for step in outcome.ledger.path
-            if step.startswith("reconcile:durable=")
-        ]
-        assert marks
-        if outcome.status == "consistent":
-            required = int(marks[-1].split("=")[1])
-            assert outcome.verdict.matched_prefix >= required
 
 
 class TestShardImages:

@@ -13,7 +13,6 @@ import pytest
 from repro.bench.harness import build_traces, run_workload
 from repro.config import KB, fast_config
 from repro.crash.injector import CrashInjector
-from repro.crash.sharded import shard_crash_image
 from repro.errors import ConfigurationError
 from repro.sim.machine import Machine
 from repro.workloads.base import WorkloadParams
@@ -64,6 +63,3 @@ class TestEndToEnd:
             assert len(result.controller.journal) == 0
             with pytest.raises(ConfigurationError, match="fca: a timing-only run"):
                 CrashInjector(result)
-            if shards > 1:
-                with pytest.raises(ConfigurationError, match="fca: a timing-only run"):
-                    shard_crash_image(result, result.stats.runtime_ns, [0])

@@ -1,24 +1,28 @@
-"""Reference implementations of the crypto kernels.
+"""Reference implementations of the crypto kernels and the KV lookup.
 
-Slow, obviously-correct versions of what :mod:`repro.crypto` computes
-fast.  Nothing on a simulation path calls them: the perf harness
-(:mod:`repro.bench.perf`) measures the fast kernels against them, and
-the crypto tests pin the fast kernels to them bit for bit.
+Slow, obviously-correct versions of what :mod:`repro.crypto` and
+:mod:`repro.service.kv` compute fast.  Nothing on a simulation path
+calls them: the perf harness (:mod:`repro.bench.perf`) measures the
+fast kernels against them, and the tests pin the fast kernels to them.
 
 * :func:`encrypt_block_reference` — AES-128 encryption with the
   textbook FIPS-197 round functions (SubBytes, ShiftRows, MixColumns,
   AddRoundKey), the oracle of the T-table
   :meth:`~repro.crypto.aes.AES128.encrypt_block`;
 * :func:`xor_reference` — a per-byte XOR, the oracle of the big-integer
-  XOR the OTP uses (:func:`repro.crypto.otp._xor`).
+  XOR the OTP uses (:func:`repro.crypto.otp._xor`);
+* :class:`ProbeOnlyService` — the KV service whose tenants
+  (:class:`ProbeOnlyKV`) walk the probe chain on every lookup instead
+  of reading their volatile key->slot index.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Tuple
 
 from ..crypto.aes import _SBOX, AES128, _xtime
 from ..errors import CryptoError
+from ..service.kv import ServiceWorkload, TenantKV
 
 
 def _sub_bytes(state: List[int]) -> None:
@@ -66,3 +70,16 @@ def encrypt_block_reference(aes: AES128, block: bytes) -> bytes:
 def xor_reference(left: bytes, right: bytes) -> bytes:
     """XOR two equal-length byte strings one byte at a time."""
     return bytes(a ^ b for a, b in zip(left, right))
+
+
+class ProbeOnlyKV(TenantKV):
+    """A tenant engine that ignores its index and probes on every lookup."""
+
+    def _locate(self, key: int) -> Tuple[Optional[int], Optional[int]]:
+        return self._probe(key)
+
+
+class ProbeOnlyService(ServiceWorkload):
+    """The KV service over probe-only tenant engines."""
+
+    store_type = ProbeOnlyKV

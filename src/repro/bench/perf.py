@@ -25,7 +25,7 @@ from __future__ import annotations
 import platform
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Type
 
 from ..config import CounterCacheConfig, EncryptionConfig
 from ..crypto import aes as aes_module
@@ -38,7 +38,7 @@ from ..integrity.tree import IntegrityTreeEngine
 from ..mem.writequeue import WriteQueue
 from ..nvm.address import AddressMap
 from ..utils.accel import HAVE_NUMPY
-from .oracles import encrypt_block_reference, xor_reference
+from .oracles import ProbeOnlyService, encrypt_block_reference, xor_reference
 
 #: Iteration counts per scale: (fast-path ops, reference-path ops).
 _SCALE_OPS = {
@@ -332,12 +332,13 @@ def _bench_kv_put(mult: int) -> Dict[str, float]:
 
     The service engine keeps a volatile key->slot index (rebuilt after
     splits, never persisted) so a put's locate step is one timed line
-    read; the retained reference path (``use_index=False``) probes the
-    open-addressing chain through the recorder on every access, exactly
-    like the pre-index engine.  Keys are chosen to collide into one
-    home bucket — the adversarial chain an aged, tombstone-riddled
-    table develops — so the kernel measures the probe work the index
-    removes rather than a near-empty table's single-bucket best case.
+    read; the reference (:class:`~repro.bench.oracles.ProbeOnlyService`)
+    probes the open-addressing chain through the recorder on every
+    access, exactly like the pre-index engine.  Keys are chosen to
+    collide into one home bucket — the adversarial chain an aged,
+    tombstone-riddled table develops — so the kernel measures the probe
+    work the index removes rather than a near-empty table's
+    single-bucket best case.
     """
     from ..config import fast_config
     from ..service.kv import ServiceWorkload, TenantKV
@@ -351,21 +352,15 @@ def _bench_kv_put(mult: int) -> Dict[str, float]:
             chain_keys.append(key)
         key += 1
 
-    def build(use_index: bool) -> TenantKV:
-        workload = ServiceWorkload(
-            config,
-            tenants=1,
-            initial_buckets=nbuckets,
-            use_index=use_index,
-            name="perf-kv-%s" % ("index" if use_index else "probe"),
-        )
+    def build(service: Type[ServiceWorkload], name: str) -> TenantKV:
+        workload = service(config, tenants=1, initial_buckets=nbuckets, name=name)
         store = workload.stores[0]
         for position, chain_key in enumerate(chain_keys):
             store.put(chain_key, position)
         return store
 
-    indexed = build(use_index=True)
-    probing = build(use_index=False)
+    indexed = build(ServiceWorkload, "perf-kv-index")
+    probing = build(ProbeOnlyService, "perf-kv-probe")
     fast_n = 400 * mult
     ref_n = 100 * mult
 

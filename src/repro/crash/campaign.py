@@ -382,7 +382,7 @@ class CampaignSpec:
         """Fail fast on misconfiguration, before any worker runs."""
         from ..core.designs import get_design
         from ..errors import ConfigurationError, FaultInjectionError
-        from ..txn.manager import TransactionMechanism
+        from ..txn.manager import MECHANISMS
         from ..workloads.registry import list_workloads
 
         if self.crash_points < 1:
@@ -406,12 +406,8 @@ class CampaignSpec:
             except ConfigurationError as exc:
                 raise CampaignError(str(exc)) from None
         for mechanism in self.mechanisms:
-            try:
-                TransactionMechanism(mechanism)
-            except ValueError:
-                raise CampaignError(
-                    "unknown transaction mechanism %r" % mechanism
-                ) from None
+            if mechanism not in MECHANISMS:
+                raise CampaignError("unknown transaction mechanism %r" % mechanism)
         for name, params in self._fault_fields():
             try:
                 make_fault_model(name, **dict(params))

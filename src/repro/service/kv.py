@@ -33,7 +33,7 @@ no acknowledged-write loss, no cross-tenant leakage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
 
 from ..config import CACHE_LINE_SIZE, SystemConfig
 from ..crash.recovery import RecoveredMemory
@@ -41,11 +41,8 @@ from ..crash.session import RecoveryContext
 from ..errors import DecryptionFailure, HeapError, ServiceError, TransactionError
 from ..nvm.address import AddressMap
 from ..sim.trace import Trace, TraceBuilder
-from ..txn.checksum_undo import recover_checksummed_undo
 from ..txn.heap import LOG_ENTRY_BYTES, CoreArena, PersistentHeap
-from ..txn.manager import make_transactions
-from ..txn.redolog import recover_redo_log
-from ..txn.undolog import recover_undo_log
+from ..txn.manager import MECHANISMS, make_transactions
 from ..utils.bitops import align_down
 from ..workloads.base import LineModel, RecordedTxn, TxnRecorder, index_prefixes
 from .traffic import Operation
@@ -66,13 +63,6 @@ _MASK64 = (1 << 64) - 1
 _META_NBUCKETS = 0
 _META_TABLE_BASE = 8
 _META_GENERATION = 16
-
-#: Mechanism name -> arena recovery procedure.
-_RECOVERERS: Dict[str, Callable[..., List[int]]] = {
-    "undo": recover_undo_log,
-    "redo": recover_redo_log,
-    "checksum-undo": recover_checksummed_undo,
-}
 
 
 def build_tenant_arenas(
@@ -122,9 +112,7 @@ class TenantKV:
     :class:`~repro.workloads.base.TxnRecorder`; the volatile lookup
     index (key -> slot address) is pure acceleration — it is derivable
     from the table and is rebuilt after splits, exactly like the DRAM
-    index of a real NVM KV store.  ``use_index=False`` disables it and
-    probes persistently for every access (the perf kernel's reference
-    path).
+    index of a real NVM KV store.
     """
 
     def __init__(
@@ -135,7 +123,6 @@ class TenantKV:
         service: "ServiceWorkload",
         initial_buckets: int = 8,
         max_load: float = 0.7,
-        use_index: bool = True,
     ) -> None:
         if initial_buckets < 1 or initial_buckets & (initial_buckets - 1):
             raise ServiceError("initial_buckets must be a power of two")
@@ -146,7 +133,6 @@ class TenantKV:
         self.arena = arena
         self.service = service
         self.max_load = max_load
-        self.use_index = use_index
         self.meta_address = arena.heap.alloc_lines(1)
         self._nbuckets = initial_buckets
         self._table_base = arena.heap.alloc_lines(initial_buckets)
@@ -207,12 +193,15 @@ class TenantKV:
         when the whole table probed full.  Every probed bucket emits a
         timed LOAD through the recorder.
         """
+        slot = self._index.get(key)
+        if slot is not None:
+            self.recorder.read_line(align_down(slot, CACHE_LINE_SIZE))
+            return slot, None
+        return self._probe(key)
+
+    def _probe(self, key: int) -> Tuple[Optional[int], Optional[int]]:
+        """:meth:`_locate` by walking the key's probe chain in the table."""
         recorder = self.recorder
-        if self.use_index:
-            slot = self._index.get(key)
-            if slot is not None:
-                recorder.read_line(align_down(slot, CACHE_LINE_SIZE))
-                return slot, None
         insert: Optional[int] = None
         nbuckets = self._nbuckets
         home = self._home_bucket(key, nbuckets)
@@ -263,8 +252,7 @@ class TenantKV:
             self._count += 1
             if displaced == TOMBSTONE_KEY:
                 self._tombstones -= 1
-        if self.use_index:
-            self._index[key] = target
+        self._index[key] = target
 
     def get(self, key: int) -> Optional[int]:
         """Read; commits an empty transaction as the linearization point."""
@@ -288,8 +276,7 @@ class TenantKV:
         if slot is not None:
             self._count -= 1
             self._tombstones += 1
-            if self.use_index:
-                self._index.pop(key, None)
+            self._index.pop(key, None)
         return slot is not None
 
     def scan(self, key_lo: int, key_hi: int) -> List[Tuple[int, int]]:
@@ -386,7 +373,7 @@ class TenantKV:
         self._table_base = new_base
         self._count = len(live)
         self._tombstones = 0
-        self._index = new_index if self.use_index else {}
+        self._index = new_index
         self.splits += 1
 
     # -- bookkeeping -------------------------------------------------------
@@ -414,6 +401,10 @@ class CommitRecord:
 class ServiceWorkload:
     """Builds the whole multi-tenant service trace on one core."""
 
+    #: The engine each tenant runs (:mod:`repro.bench.oracles` holds a
+    #: probe-only reference).
+    store_type: Type[TenantKV] = TenantKV
+
     def __init__(
         self,
         config: SystemConfig,
@@ -422,12 +413,11 @@ class ServiceWorkload:
         log_capacity: int = 32,
         initial_buckets: int = 8,
         max_load: float = 0.7,
-        use_index: bool = True,
         name: str = "kv-service",
     ) -> None:
-        if mechanism not in _RECOVERERS:
+        if mechanism not in MECHANISMS:
             raise ServiceError(
-                "service mechanism must be one of %s" % (tuple(_RECOVERERS),)
+                "service mechanism must be one of %s" % (tuple(MECHANISMS),)
             )
         self.config = config
         self.mechanism = mechanism
@@ -441,14 +431,13 @@ class ServiceWorkload:
             txns = make_transactions(mechanism, self.builder, arena)
             recorder = TxnRecorder(self.builder, txns, model)
             self.stores.append(
-                TenantKV(
+                self.store_type(
                     arena.core_id,
                     recorder,
                     arena,
                     self,
                     initial_buckets=initial_buckets,
                     max_load=max_load,
-                    use_index=use_index,
                 )
             )
 
@@ -638,11 +627,11 @@ class ServiceValidator:
         run = self.run
         crash_ns = recovered.image.crash_ns
         verdict = ServiceVerdict(consistent=False)
-        recover = _RECOVERERS[run.mechanism]
+        _generator, recover = MECHANISMS[run.mechanism]
         context = context or RecoveryContext()
         try:
             for arena in run.arenas:
-                recover(recovered, arena, context=context)
+                recover(recovered, arena, context)
         except DecryptionFailure as failure:
             verdict.detected.append("recovery hit undecryptable line: %s" % failure)
             return verdict

@@ -35,7 +35,7 @@ from ..crash.session import RecoverySession
 from ..errors import ConfigurationError, FaultInjectionError, ServiceError
 from ..faults import make_fault_model
 from ..sim.machine import Machine
-from ..txn.manager import TransactionMechanism
+from ..txn.manager import MECHANISMS
 from ..utils.store import JsonStore, content_key
 from .kv import ServiceValidator, ServiceWorkload
 from .slo import TenantSLO, attribute_latencies, summarize_tenants
@@ -75,12 +75,8 @@ class ServiceJob:
             get_design(self.design)
         except ConfigurationError as exc:
             raise ServiceError(str(exc)) from None
-        try:
-            TransactionMechanism(self.mechanism)
-        except ValueError:
-            raise ServiceError(
-                "unknown transaction mechanism %r" % self.mechanism
-            ) from None
+        if self.mechanism not in MECHANISMS:
+            raise ServiceError("unknown transaction mechanism %r" % self.mechanism)
         if not 0.0 < self.crash_fraction < 1.0:
             raise ServiceError("crash_fraction must be in (0, 1)")
         if self.fault is not None:

@@ -14,7 +14,7 @@ from .heap import CoreArena, MemoryLayout, PersistentHeap
 from .undolog import UndoLogTransactions, recover_undo_log
 from .redolog import RedoLogTransactions, recover_redo_log
 from .shadow import ShadowTransactions, recover_shadow
-from .manager import TransactionMechanism, make_transactions
+from .manager import MECHANISMS, make_transactions
 
 __all__ = [
     "ChecksummedUndoLog",
@@ -28,6 +28,6 @@ __all__ = [
     "recover_redo_log",
     "ShadowTransactions",
     "recover_shadow",
-    "TransactionMechanism",
+    "MECHANISMS",
     "make_transactions",
 ]

@@ -1,8 +1,10 @@
-"""Uniform front door over the transaction mechanisms.
+"""The table of transaction mechanisms, and the cross-shard barrier.
 
 Workloads ask for "a transaction mechanism" by name so every workload
-can run under undo logging (the paper's default), redo logging, or —
-for structures that fit it — shadow copying.
+can run under undo logging (the paper's default), redo logging or
+checksummed undo logging; :data:`MECHANISMS` maps each name to its
+trace generator and its arena recovery procedure, and every module
+that names a mechanism reads it.
 
 This module also owns the *cross-shard persist barrier*
 (:class:`CrossShardBarrier`): on a sharded memory system
@@ -13,48 +15,37 @@ multi-controller drain into one durable commit record.
 
 from __future__ import annotations
 
-import enum
-from typing import Dict, List, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
+from ..crash.recovery import RecoveredMemory
+from ..crash.session import RecoveryContext
 from ..errors import TransactionError
 from ..persist.journal import PersistJournal
 from ..sim.trace import TraceBuilder
-from .checksum_undo import ChecksummedUndoLog
+from .checksum_undo import ChecksummedUndoLog, recover_checksummed_undo
 from .heap import CoreArena
-from .redolog import RedoLogTransactions
-from .undolog import UndoLogTransactions
+from .redolog import RedoLogTransactions, recover_redo_log
+from .undolog import LogTransactions, UndoLogTransactions, recover_undo_log
 
+#: Recovers one arena's transaction log; returns the restored lines.
+Recovery = Callable[[RecoveredMemory, CoreArena, Optional[RecoveryContext]], List[int]]
 
-class TransactionMechanism(enum.Enum):
-    UNDO = "undo"
-    REDO = "redo"
-    CHECKSUM_UNDO = "checksum-undo"
-
-
-#: Any concrete line-transaction generator.
-LineTransactions = Union[
-    UndoLogTransactions, RedoLogTransactions, ChecksummedUndoLog
-]
+#: Mechanism name -> (trace generator, arena recovery procedure).
+MECHANISMS: Dict[str, Tuple[Type[LogTransactions], Recovery]] = {
+    "undo": (UndoLogTransactions, recover_undo_log),
+    "redo": (RedoLogTransactions, recover_redo_log),
+    "checksum-undo": (ChecksummedUndoLog, recover_checksummed_undo),
+}
 
 
 def make_transactions(
-    mechanism: Union[str, TransactionMechanism],
-    builder: TraceBuilder,
-    arena: CoreArena,
-) -> LineTransactions:
+    mechanism: str, builder: TraceBuilder, arena: CoreArena
+) -> LogTransactions:
     """Instantiate the requested mechanism over one arena."""
-    if isinstance(mechanism, str):
-        try:
-            mechanism = TransactionMechanism(mechanism)
-        except ValueError:
-            raise TransactionError(
-                "unknown transaction mechanism %r" % mechanism
-            ) from None
-    if mechanism is TransactionMechanism.UNDO:
-        return UndoLogTransactions(builder, arena)
-    if mechanism is TransactionMechanism.CHECKSUM_UNDO:
-        return ChecksummedUndoLog(builder, arena)
-    return RedoLogTransactions(builder, arena)
+    if mechanism not in MECHANISMS:
+        raise TransactionError("unknown transaction mechanism %r" % mechanism)
+    generator, _recover = MECHANISMS[mechanism]
+    return generator(builder, arena)
 
 
 class CrossShardBarrier:
@@ -105,16 +96,3 @@ class CrossShardBarrier:
         )
         self._last_marks.update(watermarks)
 
-
-def apply_line_writes(
-    txns: LineTransactions,
-    writes: List[Tuple[int, bytes, bytes]],
-) -> None:
-    """Run one transaction over (address, old, new) line writes.
-
-    Redo logging ignores the pre-images; undo logging logs them.
-    """
-    if isinstance(txns, (UndoLogTransactions, ChecksummedUndoLog)):
-        txns.run(writes)
-        return
-    txns.run([(address, new) for address, _old, new in writes])

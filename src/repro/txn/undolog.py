@@ -1,15 +1,24 @@
-"""Undo-logging transactions with selective counter-atomicity.
+"""The log protocol of undo, redo and checksummed-undo transactions.
 
 This is the paper's running example (Figure 9 / Table 1), implemented
-with the exact stage structure and primitive placement:
+with the exact stage structure and primitive placement.  Every log
+mechanism is built from the same stages:
 
-* **prepare** — back up every target line into the log (relaxable
+* **entries** — write one log entry per target line (relaxable
   writes), ``clwb`` the log lines, ``counter_cache_writeback()`` over
-  the log, ``persist_barrier()``; then *arm* the transaction record
-  with a ``CounterAtomic`` store of ``valid = 1`` and barrier.
-* **mutate** — update the data lines in place (relaxable), ``clwb``,
-  ``counter_cache_writeback()`` over the data, ``persist_barrier()``.
-* **commit** — ``CounterAtomic`` store of ``valid = 0`` + barrier.
+  the log, ``persist_barrier()``: the log is sealed;
+* **arm** — record the transaction's ``seq``, ``nentries`` and first
+  entry, then a ``CounterAtomic`` store of ``valid = 1``, clwb, barrier;
+* **in place** — update the target lines in place (relaxable),
+  ``clwb``, ``counter_cache_writeback()`` over them, barrier;
+* **disarm** — ``CounterAtomic`` store of ``valid = 0``, clwb, barrier.
+
+Undo logging logs each pre-image and labels its stages ``prepare``
+(entries and arm), ``mutate`` (in place) and ``commit`` (disarm); redo
+logging (:mod:`repro.txn.redolog`) logs each new value and labels them
+``prepare``, ``commit``, ``write-back`` and ``retire``.  Each mechanism
+states its stage order in its ``_stages`` method, and both recover
+through the one :func:`replay_log`.
 
 The valid flag is the only write whose counter must persist atomically
 with its data: it decides which version recovery restores.  Everything
@@ -18,15 +27,14 @@ valid flag, which is what makes the relaxation safe (Section 4.2).
 
 Log layout (per arena)::
 
-    txn_record line : [ valid u64 | seq u64 | nentries u64 | pad ]
+    txn_record line : [ valid u64 | seq u64 | nentries u64 | first u64 | pad ]
     entry i         : header line [ magic u64 | target u64 | seq u64 | pad ]
-                      payload line [ 64 B pre-image of the target line ]
+                      payload line [ 64 B logged image of the target line ]
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..config import CACHE_LINE_SIZE
 from ..core.primitives import CounterAtomic, PersistentVar, Plain
@@ -54,20 +62,116 @@ PREPARE_COMPUTE_NS = 70.0
 MUTATE_COMPUTE_NS = 45.0
 STAGE_COMPUTE_NS = 25.0
 
-
-@dataclass
-class _OpenTransaction:
-    seq: int
-    writes: List[Tuple[int, bytes, bytes]]  # (line address, old, new)
-    counter_atomic_targets: Dict[int, bool]
+#: One declared line update: (line address, pre-image, new value).
+LineWrite = Tuple[int, bytes, bytes]
 
 
-class UndoLogTransactions:
-    """Generates undo-logged transactions into a trace builder."""
+class LogTransactions:
+    """Log transactions over one arena: the frame every log mechanism shares.
+
+    A subclass names its ``txn_begin``/``txn_end`` note and entry magic
+    and orders the stages in :meth:`_stages`.
+    """
+
+    #: Prefix of the ``txn_begin``/``txn_end`` notes (``undo#3``).
+    NOTE = ""
+    #: Marks an initialized log entry header.
+    MAGIC = 0
 
     def __init__(self, builder: TraceBuilder, arena: CoreArena) -> None:
         self.builder = builder
         self.arena = arena
+        self._seq = 0
+        self._writes: Optional[List[LineWrite]] = None
+        self.committed = 0
+        #: Circular-log cursor: each transaction appends fresh entries
+        #: and wraps, as real undo logs do; reusing entry 0 every
+        #: transaction would fabricate hot lines the write queue then
+        #: coalesces unrealistically well.
+        self._log_cursor = 0
+
+    # -- transaction construction ------------------------------------------
+
+    def begin(self) -> None:
+        if self._writes is not None:
+            raise TransactionError("transaction already open (no nesting)")
+        self._seq += 1
+        self._writes = []
+        self.builder.txn_begin("%s#%d" % (self.NOTE, self._seq))
+
+    def write_line(
+        self, line_address: int, old_payload: bytes, new_payload: bytes
+    ) -> None:
+        """Declare a full-line update inside the open transaction.
+
+        ``old_payload`` is the pre-image (the workload's model knows
+        it): an undo log logs it, a redo log logs ``new_payload``.
+        """
+        writes = self._require_open()
+        if len(old_payload) != CACHE_LINE_SIZE or len(new_payload) != CACHE_LINE_SIZE:
+            raise TransactionError("%s log works on whole 64 B lines" % self.NOTE)
+        if line_address % CACHE_LINE_SIZE != 0:
+            raise TransactionError("target must be line-aligned")
+        if len(writes) >= self.arena.log_capacity:
+            raise TransactionError(
+                "transaction exceeds log capacity (%d lines)" % self.arena.log_capacity
+            )
+        writes.append((line_address, bytes(old_payload), bytes(new_payload)))
+
+    def commit(self) -> None:
+        """Emit the mechanism's stages for the open transaction."""
+        writes = self._require_open()
+        if writes:
+            self._stages(writes)
+            self._log_cursor = (self._log_cursor + len(writes)) % self.arena.log_capacity
+        self._writes = None
+        self.committed += 1
+        self.builder.txn_end("%s#%d" % (self.NOTE, self._seq))
+
+    def run(self, writes: Sequence[LineWrite]) -> None:
+        """begin + write_line* + commit in one call."""
+        self.begin()
+        for line_address, old, new in writes:
+            self.write_line(line_address, old, new)
+        self.commit()
+
+    def _require_open(self) -> List[LineWrite]:
+        if self._writes is None:
+            raise TransactionError("no open transaction")
+        return self._writes
+
+    # -- stages ---------------------------------------------------------------
+
+    def _stages(self, writes: List[LineWrite]) -> None:
+        raise NotImplementedError
+
+    def _entry_headers(self, count: int) -> List[int]:
+        """Header addresses of the open transaction's ``count`` entries."""
+        arena = self.arena
+        cursor = self._log_cursor
+        return [
+            arena.log_base + (cursor + offset) % arena.log_capacity * LOG_ENTRY_BYTES
+            for offset in range(count)
+        ]
+
+    def _in_place(self, writes: List[LineWrite]) -> None:
+        """Write each new value over its target and make it durable."""
+        builder = self.builder
+        for target, _old, new in writes:
+            builder.compute(MUTATE_COMPUTE_NS)
+            builder.store(target, new)
+            builder.clwb(target)
+        for target, _old, _new in writes:
+            builder.ccwb(target)
+        builder.compute(STAGE_COMPUTE_NS)
+        builder.persist_barrier()
+
+
+class ArmedLog(LogTransactions):
+    """A log the record arms with ``valid = 1`` and disarms with ``valid = 0``."""
+
+    def __init__(self, builder: TraceBuilder, arena: CoreArena) -> None:
+        super().__init__(builder, arena)
         self.valid_var: PersistentVar = CounterAtomic(
             arena.txn_record + _VALID_OFFSET, name="txn.valid"
         )
@@ -75,157 +179,80 @@ class UndoLogTransactions:
         self.nentries_var: PersistentVar = Plain(
             arena.txn_record + _NENTRIES_OFFSET, name="txn.nentries"
         )
-        self._seq = 0
-        self._open: Optional[_OpenTransaction] = None
-        self.committed = 0
-        #: Circular-log cursor: each transaction appends fresh entries
-        #: and wraps, as real undo logs do; reusing entry 0 every
-        #: transaction would fabricate hot lines the write queue then
-        #: coalesces unrealistically well.
-        self._log_cursor = 0
-        self._txn_first_entry = 0
 
-    # -- transaction construction ------------------------------------------
-
-    def begin(self) -> None:
-        if self._open is not None:
-            raise TransactionError("transaction already open (no nesting)")
-        self._seq += 1
-        self._open = _OpenTransaction(
-            seq=self._seq, writes=[], counter_atomic_targets={}
-        )
-        self._txn_first_entry = self._log_cursor
-        self.builder.txn_begin("undo#%d" % self._seq)
-
-    def write_line(
-        self,
-        line_address: int,
-        old_payload: bytes,
-        new_payload: bytes,
-        counter_atomic: bool = False,
-    ) -> None:
-        """Declare a full-line update inside the open transaction.
-
-        ``old_payload`` is the pre-image (the workload's model knows
-        it); it lands in the log.  ``counter_atomic`` marks targets the
-        workload wants paired even during mutate (rarely needed; the
-        commit record suffices for this protocol).
-        """
-        txn = self._require_open()
-        if len(old_payload) != CACHE_LINE_SIZE or len(new_payload) != CACHE_LINE_SIZE:
-            raise TransactionError("undo log works on whole 64 B lines")
-        if line_address % CACHE_LINE_SIZE != 0:
-            raise TransactionError("target must be line-aligned")
-        if len(txn.writes) >= self.arena.log_capacity:
-            raise TransactionError(
-                "transaction exceeds log capacity (%d lines)" % self.arena.log_capacity
-            )
-        txn.writes.append((line_address, bytes(old_payload), bytes(new_payload)))
-        txn.counter_atomic_targets[line_address] = counter_atomic
-
-    def commit(self) -> None:
-        """Emit the full three-stage protocol for the open transaction."""
-        txn = self._require_open()
+    def _entries(self, writes: List[LineWrite], new_values: bool) -> None:
+        """Log each pre-image (or each new value) and seal the log."""
         builder = self.builder
-        if txn.writes:
-            self._emit_prepare(txn)
-            self._emit_mutate(txn)
-            self._emit_commit(txn)
-        self._open = None
-        self.committed += 1
-        builder.txn_end("undo#%d" % txn.seq)
-
-    # -- stages ---------------------------------------------------------------
-
-    def _entry_address(self, index: int) -> int:
-        return self.arena.log_base + (index % self.arena.log_capacity) * LOG_ENTRY_BYTES
-
-    def _emit_prepare(self, txn: _OpenTransaction) -> None:
-        builder = self.builder
-        builder.label("prepare")
-        for offset, (target, old, _new) in enumerate(txn.writes):
-            header = self._entry_address(self._txn_first_entry + offset)
-            payload = header + CACHE_LINE_SIZE
+        headers = self._entry_headers(len(writes))
+        for header, (target, old, new) in zip(headers, writes):
             header_bytes = (
-                u64_to_bytes(LOG_MAGIC)
+                u64_to_bytes(self.MAGIC)
                 + u64_to_bytes(target)
-                + u64_to_bytes(txn.seq)
+                + u64_to_bytes(self._seq)
                 + bytes(CACHE_LINE_SIZE - 24)
             )
             builder.compute(PREPARE_COMPUTE_NS)
             builder.store(header, header_bytes)
-            builder.store(payload, old)
+            builder.store(header + CACHE_LINE_SIZE, new if new_values else old)
             builder.clwb(header)
-            builder.clwb(payload)
-        for offset in range(len(txn.writes)):
+            builder.clwb(header + CACHE_LINE_SIZE)
+        for header in headers:
             # Flush both lines of the entry: a 128 B entry can straddle
             # a counter-group boundary, in which case the two lines'
             # counters live in different counter lines.
-            header = self._entry_address(self._txn_first_entry + offset)
             builder.ccwb(header)
             builder.ccwb(header + CACHE_LINE_SIZE)
         builder.compute(STAGE_COMPUTE_NS)
         builder.persist_barrier()
-        # Arm: the transaction record flips the recoverable version
-        # from "data" to "log", so it must be counter-atomic.
-        builder.store_var(self.seq_var, txn.seq)
-        builder.store_var(self.nentries_var, len(txn.writes))
-        builder.store_u64(
-            self.arena.txn_record + _FIRST_ENTRY_OFFSET,
-            self._txn_first_entry % self.arena.log_capacity,
-        )
+
+    def _arm(self, nentries: int) -> None:
+        """Flip the recoverable version from the data to the log."""
+        builder = self.builder
+        builder.store_var(self.seq_var, self._seq)
+        builder.store_var(self.nentries_var, nentries)
+        builder.store_u64(self.arena.txn_record + _FIRST_ENTRY_OFFSET, self._log_cursor)
+        # The flip decides which version recovery restores, so it must
+        # be counter-atomic.
         builder.store_var(self.valid_var, 1)
         builder.clwb(self.arena.txn_record)
         builder.persist_barrier()
 
-    def _emit_mutate(self, txn: _OpenTransaction) -> None:
+    def _disarm(self) -> None:
+        """Flip the recoverable version back to the data."""
         builder = self.builder
-        builder.label("mutate")
-        for target, _old, new in txn.writes:
-            builder.compute(MUTATE_COMPUTE_NS)
-            builder.store(
-                target,
-                new,
-                counter_atomic=txn.counter_atomic_targets.get(target, False),
-            )
-            builder.clwb(target)
-        for target, _old, _new in txn.writes:
-            builder.ccwb(target)
-        builder.compute(STAGE_COMPUTE_NS)
-        builder.persist_barrier()
-
-    def _emit_commit(self, txn: _OpenTransaction) -> None:
-        builder = self.builder
-        builder.label("commit")
         builder.store_var(self.valid_var, 0)
         builder.clwb(self.arena.txn_record)
         builder.persist_barrier()
-        self._log_cursor = (self._log_cursor + len(txn.writes)) % self.arena.log_capacity
-
-    def _require_open(self) -> _OpenTransaction:
-        if self._open is None:
-            raise TransactionError("no open transaction")
-        return self._open
-
-    # -- convenience -----------------------------------------------------------
-
-    def run(self, writes: Sequence[Tuple[int, bytes, bytes]]) -> None:
-        """begin + write_line* + commit in one call."""
-        self.begin()
-        for line_address, old, new in writes:
-            self.write_line(line_address, old, new)
-        self.commit()
 
 
-def recover_undo_log(
+class UndoLogTransactions(ArmedLog):
+    """Generates undo-logged transactions into a trace builder."""
+
+    NOTE = "undo"
+    MAGIC = LOG_MAGIC
+
+    def _stages(self, writes: List[LineWrite]) -> None:
+        builder = self.builder
+        builder.label("prepare")
+        self._entries(writes, new_values=False)
+        self._arm(len(writes))
+        builder.label("mutate")
+        self._in_place(writes)
+        builder.label("commit")
+        self._disarm()
+
+
+def replay_log(
     recovered: RecoveredMemory,
     arena: CoreArena,
+    magic: int,
     context: Optional[RecoveryContext] = None,
 ) -> List[int]:
-    """Post-crash undo recovery for one arena.
+    """Post-crash recovery of one arena's armed log.
 
-    Reads the transaction record; if a transaction was armed, restores
-    every logged pre-image.  Returns the list of restored line
+    Reads the transaction record; if a transaction was armed, writes
+    every logged image (an undo log's pre-images, a redo log's new
+    values) over its target.  Returns the list of restored line
     addresses.  All reads are *strict*: the protocol guarantees the
     record and (when armed) the log are decryptable, so a decryption
     failure here is a genuine counter-atomicity violation and raises.
@@ -234,8 +261,8 @@ def recover_undo_log(
     one :meth:`RecoveryContext.step`, and the record clear — the write
     that retires the log — comes last.  A crash anywhere mid-replay
     leaves ``valid = 1``, so the next boot replays from entry 0; every
-    restore rewrites its target with the same pre-image, making the
-    whole replay idempotent.
+    restore rewrites its target with the same image, making the whole
+    replay idempotent.
     """
     context = context or RecoveryContext()
     context.enter_phase("txn-replay")
@@ -255,8 +282,7 @@ def recover_undo_log(
     for index in range(nentries):
         slot = (first + index) % arena.log_capacity
         header = arena.log_base + slot * LOG_ENTRY_BYTES
-        magic = recovered.read_u64(header)
-        if magic != LOG_MAGIC:
+        if recovered.read_u64(header) != magic:
             raise TransactionError("corrupt log entry %d (bad magic)" % index)
         entry_seq = recovered.read_u64(header + 16)
         if entry_seq != seq:
@@ -264,8 +290,8 @@ def recover_undo_log(
                 "log entry %d has seq %d, record has %d" % (index, entry_seq, seq)
             )
         target = recovered.read_u64(header + 8)
-        pre_image = recovered.read(header + CACHE_LINE_SIZE, CACHE_LINE_SIZE)
-        context.write_line(recovered, target, pre_image)
+        image = recovered.read(header + CACHE_LINE_SIZE, CACHE_LINE_SIZE)
+        context.write_line(recovered, target, image)
         restored.append(target)
         context.step()
     # The restore re-encrypts with fresh counters; the record is cleared
@@ -273,3 +299,12 @@ def recover_undo_log(
     context.write_line(recovered, record, bytes(CACHE_LINE_SIZE))
     context.step()
     return restored
+
+
+def recover_undo_log(
+    recovered: RecoveredMemory,
+    arena: CoreArena,
+    context: Optional[RecoveryContext] = None,
+) -> List[int]:
+    """Post-crash undo recovery: restore an armed log's pre-images."""
+    return replay_log(recovered, arena, LOG_MAGIC, context)

@@ -23,10 +23,8 @@ from ..crash.session import RecoveryContext
 from ..errors import DecryptionFailure, TransactionError, WorkloadError
 from ..sim.trace import TraceBuilder
 from ..txn.heap import CoreArena
-from ..txn.manager import LineTransactions, apply_line_writes
-from ..txn.checksum_undo import recover_checksummed_undo
-from ..txn.redolog import recover_redo_log
-from ..txn.undolog import recover_undo_log
+from ..txn.manager import MECHANISMS
+from ..txn.undolog import LogTransactions
 from ..utils.bitops import align_down, bytes_to_u64, u64_to_bytes
 
 _ZERO_LINE = bytes(CACHE_LINE_SIZE)
@@ -125,7 +123,7 @@ class TxnRecorder:
     def __init__(
         self,
         builder: TraceBuilder,
-        txns: LineTransactions,
+        txns: LogTransactions,
         model: LineModel,
     ) -> None:
         self.builder = builder
@@ -190,7 +188,7 @@ class TxnRecorder:
         # logged by a naive implementation, but the workloads only
         # stage lines they actually modify.
         writes = [(line, old, new) for line, old, new in writes if old != new]
-        apply_line_writes(self.txns, writes)
+        self.txns.run(writes)
         recorded = RecordedTxn(index=len(self.history), writes=writes)
         self.history.append(recorded)
         self._staged = None
@@ -309,15 +307,11 @@ class PrefixValidator:
         run = self.run
         minimum = self._min_required_prefix(recovered.image.crash_ns)
         verdict = ValidationVerdict(consistent=False, required_prefix=minimum)
+        if run.mechanism not in MECHANISMS:
+            raise WorkloadError("unknown mechanism %r" % run.mechanism)
+        _generator, recover = MECHANISMS[run.mechanism]
         try:
-            if run.mechanism == "undo":
-                recover_undo_log(recovered, run.arena, context=context)
-            elif run.mechanism == "redo":
-                recover_redo_log(recovered, run.arena, context=context)
-            elif run.mechanism == "checksum-undo":
-                recover_checksummed_undo(recovered, run.arena, context=context)
-            else:
-                raise WorkloadError("unknown mechanism %r" % run.mechanism)
+            recover(recovered, run.arena, context)
         except DecryptionFailure as failure:
             verdict.detected.append("recovery hit undecryptable line: %s" % failure)
             return verdict
@@ -426,7 +420,7 @@ class Workload(abc.ABC):
     def generate(
         self,
         builder: TraceBuilder,
-        txns: LineTransactions,
+        txns: LogTransactions,
         arena: CoreArena,
         mechanism: str = "undo",
     ) -> WorkloadRun:

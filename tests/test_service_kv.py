@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.bench.oracles import ProbeOnlyService
 from repro.config import CACHE_LINE_SIZE, fast_config
 from repro.crash.injector import CrashInjector
 from repro.crash.recovery import RecoveryManager
@@ -85,11 +86,8 @@ class TestTenantKV:
         ops += [("put", k, k * 5) for k in range(1, 30, 2)]
         ops += [("del", k, 0) for k in range(1, 30, 3)]
 
-        def run(use_index):
-            workload = ServiceWorkload(
-                fast_config(), tenants=1, use_index=use_index
-            )
-            kv = workload.stores[0]
+        def run(service):
+            kv = service(fast_config(), tenants=1).stores[0]
             for kind, key, value in ops:
                 if kind == "put":
                     kv.put(key, value)
@@ -97,7 +95,7 @@ class TestTenantKV:
                     kv.delete(key)
             return kv.scan(1, 64)
 
-        assert run(True) == run(False)
+        assert run(ServiceWorkload) == run(ProbeOnlyService)
 
     def test_tenants_use_disjoint_arenas(self, workload):
         arenas = workload.arenas

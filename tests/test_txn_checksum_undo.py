@@ -142,6 +142,37 @@ class TestRecovery:
         if restored:
             assert recovered.read(target, CACHE_LINE_SIZE) == NEW
 
+    @pytest.mark.parametrize("design", ["sca", "fca", "no-encryption", "ideal"])
+    def test_crash_after_an_empty_transaction(self, design):
+        """An empty transaction takes a seq but logs nothing and leaves
+        ``committed_seq`` behind, so the next one logs a seq two past
+        it: recovery must still restore that transaction's entries."""
+        config = fast_config()
+        layout = MemoryLayout.build(config, log_capacity=16)
+        arena = layout.arena(0)
+        builder = TraceBuilder("cksum-gap")
+        txns = ChecksummedUndoLog(builder, arena)
+        targets = [arena.heap.alloc_lines(1), arena.heap.alloc_lines(1)]
+        middle = bytes([0x11]) * CACHE_LINE_SIZE
+        txns.run([(target, OLD, middle) for target in targets])
+        txns.run([])
+        txns.run([(target, middle, NEW) for target in targets])
+        # The state after each prefix of the three transactions.
+        prefixes = [(OLD, OLD), (middle, middle), (middle, middle), (NEW, NEW)]
+        result = Machine(config, design).run([builder.build()])
+        injector = CrashInjector(result)
+        manager = RecoveryManager(result.config.encryption)
+        ends = result.txn_end_times[0]
+        instants = sorted(
+            set(injector.interesting_times()) | set(injector.midpoint_times())
+        )
+        for crash_ns in instants:
+            recovered = manager.recover(injector.crash_at(crash_ns))
+            recover_checksummed_undo(recovered, arena)
+            state = tuple(recovered.read(t, CACHE_LINE_SIZE) for t in targets)
+            acked = sum(1 for end_ns in ends if end_ns <= crash_ns)
+            assert state in prefixes[acked:], "torn state at %.1f ns" % crash_ns
+
 
 class TestPerformance:
     def test_cheaper_than_standard_undo(self):

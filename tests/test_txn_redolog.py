@@ -11,6 +11,7 @@ from repro.sim.trace import OpKind, TraceBuilder
 from repro.txn.heap import MemoryLayout
 from repro.txn.redolog import RedoLogTransactions, recover_redo_log
 
+OLD = bytes(64)
 NEW = bytes([0xCD]) * 64
 
 
@@ -27,14 +28,14 @@ class TestProtocolShape:
     def test_stage_order(self, setup):
         _config, layout, builder, txns = setup
         target = layout.arena(0).heap.alloc_lines(1)
-        txns.run([(target, NEW)])
+        txns.run([(target, OLD, NEW)])
         labels = [op.note for op in builder.build() if op.kind is OpKind.LABEL]
         assert labels == ["prepare", "commit", "write-back", "retire"]
 
     def test_two_counter_atomic_stores(self, setup):
         _config, layout, builder, txns = setup
         target = layout.arena(0).heap.alloc_lines(1)
-        txns.run([(target, NEW)])
+        txns.run([(target, OLD, NEW)])
         ca_stores = [
             op for op in builder.build()
             if op.kind is OpKind.STORE and op.counter_atomic
@@ -46,7 +47,7 @@ class TestProtocolShape:
         after the commit record flips."""
         _config, layout, builder, txns = setup
         target = layout.arena(0).heap.alloc_lines(1)
-        txns.run([(target, NEW)])
+        txns.run([(target, OLD, NEW)])
         ops = builder.build().ops
         commit = next(
             i for i, op in enumerate(ops)
@@ -68,14 +69,14 @@ class TestProtocolShape:
         _config, _layout, _builder, txns = setup
         txns.begin()
         with pytest.raises(TransactionError):
-            txns.write_line(0x1000, b"small")
+            txns.write_line(0x1000, OLD, b"small")
 
 
 class TestRecovery:
     def test_completed_run_recovers_new_value(self, setup):
         config, layout, builder, txns = setup
         target = layout.arena(0).heap.alloc_lines(1)
-        txns.run([(target, NEW)])
+        txns.run([(target, OLD, NEW)])
         result = Machine(config, "sca").run([builder.build()])
         injector = CrashInjector(result)
         recovered = RecoveryManager(config.encryption).recover(
@@ -87,7 +88,7 @@ class TestRecovery:
     def test_crash_before_commit_keeps_old_value(self, setup):
         config, layout, builder, txns = setup
         target = layout.arena(0).heap.alloc_lines(1)
-        txns.run([(target, NEW)])
+        txns.run([(target, OLD, NEW)])
         result = Machine(config, "sca").run([builder.build()])
         injector = CrashInjector(result)
         recovered = RecoveryManager(config.encryption).recover(injector.crash_at(0.5))
@@ -100,7 +101,7 @@ class TestRecovery:
         old or the new value — never a torn mixture."""
         config, layout, builder, txns = setup
         target = layout.arena(0).heap.alloc_lines(1)
-        txns.run([(target, NEW)])
+        txns.run([(target, OLD, NEW)])
         result = Machine(config, "sca").run([builder.build()])
         injector = CrashInjector(result)
         manager = RecoveryManager(config.encryption)
